@@ -27,14 +27,7 @@ from .inference import (
     predict,
     save_model,
 )
-from .membership import (
-    SCALE_MIN,
-    FuzzySetParams,
-    MFKind,
-    mf_eval,
-    mf_grad,
-    project_bounds,
-)
+from .membership import SCALE_MIN, FuzzySetParams, MFKind
 from .metrics import (
     EvalReport,
     ParetoPoint,
@@ -49,7 +42,6 @@ from .numerics import (
     InsufficientDataError,
     RandomStream,
     SingularMatrixError,
-    clip_elementwise,
     mean_ci95,
     ridge_solve,
 )
@@ -61,7 +53,6 @@ from .training import (
     TrainConfig,
     adjacency_pairs,
     backward_pass,
-    distinguishability,
     mo_gradient_pass,
     train,
     xpass_update,
@@ -94,10 +85,8 @@ __all__ = [
     "TrainConfig",
     "adjacency_pairs",
     "backward_pass",
-    "clip_elementwise",
     "derive_scales",
     "design_matrix",
-    "distinguishability",
     "evaluate_model",
     "fcm_fit",
     "firing_strengths",
@@ -108,13 +97,10 @@ __all__ = [
     "load_model",
     "mean_ci95",
     "mean_distinguishability",
-    "mf_eval",
-    "mf_grad",
     "mo_gradient_pass",
     "pareto_front",
     "possibility",
     "predict",
-    "project_bounds",
     "regression_metrics",
     "ridge_solve",
     "save_model",

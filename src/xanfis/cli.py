@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
+import contextlib
 import json
 import os
 import sys
@@ -24,17 +24,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import load_csv, load_manifest, split_scale, synth_regression
+from .data import load_csv, load_manifest, split_scale, synth_regression, write_csv
 from .fcm_init import FCMConfig, derive_scales, fcm_fit
-from .inference import Order, RuleBase, load_model, predict, save_model
+from .inference import Order, RuleBase, load_model, save_model
 from .membership import MFKind, membership_values
-from .metrics import (
-    EvalReport,
-    ParetoPoint,
-    mean_distinguishability,
-    pareto_front,
-    regression_metrics,
-)
+from .metrics import EvalReport, ParetoPoint, evaluate_model, pareto_front
 from .numerics import mean_ci95
 from .training import (
     DivergenceError,
@@ -84,7 +78,7 @@ class ExperimentConfig:
     weights_lo: float = 0.01
     weights_hi: float = 10.0
 
-    def train_config(self, mode=None, mo_weight=None, seed=0):
+    def train_config(self, mode=None, mo_weight=None):
         return TrainConfig(
             mode=Mode(mode or self.mode),
             lr_backward=self.lr_backward,
@@ -96,7 +90,6 @@ class ExperimentConfig:
             patience=self.patience,
             clip_lo=self.clip_lo,
             clip_hi=self.clip_hi,
-            seed=seed,
         )
 
 
@@ -140,27 +133,19 @@ class RunRecord:
     init_scale: float | None = None
 
 
-def _load_dataset(cfg, seed):
-    if cfg.manifest:
-        return load_csv(load_manifest(cfg.manifest))
-    if cfg.synth:
-        return synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
-    raise ValueError("config must name either a CSV manifest or a synthetic dataset")
+def prepare_seed(task):
+    """Dataset, split and FCM fit of one seed, shared by all of its runs.
 
-
-def run_experiment(task):
-    """Train and evaluate one configured run; used by every subcommand.
-
-    task: dict with cfg (ExperimentConfig) plus run_id, seed and optional
-    overrides mode / mf / mo_weight / init_scale / trajectory.
+    task: any task of the seed (only its cfg and seed are read).
     """
     cfg = task["cfg"]
     seed = int(task["seed"])
-    mode = Mode(task.get("mode", cfg.mode))
-    mf = MFKind(task.get("mf", cfg.mf))
-    record_traj = bool(task.get("trajectory", cfg.trajectory))
-
-    X, y = _load_dataset(cfg, seed)
+    if cfg.manifest:
+        X, y = load_csv(load_manifest(cfg.manifest))
+    elif cfg.synth:
+        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
+    else:
+        raise ValueError("config must name either a CSV manifest or a synthetic dataset")
     split = split_scale(X, y, seed=seed)
     fcm = fcm_fit(
         split.X_train,
@@ -172,11 +157,27 @@ def run_experiment(task):
             seed=seed,
         ),
     )
+    return split, fcm
+
+
+def run_experiment(task):
+    """Train and evaluate one configured run; used by every subcommand.
+
+    task: dict with cfg (ExperimentConfig), run_id, seed and prepared (the
+    seed's (split, fcm) pair from prepare_seed), plus optional overrides
+    mode / mf / mo_weight / init_scale / trajectory.
+    """
+    cfg = task["cfg"]
+    split, fcm = task["prepared"]
+    mode = Mode(task.get("mode", cfg.mode))
+    mf = MFKind(task.get("mf", cfg.mf))
+    record_traj = bool(task.get("trajectory", cfg.trajectory))
+
     scales = derive_scales(split.X_train, fcm, override_scale=task.get("init_scale"))
     rb0 = RuleBase(
         mf_kind=mf, centers=fcm.centers, scales=scales, order=Order(cfg.order)
     )
-    tcfg = cfg.train_config(mode=mode, mo_weight=task.get("mo_weight"), seed=seed)
+    tcfg = cfg.train_config(mode=mode, mo_weight=task.get("mo_weight"))
 
     diverged = False
     try:
@@ -193,15 +194,12 @@ def run_experiment(task):
         diverged = True
         rb, traces = err.last_rb, err.traces
 
-    mse, rmse, mae, r2 = regression_metrics(split.y_test, _predict_or_nan(rb, split.X_test))
-    mean_d, per_feature = mean_distinguishability(rb)
-    report = EvalReport(mse=mse, rmse=rmse, mae=mae, r2=r2, mean_D=mean_d, per_feature_D=per_feature)
     return RunRecord(
         run_id=task["run_id"],
-        mode=str(mode),
+        mode=mode.value,
         mf=mf.value,
-        seed=seed,
-        report=report,
+        seed=int(task["seed"]),
+        report=evaluate_model(rb, split.X_test, split.y_test),
         rb=rb,
         traces=traces,
         scaler=split.scaler,
@@ -212,18 +210,24 @@ def run_experiment(task):
     )
 
 
-def _predict_or_nan(rb, X):
-    if rb is None or rb.consequents is None:
-        return np.full(X.shape[0], np.nan)
-    return predict(rb, X)
-
-
 def _run_all(tasks, workers):
+    """Prepare each distinct seed once, then run every task; sorted by run_id.
+
+    Both stages go through the same map (a process pool when workers > 1),
+    so the preparation of different seeds is spread over the workers too.
+    """
+    first_task = {}
+    for task in tasks:
+        first_task.setdefault(task["seed"], task)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_experiment, tasks))
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     else:
-        results = [run_experiment(t) for t in tasks]
+        pool = contextlib.nullcontext()
+    with pool as executor:
+        mapper = executor.map if executor else map
+        prepared = dict(zip(first_task, mapper(prepare_seed, first_task.values())))
+        tasks = [{**task, "prepared": prepared[task["seed"]]} for task in tasks]
+        results = list(mapper(run_experiment, tasks))
     return sorted(results, key=lambda r: r.run_id)
 
 
@@ -258,28 +262,12 @@ def _metrics_row(cfg, rec):
     ]
 
 
-def _write_metrics_csv(path, cfg, records):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for rec in records:
-            writer.writerow(_metrics_row(cfg, rec))
-
-
-def _write_aggregate_csv(path, records):
-    """Mean and 95% CI rows for r2 and mean_D over the runs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "ci_lo", "ci_hi", "n"])
-        for name, values in (
-            ("r2", [r.report.r2 for r in records]),
-            ("mean_D", [r.report.mean_D for r in records]),
-        ):
-            if len(values) >= 2:
-                mean, lo, hi = mean_ci95(values)
-                writer.writerow([name, repr(mean), repr(lo), repr(hi), len(values)])
-            else:
-                writer.writerow([name, repr(float(values[0])), "", "", 1])
+def _aggregate_row(name, values):
+    """Mean and 95% CI of one metric over the runs (no CI for a single run)."""
+    if len(values) >= 2:
+        mean, lo, hi = mean_ci95(values)
+        return [name, repr(mean), repr(lo), repr(hi), len(values)]
+    return [name, repr(float(values[0])), "", "", 1]
 
 
 # --------------------------------------------------------------------
@@ -305,8 +293,19 @@ def cmd_train(cfg):
             trajectory_to_csv(
                 rec.traces, os.path.join(cfg.out, f"trajectory_{rec.run_id}.csv")
             )
-    _write_metrics_csv(os.path.join(cfg.out, "metrics.csv"), cfg, records)
-    _write_aggregate_csv(os.path.join(cfg.out, "aggregate.csv"), records)
+    write_csv(
+        os.path.join(cfg.out, "metrics.csv"),
+        METRICS_COLUMNS,
+        (_metrics_row(cfg, rec) for rec in records),
+    )
+    write_csv(
+        os.path.join(cfg.out, "aggregate.csv"),
+        ["metric", "mean", "ci_lo", "ci_hi", "n"],
+        [
+            _aggregate_row("r2", [r.report.r2 for r in records]),
+            _aggregate_row("mean_D", [r.report.mean_D for r in records]),
+        ],
+    )
     return records
 
 
@@ -318,6 +317,10 @@ def cmd_init_study(cfg, scale_list):
     """
     if not scale_list:
         raise ValueError("init-study needs a nonempty list of initialization scales")
+    stems = [f"{float(scale):g}" for scale in scale_list]
+    clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if clashes:
+        raise ValueError(f"init scales share output file names: {', '.join(clashes)}")
     _check_out_dir(cfg.out)
     seed = cfg.seeds[0]
     tasks = []
@@ -339,21 +342,18 @@ def cmd_init_study(cfg, scale_list):
         stem = f"{rec.mf}_{rec.init_scale:g}"
         traces_to_csv(rec.traces, os.path.join(cfg.out, f"trace_{stem}.csv"))
         trajectory_to_csv(rec.traces, os.path.join(cfg.out, f"trajectory_{stem}.csv"))
-    summary_path = os.path.join(cfg.out, "summary.csv")
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mf", "init_scale", "mse", "rmse", "mae", "r2", "mean_D", "epochs_run", "diverged"]
-        )
-        for rec in records:
-            rep = rec.report
-            writer.writerow(
-                [
-                    rec.mf, repr(rec.init_scale), repr(rep.mse), repr(rep.rmse),
-                    repr(rep.mae), repr(rep.r2), repr(rep.mean_D),
-                    rec.epochs_run, int(rec.diverged),
-                ]
-            )
+    write_csv(
+        os.path.join(cfg.out, "summary.csv"),
+        ["mf", "init_scale", "mse", "rmse", "mae", "r2", "mean_D", "epochs_run", "diverged"],
+        (
+            [
+                rec.mf, repr(rec.init_scale), repr(rec.report.mse), repr(rec.report.rmse),
+                repr(rec.report.mae), repr(rec.report.r2), repr(rec.report.mean_D),
+                rec.epochs_run, int(rec.diverged),
+            ]
+            for rec in records
+        ),
+    )
     return records
 
 
@@ -398,18 +398,13 @@ def cmd_pareto_sweep(cfg, sweep):
             rec.seed, repr(rec.report.r2), repr(rec.report.mean_D),
         ]
 
-    with open(os.path.join(cfg.out, "points.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in sweep_records + refs:
-            writer.writerow(point_row(rec))
+    write_csv(os.path.join(cfg.out, "points.csv"), columns, map(point_row, sweep_records + refs))
     front_ids = {p.run_id for p in front}
-    with open(os.path.join(cfg.out, "front.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in sweep_records:
-            if rec.run_id in front_ids:
-                writer.writerow(point_row(rec))
+    write_csv(
+        os.path.join(cfg.out, "front.csv"),
+        columns,
+        (point_row(rec) for rec in sweep_records if rec.run_id in front_ids),
+    )
     return records, front
 
 
@@ -418,24 +413,28 @@ def cmd_export_partition(model_path, samples_per_curve, out):
     _check_out_dir(out)
     rb, _scaler = load_model(model_path)
     r, f = rb.centers.shape
-    with open(os.path.join(out, "centers.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "feature", "center", "scale"])
-        for j in range(r):
-            for k in range(f):
-                writer.writerow(
-                    [j, k, repr(float(rb.centers[j, k])), repr(float(rb.scales[j, k]))]
-                )
+    centers_path = os.path.join(out, "centers.csv")
+    write_csv(
+        centers_path,
+        ["rule", "feature", "center", "scale"],
+        (
+            [j, k, repr(float(rb.centers[j, k])), repr(float(rb.scales[j, k]))]
+            for j in range(r)
+            for k in range(f)
+        ),
+    )
     xs = np.linspace(0.0, 1.0, int(samples_per_curve))
-    with open(os.path.join(out, "curves.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "rule", "x", "membership"])
+
+    def curve_rows():
         for k in range(f):
             for j in range(r):
                 mu = membership_values(rb.mf_kind, xs, rb.centers[j, k], rb.scales[j, k])
                 for x, m in zip(xs, mu):
-                    writer.writerow([k, j, repr(float(x)), repr(float(m))])
-    return os.path.join(out, "centers.csv"), os.path.join(out, "curves.csv")
+                    yield [k, j, repr(float(x)), repr(float(m))]
+
+    curves_path = os.path.join(out, "curves.csv")
+    write_csv(curves_path, ["feature", "rule", "x", "membership"], curve_rows())
+    return centers_path, curves_path
 
 
 # --------------------------------------------------------------------
@@ -531,6 +530,8 @@ def build_config(args):
     cfg = ExperimentConfig(**doc)
     if not cfg.seeds:
         raise ValueError("need at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ValueError(f"duplicate seeds in {cfg.seeds}: each seed names its own output files")
     return cfg, explicit
 
 
@@ -567,7 +568,6 @@ def main(argv=None):
     except (ValueError, OSError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

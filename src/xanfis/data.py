@@ -1,4 +1,5 @@
-"""CSV ingestion, min-max scaling, deterministic splitting, synthetic data.
+"""CSV ingestion and writing, min-max scaling, deterministic splitting,
+synthetic data.
 
 The scaler is always fitted on the training partition only, so validation
 and test rows can land outside [0, 1]; membership evaluation tolerates
@@ -115,6 +116,14 @@ def load_csv(manifest):
             X[i, k] = cell(row, row_no, col)
         y[i] = cell(row, row_no, target_idx)
     return X, y
+
+
+def write_csv(path, header, rows):
+    """Write a UTF-8 CSV: the header row, then every row of an iterable."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass

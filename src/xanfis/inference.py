@@ -49,11 +49,6 @@ class RuleBase:
     def n_features(self):
         return self.centers.shape[1]
 
-    def consequent_length(self):
-        if self.order == Order.ZERO:
-            return self.n_rules
-        return self.n_rules * (self.n_features + 1)
-
 
 @dataclass
 class FiringMatrices:
@@ -64,6 +59,10 @@ class FiringMatrices:
 def membership_tensor(X, rb):
     """Per-sample per-rule per-feature memberships, shape (N, R, F)."""
     X = as_matrix(X, "X")
+    if X.shape[1] != rb.n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
+        )
     return membership_values(
         rb.mf_kind, X[:, None, :], rb.centers[None, :, :], rb.scales[None, :, :]
     )

@@ -1,4 +1,4 @@
-"""Gaussian and Cauchy membership functions with analytic parameter gradients.
+"""Gaussian and Cauchy membership functions with analytic log-gradients.
 
 Centers live in [0, 1] (min-max scaled input units) and scales in
 [SCALE_MIN, 1].  Evaluation accepts inputs outside [0, 1] because test
@@ -28,8 +28,7 @@ class MFKind(str, enum.Enum):
 class FuzzySetParams:
     """One fuzzy set: center in [0,1], scale in [SCALE_MIN, 1].
 
-    Out-of-range values are representable (a raw gradient step produces
-    them); project_bounds restores the invariant.
+    The pairwise overlap measures in metrics take one per argument.
     """
 
     center: float
@@ -53,25 +52,6 @@ def membership_values(kind, x, centers, scales):
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 
-def membership_grads(kind, x, centers, scales):
-    """Partials (d mu / d center, d mu / d scale), broadcasting like eval."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x - centers
-    mu = membership_values(kind, x, centers, scales)
-    if kind == MFKind.GAUSSIAN:
-        s2 = scales * scales
-        with np.errstate(under="ignore"):
-            d_center = mu * d / s2
-            d_scale = mu * d * d / (s2 * scales)
-    else:
-        g2 = scales * scales
-        with np.errstate(under="ignore"):
-            mu2 = 2.0 * mu * mu
-            d_center = mu2 * d / g2
-            d_scale = mu2 * d * d / (g2 * scales)
-    return d_center, d_scale
-
-
 def log_membership_grads(kind, x, centers, scales):
     """Partials of log(mu): (d log mu / d center, d log mu / d scale).
 
@@ -90,26 +70,8 @@ def log_membership_grads(kind, x, centers, scales):
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 
-def mf_eval(kind, x, p):
-    """Membership of scalar x under one fuzzy set."""
-    return float(membership_values(kind, x, p.center, p.scale))
-
-
-def mf_grad(kind, x, p):
-    """(d mu/d center, d mu/d scale) for scalar x under one fuzzy set."""
-    dc, ds = membership_grads(kind, x, p.center, p.scale)
-    return float(dc), float(ds)
-
-
-def project_bounds(p):
-    """Clamp a fuzzy set back into center [0,1], scale [SCALE_MIN, 1]."""
-    center = min(max(p.center, 0.0), 1.0)
-    scale = min(max(p.scale, SCALE_MIN), SCALE_MAX)
-    return FuzzySetParams(center=center, scale=scale)
-
-
 def project_bounds_arrays(centers, scales):
-    """Array form of project_bounds; returns clamped copies."""
+    """Clamp centers into [0, 1] and scales into [SCALE_MIN, 1]; returns copies."""
     return (
         np.clip(centers, 0.0, 1.0),
         np.clip(scales, SCALE_MIN, SCALE_MAX),

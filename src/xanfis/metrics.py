@@ -14,7 +14,7 @@ import numpy as np
 from .inference import predict
 from .membership import membership_values
 from .numerics import as_vector
-from .training import _pair_distances, adjacency_pairs
+from .training import mean_distinguishability  # re-exported: defined with the trainer
 
 #: numeric universe for overlap integrals; wider than [0,1] so the Cauchy
 #: tails outside the bounded parameter range still contribute
@@ -31,16 +31,6 @@ class EvalReport:
     r2: float
     mean_D: float
     per_feature_D: list[float] = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "r2": self.r2,
-            "mean_D": self.mean_D,
-            "per_feature_D": list(self.per_feature_D),
-        }
 
 
 @dataclass
@@ -68,23 +58,6 @@ def regression_metrics(y, yhat):
         raise ValueError("r2 undefined: target is constant")
     r2 = 1.0 - float(np.sum(err * err)) / sst
     return mse, rmse, mae, r2
-
-
-def mean_distinguishability(rb):
-    """Mean pair distance over all per-feature adjacent pairs.
-
-    Returns (overall mean, per-feature means); requires at least 2 rules.
-    """
-    r, f = rb.centers.shape
-    if r < 2:
-        raise ValueError(f"no adjacent pairs with {r} rule(s)")
-    pairs = adjacency_pairs(rb.centers)
-    dists = _pair_distances(rb.centers, rb.scales, pairs)
-    per_feature = [
-        float(np.mean([d for d, p in zip(dists, pairs) if p.feature == feat]))
-        for feat in range(f)
-    ]
-    return float(np.mean(dists)), per_feature
 
 
 def _overlap_curves(p_a, p_b, kind, grid):

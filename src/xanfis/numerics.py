@@ -1,4 +1,4 @@
-"""Shared numeric kernels: ridge solver, clipping, CI statistics, seeded RNG.
+"""Shared numeric kernels: ridge solver, CI statistics, seeded RNG.
 
 All matrices and vectors are float64 numpy arrays.  Helpers here validate
 shape/finiteness at the boundary so the higher layers can assume clean
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(ValueError):
@@ -65,9 +64,8 @@ def ridge_solve(phi, y, lam):
     a[np.diag_indices_from(a)] += lam
     b = phi.T @ y
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        return scipy.linalg.cho_solve(factor, b, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as err:
         if lam == 0.0:
             raise SingularMatrixError(
                 "phi^T phi is singular and lambda is 0; supply lambda > 0"
@@ -79,13 +77,8 @@ def ridge_solve(phi, y, lam):
         target = np.concatenate([y, np.zeros(r)])
         w, *_ = np.linalg.lstsq(stacked, target, rcond=None)
         return w
-
-
-def clip_elementwise(v, lo, hi):
-    """Clamp every entry of v into [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"clip bounds out of order: lo={lo} > hi={hi}")
-    return np.clip(np.asarray(v, dtype=np.float64), lo, hi)
+    # two solves with the factor: L z = b, then L^T w = z
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
 
 
 #: normal-approximation 95% quantile used for confidence intervals
@@ -118,14 +111,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z):
-    """splitmix64 finalizer for a Python int state."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z):
     """splitmix64 finalizer, vectorized over a uint64 array."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -145,21 +130,11 @@ class RandomStream:
         self.seed = int(seed) & _MASK64
         self._count = 0
 
-    def _state_block(self, n):
+    def uint64s(self, n):
+        n = int(n)
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        return (np.uint64(self.seed) + idx * np.uint64(_GAMMA)).astype(np.uint64)
-
-    def next_uint64(self):
-        self._count += 1
-        return _mix64((self.seed + self._count * _GAMMA) & _MASK64)
-
-    def uint64s(self, n):
-        return _mix64_array(self._state_block(int(n)))
-
-    def uniform(self):
-        """One double in [0, 1) built from the top 53 bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return _mix64_array((np.uint64(self.seed) + idx * np.uint64(_GAMMA)).astype(np.uint64))
 
     def uniforms(self, n):
         return (self.uint64s(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -170,10 +145,6 @@ class RandomStream:
         u1 = self.uniforms(n)
         u2 = self.uniforms(n)
         return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
-
-    def below(self, bound):
-        """One integer in [0, bound) via the multiply-high reduction."""
-        return (self.next_uint64() * int(bound)) >> 64
 
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n)."""
@@ -186,7 +157,3 @@ class RandomStream:
             j = (int(raws[n - 1 - i]) * (i + 1)) >> 64
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-    def split(self, index):
-        """Independent child stream; deterministic in (seed, index)."""
-        return RandomStream(_mix64(self.seed ^ _mix64(_GAMMA + int(index))))

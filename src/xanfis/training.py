@@ -12,16 +12,16 @@ validation snapshot is returned.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import write_csv
 from .inference import EPS_DENOM, fit_consequents, membership_tensor, predict, rule_outputs
 from .membership import log_membership_grads, project_bounds_arrays
-from .numerics import as_matrix, as_vector, clip_elementwise
+from .numerics import as_matrix, as_vector
 
 #: adjacent pairs closer than this get no explainability gradient; the
 #: pair distance divides the update, so coincident sets must be skipped
@@ -56,7 +56,6 @@ class TrainConfig:
     patience: int = 20
     clip_lo: float = -1.0
     clip_hi: float = 1.0
-    seed: int = 0
 
     def validate(self):
         if self.clip_lo >= self.clip_hi:
@@ -106,11 +105,6 @@ def adjacency_pairs(centers):
     return pairs
 
 
-def distinguishability(p_i, p_j):
-    """Euclidean distance between two fuzzy sets in (center, scale) space."""
-    return math.hypot(p_i.center - p_j.center, p_i.scale - p_j.scale)
-
-
 def _pair_distances(centers, scales, pairs):
     out = np.empty(len(pairs))
     for k, p in enumerate(pairs):
@@ -121,11 +115,17 @@ def _pair_distances(centers, scales, pairs):
     return out
 
 
-def _mean_pair_distance(centers, scales):
-    if centers.shape[0] < 2:
-        return 0.0
-    pairs = adjacency_pairs(centers)
-    return float(np.mean(_pair_distances(centers, scales, pairs)))
+def mean_distinguishability(rb):
+    """Mean pair distance over all per-feature adjacent pairs.
+
+    Returns (overall mean, per-feature means); requires at least 2 rules.
+    """
+    r, f = rb.centers.shape
+    if r < 2:
+        raise ValueError(f"no adjacent pairs with {r} rule(s)")
+    dists = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
+    # adjacency_pairs lists each feature's r - 1 pairs in turn
+    return float(np.mean(dists)), dists.reshape(f, r - 1).mean(axis=1).tolist()
 
 
 def mse_antecedent_gradients(rb, X, y):
@@ -187,7 +187,7 @@ def xpass_gradients(centers, scales, d_target, pairs=None):
 
 
 def _clipped_step(values, grad, lr, cfg):
-    return values - lr * clip_elementwise(grad, cfg.clip_lo, cfg.clip_hi)
+    return values - lr * np.clip(grad, cfg.clip_lo, cfg.clip_hi)
 
 
 def backward_pass(rb, X, y, cfg):
@@ -263,7 +263,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
                 epoch=epoch,
                 train_mse=train_mse,
                 val_mse=val_mse,
-                mean_D=_mean_pair_distance(rb.centers, rb.scales),
+                mean_D=mean_distinguishability(rb)[0] if rb.n_rules > 1 else 0.0,
                 centers_snapshot=rb.centers.copy() if record_trajectory else None,
                 scales_snapshot=rb.scales.copy() if record_trajectory else None,
             )
@@ -301,11 +301,11 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
 
 def traces_to_csv(traces, path):
     """One row per epoch: epoch, train_mse, val_mse, mean_D."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse", "mean_D"])
-        for t in traces:
-            writer.writerow([t.epoch, repr(t.train_mse), repr(t.val_mse), repr(t.mean_D)])
+    write_csv(
+        path,
+        ["epoch", "train_mse", "val_mse", "mean_D"],
+        ([t.epoch, repr(t.train_mse), repr(t.val_mse), repr(t.mean_D)] for t in traces),
+    )
 
 
 def trajectory_to_csv(traces, path):
@@ -313,21 +313,20 @@ def trajectory_to_csv(traces, path):
 
     Requires traces recorded with record_trajectory=True.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "rule", "feature", "center", "scale"])
+
+    def rows():
         for t in traces:
             if t.centers_snapshot is None:
                 raise ValueError(f"epoch {t.epoch} has no parameter snapshot")
             r, f = t.centers_snapshot.shape
             for j in range(r):
                 for k in range(f):
-                    writer.writerow(
-                        [
-                            t.epoch,
-                            j,
-                            k,
-                            repr(float(t.centers_snapshot[j, k])),
-                            repr(float(t.scales_snapshot[j, k])),
-                        ]
-                    )
+                    yield [
+                        t.epoch,
+                        j,
+                        k,
+                        repr(float(t.centers_snapshot[j, k])),
+                        repr(float(t.scales_snapshot[j, k])),
+                    ]
+
+    write_csv(path, ["epoch", "rule", "feature", "center", "scale"], rows())

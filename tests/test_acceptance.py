@@ -67,7 +67,7 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=rules, seed=seed))
     scales = derive_scales(split.X_train, fcm, override_scale=init_scale)
     rb0 = RuleBase(mf_kind=mf, centers=fcm.centers, scales=scales)
-    cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience, seed=seed)
+    cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience)
     rb, traces = train(
         split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg,
         record_trajectory=True,

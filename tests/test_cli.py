@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +134,13 @@ class TestInitStudyCommand:
         with pytest.raises(ValueError, match="nonempty"):
             cmd_init_study(fast_cfg(tmp_path / "s"), [])
 
+    def test_colliding_file_stems_rejected(self, tmp_path):
+        # both scales print as 0.1 under %g, so their trace files would collide
+        out = tmp_path / "s"
+        with pytest.raises(ValueError, match="share output file names: 0.1"):
+            cmd_init_study(fast_cfg(out, seeds=[0]), [0.1, 0.5, 0.1000001])
+        assert not out.exists()
+
 
 class TestParetoSweepCommand:
     def test_points_and_front_files(self, tmp_path):
@@ -235,6 +244,14 @@ class TestMainEntry:
         code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_duplicate_seeds_rejected(self, tmp_path, capsys):
+        # seed 0 twice would write two seed0000 rows over one model file
+        out = tmp_path / "dup"
+        args = ["train", "--synth", "sinc2d", "--seeds", "0,1,0", "--out", str(out)]
+        assert main(args) == 1
+        assert "duplicate seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_source_fails(self, tmp_path):
         code = main(["train", "--seeds", "0", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -260,3 +277,18 @@ class TestMainEntry:
         cfg, explicit = build_config(args)
         assert cfg.weights_lo == 0.01 and cfg.weights_hi == 10.0
         assert cfg.seeds == [0, 1]
+
+
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        code = "import sys, xanfis.cli; print(xanfis.cli.__file__); print('scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, check=True,
+        )
+        module_file, scipy_loaded = done.stdout.split()
+        assert module_file.startswith(os.path.join(src, ""))
+        assert scipy_loaded == "False"

@@ -14,7 +14,7 @@ from xanfis.inference import (
     predict,
     save_model,
 )
-from xanfis.membership import FuzzySetParams, MFKind, mf_eval
+from xanfis.membership import MFKind, membership_values
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -24,15 +24,16 @@ def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Orde
 
 
 def scalar_firing_oracle(X, rb):
-    """Per-element reference: nested loops over mf_eval."""
+    """Per-element reference: nested loops over scalar membership_values."""
     n, f = X.shape
     r = rb.n_rules
     raw = np.ones((n, r))
     for t in range(n):
         for j in range(r):
             for k in range(f):
-                p = FuzzySetParams(rb.centers[j, k], rb.scales[j, k])
-                raw[t, j] *= mf_eval(rb.mf_kind, X[t, k], p)
+                raw[t, j] *= float(
+                    membership_values(rb.mf_kind, X[t, k], rb.centers[j, k], rb.scales[j, k])
+                )
     norm = np.zeros_like(raw)
     for t in range(n):
         s = raw[t].sum()
@@ -195,6 +196,14 @@ class TestPredict:
             rb.mf_kind, rb.centers[perm], rb.scales[perm], rb.consequents[perm], rb.order
         )
         np.testing.assert_allclose(predict(rb, X), predict(rb_p, X), atol=1e-12)
+
+    def test_wrong_feature_count_rejected(self):
+        # a 1-column X must not broadcast against a 2-feature model
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, size=(8, 2))
+        rb = fit_consequents(random_rulebase(rng, n_rules=3, n_features=2), X, X[:, 0], 1e-4)
+        with pytest.raises(ValueError, match="X has 1 feature columns but the rule base has 2"):
+            predict(rb, X[:, :1])
 
     def test_unfitted_rejects(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,4 @@
-"""Membership evaluation, analytic gradients vs finite differences, bounds."""
+"""Membership evaluation, analytic log-gradients vs finite differences, bounds."""
 
 import math
 
@@ -7,12 +7,9 @@ import pytest
 
 from xanfis.membership import (
     SCALE_MIN,
-    FuzzySetParams,
     MFKind,
-    mf_eval,
-    mf_grad,
+    log_membership_grads,
     membership_values,
-    project_bounds,
     project_bounds_arrays,
 )
 
@@ -21,29 +18,27 @@ KINDS = [MFKind.GAUSSIAN, MFKind.CAUCHY]
 
 class TestEval:
     def test_cauchy_peak(self):
-        assert mf_eval(MFKind.CAUCHY, 0.5, FuzzySetParams(0.5, 0.1)) == 1.0
+        assert membership_values(MFKind.CAUCHY, 0.5, 0.5, 0.1) == 1.0
 
     def test_cauchy_one_scale_from_center(self):
-        assert mf_eval(MFKind.CAUCHY, 0.6, FuzzySetParams(0.5, 0.1)) == pytest.approx(0.5)
+        assert membership_values(MFKind.CAUCHY, 0.6, 0.5, 0.1) == pytest.approx(0.5)
 
     def test_gaussian_one_sigma(self):
-        p = FuzzySetParams(0.3, 0.2)
-        assert mf_eval(MFKind.GAUSSIAN, 0.5, p) == pytest.approx(math.exp(-0.5))
+        assert membership_values(MFKind.GAUSSIAN, 0.5, 0.3, 0.2) == pytest.approx(math.exp(-0.5))
 
     def test_outside_unit_interval_is_evaluated(self):
-        p = FuzzySetParams(0.5, 0.1)
         for kind in KINDS:
-            v = mf_eval(kind, 1.7, p)
+            v = membership_values(kind, 1.7, 0.5, 0.1)
             assert 0.0 <= v < 1.0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_peak_and_monotone_decay_on_grid(self, kind):
-        p = FuzzySetParams(0.4, 0.15)
+        center, scale = 0.4, 0.15
         offsets = np.linspace(0.0, 1.0, 101)
-        values = membership_values(kind, p.center + offsets, p.center, p.scale)
+        values = membership_values(kind, center + offsets, center, scale)
         assert values[0] == 1.0
         assert np.all(np.diff(values) <= 0)
-        left = membership_values(kind, p.center - offsets, p.center, p.scale)
+        left = membership_values(kind, center - offsets, center, scale)
         np.testing.assert_allclose(values, left, atol=1e-15)
 
     def test_cauchy_tail_heavier_than_gaussian(self):
@@ -52,51 +47,54 @@ class TestEval:
         # and the ratio diverges
         u_star = 1.5852
         for scale in (1.0, 0.03125):
-            p = FuzzySetParams(0.5, scale)
             xs = 0.5 + scale * np.linspace(u_star + 1e-3, 40.0, 500)
-            cau = membership_values(MFKind.CAUCHY, xs, p.center, p.scale)
-            gau = membership_values(MFKind.GAUSSIAN, xs, p.center, p.scale)
+            cau = membership_values(MFKind.CAUCHY, xs, 0.5, scale)
+            gau = membership_values(MFKind.GAUSSIAN, xs, 0.5, scale)
             assert np.all(cau >= gau)
-            near = 0.5 + 2.0 * scale
-            far = 0.5 + 5.0 * scale
-            ratio_near = mf_eval(MFKind.CAUCHY, near, p) / mf_eval(MFKind.GAUSSIAN, near, p)
-            ratio_far = mf_eval(MFKind.CAUCHY, far, p) / mf_eval(MFKind.GAUSSIAN, far, p)
+            near_far = 0.5 + np.array([2.0, 5.0]) * scale
+            ratio_near, ratio_far = membership_values(
+                MFKind.CAUCHY, near_far, 0.5, scale
+            ) / membership_values(MFKind.GAUSSIAN, near_far, 0.5, scale)
             assert ratio_far > ratio_near > 1.0
 
     def test_gaussian_far_tail_underflows_to_zero(self):
-        v = mf_eval(MFKind.GAUSSIAN, 1.0, FuzzySetParams(0.0, SCALE_MIN))
-        assert v == 0.0
+        assert membership_values(MFKind.GAUSSIAN, 1.0, 0.0, SCALE_MIN) == 0.0
+
+
+def mu_scale_grad(kind, xs, center, scale):
+    """d mu / d scale = mu * d log mu / d scale."""
+    _, dlog_s = log_membership_grads(kind, xs, center, scale)
+    return membership_values(kind, xs, center, scale) * dlog_s
 
 
 class TestGrad:
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_at_center(self, kind):
-        dc, ds = mf_grad(kind, 0.37, FuzzySetParams(0.37, 0.2))
+        dc, ds = log_membership_grads(kind, 0.37, 0.37, 0.2)
         assert dc == 0.0 and ds == 0.0
 
     def test_cauchy_worked_values(self):
-        # mu = 0.5 at one scale from center: both partials equal 5.0
-        dc, ds = mf_grad(MFKind.CAUCHY, 0.6, FuzzySetParams(0.5, 0.1))
-        assert dc == pytest.approx(5.0)
-        assert ds == pytest.approx(5.0)
+        # mu = 0.5 at one scale from center: both partials of mu equal
+        # 5.0, so both partials of log mu equal 5.0 / 0.5 = 10.0
+        dc, ds = log_membership_grads(MFKind.CAUCHY, 0.6, 0.5, 0.1)
+        assert dc == pytest.approx(10.0)
+        assert ds == pytest.approx(10.0)
 
     def test_matches_central_differences(self):
         # 1000 random samples across both kinds; mixed rel/abs tolerance
         rng = np.random.default_rng(2024)
         h = 1e-6
+
+        def log_mu(kind, x, center, scale):
+            return float(np.log(membership_values(kind, x, center, scale)))
+
         for _ in range(1000):
             kind = KINDS[int(rng.integers(2))]
-            p = FuzzySetParams(rng.uniform(0, 1), rng.uniform(0.02, 1.0))
+            center, scale = rng.uniform(0, 1), rng.uniform(0.02, 1.0)
             x = rng.uniform(-0.2, 1.2)
-            dc, ds = mf_grad(kind, x, p)
-            fd_c = (
-                mf_eval(kind, x, FuzzySetParams(p.center + h, p.scale))
-                - mf_eval(kind, x, FuzzySetParams(p.center - h, p.scale))
-            ) / (2 * h)
-            fd_s = (
-                mf_eval(kind, x, FuzzySetParams(p.center, p.scale + h))
-                - mf_eval(kind, x, FuzzySetParams(p.center, p.scale - h))
-            ) / (2 * h)
+            dc, ds = log_membership_grads(kind, x, center, scale)
+            fd_c = (log_mu(kind, x, center + h, scale) - log_mu(kind, x, center - h, scale)) / (2 * h)
+            fd_s = (log_mu(kind, x, center, scale + h) - log_mu(kind, x, center, scale - h)) / (2 * h)
             assert abs(dc - fd_c) <= 1e-5 * max(1.0, abs(fd_c))
             assert abs(ds - fd_s) <= 1e-5 * max(1.0, abs(fd_s))
 
@@ -104,12 +102,10 @@ class TestGrad:
         # worst-case |d mu / d scale| over x: Cauchy peaks at 1/(2 scale)
         # (the mu^2 factor moderates the 1/scale^3 term), the Gaussian at
         # 2/(e scale); both checked on a grid for a large and a small scale
-        from xanfis.membership import membership_grads
-
         for scale in (1.0, 0.03125):
             xs = np.linspace(-2.0, 3.0, 200001)
-            _, g_cau = membership_grads(MFKind.CAUCHY, xs, 0.5, scale)
-            _, g_gau = membership_grads(MFKind.GAUSSIAN, xs, 0.5, scale)
+            g_cau = mu_scale_grad(MFKind.CAUCHY, xs, 0.5, scale)
+            g_gau = mu_scale_grad(MFKind.GAUSSIAN, xs, 0.5, scale)
             assert np.max(np.abs(g_cau)) == pytest.approx(0.5 / scale, rel=1e-3)
             assert np.max(np.abs(g_gau)) == pytest.approx(
                 2.0 * math.exp(-1.0) / scale, rel=1e-3
@@ -119,14 +115,16 @@ class TestGrad:
 
 class TestProjection:
     def test_center_clamped(self):
-        assert project_bounds(FuzzySetParams(1.3, 0.5)) == FuzzySetParams(1.0, 0.5)
+        centers, scales = project_bounds_arrays(np.array([1.3]), np.array([0.5]))
+        assert centers[0] == 1.0 and scales[0] == 0.5
 
     def test_scale_floored(self):
-        assert project_bounds(FuzzySetParams(0.5, -0.2)) == FuzzySetParams(0.5, SCALE_MIN)
+        centers, scales = project_bounds_arrays(np.array([0.5]), np.array([-0.2]))
+        assert centers[0] == 0.5 and scales[0] == SCALE_MIN
 
     def test_identity_in_range(self):
-        p = FuzzySetParams(0.5, 0.5)
-        assert project_bounds(p) == p
+        centers, scales = project_bounds_arrays(np.array([0.5]), np.array([0.5]))
+        assert centers[0] == 0.5 and scales[0] == 0.5
 
     def test_idempotent_on_random_values(self):
         rng = np.random.default_rng(5)

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from xanfis.inference import Order, RuleBase, fit_consequents, predict
-from xanfis.membership import SCALE_MIN, FuzzySetParams, MFKind
+from xanfis.membership import SCALE_MIN, MFKind
 from xanfis.training import (
     AdjacencyPair,
     DivergenceError,
     EpochTrace,
     Mode,
     TrainConfig,
+    _clipped_step,
     adjacency_pairs,
     backward_pass,
-    distinguishability,
+    mean_distinguishability,
     mo_gradient_pass,
     mo_gradients,
     mse_antecedent_gradients,
@@ -96,8 +97,6 @@ class TestMSEGradients:
         cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=0.1)
         centers = np.array([[0.5]])
         grad = np.array([[10.0]])
-        from xanfis.training import _clipped_step
-
         stepped = _clipped_step(centers, grad, cfg.lr_backward, cfg)
         assert stepped[0, 0] == pytest.approx(0.5 - 0.1 * 1.0, abs=0)
 
@@ -107,6 +106,31 @@ class TestMSEGradients:
         out = backward_pass(rb, X, y, TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10))
         assert np.all(out.centers >= 0.0) and np.all(out.centers <= 1.0)
         assert np.all(out.scales >= SCALE_MIN) and np.all(out.scales <= 1.0)
+
+
+def clip_via_step(grad):
+    """The clipped gradient that one unit-rate step from zero applies."""
+    grad = np.asarray(grad, dtype=np.float64)
+    return -_clipped_step(np.zeros_like(grad), grad, 1.0, TrainConfig())
+
+
+class TestClippedStep:
+    def test_basic(self):
+        np.testing.assert_array_equal(clip_via_step([-2.0, 0.5, 3.0]), [-1.0, 0.5, 1.0])
+
+    def test_identity_inside_bounds(self):
+        v = np.array([-0.9, 0.0, 0.99])
+        np.testing.assert_array_equal(clip_via_step(v), v)
+
+    def test_boundary_fixed_points(self):
+        np.testing.assert_array_equal(clip_via_step([-1.0, 1.0]), [-1.0, 1.0])
+
+
+class TestTrainConfig:
+    def test_clip_bounds_out_of_order(self):
+        for lo, hi in ((1.0, -1.0), (0.5, 0.5)):
+            with pytest.raises(ValueError, match="clip_lo"):
+                TrainConfig(clip_lo=lo, clip_hi=hi).validate()
 
 
 class TestAdjacency:
@@ -129,20 +153,22 @@ class TestAdjacency:
         ]
 
 
+def two_rule_distinguishability(centers, scales):
+    rb = RuleBase(MFKind.CAUCHY, np.array(centers), np.array(scales))
+    mean_d, per_feature = mean_distinguishability(rb)
+    assert per_feature == [mean_d]
+    return mean_d
+
+
 class TestDistinguishability:
     def test_identical_sets(self):
-        p = FuzzySetParams(0.4, 0.2)
-        assert distinguishability(p, p) == 0.0
+        assert two_rule_distinguishability([[0.4], [0.4]], [[0.2], [0.2]]) == 0.0
 
     def test_center_only(self):
-        assert distinguishability(
-            FuzzySetParams(0.2, 0.1), FuzzySetParams(0.5, 0.1)
-        ) == pytest.approx(0.3)
+        assert two_rule_distinguishability([[0.2], [0.5]], [[0.1], [0.1]]) == pytest.approx(0.3)
 
     def test_center_and_scale(self):
-        assert distinguishability(
-            FuzzySetParams(0.3, 0.1), FuzzySetParams(0.6, 0.5)
-        ) == pytest.approx(0.5)
+        assert two_rule_distinguishability([[0.3], [0.6]], [[0.1], [0.5]]) == pytest.approx(0.5)
 
 
 class TestXPass:
