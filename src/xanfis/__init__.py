@@ -53,7 +53,6 @@ from .training import (
     TrainConfig,
     adjacency_pairs,
     backward_pass,
-    mo_gradient_pass,
     train,
     xpass_update,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "load_model",
     "mean_ci95",
     "mean_distinguishability",
-    "mo_gradient_pass",
     "pareto_front",
     "possibility",
     "predict",

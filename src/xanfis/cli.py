@@ -361,7 +361,7 @@ def cmd_pareto_sweep(cfg, sweep):
     """Scalarization-weight sweep plus single ANFIS / X-ANFIS references.
 
     Writes points.csv (sweep points then reference rows) and front.csv
-    (non-dominated subset of the sweep points).
+    (non-dominated subset of the sweep points, sorted by r2 descending).
     """
     _check_out_dir(cfg.out)
     weights = weight_grid(sweep)
@@ -399,11 +399,9 @@ def cmd_pareto_sweep(cfg, sweep):
         ]
 
     write_csv(os.path.join(cfg.out, "points.csv"), columns, map(point_row, sweep_records + refs))
-    front_ids = {p.run_id for p in front}
+    by_id = {rec.run_id: rec for rec in sweep_records}
     write_csv(
-        os.path.join(cfg.out, "front.csv"),
-        columns,
-        (point_row(rec) for rec in sweep_records if rec.run_id in front_ids),
+        os.path.join(cfg.out, "front.csv"), columns, (point_row(by_id[p.run_id]) for p in front)
     )
     return records, front
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .membership import MFKind, membership_values
+from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values, project_bounds_arrays
 from .numerics import as_matrix, as_vector, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
@@ -98,11 +98,16 @@ def design_matrix(fm, X, order):
 
 
 def fit_consequents(rb, X, y, lam):
-    """Refit consequents by regularized LSE; antecedents untouched."""
+    """Refit consequents by regularized LSE; antecedents untouched.
+
+    Returns (fitted rb, FiringMatrices on X, predictions on X); the
+    predictions equal predict(fitted rb, X) bit for bit.
+    """
     y = as_vector(y, "y")
-    phi = design_matrix(firing_strengths(X, rb), X, rb.order)
+    fm = firing_strengths(X, rb)
+    phi = design_matrix(fm, X, rb.order)
     w = ridge_solve(phi, y, lam)
-    return replace(rb, consequents=w)
+    return replace(rb, consequents=w), fm, phi @ w
 
 
 def rule_outputs(rb, X):
@@ -175,4 +180,20 @@ def load_model(path):
         raise ValueError(f"corrupt model file {path}: {err}") from err
     if rb.centers.ndim != 2 or rb.centers.shape != rb.scales.shape:
         raise ValueError(f"corrupt model file {path}: center/scale shape mismatch")
+    n_rules, n_features = rb.centers.shape
+    n_conseq = n_rules if rb.order == Order.ZERO else n_rules * (n_features + 1)
+    centers, scales = project_bounds_arrays(rb.centers, rb.scales)
+    prefix = f"corrupt model file {path}:"
+    # clipping keeps NaN and moves +-inf onto a bound, so both fail array_equal
+    if not np.array_equal(centers, rb.centers):
+        raise ValueError(f"{prefix} centers must be finite and in [0, 1]")
+    if not np.array_equal(scales, rb.scales):
+        raise ValueError(f"{prefix} scales must be finite and in [{SCALE_MIN}, {SCALE_MAX}]")
+    if rb.consequents is not None and not (
+        rb.consequents.shape == (n_conseq,) and np.isfinite(rb.consequents).all()
+    ):
+        raise ValueError(
+            f"{prefix} consequents must be {n_conseq} finite values "
+            f"({rb.order.value} order, {n_rules} rules, {n_features} features)"
+        )
     return rb, doc.get("scaler")

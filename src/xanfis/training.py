@@ -3,9 +3,11 @@
 Each epoch runs, in order: consequent refit (regularized LSE), a backward
 pass on MSE over the antecedents (consequents held fixed), and — in
 X-ANFIS mode — an explainability pass that nudges adjacent-set centers
-toward a target distinguishability while scales stay frozen.  MO-ANFIS
-instead takes one step on the scalarized objective
-MSE + weight * sum over adjacent pairs of 0.5 * (D - D_target)^2.
+toward a target distinguishability while scales stay frozen.  In MO-ANFIS
+mode the backward pass descends the scalarized objective
+MSE + weight * sum over adjacent pairs of 0.5 * (D - D_target)^2 instead.
+The refit's firing matrices and predictions are the only training-set
+forward of each antecedent state.
 Early stopping watches validation MSE with a patience window and the best
 validation snapshot is returned.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import write_csv
-from .inference import EPS_DENOM, fit_consequents, membership_tensor, predict, rule_outputs
+from .inference import EPS_DENOM, fit_consequents, predict, rule_outputs
 from .membership import log_membership_grads, project_bounds_arrays
 from .numerics import as_matrix, as_vector
 
@@ -128,11 +130,11 @@ def mean_distinguishability(rb):
     return float(np.mean(dists)), dists.reshape(f, r - 1).mean(axis=1).tolist()
 
 
-def mse_antecedent_gradients(rb, X, y):
+def mse_antecedent_gradients(rb, fm, X, y):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
-    Chain rule through the normalized firing strengths: with S_t the raw
-    row sum and den_t = max(S_t, EPS_DENOM),
+    fm holds rb's firing matrices on X.  Chain rule through the normalized
+    firing strengths: with S_t the raw row sum and den_t = max(S_t, EPS_DENOM),
 
         d yhat_t / d raw_tj = (f_j(x_t) - [S_t > eps] * yhat_t) / den_t
         d raw_tj / d theta_jf = raw_tj * d log mu_tjf / d theta,
@@ -142,18 +144,15 @@ def mse_antecedent_gradients(rb, X, y):
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
     n = X.shape[0]
-    mu = membership_tensor(X, rb)
-    with np.errstate(under="ignore"):
-        raw = np.prod(mu, axis=2)
-    s = raw.sum(axis=1)
+    s = fm.raw.sum(axis=1)
     den = np.maximum(s, EPS_DENOM)
     live = s > EPS_DENOM
     fout = rule_outputs(rb, X)
-    yhat = (raw / den[:, None] * fout).sum(axis=1)
+    yhat = (fm.normalized * fout).sum(axis=1)
     upstream = (2.0 / n) * (yhat - y)
     coef = (fout - np.where(live, yhat, 0.0)[:, None]) / den[:, None]
     with np.errstate(under="ignore"):
-        b = upstream[:, None] * coef * raw  # (N, R)
+        b = upstream[:, None] * coef * fm.raw  # (N, R)
         dlog_c, dlog_s = log_membership_grads(
             rb.mf_kind, X[:, None, :], rb.centers[None, :, :], rb.scales[None, :, :]
         )
@@ -190,9 +189,15 @@ def _clipped_step(values, grad, lr, cfg):
     return values - lr * np.clip(grad, cfg.clip_lo, cfg.clip_hi)
 
 
-def backward_pass(rb, X, y, cfg):
-    """One clipped gradient-descent step on MSE over centers and scales."""
-    grad_c, grad_s = mse_antecedent_gradients(rb, X, y)
+def backward_pass(rb, fm, X, y, cfg):
+    """One clipped gradient-descent step on MSE over centers and scales.
+
+    fm holds rb's firing matrices on X.  In MO-ANFIS mode the centers also
+    descend mo_weight times the pair penalty; scales get only the MSE term.
+    """
+    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y)
+    if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
+        grad_c = grad_c + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
     centers = _clipped_step(rb.centers, grad_c, cfg.lr_backward, cfg)
     scales = _clipped_step(rb.scales, grad_s, cfg.lr_backward, cfg)
     centers, scales = project_bounds_arrays(centers, scales)
@@ -206,29 +211,6 @@ def xpass_update(rb, cfg):
     grad_c = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
     centers = _clipped_step(rb.centers, grad_c, cfg.lr_xpass, cfg)
     centers, scales = project_bounds_arrays(centers, rb.scales)
-    return replace(rb, centers=centers, scales=scales)
-
-
-def mo_gradients(rb, X, y, cfg):
-    """Scalarized-objective gradients: MSE plus weighted pair penalty.
-
-    Centers receive both terms; scales receive only the MSE term, matching
-    the explainability-pass parameterization.
-    """
-    grad_c, grad_s = mse_antecedent_gradients(rb, X, y)
-    if cfg.mo_weight != 0.0:
-        grad_c = grad_c + cfg.mo_weight * xpass_gradients(
-            rb.centers, rb.scales, cfg.d_target
-        )
-    return grad_c, grad_s
-
-
-def mo_gradient_pass(rb, X, y, cfg):
-    """One clipped step on the scalarized objective (MO-ANFIS mode)."""
-    grad_c, grad_s = mo_gradients(rb, X, y, cfg)
-    centers = _clipped_step(rb.centers, grad_c, cfg.lr_backward, cfg)
-    scales = _clipped_step(rb.scales, grad_s, cfg.lr_backward, cfg)
-    centers, scales = project_bounds_arrays(centers, scales)
     return replace(rb, centers=centers, scales=scales)
 
 
@@ -253,8 +235,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
 
     traces = []
 
-    def record(epoch, rb, prev_rb):
-        train_mse = _mse(predict(rb, X_train), y_train)
+    def record(epoch, rb, yhat_train, prev_rb):
+        train_mse = _mse(yhat_train, y_train)
         val_mse = _mse(predict(rb, X_val), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
             raise DivergenceError(epoch, traces, prev_rb)
@@ -270,20 +252,17 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
         )
         return val_mse
 
-    rb = fit_consequents(rb0, X_train, y_train, cfg.lam)
+    rb, fm, yhat = fit_consequents(rb0, X_train, y_train, cfg.lam)
     best_rb = rb
-    best_val = record(0, rb, rb0)
+    best_val = record(0, rb, yhat, rb0)
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
         prev = rb
-        if cfg.mode == Mode.MO_ANFIS:
-            stepped = mo_gradient_pass(rb, X_train, y_train, cfg)
-        else:
-            stepped = backward_pass(rb, X_train, y_train, cfg)
+        stepped = backward_pass(rb, fm, X_train, y_train, cfg)
         if cfg.mode == Mode.X_ANFIS:
             stepped = xpass_update(stepped, cfg)
-        rb = fit_consequents(stepped, X_train, y_train, cfg.lam)
-        val_mse = record(epoch, rb, prev)
+        rb, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam)
+        val_mse = record(epoch, rb, yhat, prev)
         if val_mse < best_val:
             best_val = val_mse
             best_rb = rb

@@ -114,9 +114,9 @@ class TestCriterion1GradientCorrectness:
             y = rng.uniform(0, 1, size=n)
             centers = rng.uniform(0.05, 0.95, size=(r, f))
             scales = rng.uniform(0.05, 0.8, size=(r, f))
-            rb = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
+            rb, fm, _ = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
 
-            gc, gs = mse_antecedent_gradients(rb, X, y)
+            gc, gs = mse_antecedent_gradients(rb, fm, X, y)
             fd_c = np.zeros_like(gc)
             fd_s = np.zeros_like(gs)
 
@@ -180,14 +180,14 @@ class TestCriterion2LSEOptimality:
         cfg = TrainConfig(mode=Mode.X_ANFIS, lam=1e-4)
         worst = 0.0
         for _ in range(50):
-            rb = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
+            rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
             phi = design_matrix(
                 firing_strengths(split.X_train, rb), split.X_train, rb.order
             )
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
-            rb = xpass_update(backward_pass(rb, split.X_train, split.y_train, cfg), cfg)
+            rb = xpass_update(backward_pass(rb, fm, split.X_train, split.y_train, cfg), cfg)
         report(2, worst < 1.0, f"50 epochs, worst residual at {worst:.2e} of the bound")
 
 

@@ -156,6 +156,15 @@ class TestParetoSweepCommand:
         assert all((r["run_id"], r["r2"], r["mean_D"]) in point_keys for r in front_rows)
         assert all(r["mode"] == "mo_anfis" for r in front_rows)
 
+    def test_front_file_sorted_by_r2_descending(self, tmp_path):
+        # with this seed and grid the sweep order of the front is not its r2 order
+        out = tmp_path / "sweep"
+        _, front = cmd_pareto_sweep(fast_cfg(out, seeds=[0]), SweepSpec(count=6, lo=0.01, hi=10.0))
+        rows = read_rows(out / "front.csv")
+        r2 = [float(r["r2"]) for r in rows]
+        assert len(r2) >= 2 and r2 == sorted(r2, reverse=True)
+        assert [r["run_id"] for r in rows] == [p.run_id for p in front]
+
     def test_front_matches_brute_force(self, tmp_path):
         out = tmp_path / "sweep"
         cfg = fast_cfg(out, seeds=[1])
@@ -195,6 +204,19 @@ class TestExportPartitionCommand:
         bad.write_text("{broken")
         with pytest.raises(ValueError):
             cmd_export_partition(bad, 10, tmp_path / "out")
+
+    def test_malformed_model_fails_before_writing(self, tmp_path, capsys):
+        # NaN center, scales -0.3 and 5.0, 3 consequents for a 2-rule first-order model
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "format": "ts-rulebase", "version": 1, "mf_kind": "cauchy", "order": "first",
+            "centers": [[float("nan"), 0.4], [0.8, 0.6]], "scales": [[-0.3, 0.3], [5.0, 0.5]],
+            "consequents": [0.1, 0.2, 0.3], "scaler": None,
+        }))
+        out = tmp_path / "export"
+        assert main(["export-partition", "--model", str(bad), "--out", str(out)]) == 1
+        assert "centers must be finite" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
 
 class TestMainEntry:

@@ -1,7 +1,12 @@
 """Forward pass against scalar-loop oracles, LSE fit, prediction, artifacts."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xanfis.inference import (
     EPS_DENOM,
@@ -14,7 +19,7 @@ from xanfis.inference import (
     predict,
     save_model,
 )
-from xanfis.membership import MFKind, membership_values
+from xanfis.membership import SCALE_MIN, MFKind, membership_values
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -101,7 +106,7 @@ class TestDesignMatrix:
         X = rng.uniform(0, 1, size=(12, 2))
         y = rng.uniform(0, 1, size=12)
         rb = random_rulebase(rng, n_rules=3, n_features=2, order=Order.FIRST)
-        rb = fit_consequents(rb, X, y, 1e-4)
+        rb, _, _ = fit_consequents(rb, X, y, 1e-4)
         yhat = predict(rb, X)
         # oracle: weighted average of per-rule affine outputs
         coeffs = rb.consequents.reshape(3, 3)  # per rule: w1, w2, bias
@@ -118,7 +123,7 @@ class TestFitConsequents:
     def test_zero_target_zero_consequents(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(15, 3))
-        rb = fit_consequents(random_rulebase(rng), X, np.zeros(15), 1e-3)
+        rb, _, _ = fit_consequents(random_rulebase(rng), X, np.zeros(15), 1e-3)
         np.testing.assert_allclose(rb.consequents, 0.0, atol=1e-14)
 
     def test_single_rule_fits_mean(self):
@@ -126,7 +131,7 @@ class TestFitConsequents:
         X = rng.uniform(0, 1, size=(20, 2))
         y = rng.uniform(0, 1, size=20)
         rb = random_rulebase(rng, n_rules=1, n_features=2)
-        rb = fit_consequents(rb, X, y, 0.0)
+        rb, _, _ = fit_consequents(rb, X, y, 0.0)
         assert rb.consequents[0] == pytest.approx(y.mean())
 
     def test_normal_equation_residual(self):
@@ -135,7 +140,7 @@ class TestFitConsequents:
         y = rng.uniform(0, 1, size=40)
         rb = random_rulebase(rng, n_rules=5, n_features=3)
         lam = 1e-4
-        rb = fit_consequents(rb, X, y, lam)
+        rb, _, _ = fit_consequents(rb, X, y, lam)
         phi = design_matrix(firing_strengths(X, rb), X, rb.order)
         resid = phi.T @ (phi @ rb.consequents - y) + lam * rb.consequents
         assert np.max(np.abs(resid)) < 1e-8 * (1 + np.max(np.abs(phi.T @ y)))
@@ -144,16 +149,42 @@ class TestFitConsequents:
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(10, 2))
         rb0 = random_rulebase(rng, n_rules=2, n_features=2)
-        rb1 = fit_consequents(rb0, X, np.linspace(0, 1, 10), 1e-4)
+        rb1, _, _ = fit_consequents(rb0, X, np.linspace(0, 1, 10), 1e-4)
         assert rb1.centers is rb0.centers
         assert rb1.scales is rb0.scales
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(MFKind)),
+        order=st.sampled_from(list(Order)),
+        n_rules=st.integers(1, 5),
+        n_features=st.integers(1, 3),
+        n_samples=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_returned_forward_equals_predict(
+        self, kind, order, n_rules, n_features, n_samples, seed
+    ):
+        # the trainer records train MSE from these predictions: they must be
+        # predict's bits, and the firing matrices firing_strengths' bits
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
+        y = rng.uniform(0, 1, size=n_samples)
+        centers = rng.uniform(0, 1, size=(n_rules, n_features))
+        scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
+        rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+        fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+        np.testing.assert_array_equal(yhat, predict(fitted, X))
+        ref = firing_strengths(X, rb)
+        np.testing.assert_array_equal(fm.raw, ref.raw)
+        np.testing.assert_array_equal(fm.normalized, ref.normalized)
 
     def test_lse_beats_random_consequents(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(30, 2))
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=4, n_features=2)
-        rb = fit_consequents(rb, X, y, 0.0)
+        rb, _, _ = fit_consequents(rb, X, y, 0.0)
         phi = design_matrix(firing_strengths(X, rb), X, rb.order)
         best = np.mean((phi @ rb.consequents - y) ** 2)
         for _ in range(100):
@@ -180,7 +211,7 @@ class TestPredict:
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(10, 3))
         y = rng.uniform(0, 1, size=10)
-        rb = fit_consequents(random_rulebase(rng), X, y, 1e-4)
+        rb, _, _ = fit_consequents(random_rulebase(rng), X, y, 1e-4)
         yhat = predict(rb, X)
         _, norm = scalar_firing_oracle(X, rb)
         ref = norm @ rb.consequents
@@ -190,7 +221,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 1, size=(18, 2))
         y = rng.uniform(0, 1, size=18)
-        rb = fit_consequents(random_rulebase(rng, n_rules=4, n_features=2), X, y, 1e-4)
+        rb, _, _ = fit_consequents(random_rulebase(rng, n_rules=4, n_features=2), X, y, 1e-4)
         perm = np.array([2, 0, 3, 1])
         rb_p = RuleBase(
             rb.mf_kind, rb.centers[perm], rb.scales[perm], rb.consequents[perm], rb.order
@@ -201,7 +232,9 @@ class TestPredict:
         # a 1-column X must not broadcast against a 2-feature model
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, size=(8, 2))
-        rb = fit_consequents(random_rulebase(rng, n_rules=3, n_features=2), X, X[:, 0], 1e-4)
+        rb, _, _ = fit_consequents(
+            random_rulebase(rng, n_rules=3, n_features=2), X, X[:, 0], 1e-4
+        )
         with pytest.raises(ValueError, match="X has 1 feature columns but the rule base has 2"):
             predict(rb, X[:, :1])
 
@@ -214,7 +247,7 @@ class TestPredict:
 class TestModelArtifact:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        rb = fit_consequents(
+        rb, _, _ = fit_consequents(
             random_rulebase(rng, order=Order.FIRST),
             rng.uniform(0, 1, size=(20, 3)),
             rng.uniform(0, 1, size=20),
@@ -236,6 +269,56 @@ class TestModelArtifact:
         path.write_text("{not json")
         with pytest.raises(ValueError):
             load_model(path)
+
+    @staticmethod
+    def artifact(tmp_path, **fields):
+        """A valid 2-rule, 2-feature first-order artifact with fields replaced."""
+        doc = {
+            "format": "ts-rulebase", "version": 1, "mf_kind": "cauchy", "order": "first",
+            "centers": [[0.2, 0.4], [0.8, 0.6]], "scales": [[0.3, 0.3], [0.2, 0.5]],
+            "consequents": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], "scaler": None,
+        }
+        doc.update(fields)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        return path
+
+    def test_valid_artifact_fixture_loads(self, tmp_path):
+        rb, _ = load_model(self.artifact(tmp_path))
+        assert rb.consequents.shape == (6,)
+        rb, _ = load_model(self.artifact(tmp_path, order="zero", consequents=[0.5, 0.7]))
+        assert rb.order == Order.ZERO
+
+    def test_non_finite_rejected(self, tmp_path):
+        for field, value in (
+            ("centers", [[float("nan"), 0.4], [0.8, 0.6]]),
+            ("scales", [[0.3, float("inf")], [0.2, 0.5]]),
+            ("consequents", [0.1, 0.2, float("nan"), 0.4, 0.5, 0.6]),
+        ):
+            path = self.artifact(tmp_path, **{field: value})
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field} must be"):
+                load_model(path)
+
+    def test_centers_out_of_bounds_rejected(self, tmp_path):
+        for bad in (-0.1, 1.5):
+            path = self.artifact(tmp_path, centers=[[0.2, bad], [0.8, 0.6]])
+            with pytest.raises(ValueError, match=r"centers must be finite and in \[0, 1\]"):
+                load_model(path)
+
+    def test_scales_out_of_bounds_rejected(self, tmp_path):
+        for bad in (-0.3, 0.5 * SCALE_MIN, 5.0):
+            path = self.artifact(tmp_path, scales=[[0.3, 0.3], [bad, 0.5]])
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: scales must be finite and in"):
+                load_model(path)
+
+    def test_consequent_length_rejected(self, tmp_path):
+        # first-order needs R * (F + 1) = 6 values, zero-order R = 2
+        for order, values in (("first", [0.1, 0.2, 0.3]), ("zero", [0.1, 0.2, 0.3]),
+                              ("first", [[0.1, 0.2, 0.3]] * 2)):
+            path = self.artifact(tmp_path, order=order, consequents=values)
+            n = 6 if order == "first" else 2
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: consequents must be {n} finite"):
+                load_model(path)
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

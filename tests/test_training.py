@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import xanfis.inference
 from xanfis.inference import Order, RuleBase, fit_consequents, predict
 from xanfis.membership import SCALE_MIN, MFKind
 from xanfis.training import (
@@ -17,8 +18,6 @@ from xanfis.training import (
     adjacency_pairs,
     backward_pass,
     mean_distinguishability,
-    mo_gradient_pass,
-    mo_gradients,
     mse_antecedent_gradients,
     train,
     traces_to_csv,
@@ -34,7 +33,8 @@ def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO)
     centers = rng.uniform(0.05, 0.95, size=(n_rules, n_features))
     scales = rng.uniform(0.05, 0.8, size=(n_rules, n_features))
     rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
-    return X, y, fit_consequents(rb, X, y, 1e-4)
+    rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
+    return X, y, rb, fm
 
 
 def mse_with_frozen_consequents(rb, X, y):
@@ -75,8 +75,8 @@ class TestMSEGradients:
         X = rng.uniform(0, 1, size=(20, 2))
         y = np.full(20, 0.4)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.5, 0.5]]), np.array([[0.3, 0.3]]))
-        rb = fit_consequents(rb, X, y, 0.0)
-        gc, gs = mse_antecedent_gradients(rb, X, y)
+        rb, fm, _ = fit_consequents(rb, X, y, 0.0)
+        gc, gs = mse_antecedent_gradients(rb, fm, X, y)
         np.testing.assert_allclose(gc, 0.0, atol=1e-12)
         np.testing.assert_allclose(gs, 0.0, atol=1e-12)
 
@@ -85,8 +85,8 @@ class TestMSEGradients:
     def test_matches_finite_differences(self, kind, order):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            X, y, rb = make_problem(rng, 3, 2, kind, order=order)
-            gc, gs = mse_antecedent_gradients(rb, X, y)
+            X, y, rb, fm = make_problem(rng, 3, 2, kind, order=order)
+            gc, gs = mse_antecedent_gradients(rb, fm, X, y)
             fd_c, fd_s = fd_mse_gradients(rb, X, y)
             assert rel_err(gc, fd_c) < 1e-4
             assert rel_err(gs, fd_s) < 1e-4
@@ -102,8 +102,9 @@ class TestMSEGradients:
 
     def test_backward_pass_projects_bounds(self):
         rng = np.random.default_rng(7)
-        X, y, rb = make_problem(rng, 4, 2, MFKind.CAUCHY)
-        out = backward_pass(rb, X, y, TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10))
+        X, y, rb, fm = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10)
+        out = backward_pass(rb, fm, X, y, cfg)
         assert np.all(out.centers >= 0.0) and np.all(out.centers <= 1.0)
         assert np.all(out.scales >= SCALE_MIN) and np.all(out.scales <= 1.0)
 
@@ -252,34 +253,39 @@ class TestXPass:
 class TestMOPass:
     def test_weight_zero_equals_backward(self):
         rng = np.random.default_rng(21)
-        X, y, rb = make_problem(rng, 4, 2, MFKind.CAUCHY)
-        cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0)
-        out_mo = mo_gradient_pass(rb, X, y, cfg)
-        out_bw = backward_pass(rb, X, y, cfg)
+        X, y, rb, fm = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        out_mo = backward_pass(rb, fm, X, y, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0))
+        out_bw = backward_pass(rb, fm, X, y, TrainConfig(mode=Mode.ANFIS))
         np.testing.assert_array_equal(out_mo.centers, out_bw.centers)
         np.testing.assert_array_equal(out_mo.scales, out_bw.scales)
 
     def test_no_update_at_joint_optimum(self):
-        # perfect fit and every adjacent pair exactly at target
+        # perfect fit and every adjacent pair exactly at target; at unit
+        # rate inside the clip range the step is the gradient itself
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.full(3, 0.25)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.array([[0.2], [0.2]]))
-        rb = fit_consequents(rb, X, y, 0.0)
-        cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, d_target=0.5)
-        gc, gs = mo_gradients(rb, X, y, cfg)
-        np.testing.assert_allclose(gc, 0.0, atol=1e-12)
-        np.testing.assert_allclose(gs, 0.0, atol=1e-12)
+        rb, fm, _ = fit_consequents(rb, X, y, 0.0)
+        cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, d_target=0.5, lr_backward=1.0)
+        out = backward_pass(rb, fm, X, y, cfg)
+        np.testing.assert_allclose(rb.centers - out.centers, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rb.scales - out.scales, 0.0, atol=1e-12)
 
     def test_gradient_additivity(self):
+        # centers step on MSE + weight * pair penalty, scales on MSE alone;
+        # a small rate inside a wide clip range leaves clipping and
+        # projection inactive, so the step is exactly -lr * gradient
         rng = np.random.default_rng(22)
         for _ in range(10):
-            X, y, rb = make_problem(rng, 4, 3, MFKind.CAUCHY)
-            cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0)
-            gc_mo, gs_mo = mo_gradients(rb, X, y, cfg)
-            gc_mse, gs_mse = mse_antecedent_gradients(rb, X, y)
+            X, y, rb, fm = make_problem(rng, 4, 3, MFKind.CAUCHY)
+            cfg = TrainConfig(
+                mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3, clip_lo=-1e6, clip_hi=1e6
+            )
+            out = backward_pass(rb, fm, X, y, cfg)
+            gc_mse, gs_mse = mse_antecedent_gradients(rb, fm, X, y)
             gx = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-            assert np.max(np.abs(gc_mo - (gc_mse + 1.0 * gx))) < 1e-12
-            assert np.max(np.abs(gs_mo - gs_mse)) < 1e-12
+            np.testing.assert_array_equal(out.centers, rb.centers - 1e-3 * (gc_mse + 1.0 * gx))
+            np.testing.assert_array_equal(out.scales, rb.scales - 1e-3 * gs_mse)
 
 
 def small_problem(seed=0, n=60):
@@ -340,6 +346,24 @@ class TestTrainLoop:
         epochs = [t.epoch for t in traces]
         assert epochs == list(range(len(traces)))
         assert all(t.centers_snapshot is not None for t in traces)
+
+    def test_one_train_forward_per_epoch(self, monkeypatch):
+        # per epoch: the refit's training forward and the validation predict
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        real = xanfis.inference.membership_tensor
+        calls = {"n": 0}
+
+        def counting(X, rb):
+            calls["n"] += 1
+            return real(X, rb)
+
+        monkeypatch.setattr(xanfis.inference, "membership_tensor", counting)
+        for mode in Mode:
+            calls["n"] = 0
+            cfg = TrainConfig(mode=mode, max_epochs=6, patience=6)
+            _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+            assert len(traces) == 7
+            assert calls["n"] == 2 * 6 + 2
 
     def test_divergence_error_names_epoch(self, monkeypatch):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
