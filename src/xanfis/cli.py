@@ -28,7 +28,13 @@ from .data import load_csv, load_manifest, split_scale, synth_regression, write_
 from .fcm_init import FCMConfig, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
 from .membership import MFKind, membership_values
-from .metrics import EvalReport, ParetoPoint, evaluate_model, pareto_front
+from .metrics import (
+    EvalReport,
+    ParetoPoint,
+    evaluate_model,
+    mean_distinguishability,
+    pareto_front,
+)
 from .numerics import mean_ci95
 from .training import (
     DivergenceError,
@@ -194,16 +200,23 @@ def run_experiment(task):
         diverged = True
         rb, traces = err.last_rb, err.traces
 
+    if rb.consequents is None:
+        # failed before the first fit: no error metrics, initial antecedents' D
+        nan = float("nan")
+        mean_d, per_feature = mean_distinguishability(rb)
+        report = EvalReport(nan, nan, nan, nan, mean_d, per_feature)
+    else:
+        report = evaluate_model(rb, split.X_test, split.y_test)
     return RunRecord(
         run_id=task["run_id"],
         mode=mode.value,
         mf=mf.value,
         seed=int(task["seed"]),
-        report=evaluate_model(rb, split.X_test, split.y_test),
+        report=report,
         rb=rb,
         traces=traces,
         scaler=split.scaler,
-        epochs_run=len(traces) - 1,
+        epochs_run=max(len(traces) - 1, 0),
         diverged=diverged,
         weight=task.get("mo_weight"),
         init_scale=task.get("init_scale"),
@@ -263,11 +276,18 @@ def _metrics_row(cfg, rec):
 
 
 def _aggregate_row(name, values):
-    """Mean and 95% CI of one metric over the runs (no CI for a single run)."""
+    """Mean and 95% CI of one metric over the runs where it is finite.
+
+    n counts those runs; no CI for a single run, no mean for none (every
+    run failed before its first fit).
+    """
+    values = [v for v in values if np.isfinite(v)]
     if len(values) >= 2:
         mean, lo, hi = mean_ci95(values)
         return [name, repr(mean), repr(lo), repr(hi), len(values)]
-    return [name, repr(float(values[0])), "", "", 1]
+    if values:
+        return [name, repr(float(values[0])), "", "", 1]
+    return [name, "", "", "", 0]
 
 
 # --------------------------------------------------------------------
@@ -386,6 +406,7 @@ def cmd_pareto_sweep(cfg, sweep):
         ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D,
                     config={"weight": r.weight, "mode": r.mode})
         for r in sweep_records
+        if np.isfinite(r.report.r2)  # a run that failed before its first fit has no r2
     ]
     front = pareto_front(points)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values, project_bounds_arrays
+from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
 from .numerics import as_matrix, as_vector, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
@@ -52,34 +52,41 @@ class RuleBase:
 
 @dataclass
 class FiringMatrices:
+    """One antecedent state's forward on X; the backward pass reuses all of it."""
+
     raw: np.ndarray         # (N, R), entries in [0, 1]
     normalized: np.ndarray  # (N, R), live rows sum to 1
+    den: np.ndarray         # (N,), max(raw row sum, EPS_DENOM)
+    live: np.ndarray        # (N,), raw row sum > EPS_DENOM
+    u: np.ndarray           # (N, R, F), standardized distances (x - c) / s
 
 
 def membership_tensor(X, rb):
-    """Per-sample per-rule per-feature memberships, shape (N, R, F)."""
+    """Standardized distances u = (x - c) / s per sample, rule and feature, (N, R, F)."""
     X = as_matrix(X, "X")
     if X.shape[1] != rb.n_features:
         raise ValueError(
             f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
         )
-    return membership_values(
-        rb.mf_kind, X[:, None, :], rb.centers[None, :, :], rb.scales[None, :, :]
-    )
+    u = X[:, None, :] - rb.centers
+    u /= rb.scales
+    return u
 
 
 def firing_strengths(X, rb):
     """Product t-norm firing strengths and their row normalization.
 
-    normalized[t] = raw[t] / max(sum(raw[t]), EPS_DENOM): rows with any
-    live firing form an exact partition of unity; fully underflowed rows
-    degrade to ~0 instead of dividing by zero.
+    normalized[t] = raw[t] / den[t] with den[t] = max(sum(raw[t]), EPS_DENOM):
+    live rows (sum above the floor) form an exact partition of unity; fully
+    underflowed rows degrade to ~0 instead of dividing by zero.
     """
-    mu = membership_tensor(X, rb)
-    with np.errstate(under="ignore"):
-        raw = np.prod(mu, axis=2)
-    denom = np.maximum(raw.sum(axis=1), EPS_DENOM)
-    return FiringMatrices(raw=raw, normalized=raw / denom[:, None])
+    u = membership_tensor(X, rb)
+    raw = product_firing(rb.mf_kind, u)
+    total = raw.sum(axis=1)
+    den = np.maximum(total, EPS_DENOM)
+    return FiringMatrices(
+        raw=raw, normalized=raw / den[:, None], den=den, live=total > EPS_DENOM, u=u
+    )
 
 
 def design_matrix(fm, X, order):

@@ -1,5 +1,9 @@
 """Gaussian and Cauchy membership functions with analytic log-gradients.
 
+The training kernels (product firing and the log-gradient factor) take
+standardized distances u = (x - c) / s, which the forward computes once
+per antecedent state; membership_values evaluates curves from x directly.
+
 Centers live in [0, 1] (min-max scaled input units) and scales in
 [SCALE_MIN, 1].  Evaluation accepts inputs outside [0, 1] because test
 rows may fall outside the training min-max range; only the parameters are
@@ -35,15 +39,7 @@ class FuzzySetParams:
     scale: float
 
 
-def membership_values(kind, x, centers, scales):
-    """Membership of x under the given centers/scales (broadcasting).
-
-    Gaussian: exp(-(x-c)^2 / (2 s^2)); Cauchy: 1 / (1 + ((x-c)/s)^2).
-    Result lies in (0, 1] for Cauchy and [0, 1] for Gaussian (the far tail
-    underflows to exactly 0.0, which the firing-strength layer tolerates).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = (x - centers) / scales
+def _mu(kind, u):
     if kind == MFKind.GAUSSIAN:
         with np.errstate(under="ignore"):
             return np.exp(-0.5 * u * u)
@@ -52,21 +48,40 @@ def membership_values(kind, x, centers, scales):
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 
-def log_membership_grads(kind, x, centers, scales):
-    """Partials of log(mu): (d log mu / d center, d log mu / d scale).
+def membership_values(kind, x, centers, scales):
+    """Membership of x under the given centers/scales (broadcasting).
 
-    These stay finite even where mu itself underflows, which is what the
-    training passes multiply against raw firing strengths.
+    Gaussian: exp(-(x-c)^2 / (2 s^2)); Cauchy: 1 / (1 + ((x-c)/s)^2).
+    Result lies in (0, 1] for Cauchy and [0, 1] for Gaussian (the far tail
+    underflows to exactly 0.0, which the firing-strength layer tolerates).
     """
     x = np.asarray(x, dtype=np.float64)
-    d = x - centers
-    s2 = scales * scales
+    return _mu(kind, (x - centers) / scales)
+
+
+def product_firing(kind, u):
+    """Product over the last axis of the memberships at standardized distances u.
+
+    u = (x - c) / s.  Gaussian: one exp of -0.5 * sum(u^2), with no
+    per-feature membership; Cauchy: the product of 1 / (1 + u^2).
+    """
+    with np.errstate(under="ignore"):
+        if kind == MFKind.GAUSSIAN:
+            return np.exp(-0.5 * np.einsum("...f,...f->...", u, u))
+        return np.prod(_mu(kind, u), axis=-1)
+
+
+def log_grad_factor(kind, u):
+    """Factor g of the log-membership partials at standardized distances u.
+
+    d log mu / d center = g / s and d log mu / d scale = g * u / s; both
+    stay finite where mu underflows.  Gaussian: g = u (the same array);
+    Cauchy: g = 2u / (1 + u^2).
+    """
     if kind == MFKind.GAUSSIAN:
-        return d / s2, d * d / (s2 * scales)
+        return u
     if kind == MFKind.CAUCHY:
-        mu = membership_values(kind, x, centers, scales)
-        two_mu = 2.0 * mu
-        return two_mu * d / s2, two_mu * d * d / (s2 * scales)
+        return 2.0 * u / (1.0 + u * u)
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import write_csv
-from .inference import EPS_DENOM, fit_consequents, predict, rule_outputs
-from .membership import log_membership_grads, project_bounds_arrays
-from .numerics import as_matrix, as_vector
+from .inference import fit_consequents, predict, rule_outputs
+from .membership import log_grad_factor, project_bounds_arrays
+from .numerics import SingularMatrixError, as_matrix, as_vector
 
 #: adjacent pairs closer than this get no explainability gradient; the
 #: pair distance divides the update, so coincident sets must be skipped
@@ -37,10 +37,14 @@ class Mode(str, enum.Enum):
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite; carries the partial trace."""
+    """Training stopped on a non-finite loss or a singular refit.
 
-    def __init__(self, epoch, traces, last_rb):
-        super().__init__(f"non-finite loss at epoch {epoch}")
+    Carries the epochs recorded so far and the last model before the
+    failure (the unfitted initial rule base when epoch 0 fails).
+    """
+
+    def __init__(self, epoch, traces, last_rb, reason):
+        super().__init__(f"{reason} at epoch {epoch}")
         self.epoch = epoch
         self.traces = traces
         self.last_rb = last_rb
@@ -134,30 +138,27 @@ def mse_antecedent_gradients(rb, fm, X, y):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
     fm holds rb's firing matrices on X.  Chain rule through the normalized
-    firing strengths: with S_t the raw row sum and den_t = max(S_t, EPS_DENOM),
+    firing strengths, with fm's row floor den and live-row mask:
 
-        d yhat_t / d raw_tj = (f_j(x_t) - [S_t > eps] * yhat_t) / den_t
+        d yhat_t / d raw_tj = (f_j(x_t) - live_t * yhat_t) / den_t
         d raw_tj / d theta_jf = raw_tj * d log mu_tjf / d theta,
 
-    where the log-membership partials stay finite even when mu underflows.
+    where d log mu / d c = g / s and d log mu / d s = g u / s for the
+    kind's factor g at fm's standardized distances u; these stay finite
+    even when mu underflows.  The 1/s is applied after the sum over samples.
     """
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
     n = X.shape[0]
-    s = fm.raw.sum(axis=1)
-    den = np.maximum(s, EPS_DENOM)
-    live = s > EPS_DENOM
     fout = rule_outputs(rb, X)
     yhat = (fm.normalized * fout).sum(axis=1)
     upstream = (2.0 / n) * (yhat - y)
-    coef = (fout - np.where(live, yhat, 0.0)[:, None]) / den[:, None]
+    coef = (fout - np.where(fm.live, yhat, 0.0)[:, None]) / fm.den[:, None]
     with np.errstate(under="ignore"):
         b = upstream[:, None] * coef * fm.raw  # (N, R)
-        dlog_c, dlog_s = log_membership_grads(
-            rb.mf_kind, X[:, None, :], rb.centers[None, :, :], rb.scales[None, :, :]
-        )
-        grad_c = np.einsum("tr,trf->rf", b, dlog_c)
-        grad_s = np.einsum("tr,trf->rf", b, dlog_s)
+        w = b[:, :, None] * log_grad_factor(rb.mf_kind, fm.u)  # (N, R, F)
+    grad_c = w.sum(axis=0) / rb.scales
+    grad_s = np.einsum("trf,trf->rf", w, fm.u) / rb.scales
     return grad_c, grad_s
 
 
@@ -235,11 +236,17 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
 
     traces = []
 
+    def refit(epoch, stepped, prev_rb):
+        try:
+            return fit_consequents(stepped, X_train, y_train, cfg.lam)
+        except SingularMatrixError as err:
+            raise DivergenceError(epoch, traces, prev_rb, "singular LSE refit") from err
+
     def record(epoch, rb, yhat_train, prev_rb):
         train_mse = _mse(yhat_train, y_train)
         val_mse = _mse(predict(rb, X_val), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-            raise DivergenceError(epoch, traces, prev_rb)
+            raise DivergenceError(epoch, traces, prev_rb, "non-finite loss")
         traces.append(
             EpochTrace(
                 epoch=epoch,
@@ -252,7 +259,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
         )
         return val_mse
 
-    rb, fm, yhat = fit_consequents(rb0, X_train, y_train, cfg.lam)
+    rb, fm, yhat = refit(0, rb0, rb0)
     best_rb = rb
     best_val = record(0, rb, yhat, rb0)
     stall = 0
@@ -261,7 +268,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
         stepped = backward_pass(rb, fm, X_train, y_train, cfg)
         if cfg.mode == Mode.X_ANFIS:
             stepped = xpass_update(stepped, cfg)
-        rb, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam)
+        del fm  # frees this state's (N, R, F) tensor before the refit builds the next
+        rb, fm, yhat = refit(epoch, stepped, prev)
         val_mse = record(epoch, rb, yhat, prev)
         if val_mse < best_val:
             best_val = val_mse

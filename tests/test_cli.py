@@ -23,6 +23,7 @@ from xanfis.cli import (
 )
 from xanfis.inference import load_model
 from xanfis.membership import membership_values
+from xanfis.metrics import mean_distinguishability
 
 
 def fast_cfg(out, **kw):
@@ -165,6 +166,16 @@ class TestParetoSweepCommand:
         assert len(r2) >= 2 and r2 == sorted(r2, reverse=True)
         assert [r["run_id"] for r in rows] == [p.run_id for p in front]
 
+    def test_runs_without_a_model_stay_off_the_front(self, tmp_path):
+        # every run's first lambda-0 refit is singular (60 columns, 35 rows):
+        # all are listed with r2 nan and none is on the front
+        out = tmp_path / "sweep"
+        cfg = fast_cfg(out, seeds=[0], synth_n=50, rules=20, order="first", lam=0.0)
+        records, front = cmd_pareto_sweep(cfg, SweepSpec(count=3, lo=0.01, hi=10.0))
+        assert all(r.diverged for r in records) and front == []
+        assert [r["r2"] for r in read_rows(out / "points.csv")] == ["nan"] * 5
+        assert read_rows(out / "front.csv") == []
+
     def test_front_matches_brute_force(self, tmp_path):
         out = tmp_path / "sweep"
         cfg = fast_cfg(out, seeds=[1])
@@ -273,6 +284,44 @@ class TestMainEntry:
         assert main(args) == 1
         assert "duplicate seeds" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_init_study_records_singular_runs(self, tmp_path, capsys):
+        # lambda 0 with small Gaussian widths makes some LSE refits singular;
+        # those runs are recorded as diverged and the study still succeeds
+        out = tmp_path / "study"
+        args = [
+            "init-study", "--synth", "friedman", "--rules", "5", "--lambda", "0",
+            "--scales", "0.03125,0.0625,0.125", "--epochs", "30", "--seeds", "0",
+            "--out", str(out),
+        ]
+        assert main(args) == 0, capsys.readouterr().err
+        rows = read_rows(out / "summary.csv")
+        assert len(rows) == 6
+        assert any(r["diverged"] == "1" for r in rows)
+        for kind in ("gaussian", "cauchy"):
+            for scale in ("0.03125", "0.0625", "0.125"):
+                assert (out / f"trace_{kind}_{scale}.csv").exists()
+                assert (out / f"trajectory_{kind}_{scale}.csv").exists()
+
+    def test_train_run_failing_at_epoch_zero_is_recorded(self, tmp_path, capsys):
+        # 20 first-order rules (60 columns) on 35 training rows at lambda 0:
+        # the very first refit is singular, so no model is ever fitted
+        out = tmp_path / "r"
+        args = [
+            "train", "--synth", "sinc2d", "--synth-n", "50", "--rules", "20",
+            "--order", "first", "--lambda", "0", "--seeds", "0", "--epochs", "5",
+            "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert "diverged runs: seed0000" in capsys.readouterr().err
+        (row,) = read_rows(out / "metrics.csv")
+        assert (row["diverged"], row["epochs_run"]) == ("1", "0")
+        assert all(row[k] == "nan" for k in ("mse", "rmse", "mae", "r2"))
+        rb, _ = load_model(out / "model_seed0000.json")
+        assert rb.consequents is None
+        assert float(row["mean_D"]) == mean_distinguishability(rb)[0]
+        agg = {r["metric"]: r for r in read_rows(out / "aggregate.csv")}
+        assert (agg["r2"]["mean"], agg["r2"]["n"]) == ("", "0")
 
     def test_missing_data_source_fails(self, tmp_path):
         code = main(["train", "--seeds", "0", "--out", str(tmp_path / "x")])

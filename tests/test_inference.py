@@ -1,7 +1,9 @@
 """Forward pass against scalar-loop oracles, LSE fit, prediction, artifacts."""
 
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -25,6 +27,14 @@ from xanfis.membership import SCALE_MIN, MFKind, membership_values
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
     centers = rng.uniform(0, 1, size=(n_rules, n_features))
     scales = rng.uniform(0.05, 0.6, size=(n_rules, n_features))
+    return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+
+
+def wide_rulebase(rng, kind, order, n_rules, n_features):
+    """Random state with log-uniform scales, about a fifth pinned at SCALE_MIN."""
+    centers = rng.uniform(0, 1, size=(n_rules, n_features))
+    scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
+    scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
     return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
 
 
@@ -77,6 +87,24 @@ class TestFiringStrengths:
             fm = firing_strengths(X, rb)
             live = fm.raw.max(axis=1) > EPS_DENOM
             np.testing.assert_allclose(fm.normalized[live].sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(list(MFKind)),
+        n_rules=st.integers(1, 5),
+        n_features=st.integers(1, 4),
+        n_samples=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_live_rows_partition_unity(self, kind, n_rules, n_features, n_samples, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
+        fm = firing_strengths(X, wide_rulebase(rng, kind, Order.ZERO, n_rules, n_features))
+        total = fm.raw.sum(axis=1)
+        np.testing.assert_array_equal(fm.live, total > EPS_DENOM)
+        np.testing.assert_array_equal(fm.den, np.maximum(total, EPS_DENOM))
+        np.testing.assert_allclose(fm.normalized[fm.live].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(fm.normalized[~fm.live].sum(axis=1) <= 1.0 + 1e-12)
 
     def test_dead_rows_stay_finite(self):
         # Gaussian memberships underflow far from the centers
@@ -170,9 +198,7 @@ class TestFitConsequents:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
         y = rng.uniform(0, 1, size=n_samples)
-        centers = rng.uniform(0, 1, size=(n_rules, n_features))
-        scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
-        rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+        rb = wide_rulebase(rng, kind, order, n_rules, n_features)
         fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
         np.testing.assert_array_equal(yhat, predict(fitted, X))
         ref = firing_strengths(X, rb)
@@ -263,6 +289,34 @@ class TestModelArtifact:
         np.testing.assert_array_equal(rb2.scales, rb.scales)
         np.testing.assert_array_equal(rb2.consequents, rb.consequents)
         assert meta2 == meta
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(MFKind)),
+        order=st.sampled_from(list(Order)),
+        n_rules=st.integers(1, 5),
+        n_features=st.integers(1, 4),
+        fitted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_bitwise(self, kind, order, n_rules, n_features, fitted, seed):
+        rng = np.random.default_rng(seed)
+        rb = wide_rulebase(rng, kind, order, n_rules, n_features)
+        if fitted:
+            n = n_rules if order == Order.ZERO else n_rules * (n_features + 1)
+            conseq = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            rb = RuleBase(kind, rb.centers, rb.scales, conseq, order)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_model(path, rb)
+            rb2, meta = load_model(path)
+        assert (rb2.mf_kind, rb2.order, meta) == (kind, order, None)
+        for a, b in ((rb2.centers, rb.centers), (rb2.scales, rb.scales)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if fitted:
+            assert rb2.consequents.tobytes() == rb.consequents.tobytes()
+        else:
+            assert rb2.consequents is None
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

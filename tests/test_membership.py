@@ -1,15 +1,18 @@
-"""Membership evaluation, analytic log-gradients vs finite differences, bounds."""
+"""Membership evaluation, u-based firing and log-gradient kernels, bounds."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xanfis.membership import (
     SCALE_MIN,
     MFKind,
-    log_membership_grads,
+    log_grad_factor,
     membership_values,
+    product_firing,
     project_bounds_arrays,
 )
 
@@ -61,22 +64,29 @@ class TestEval:
         assert membership_values(MFKind.GAUSSIAN, 1.0, 0.0, SCALE_MIN) == 0.0
 
 
+def log_grads(kind, x, center, scale):
+    """(d log mu / d center, d log mu / d scale) = (g / s, g u / s) at u = (x - c) / s."""
+    u = (np.asarray(x, dtype=np.float64) - center) / scale
+    g = log_grad_factor(kind, u)
+    return g / scale, g * u / scale
+
+
 def mu_scale_grad(kind, xs, center, scale):
     """d mu / d scale = mu * d log mu / d scale."""
-    _, dlog_s = log_membership_grads(kind, xs, center, scale)
+    _, dlog_s = log_grads(kind, xs, center, scale)
     return membership_values(kind, xs, center, scale) * dlog_s
 
 
 class TestGrad:
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_at_center(self, kind):
-        dc, ds = log_membership_grads(kind, 0.37, 0.37, 0.2)
+        dc, ds = log_grads(kind, 0.37, 0.37, 0.2)
         assert dc == 0.0 and ds == 0.0
 
     def test_cauchy_worked_values(self):
         # mu = 0.5 at one scale from center: both partials of mu equal
         # 5.0, so both partials of log mu equal 5.0 / 0.5 = 10.0
-        dc, ds = log_membership_grads(MFKind.CAUCHY, 0.6, 0.5, 0.1)
+        dc, ds = log_grads(MFKind.CAUCHY, 0.6, 0.5, 0.1)
         assert dc == pytest.approx(10.0)
         assert ds == pytest.approx(10.0)
 
@@ -92,7 +102,7 @@ class TestGrad:
             kind = KINDS[int(rng.integers(2))]
             center, scale = rng.uniform(0, 1), rng.uniform(0.02, 1.0)
             x = rng.uniform(-0.2, 1.2)
-            dc, ds = log_membership_grads(kind, x, center, scale)
+            dc, ds = log_grads(kind, x, center, scale)
             fd_c = (log_mu(kind, x, center + h, scale) - log_mu(kind, x, center - h, scale)) / (2 * h)
             fd_s = (log_mu(kind, x, center, scale + h) - log_mu(kind, x, center, scale - h)) / (2 * h)
             assert abs(dc - fd_c) <= 1e-5 * max(1.0, abs(fd_c))
@@ -111,6 +121,36 @@ class TestGrad:
                 2.0 * math.exp(-1.0) / scale, rel=1e-3
             )
             assert np.max(np.abs(g_cau)) < np.max(np.abs(g_gau))
+
+
+class TestProductFiring:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n_rules=st.integers(1, 5),
+        n_features=st.integers(1, 4),
+        n_samples=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_product_of_membership_values(
+        self, kind, n_rules, n_features, n_samples, seed
+    ):
+        # random states with log-uniform scales, a share of them pinned at
+        # SCALE_MIN so that Gaussian rows underflow to 0
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.2, 1.2, size=(n_samples, 1, n_features))
+        centers = rng.uniform(0, 1, size=(n_rules, n_features))
+        scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
+        scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
+        fused = product_firing(kind, (x - centers) / scales)
+        with np.errstate(under="ignore"):
+            ref = np.prod(membership_values(kind, x, centers, scales), axis=2)
+        if kind == MFKind.CAUCHY:
+            np.testing.assert_array_equal(fused, ref)
+        else:
+            # exp of a sum vs a product of exps: relative 1e-12 wherever the
+            # result is a normal float; subnormal results differ by < tiny
+            np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=np.finfo(float).tiny)
 
 
 class TestProjection:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xanfis.inference
-from xanfis.inference import Order, RuleBase, fit_consequents, predict
+from xanfis.inference import Order, RuleBase, firing_strengths, fit_consequents, predict
 from xanfis.membership import SCALE_MIN, MFKind
 from xanfis.training import (
     AdjacencyPair,
@@ -107,6 +109,60 @@ class TestMSEGradients:
         out = backward_pass(rb, fm, X, y, cfg)
         assert np.all(out.centers >= 0.0) and np.all(out.centers <= 1.0)
         assert np.all(out.scales >= SCALE_MIN) and np.all(out.scales <= 1.0)
+
+
+    def test_dead_rows_contribute_nothing(self):
+        # Gaussian sets at SCALE_MIN: rows near the centers fire, rows far
+        # from both underflow to raw == 0 and are dead; they add nothing, so
+        # N * (gradient over all rows) equals N_live * (gradient over live rows)
+        rng = np.random.default_rng(3)
+        rb = RuleBase(MFKind.GAUSSIAN, np.array([[0.2], [0.21]]), np.full((2, 1), SCALE_MIN))
+        near = 0.205 + rng.uniform(-0.004, 0.004, size=(12, 1))
+        far = rng.uniform(0.5, 1.0, size=(8, 1))
+        X = np.concatenate([near, far])[rng.permutation(20)]
+        y = rng.uniform(0, 1, size=20)
+        rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
+        live = fm.live
+        assert live.sum() == 12 and np.all(fm.raw[~live] == 0.0)
+        gc, gs = mse_antecedent_gradients(rb, fm, X, y)
+        assert np.all(np.isfinite(gc)) and np.all(np.isfinite(gs))
+        assert np.all(gc != 0.0) and np.all(gs != 0.0)
+        gc_live, gs_live = mse_antecedent_gradients(
+            rb, firing_strengths(X[live], rb), X[live], y[live]
+        )
+        np.testing.assert_allclose(20 * gc, 12 * gc_live, rtol=1e-12)
+        np.testing.assert_allclose(20 * gs, 12 * gs_live, rtol=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(list(MFKind)),
+        order=st.sampled_from(list(Order)),
+        mode=st.sampled_from(list(Mode)),
+        n_rules=st.integers(1, 5),
+        n_features=st.integers(1, 3),
+        lr=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_after_every_step(self, kind, order, mode, n_rules, n_features, lr, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(30, n_features))
+        y = rng.uniform(0, 1, size=30)
+        centers = rng.uniform(0, 1, size=(n_rules, n_features))
+        scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
+        scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
+        rb = RuleBase(kind, centers, scales, order=order)
+        cfg = TrainConfig(mode=mode, lr_backward=lr, lr_xpass=lr, clip_lo=-10.0, clip_hi=10.0)
+
+        def assert_in_bounds(state):
+            assert np.all((state.centers >= 0.0) & (state.centers <= 1.0))
+            assert np.all((state.scales >= SCALE_MIN) & (state.scales <= 1.0))
+
+        for _ in range(3):
+            rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
+            rb = backward_pass(rb, fm, X, y, cfg)
+            assert_in_bounds(rb)
+            rb = xpass_update(rb, cfg)
+            assert_in_bounds(rb)
 
 
 def clip_via_step(grad):
@@ -364,6 +420,19 @@ class TestTrainLoop:
             _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
             assert len(traces) == 7
             assert calls["n"] == 2 * 6 + 2
+
+    def test_singular_refit_is_divergence(self):
+        # rule 0 sits at SCALE_MIN beyond every sample, so its design column
+        # is exactly 0 and the lambda-0 normal equations are singular
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        centers, scales = rb0.centers.copy(), rb0.scales.copy()
+        centers[0], scales[0] = 1.0, SCALE_MIN
+        rb0 = RuleBase(MFKind.GAUSSIAN, centers, scales)
+        cfg = TrainConfig(mode=Mode.ANFIS, lam=0.0, max_epochs=5)
+        with pytest.raises(DivergenceError, match="singular LSE refit at epoch 0") as exc_info:
+            train(0.9 * X_tr, y_tr, X_val, y_val, rb0, cfg)
+        assert exc_info.value.last_rb is rb0
+        assert exc_info.value.traces == []
 
     def test_divergence_error_names_epoch(self, monkeypatch):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
