@@ -27,15 +27,13 @@ from .inference import (
     predict,
     save_model,
 )
-from .membership import SCALE_MIN, FuzzySetParams, MFKind
+from .membership import SCALE_MIN, MFKind
 from .metrics import (
     EvalReport,
     ParetoPoint,
     evaluate_model,
-    jaccard_numeric,
     mean_distinguishability,
     pareto_front,
-    possibility,
     regression_metrics,
 )
 from .numerics import (
@@ -46,7 +44,6 @@ from .numerics import (
     ridge_solve,
 )
 from .training import (
-    AdjacencyPair,
     DivergenceError,
     EpochTrace,
     Mode,
@@ -60,7 +57,6 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyPair",
     "DatasetManifest",
     "DatasetSplit",
     "DivergenceError",
@@ -70,7 +66,6 @@ __all__ = [
     "FCMConfig",
     "FCMResult",
     "FiringMatrices",
-    "FuzzySetParams",
     "InsufficientDataError",
     "MFKind",
     "Mode",
@@ -90,14 +85,12 @@ __all__ = [
     "fcm_fit",
     "firing_strengths",
     "fit_consequents",
-    "jaccard_numeric",
     "load_csv",
     "load_manifest",
     "load_model",
     "mean_ci95",
     "mean_distinguishability",
     "pareto_front",
-    "possibility",
     "predict",
     "regression_metrics",
     "ridge_solve",

@@ -155,12 +155,6 @@ class Scaler:
     def transform_y(self, y):
         return (as_vector(y, "y") - self.y_min) / (self.y_max - self.y_min)
 
-    def inverse_X(self, X):
-        return as_matrix(X, "X") * (self.x_max - self.x_min) + self.x_min
-
-    def inverse_y(self, y):
-        return np.asarray(y, dtype=np.float64) * (self.y_max - self.y_min) + self.y_min
-
     def to_dict(self):
         return {
             "x_min": self.x_min.tolist(),
@@ -168,15 +162,6 @@ class Scaler:
             "y_min": self.y_min,
             "y_max": self.y_max,
         }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(
-            x_min=np.asarray(doc["x_min"], dtype=np.float64),
-            x_max=np.asarray(doc["x_max"], dtype=np.float64),
-            y_min=float(doc["y_min"]),
-            y_max=float(doc["y_max"]),
-        )
 
 
 @dataclass

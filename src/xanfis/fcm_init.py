@@ -104,14 +104,6 @@ def fcm_fit(X, cfg):
     )
 
 
-def fcm_objective(X, res):
-    """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
-    X = as_matrix(X, "X")
-    diff = X[:, None, :] - res.centers[None, :, :]
-    d2 = np.einsum("trf,trf->tr", diff, diff)
-    return float(np.sum(res.memberships**res.fuzziness * d2))
-
-
 def derive_scales(X, res, override_scale=None, scale_min=SCALE_MIN):
     """Per-rule per-feature scales from the FCM fit.
 

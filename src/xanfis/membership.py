@@ -13,7 +13,6 @@ projected, never the data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,6 @@ SCALE_MAX = 1.0
 class MFKind(str, enum.Enum):
     GAUSSIAN = "gaussian"
     CAUCHY = "cauchy"
-
-
-@dataclass(frozen=True)
-class FuzzySetParams:
-    """One fuzzy set: center in [0,1], scale in [SCALE_MIN, 1].
-
-    The pairwise overlap measures in metrics take one per argument.
-    """
-
-    center: float
-    scale: float
 
 
 def _mu(kind, u):

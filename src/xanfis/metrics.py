@@ -1,26 +1,20 @@
-"""Evaluation metrics: regression errors, distinguishability, set overlap,
-Pareto-front extraction.
+"""Evaluation metrics: regression errors, distinguishability, Pareto-front
+extraction.
 
 All regression metrics are computed on scaled targets; callers wanting raw
-units can inverse-transform predictions with the dataset scaler first.
+units map predictions back with the scaler's range, y * (y_max - y_min) + y_min.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inference import predict
-from .membership import membership_values
 from .numerics import as_vector
 from .training import mean_distinguishability  # re-exported: defined with the trainer
-
-#: numeric universe for overlap integrals; wider than [0,1] so the Cauchy
-#: tails outside the bounded parameter range still contribute
-GRID_LO = -0.5
-GRID_HI = 1.5
-DEFAULT_GRID = 2001
 
 
 @dataclass
@@ -60,34 +54,15 @@ def regression_metrics(y, yhat):
     return mse, rmse, mae, r2
 
 
-def _overlap_curves(p_a, p_b, kind, grid):
-    if grid < 100:
-        raise ValueError(f"grid must be >= 100, got {grid}")
-    x = np.linspace(GRID_LO, GRID_HI, int(grid))
-    mu_a = membership_values(kind, x, p_a.center, p_a.scale)
-    mu_b = membership_values(kind, x, p_b.center, p_b.scale)
-    return x, mu_a, mu_b
-
-
-def jaccard_numeric(p_a, p_b, kind, grid=DEFAULT_GRID):
-    """|A intersect B| / |A union B| by trapezoidal integration."""
-    x, mu_a, mu_b = _overlap_curves(p_a, p_b, kind, grid)
-    inter = np.trapezoid(np.minimum(mu_a, mu_b), x)
-    union = np.trapezoid(np.maximum(mu_a, mu_b), x)
-    return float(inter / union)
-
-
-def possibility(p_a, p_b, kind, grid=DEFAULT_GRID):
-    """sup over the grid of min(mu_A, mu_B)."""
-    _, mu_a, mu_b = _overlap_curves(p_a, p_b, kind, grid)
-    return float(np.max(np.minimum(mu_a, mu_b)))
-
-
 def pareto_front(points):
     """Non-dominated subset maximizing (r2, mean_D), sorted by r2 descending.
 
     Points tied in both coordinates are all kept (neither dominates).
+    A point whose r2 or mean_D is not finite is rejected by run_id.
     """
+    bad = [p.run_id for p in points if not (math.isfinite(p.r2) and math.isfinite(p.mean_D))]
+    if bad:
+        raise ValueError(f"non-finite r2 or mean_D in point(s): {', '.join(bad)}")
     ordered = sorted(points, key=lambda p: (-p.r2, -p.mean_D))
     front = []
     best_d = -np.inf

@@ -92,33 +92,25 @@ class EpochTrace:
     scales_snapshot: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class AdjacencyPair:
-    feature: int
-    set_lo: int
-    set_hi: int
-
-
 def adjacency_pairs(centers):
-    """Consecutive pairs in center rank, per feature (ties by rule index)."""
-    centers = np.asarray(centers, dtype=np.float64)
-    r, f = centers.shape
-    pairs = []
-    for feat in range(f):
-        order = np.lexsort((np.arange(r), centers[:, feat]))
-        for lo, hi in zip(order[:-1], order[1:]):
-            pairs.append(AdjacencyPair(feature=feat, set_lo=int(lo), set_hi=int(hi)))
-    return pairs
+    """Rule order of each feature's centers, shape (F, R); ties by rule index.
+
+    Consecutive entries of a row are that feature's adjacent pairs.
+    """
+    return np.argsort(np.asarray(centers, dtype=np.float64).T, axis=1, kind="stable")
 
 
-def _pair_distances(centers, scales, pairs):
-    out = np.empty(len(pairs))
-    for k, p in enumerate(pairs):
-        out[k] = math.hypot(
-            centers[p.set_lo, p.feature] - centers[p.set_hi, p.feature],
-            scales[p.set_lo, p.feature] - scales[p.set_hi, p.feature],
-        )
-    return out
+def _pair_distances(centers, scales, order):
+    """(dc, D) of each feature's adjacent pairs in order, both (F, R - 1).
+
+    For the lower- and higher-ranked set of a pair, dc = c_lo - c_hi and
+    D = hypot(dc, s_lo - s_hi).
+    """
+    rows = np.arange(order.shape[0])[:, None]
+    c = centers.T[rows, order]
+    s = scales.T[rows, order]
+    dc = c[:, :-1] - c[:, 1:]
+    return dc, np.hypot(dc, s[:, :-1] - s[:, 1:])
 
 
 def mean_distinguishability(rb):
@@ -126,12 +118,10 @@ def mean_distinguishability(rb):
 
     Returns (overall mean, per-feature means); requires at least 2 rules.
     """
-    r, f = rb.centers.shape
-    if r < 2:
-        raise ValueError(f"no adjacent pairs with {r} rule(s)")
-    dists = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
-    # adjacency_pairs lists each feature's r - 1 pairs in turn
-    return float(np.mean(dists)), dists.reshape(f, r - 1).mean(axis=1).tolist()
+    if rb.n_rules < 2:
+        raise ValueError(f"no adjacent pairs with {rb.n_rules} rule(s)")
+    _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
+    return float(np.mean(d)), d.mean(axis=1).tolist()
 
 
 def mse_antecedent_gradients(rb, fm, X, y):
@@ -162,27 +152,25 @@ def mse_antecedent_gradients(rb, fm, X, y):
     return grad_c, grad_s
 
 
-def xpass_gradients(centers, scales, d_target, pairs=None):
+def xpass_gradients(centers, scales, d_target):
     """Center gradients of sum over adjacent pairs of 0.5*(D - D_target)^2.
 
     Scales contribute to each D but receive no gradient (they are frozen
     in the explainability pass, which stops the trivial shrink-all-widths
-    solution).  Pairs closer than D_SING are skipped.
+    solution).  Pairs closer than D_SING are skipped.  On each feature's
+    sorted axis, pair k adds its term at position k and subtracts it at k + 1.
     """
     centers = np.asarray(centers, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
-    if pairs is None:
-        pairs = adjacency_pairs(centers)
-    grad = np.zeros_like(centers)
-    for p in pairs:
-        dc = centers[p.set_lo, p.feature] - centers[p.set_hi, p.feature]
-        ds = scales[p.set_lo, p.feature] - scales[p.set_hi, p.feature]
-        d = math.hypot(dc, ds)
-        if d < D_SING:
-            continue
-        coef = (d - d_target) / d
-        grad[p.set_lo, p.feature] += coef * dc
-        grad[p.set_hi, p.feature] -= coef * dc
+    order = adjacency_pairs(centers)
+    dc, d = _pair_distances(centers, scales, order)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(d < D_SING, 0.0, (d - d_target) / d * dc)
+    g = np.zeros(order.shape)
+    g[:, :-1] += t
+    g[:, 1:] -= t
+    grad = np.empty_like(centers)
+    grad.T[np.arange(order.shape[0])[:, None], order] = g
     return grad
 
 

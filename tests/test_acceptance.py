@@ -139,17 +139,17 @@ class TestCriterion1GradientCorrectness:
             err = max(np.max(np.abs(gc - fd_c)), np.max(np.abs(gs - fd_s))) / denom
             worst_mse = max(worst_mse, err)
 
-            pairs = adjacency_pairs(centers)
-            gx = xpass_gradients(centers, scales, 0.5, pairs=pairs)
+            # pairs frozen at the unperturbed centers: consecutive entries
+            # of each feature's row of the (F, R) rule order
+            order = adjacency_pairs(centers)
+            gx = xpass_gradients(centers, scales, 0.5)
 
             def xpass_loss(c):
                 total = 0.0
-                for p in pairs:
-                    d = math.hypot(
-                        c[p.set_lo, p.feature] - c[p.set_hi, p.feature],
-                        scales[p.set_lo, p.feature] - scales[p.set_hi, p.feature],
-                    )
-                    total += 0.5 * (d - 0.5) ** 2
+                for k, row in enumerate(order):
+                    for lo, hi in zip(row[:-1], row[1:]):
+                        d = math.hypot(c[lo, k] - c[hi, k], scales[lo, k] - scales[hi, k])
+                        total += 0.5 * (d - 0.5) ** 2
                 return total
 
             fd_x = np.zeros_like(gx)

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from xanfis.cli import main
 from xanfis.data import (
     CSVFormatError,
     DatasetManifest,
-    Scaler,
     ScalerError,
     friedman_target,
     load_csv,
@@ -17,6 +17,18 @@ from xanfis.data import (
     split_scale,
     synth_regression,
 )
+from xanfis.inference import load_model
+
+
+@pytest.fixture
+def train_artifact(tmp_path):
+    """A `train` model artifact's scaler block, with the raw rows and split behind it."""
+    args = ["train", "--synth", "sinc2d", "--synth-n", "200", "--synth-noise", "0.05"]
+    args += ["--rules", "3", "--epochs", "1", "--seeds", "3", "--out", str(tmp_path)]
+    assert main(args) == 0
+    _, block = load_model(tmp_path / "model_seed0003.json")
+    X, y = synth_regression("sinc2d", 200, 0.05, seed=3)
+    return block, X, y, split_scale(X, y, seed=3)
 
 
 def write_csv(path, text):
@@ -158,20 +170,26 @@ class TestSplitScale:
         with pytest.raises(ValueError):
             split_scale(np.zeros((5, 1)), np.zeros(5), seed=0)
 
-    def test_scaler_round_trip(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(-3, 7, size=(30, 4))
-        y = rng.uniform(10, 20, size=30)
-        scaler = Scaler.fit(X, y)
-        np.testing.assert_allclose(scaler.inverse_X(scaler.transform_X(X)), X, atol=1e-12)
-        np.testing.assert_allclose(scaler.inverse_y(scaler.transform_y(y)), y, atol=1e-12)
+    def test_scaler_round_trip(self, train_artifact):
+        # the artifact's ranges map the scaled training rows back to raw units
+        block, X, y, split = train_artifact
+        rows = split.permutation[: len(split.X_train)]
+        x_lo, x_hi = np.array(block["x_min"]), np.array(block["x_max"])
+        raw_X = split.X_train * (x_hi - x_lo) + x_lo
+        np.testing.assert_allclose(raw_X, X[rows], rtol=0, atol=1e-12)
+        raw_y = split.y_train * (block["y_max"] - block["y_min"]) + block["y_min"]
+        np.testing.assert_allclose(raw_y, y[rows], rtol=0, atol=1e-12)
 
-    def test_scaler_dict_round_trip(self):
-        rng = np.random.default_rng(7)
-        scaler = Scaler.fit(rng.uniform(size=(10, 2)), rng.uniform(size=10))
-        again = Scaler.from_dict(scaler.to_dict())
-        np.testing.assert_array_equal(scaler.x_min, again.x_min)
-        assert scaler.y_max == again.y_max
+    def test_scaler_dict_round_trip(self, train_artifact):
+        # the artifact records the min-max of the raw training rows exactly
+        block, X, y, split = train_artifact
+        rows = split.permutation[: len(split.X_train)]
+        assert block == {
+            "x_min": X[rows].min(axis=0).tolist(),
+            "x_max": X[rows].max(axis=0).tolist(),
+            "y_min": float(y[rows].min()),
+            "y_max": float(y[rows].max()),
+        }
 
 
 class TestSynthetic:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from xanfis.data import synth_regression
-from xanfis.fcm_init import FCMConfig, FCMResult, derive_scales, fcm_fit, fcm_objective
+from xanfis.fcm_init import FCMConfig, FCMResult, derive_scales, fcm_fit
 from xanfis.membership import SCALE_MIN
-from xanfis.numerics import InsufficientDataError
+from xanfis.numerics import InsufficientDataError, as_matrix
+
+
+def fcm_objective(X, res):
+    """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
+    X = as_matrix(X, "X")
+    diff = X[:, None, :] - res.centers[None, :, :]
+    d2 = np.einsum("trf,trf->tr", diff, diff)
+    return float(np.sum(res.memberships**res.fuzziness * d2))
 
 
 def two_blobs(n=200, radius=0.05, seed=0):

@@ -1,16 +1,14 @@
-"""Regression metrics, distinguishability, overlap measures, Pareto front."""
+"""Regression metrics, distinguishability, Pareto front."""
 
 import numpy as np
 import pytest
 
 from xanfis.inference import RuleBase
-from xanfis.membership import FuzzySetParams, MFKind
+from xanfis.membership import MFKind
 from xanfis.metrics import (
     ParetoPoint,
-    jaccard_numeric,
     mean_distinguishability,
     pareto_front,
-    possibility,
     regression_metrics,
 )
 
@@ -105,63 +103,6 @@ class TestMeanDistinguishability:
             mean_distinguishability(rulebase([[0.5]], [[0.2]]))
 
 
-class TestOverlapMeasures:
-    def test_jaccard_identical_sets(self):
-        p = FuzzySetParams(0.4, 0.15)
-        for kind in (MFKind.CAUCHY, MFKind.GAUSSIAN):
-            assert jaccard_numeric(p, p, kind) == pytest.approx(1.0, abs=1e-9)
-
-    def test_jaccard_far_narrow_cauchy(self):
-        a = FuzzySetParams(0.0, 0.01)
-        b = FuzzySetParams(1.0, 0.01)
-        v = jaccard_numeric(a, b, MFKind.CAUCHY, grid=20001)
-        assert v < 0.05
-        # refinement oracle: a much finer grid agrees
-        ref = jaccard_numeric(a, b, MFKind.CAUCHY, grid=400001)
-        assert v == pytest.approx(ref, abs=1e-3)
-
-    def test_jaccard_symmetry_and_range(self):
-        rng = np.random.default_rng(15)
-        for _ in range(25):
-            a = FuzzySetParams(rng.uniform(0, 1), rng.uniform(0.01, 1))
-            b = FuzzySetParams(rng.uniform(0, 1), rng.uniform(0.01, 1))
-            kind = MFKind.CAUCHY if rng.integers(2) else MFKind.GAUSSIAN
-            j_ab = jaccard_numeric(a, b, kind)
-            assert j_ab == jaccard_numeric(b, a, kind)
-            assert 0.0 <= j_ab <= 1.0
-
-    def test_possibility_identical_sets(self):
-        p = FuzzySetParams(0.7, 0.2)
-        assert possibility(p, p, MFKind.GAUSSIAN) == pytest.approx(1.0)
-
-    def test_possibility_symmetric_analytic(self):
-        # symmetric Cauchy pair: min curves cross halfway, value
-        # 1/(1 + (0.5/0.1)^2) = 1/26
-        a = FuzzySetParams(0.0, 0.1)
-        b = FuzzySetParams(1.0, 0.1)
-        v = possibility(a, b, MFKind.CAUCHY, grid=40001)
-        assert v == pytest.approx(1.0 / 26.0, abs=1e-6)
-
-    def test_possibility_grid_refinement(self):
-        # the grid-max converges: a 1e5-point evaluation agrees with the
-        # 1e6-point reference to 1e-4; the default grid is close but its
-        # kink error scales with the membership slope
-        rng = np.random.default_rng(16)
-        for _ in range(10):
-            a = FuzzySetParams(rng.uniform(0, 1), rng.uniform(0.02, 0.6))
-            b = FuzzySetParams(rng.uniform(0, 1), rng.uniform(0.02, 0.6))
-            fine = possibility(a, b, MFKind.CAUCHY, grid=1_000_001)
-            near = possibility(a, b, MFKind.CAUCHY, grid=100_001)
-            assert near == pytest.approx(fine, abs=1e-4)
-            default = possibility(a, b, MFKind.CAUCHY)
-            assert default == pytest.approx(fine, abs=5e-3)
-
-    def test_grid_too_small_rejected(self):
-        p = FuzzySetParams(0.5, 0.1)
-        with pytest.raises(ValueError):
-            jaccard_numeric(p, p, MFKind.CAUCHY, grid=50)
-
-
 def brute_force_front(points):
     """O(n^2) domination filter."""
     front = []
@@ -238,3 +179,16 @@ class TestParetoFront:
                     and (q.r2 > p.r2 or q.mean_D > p.mean_D)
                 )
                 assert not dominates
+
+    def test_nan_r2_rejected_by_run_id(self):
+        pts = [ParetoPoint("ok", 0.5, 0.1), ParetoPoint("no-model", float("nan"), 0.2)]
+        with pytest.raises(ValueError, match="no-model"):
+            pareto_front(pts)
+
+    def test_non_finite_mean_d_rejected_by_run_id(self):
+        # a NaN mean_D compares false against every bound, so unchecked it
+        # would silently drop the point instead of rejecting it
+        for bad_d in (float("nan"), float("inf")):
+            pts = [ParetoPoint("a", 0.6, bad_d), ParetoPoint("b", 0.5, 0.1)]
+            with pytest.raises(ValueError, match="point\\(s\\): a$"):
+                pareto_front(pts)

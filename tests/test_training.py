@@ -11,7 +11,7 @@ import xanfis.inference
 from xanfis.inference import Order, RuleBase, firing_strengths, fit_consequents, predict
 from xanfis.membership import SCALE_MIN, MFKind
 from xanfis.training import (
-    AdjacencyPair,
+    D_SING,
     DivergenceError,
     EpochTrace,
     Mode,
@@ -192,22 +192,82 @@ class TestTrainConfig:
 
 class TestAdjacency:
     def test_single_feature_sorting(self):
-        pairs = adjacency_pairs(np.array([[0.7], [0.1], [0.4]]))
-        assert pairs == [
-            AdjacencyPair(feature=0, set_lo=1, set_hi=2),
-            AdjacencyPair(feature=0, set_lo=2, set_hi=0),
-        ]
+        # pairs (1, 2) and (2, 0)
+        order = adjacency_pairs(np.array([[0.7], [0.1], [0.4]]))
+        np.testing.assert_array_equal(order, [[1, 2, 0]])
 
     def test_pair_count(self):
-        pairs = adjacency_pairs(np.zeros((2, 3)))
-        assert len(pairs) == 3
+        # one row of R = 2 rules per feature: one pair per feature
+        order = adjacency_pairs(np.zeros((2, 3)))
+        assert order.shape == (3, 2)
 
     def test_tie_break_by_rule_index(self):
-        pairs = adjacency_pairs(np.array([[0.5], [0.5], [0.2]]))
-        assert pairs == [
-            AdjacencyPair(feature=0, set_lo=2, set_hi=0),
-            AdjacencyPair(feature=0, set_lo=0, set_hi=1),
+        order = adjacency_pairs(np.array([[0.5], [0.5], [0.2]]))
+        np.testing.assert_array_equal(order, [[2, 0, 1]])
+
+
+def loop_pairs(centers):
+    """Reference pairing: (feature, lo, hi) per feature, lexsort by center then rule."""
+    r, f = centers.shape
+    pairs = []
+    for feat in range(f):
+        order = np.lexsort((np.arange(r), centers[:, feat]))
+        pairs.extend((feat, int(lo), int(hi)) for lo, hi in zip(order[:-1], order[1:]))
+    return pairs
+
+
+def loop_distinguishability(centers, scales):
+    """Reference mean D: one np.hypot per pair, then (overall, per-feature) means."""
+    r, f = centers.shape
+    dists = np.array(
+        [
+            np.hypot(centers[lo, k] - centers[hi, k], scales[lo, k] - scales[hi, k])
+            for k, lo, hi in loop_pairs(centers)
         ]
+    )
+    return float(np.mean(dists)), dists.reshape(f, r - 1).mean(axis=1).tolist()
+
+
+def loop_xpass_gradients(centers, scales, d_target):
+    """Reference x-pass gradient: sequential += / -= per pair, D_SING pairs skipped."""
+    grad = np.zeros_like(centers)
+    for k, lo, hi in loop_pairs(centers):
+        dc = centers[lo, k] - centers[hi, k]
+        d = np.hypot(dc, scales[lo, k] - scales[hi, k])
+        if d < D_SING:
+            continue
+        coef = (d - d_target) / d
+        grad[lo, k] += coef * dc
+        grad[hi, k] -= coef * dc
+    return grad
+
+
+class TestSortedAxisMatchesLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_rules=st.integers(2, 20),
+        n_features=st.integers(1, 8),
+        grid=st.sampled_from([2, 4, 10, 1000]),
+        d_target=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_loop_oracle(self, n_rules, n_features, grid, d_target, seed):
+        # centers on a coarse grid tie often; scales from a few levels near
+        # SCALE_MIN make some tied pairs coincide or sit closer than D_SING
+        rng = np.random.default_rng(seed)
+        shape = (n_rules, n_features)
+        centers = rng.integers(0, grid + 1, size=shape) / grid
+        levels = np.array([SCALE_MIN, SCALE_MIN + 0.5 * D_SING, SCALE_MIN + 0.1, 0.5, 1.0])
+        scales = levels[rng.integers(0, len(levels), size=shape)]
+        rb = RuleBase(MFKind.CAUCHY, centers, scales)
+        mean_d, per_feature = mean_distinguishability(rb)
+        ref_mean, ref_per_feature = loop_distinguishability(centers, scales)
+        assert mean_d == ref_mean
+        assert per_feature == ref_per_feature
+        np.testing.assert_array_equal(
+            xpass_gradients(centers, scales, d_target),
+            loop_xpass_gradients(centers, scales, d_target),
+        )
 
 
 def two_rule_distinguishability(centers, scales):
@@ -282,19 +342,19 @@ class TestXPass:
             centers = rng.uniform(0, 1, size=(r, f))
             scales = rng.uniform(0.05, 0.5, size=(r, f))
             d_target = 0.5
-            pairs = adjacency_pairs(centers)
+            # pairs frozen at the unperturbed centers: consecutive entries
+            # of each feature's row of the (F, R) rule order
+            order = adjacency_pairs(centers)
 
             def loss(c):
                 total = 0.0
-                for p in pairs:
-                    d = math.hypot(
-                        c[p.set_lo, p.feature] - c[p.set_hi, p.feature],
-                        scales[p.set_lo, p.feature] - scales[p.set_hi, p.feature],
-                    )
-                    total += 0.5 * (d - d_target) ** 2
+                for k, row in enumerate(order):
+                    for lo, hi in zip(row[:-1], row[1:]):
+                        d = math.hypot(c[lo, k] - c[hi, k], scales[lo, k] - scales[hi, k])
+                        total += 0.5 * (d - d_target) ** 2
                 return total
 
-            grad = xpass_gradients(centers, scales, d_target, pairs=pairs)
+            grad = xpass_gradients(centers, scales, d_target)
             fd = np.zeros_like(centers)
             for j in range(r):
                 for k in range(f):
