@@ -562,6 +562,9 @@ def main(argv=None):
             cmd_export_partition(args.model, args.samples, args.out)
             return 0
         cfg, explicit = build_config(args)
+        one_seed = args.command in ("init-study", "pareto-sweep")
+        if one_seed and "seeds" in explicit and len(cfg.seeds) > 1:
+            raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
         if cfg.mode == Mode.ANFIS.value and "lr_xpass" in explicit:
             print("warning: lr_xpass is ignored in anfis mode", file=sys.stderr)
         if args.command == "train":

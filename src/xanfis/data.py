@@ -96,6 +96,15 @@ def load_csv(manifest):
     target_idx = _resolve_column(manifest.target_column, header, path)
     feature_idx = [_resolve_column(c, header, path) for c in manifest.feature_columns]
 
+    # numpy applies Python's float() to each string; a short row or a bad
+    # cell falls through to the per-cell scan below, which names the first one
+    try:
+        X = np.array([[row[c] for c in feature_idx] for row in rows], dtype=np.float64)
+        y = np.array([row[target_idx] for row in rows], dtype=np.float64)
+        return X, y
+    except (IndexError, ValueError):
+        pass
+
     def cell(row, row_no, col):
         if col >= len(row):
             raise CSVFormatError(f"{path}: row {row_no} has no column {col}")

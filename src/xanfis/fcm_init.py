@@ -47,15 +47,11 @@ def _memberships_from_distances(d2, exponent):
     Rows with one or more exact-zero distances give those clusters equal
     full membership (coincident-point degeneracy).
     """
-    n, r = d2.shape
-    u = np.empty_like(d2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inv = d2 ** (-exponent)
+        u = inv / inv.sum(axis=1, keepdims=True)
     zero_rows = (d2 == 0.0).any(axis=1)
-    ok = ~zero_rows
-    if np.any(ok):
-        with np.errstate(over="ignore"):
-            inv = d2[ok] ** (-exponent)
-        u[ok] = inv / inv.sum(axis=1, keepdims=True)
-    if np.any(zero_rows):
+    if zero_rows.any():
         hits = d2[zero_rows] == 0.0
         u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
     return u
@@ -87,8 +83,11 @@ def fcm_fit(X, cfg):
     for iterations in range(1, cfg.max_iter + 1):
         um = u**m
         new_centers = (um.T @ X) / um.sum(axis=0)[:, None]
-        diff = X[:, None, :] - new_centers[None, :, :]
-        d2 = np.einsum("trf,trf->tr", diff, diff)
+        d2 = np.zeros((n, r))
+        for k in range(f):  # (N, R) per feature: no (N, R, F) tensor
+            diff = X[:, k, None] - new_centers[:, k]
+            diff *= diff
+            d2 += diff
         u = _memberships_from_distances(d2, exponent)
         shift = float(np.max(np.abs(new_centers - centers))) if iterations > 1 else np.inf
         centers = new_centers

@@ -149,11 +149,11 @@ class RandomStream:
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n)."""
         n = int(n)
-        perm = np.arange(n)
         if n < 2:
-            return perm
-        raws = self.uint64s(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = (int(raws[n - 1 - i]) * (i + 1)) >> 64
+            return np.arange(n)
+        perm = list(range(n))
+        # raw draw k swaps position i = n-1-k (Python ints: exact 128-bit product)
+        for i, raw in zip(range(n - 1, 0, -1), self.uint64s(n - 1).tolist()):
+            j = (raw * (i + 1)) >> 64
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm)

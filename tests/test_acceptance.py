@@ -333,23 +333,24 @@ class TestCriterion8CLIDeterminism:
                 checked.append(f"{label}/{name}")
 
         common = [
-            "--synth", "sinc2d", "--synth-n", "400", "--rules", "3",
-            "--seeds", "0,1", "--epochs", "15",
+            "--synth", "sinc2d", "--synth-n", "400", "--rules", "3", "--epochs", "15",
         ]
         run_twice(
             "train",
-            lambda out: ["train", *common, "--mode", "x_anfis", "--trajectory", "--out", out],
+            lambda out: ["train", *common, "--seeds", "0,1", "--mode", "x_anfis",
+                         "--trajectory", "--out", out],
             ["metrics.csv", "aggregate.csv", "model_seed0000.json",
              "trace_seed0001.csv", "trajectory_seed0000.csv"],
         )
         run_twice(
             "study",
-            lambda out: ["init-study", *common, "--scales", "0.5,0.0625", "--out", out],
+            lambda out: ["init-study", *common, "--seeds", "0", "--scales", "0.5,0.0625",
+                         "--out", out],
             ["summary.csv", "trace_gaussian_0.0625.csv", "trajectory_cauchy_0.5.csv"],
         )
         run_twice(
             "sweep",
-            lambda out: ["pareto-sweep", *common, "--weights-count", "4",
+            lambda out: ["pareto-sweep", *common, "--seeds", "0", "--weights-count", "4",
                          "--weights-range", "0.01:10", "--out", out],
             ["points.csv", "front.csv"],
         )

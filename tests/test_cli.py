@@ -285,6 +285,25 @@ class TestMainEntry:
         assert "duplicate seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra", [("init-study", ["--scales", "0.5"]), ("pareto-sweep", [])]
+    )
+    def test_one_seed_commands_reject_seed_lists(self, tmp_path, capsys, command, extra):
+        # these commands run one seed; a list would silently drop all but the first
+        out = tmp_path / "x"
+        args = [command, "--synth", "sinc2d", "--seeds", "5,7", *extra, "--out", str(out)]
+        assert main(args) == 1
+        assert f"{command} runs one seed, got seeds [5, 7]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_seed_commands_reject_seed_lists_from_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": "sinc2d", "seeds": [0, 1]}))
+        out = tmp_path / "x"
+        assert main(["pareto-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "pareto-sweep runs one seed, got seeds [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_init_study_records_singular_runs(self, tmp_path, capsys):
         # lambda 0 with small Gaussian widths makes some LSE refits singular;
         # those runs are recorded as diverged and the study still succeeds

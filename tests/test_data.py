@@ -1,9 +1,12 @@
 """CSV ingestion, manifests, split/scale, synthetic generators."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from xanfis.cli import main
 from xanfis.data import (
@@ -36,6 +39,76 @@ def write_csv(path, text):
     return str(path)
 
 
+def per_cell_oracle(manifest):
+    """Reference reader: one stripped float() per cell in row-major order.
+
+    Returns (X, y), or the CSVFormatError message of the first short row
+    or unparseable cell.
+    """
+    with open(manifest.csv_path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh, delimiter=manifest.delimiter) if row]
+    header = rows.pop(0) if manifest.has_header else None
+
+    def index(col):
+        return col if isinstance(col, int) else header.index(col)
+
+    cols = [index(c) for c in manifest.feature_columns] + [index(manifest.target_column)]
+    first = 2 if manifest.has_header else 1
+    table = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows):
+        for k, col in enumerate(cols):
+            if col >= len(row):
+                return f"row {first + i} has no column {col}"
+            try:
+                table[i, k] = float(row[col].strip())
+            except ValueError:
+                return f"row {first + i}, column {col}"
+    return table[:, :-1], table[:, -1]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text plus the manifest fields that select its columns."""
+    n_cols = draw(st.integers(2, 5))
+    n_rows = draw(st.integers(1, 8))
+    has_header = draw(st.booleans())
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    order = draw(st.permutations(range(n_cols)))
+    n_features = draw(st.integers(1, n_cols - 1))
+    features, target = list(order[:n_features]), order[n_features]
+    by_name = has_header and draw(st.booleans())
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999)
+    cell_forms = st.sampled_from(["{}", " {} ", "  {}", '"{}"', '" {} "'])
+
+    def cell(value):
+        text = f"{value:.17g}" if isinstance(value, float) else str(value)
+        return draw(cell_forms).format(text)
+
+    lines = [delimiter.join(f"c{k}" for k in range(n_cols))] if has_header else []
+    data_lines = []
+    for _ in range(n_rows):
+        lines += [""] * draw(st.integers(0, 1))  # blank lines are skipped
+        data_lines.append(len(lines))
+        lines.append(delimiter.join(cell(draw(values)) for _ in range(n_cols)))
+    if draw(st.integers(0, 3)) == 0:  # a short row or an unparseable cell
+        row = draw(st.sampled_from(data_lines))
+        cells = lines[row].split(delimiter)
+        if draw(st.booleans()):
+            cells = cells[: draw(st.integers(1, n_cols - 1))]
+        else:
+            bad = draw(st.sampled_from(["x", "", "1.5.0", "0x10"]))
+            cells[draw(st.integers(0, n_cols - 1))] = bad
+        lines[row] = delimiter.join(cells)
+    text = newline.join(lines) + newline
+    name = (lambda k: f"c{k}") if by_name else (lambda k: k)
+    manifest = dict(
+        target_column=name(target), feature_columns=[name(k) for k in features],
+        has_header=has_header, delimiter=delimiter,
+    )
+    return text, manifest
+
+
 class TestLoadCSV:
     def test_basic_with_header(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b,t\n1,2,3\n4,5,6\n7,8,9\n")
@@ -58,6 +131,41 @@ class TestLoadCSV:
         path = write_csv(tmp_path / "d.csv", "a,t\n1,2\nabc,4\n")
         m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["a"])
         with pytest.raises(CSVFormatError, match="row 3, column 0"):
+            load_csv(m)
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(csv_files())
+    def test_matches_per_cell_oracle(self, tmp_path, case):
+        text, fields = case
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        m = DatasetManifest(csv_path=str(path), **fields)
+        expected = per_cell_oracle(m)
+        if isinstance(expected, str):
+            with pytest.raises(CSVFormatError, match=f"{expected}$"):
+                load_csv(m)
+            return
+        X, y = load_csv(m)
+        # %.17g cells round-trip bit for bit
+        np.testing.assert_array_equal(X, expected[0], strict=True)
+        np.testing.assert_array_equal(y, expected[1], strict=True)
+        assert X.flags.c_contiguous
+
+    def test_short_row_message(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "a,b,t\n1,2,3\n4,5\n7,x,9\n")
+        m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["b", "a"])
+        with pytest.raises(CSVFormatError, match=r"d\.csv: row 3 has no column 2$"):
+            load_csv(m)
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        # row 2's target is bad before row 3's features: the target is read
+        # after the features of its own row, but before any later row
+        path = write_csv(tmp_path / "d.csv", "a,b,t\n1,2,?\nx,y,6\n")
+        m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["a", "b"])
+        with pytest.raises(CSVFormatError, match=r"cannot parse '\?' at row 2, column 2$"):
             load_csv(m)
 
     def test_duplicate_header_rejected(self, tmp_path):

@@ -1,12 +1,20 @@
 """Fuzzy c-means fitting and antecedent scale derivation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from xanfis.data import synth_regression
-from xanfis.fcm_init import FCMConfig, FCMResult, derive_scales, fcm_fit
+from xanfis.fcm_init import (
+    FCMConfig,
+    FCMResult,
+    _memberships_from_distances,
+    derive_scales,
+    fcm_fit,
+)
 from xanfis.membership import SCALE_MIN
-from xanfis.numerics import InsufficientDataError, as_matrix
+from xanfis.numerics import InsufficientDataError, RandomStream, as_matrix
 
 
 def fcm_objective(X, res):
@@ -15,6 +23,32 @@ def fcm_objective(X, res):
     diff = X[:, None, :] - res.centers[None, :, :]
     d2 = np.einsum("trf,trf->tr", diff, diff)
     return float(np.sum(res.memberships**res.fuzziness * d2))
+
+
+def einsum_fcm_oracle(X, cfg):
+    """FCM with (N, R, F) difference tensors and masked membership rows."""
+    n, f = X.shape
+    r = cfg.n_clusters
+    u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r)
+    u /= u.sum(axis=1, keepdims=True)
+    m = float(cfg.fuzziness)
+    centers = np.zeros((r, f))
+    for it in range(1, cfg.max_iter + 1):
+        um = u**m
+        new_centers = (um.T @ X) / um.sum(axis=0)[:, None]
+        diff = X[:, None, :] - new_centers[None, :, :]
+        d2 = np.einsum("trf,trf->tr", diff, diff)
+        u = np.empty_like(d2)
+        zero = (d2 == 0.0).any(axis=1)
+        inv = d2[~zero] ** (-1.0 / (m - 1.0))
+        u[~zero] = inv / inv.sum(axis=1, keepdims=True)
+        hits = d2[zero] == 0.0
+        u[zero] = hits / hits.sum(axis=1, keepdims=True)
+        shift = np.max(np.abs(new_centers - centers)) if it > 1 else np.inf
+        centers = new_centers
+        if shift < cfg.tol:
+            break
+    return centers, u
 
 
 def two_blobs(n=200, radius=0.05, seed=0):
@@ -75,6 +109,47 @@ class TestFit:
         res = fcm_fit(X, FCMConfig(n_clusters=5, seed=2))
         assert np.all(res.centers >= X.min(axis=0) - 1e-12)
         assert np.all(res.centers <= X.max(axis=0) + 1e-12)
+
+    @pytest.mark.parametrize("f", range(1, 9))
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    def test_matches_einsum_oracle(self, f, m):
+        # per-feature distance sums: bit-identical while a row sums at most
+        # two features, reordered (rounding-level) beyond that
+        X = np.random.default_rng(f).uniform(size=(240, f))
+        X[7] = X[3]  # a repeated row
+        cfg = FCMConfig(n_clusters=6, fuzziness=m, tol=1e-300, max_iter=20, seed=f)
+        res = fcm_fit(X, cfg)
+        centers, u = einsum_fcm_oracle(X, cfg)
+        assert res.iterations == 20
+        if f <= 2:
+            np.testing.assert_array_equal(res.centers, centers)
+            np.testing.assert_array_equal(res.memberships, u)
+        else:
+            np.testing.assert_allclose(res.centers, centers, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.memberships, u, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
+    def test_memberships_patch_only_zero_distance_rows(self, exponent):
+        d2 = np.array([
+            [0.04, 0.25, 1.0],
+            [0.0, 0.3, 0.1],
+            [0.5, 0.0, 0.0],
+            [1e-200, 2.0, 3.0],
+            [0.0, 0.0, 0.0],
+            [0.09, 0.01, 0.16],
+        ])
+        expected = np.empty_like(d2)
+        for t, row in enumerate(d2):
+            if np.any(row == 0.0):
+                hits = row == 0.0
+                expected[t] = hits / hits.sum()
+            else:
+                inv = row ** (-exponent)
+                expected[t] = inv / inv.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the zero rows' inf/nan stay silent
+            u = _memberships_from_distances(d2, exponent)
+        np.testing.assert_array_equal(u, expected)
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):

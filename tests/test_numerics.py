@@ -141,3 +141,24 @@ class TestRandomStream:
         np.testing.assert_array_equal(
             RandomStream(8).permutation(50), RandomStream(8).permutation(50)
         )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 20000])
+    @pytest.mark.parametrize("seed", [0, 8, 2**64 - 1])
+    def test_permutation_matches_per_element_fisher_yates(self, n, seed):
+        def oracle(stream, n):
+            # the per-element numpy loop the list-based shuffle replaced
+            perm = np.arange(n)
+            if n < 2:
+                return perm
+            raws = stream.uint64s(n - 1)
+            for i in range(n - 1, 0, -1):
+                j = (int(raws[n - 1 - i]) * (i + 1)) >> 64
+                perm[i], perm[j] = perm[j], perm[i]
+            return perm
+
+        fast, slow = RandomStream(seed), RandomStream(seed)
+        perm = fast.permutation(n)
+        assert perm.dtype == np.int64
+        np.testing.assert_array_equal(perm, oracle(slow, n))
+        # both leave the stream at the same draw
+        np.testing.assert_array_equal(fast.uniforms(3), slow.uniforms(3))
