@@ -27,7 +27,7 @@ import numpy as np
 from .data import load_csv, load_manifest, split_scale, synth_regression, write_csv
 from .fcm_init import FCMConfig, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
-from .membership import MFKind, membership_values
+from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
 from .metrics import (
     EvalReport,
     ParetoPoint,
@@ -99,27 +99,17 @@ class ExperimentConfig:
         )
 
 
-@dataclass
-class SweepSpec:
-    count: int = 20
-    lo: float = 0.01
-    hi: float = 10.0
-
-    def validate(self):
-        if self.count < 1:
-            raise ValueError(f"weight count must be >= 1, got {self.count}")
-        if not (0 < self.lo <= self.hi):
-            raise ValueError(f"weight range must be positive, got [{self.lo}, {self.hi}]")
-
-
-def weight_grid(spec):
-    """Log-spaced scalarization weights with exact endpoints."""
-    spec.validate()
-    if spec.count == 1:
-        return np.array([spec.lo])
-    grid = np.logspace(np.log10(spec.lo), np.log10(spec.hi), spec.count)
-    grid[0] = spec.lo
-    grid[-1] = spec.hi
+def weight_grid(count, lo, hi):
+    """count log-spaced scalarization weights from lo to hi, endpoints exact."""
+    if count < 1:
+        raise ValueError(f"weight count must be >= 1, got {count}")
+    if not (0 < lo <= hi):
+        raise ValueError(f"weight range must be positive, got [{lo}, {hi}]")
+    if count == 1:
+        return np.array([lo])
+    grid = np.logspace(np.log10(lo), np.log10(hi), count)
+    grid[0] = lo
+    grid[-1] = hi
     return grid
 
 
@@ -171,13 +161,12 @@ def run_experiment(task):
 
     task: dict with cfg (ExperimentConfig), run_id, seed and prepared (the
     seed's (split, fcm) pair from prepare_seed), plus optional overrides
-    mode / mf / mo_weight / init_scale / trajectory.
+    mode / mf / mo_weight / init_scale.
     """
     cfg = task["cfg"]
     split, fcm = task["prepared"]
     mode = Mode(task.get("mode", cfg.mode))
     mf = MFKind(task.get("mf", cfg.mf))
-    record_traj = bool(task.get("trajectory", cfg.trajectory))
 
     scales = derive_scales(split.X_train, fcm, override_scale=task.get("init_scale"))
     rb0 = RuleBase(
@@ -187,15 +176,7 @@ def run_experiment(task):
 
     diverged = False
     try:
-        rb, traces = train(
-            split.X_train,
-            split.y_train,
-            split.X_val,
-            split.y_val,
-            rb0,
-            tcfg,
-            record_trajectory=record_traj,
-        )
+        rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, tcfg)
     except DivergenceError as err:
         diverged = True
         rb, traces = err.last_rb, err.traces
@@ -332,8 +313,8 @@ def cmd_train(cfg):
 def cmd_init_study(cfg, scale_list):
     """Both MF kinds across the given initialization scales (one seed).
 
-    Every run records full parameter trajectories; diverged runs keep
-    their last finite metrics instead of aborting the study.
+    Every run's parameter trajectory is written; diverged runs keep their
+    last finite metrics instead of aborting the study.
     """
     if not scale_list:
         raise ValueError("init-study needs a nonempty list of initialization scales")
@@ -341,6 +322,11 @@ def cmd_init_study(cfg, scale_list):
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ValueError(f"init scales share output file names: {', '.join(clashes)}")
+    for scale in scale_list:
+        if not SCALE_MIN <= float(scale) <= SCALE_MAX:
+            raise ValueError(
+                f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
+            )
     _check_out_dir(cfg.out)
     seed = cfg.seeds[0]
     tasks = []
@@ -354,7 +340,6 @@ def cmd_init_study(cfg, scale_list):
                     "mode": Mode.ANFIS.value,
                     "mf": kind.value,
                     "init_scale": float(scale),
-                    "trajectory": True,
                 }
             )
     records = _run_all(tasks, cfg.workers)
@@ -377,14 +362,14 @@ def cmd_init_study(cfg, scale_list):
     return records
 
 
-def cmd_pareto_sweep(cfg, sweep):
-    """Scalarization-weight sweep plus single ANFIS / X-ANFIS references.
+def cmd_pareto_sweep(cfg):
+    """Scalarization-weight sweep over cfg.weights_* plus single ANFIS / X-ANFIS references.
 
     Writes points.csv (sweep points then reference rows) and front.csv
     (non-dominated subset of the sweep points, sorted by r2 descending).
     """
     _check_out_dir(cfg.out)
-    weights = weight_grid(sweep)
+    weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi)
     seed = cfg.seeds[0]
     tasks = [
         {
@@ -583,8 +568,7 @@ def main(argv=None):
             cmd_init_study(cfg, scale_list)
             return 0
         if args.command == "pareto-sweep":
-            spec = SweepSpec(count=cfg.weights_count, lo=cfg.weights_lo, hi=cfg.weights_hi)
-            cmd_pareto_sweep(cfg, spec)
+            cmd_pareto_sweep(cfg)
             return 0
         parser.error(f"unknown command {args.command!r}")
     except (ValueError, OSError, DivergenceError) as err:

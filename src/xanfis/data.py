@@ -137,7 +137,7 @@ def write_csv(path, header, rows):
 
 @dataclass
 class Scaler:
-    """Per-column min-max ranges fitted on training rows only."""
+    """Per-column min-max ranges fitted on training rows only; takes checked arrays."""
 
     x_min: np.ndarray
     x_max: np.ndarray
@@ -146,8 +146,6 @@ class Scaler:
 
     @classmethod
     def fit(cls, X, y):
-        X = as_matrix(X, "X")
-        y = as_vector(y, "y")
         x_min = X.min(axis=0)
         x_max = X.max(axis=0)
         for col in np.nonzero(x_max == x_min)[0]:
@@ -159,10 +157,10 @@ class Scaler:
         return cls(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
 
     def transform_X(self, X):
-        return (as_matrix(X, "X") - self.x_min) / (self.x_max - self.x_min)
+        return (X - self.x_min) / (self.x_max - self.x_min)
 
     def transform_y(self, y):
-        return (as_vector(y, "y") - self.y_min) / (self.y_max - self.y_min)
+        return (y - self.y_min) / (self.y_max - self.y_min)
 
     def to_dict(self):
         return {
@@ -239,13 +237,11 @@ TWO_BLOB_CENTERS = ((0.2, 0.2), (0.8, 0.8))
 
 def sinc2d_target(X):
     """sin(pi x1)/(pi x1) * sin(pi x2)/(pi x2) with the limit value 1 at 0."""
-    X = as_matrix(X, "X")
     return np.sinc(X[:, 0]) * np.sinc(X[:, 1])
 
 
 def friedman_target(X):
     """Standard five-feature benchmark surface."""
-    X = as_matrix(X, "X")
     return (
         10.0 * np.sin(np.pi * X[:, 0] * X[:, 1])
         + 20.0 * (X[:, 2] - 0.5) ** 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import SCALE_MIN
+from .membership import SCALE_MAX, SCALE_MIN
 from .numerics import InsufficientDataError, RandomStream, as_matrix
 
 
@@ -45,15 +45,25 @@ def _memberships_from_distances(d2, exponent):
     """Membership update u_tj = d_tj^(-1/(m-1)) normalized over clusters.
 
     Rows with one or more exact-zero distances give those clusters equal
-    full membership (coincident-point degeneracy).
+    full membership (coincident-point degeneracy).  A row whose powers
+    overflow or underflow (e.g. a distance within rounding of zero) is
+    recomputed from its distances divided by their minimum: the same
+    ratios on a representable scale.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv = d2 ** (-exponent)
-        u = inv / inv.sum(axis=1, keepdims=True)
-    zero_rows = (d2 == 0.0).any(axis=1)
-    if zero_rows.any():
-        hits = d2[zero_rows] == 0.0
-        u[zero_rows] = hits / hits.sum(axis=1, keepdims=True)
+        total = inv.sum(axis=1, keepdims=True)
+        u = inv / total
+        # a row's memberships form a partition exactly when its total is finite and positive
+        bad = ~((total > 0.0) & (total < np.inf))[:, 0]
+        if bad.any():
+            rows = d2[bad]
+            inv = (rows / rows.min(axis=1, keepdims=True)) ** (-exponent)
+            fixed = inv / inv.sum(axis=1, keepdims=True)
+            hits = rows == 0.0
+            zero = hits.any(axis=1)
+            fixed[zero] = hits[zero] / hits[zero].sum(axis=1, keepdims=True)
+            u[bad] = fixed
     return u
 
 
@@ -103,13 +113,12 @@ def fcm_fit(X, cfg):
     )
 
 
-def derive_scales(X, res, override_scale=None, scale_min=SCALE_MIN):
+def derive_scales(X, res, override_scale=None):
     """Per-rule per-feature scales from the FCM fit.
 
     override_scale (initialization-study mode) fills the whole matrix with
     one value; otherwise scales are the fuzzy within-cluster dispersion
-    sqrt(sum_t u^m (x - c)^2 / sum_t u^m), floored at scale_min and capped
-    at 1.
+    sqrt(sum_t u^m (x - c)^2 / sum_t u^m), clipped to [SCALE_MIN, SCALE_MAX].
     """
     if override_scale is not None:
         r, f = res.centers.shape
@@ -119,4 +128,4 @@ def derive_scales(X, res, override_scale=None, scale_min=SCALE_MIN):
     diff2 = (X[:, None, :] - res.centers[None, :, :]) ** 2  # (N, R, F)
     weighted = np.einsum("tr,trf->rf", um, diff2)
     scales = np.sqrt(weighted / um.sum(axis=0)[:, None])
-    return np.clip(scales, scale_min, 1.0)
+    return np.clip(scales, SCALE_MIN, SCALE_MAX)

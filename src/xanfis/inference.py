@@ -1,7 +1,8 @@
 """Takagi-Sugeno forward pass: firing strengths, design matrix, LSE, predict.
 
 A RuleBase is treated as immutable; every operation returns a new one.
-The trainer owns the single evolving copy.
+The trainer owns the single evolving copy.  fit_consequents and predict
+check X once at entry; the kernels below them take that checked array.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_matrix, as_vector, ridge_solve
+from .numerics import as_matrix, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -63,7 +64,6 @@ class FiringMatrices:
 
 def membership_tensor(X, rb):
     """Standardized distances u = (x - c) / s per sample, rule and feature, (N, R, F)."""
-    X = as_matrix(X, "X")
     if X.shape[1] != rb.n_features:
         raise ValueError(
             f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
@@ -97,8 +97,7 @@ def design_matrix(fm, X, order):
     """
     if order == Order.ZERO:
         return fm.normalized
-    X = as_matrix(X, "X")
-    n, f = X.shape
+    n = X.shape[0]
     aug = np.concatenate([X, np.ones((n, 1))], axis=1)  # (N, F+1)
     blocks = fm.normalized[:, :, None] * aug[:, None, :]  # (N, R, F+1)
     return blocks.reshape(n, -1)
@@ -110,7 +109,7 @@ def fit_consequents(rb, X, y, lam):
     Returns (fitted rb, FiringMatrices on X, predictions on X); the
     predictions equal predict(fitted rb, X) bit for bit.
     """
-    y = as_vector(y, "y")
+    X = as_matrix(X, "X")
     fm = firing_strengths(X, rb)
     phi = design_matrix(fm, X, rb.order)
     w = ridge_solve(phi, y, lam)
@@ -121,7 +120,6 @@ def rule_outputs(rb, X):
     """Per-rule consequent values f_j(x_t), shape (N, R)."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
-    X = as_matrix(X, "X")
     n, f = X.shape
     if rb.order == Order.ZERO:
         return np.broadcast_to(rb.consequents, (n, rb.n_rules)).copy()
@@ -134,6 +132,7 @@ def predict(rb, X):
     """Weighted-average model output for each row of X."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
+    X = as_matrix(X, "X")
     phi = design_matrix(firing_strengths(X, rb), X, rb.order)
     return phi @ rb.consequents
 

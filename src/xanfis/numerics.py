@@ -1,8 +1,8 @@
 """Shared numeric kernels: ridge solver, CI statistics, seeded RNG.
 
-All matrices and vectors are float64 numpy arrays.  Helpers here validate
-shape/finiteness at the boundary so the higher layers can assume clean
-inputs.
+All matrices and vectors are float64 numpy arrays.  Public entry points
+check shape/finiteness once with as_matrix/as_vector, so the kernels
+below them can assume clean inputs.
 """
 
 from __future__ import annotations

@@ -127,8 +127,9 @@ def mean_distinguishability(rb):
 def mse_antecedent_gradients(rb, fm, X, y):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
-    fm holds rb's firing matrices on X.  Chain rule through the normalized
-    firing strengths, with fm's row floor den and live-row mask:
+    X and y are checked arrays (train checks them once) and fm holds rb's
+    firing matrices on X.  Chain rule through the normalized firing
+    strengths, with fm's row floor den and live-row mask:
 
         d yhat_t / d raw_tj = (f_j(x_t) - live_t * yhat_t) / den_t
         d raw_tj / d theta_jf = raw_tj * d log mu_tjf / d theta,
@@ -137,8 +138,6 @@ def mse_antecedent_gradients(rb, fm, X, y):
     kind's factor g at fm's standardized distances u; these stay finite
     even when mu underflows.  The 1/s is applied after the sum over samples.
     """
-    X = as_matrix(X, "X")
-    y = as_vector(y, "y")
     n = X.shape[0]
     fout = rule_outputs(rb, X)
     yhat = (fm.normalized * fout).sum(axis=1)
@@ -208,19 +207,25 @@ def _mse(yhat, y):
     return float(np.mean(diff * diff))
 
 
-def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
+def train(X_train, y_train, X_val, y_val, rb0, cfg):
     """Run the alternating loop; returns (best-validation RuleBase, traces).
 
     Epoch 0 records the initial model with consequents fitted once.  Each
     later epoch applies the mode's antecedent passes and refits the
     consequents; training stops after cfg.patience epochs without a
-    validation improvement or at cfg.max_epochs.
+    validation improvement or at cfg.max_epochs.  Every trace carries a
+    snapshot of that epoch's centers and scales.
     """
     cfg.validate()
     X_train = as_matrix(X_train, "X_train")
     y_train = as_vector(y_train, "y_train")
     X_val = as_matrix(X_val, "X_val")
     y_val = as_vector(y_val, "y_val")
+    for part, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
+        if X.shape[0] != y.shape[0]:
+            raise ValueError(
+                f"X_{part} has {X.shape[0]} rows but y_{part} has {y.shape[0]} entries"
+            )
 
     traces = []
 
@@ -241,8 +246,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg, record_trajectory=False):
                 train_mse=train_mse,
                 val_mse=val_mse,
                 mean_D=mean_distinguishability(rb)[0] if rb.n_rules > 1 else 0.0,
-                centers_snapshot=rb.centers.copy() if record_trajectory else None,
-                scales_snapshot=rb.scales.copy() if record_trajectory else None,
+                centers_snapshot=rb.centers.copy(),
+                scales_snapshot=rb.scales.copy(),
             )
         )
         return val_mse
@@ -284,10 +289,7 @@ def traces_to_csv(traces, path):
 
 
 def trajectory_to_csv(traces, path):
-    """Per-parameter rows (epoch, rule, feature, center, scale).
-
-    Requires traces recorded with record_trajectory=True.
-    """
+    """Per-parameter rows (epoch, rule, feature, center, scale) of snapshotted traces."""
 
     def rows():
         for t in traces:

@@ -68,10 +68,7 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     scales = derive_scales(split.X_train, fcm, override_scale=init_scale)
     rb0 = RuleBase(mf_kind=mf, centers=fcm.centers, scales=scales)
     cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience)
-    rb, traces = train(
-        split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg,
-        record_trajectory=True,
-    )
+    rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
     _, _, _, r2 = regression_metrics(split.y_test, predict(rb, split.X_test))
     mean_d, _ = mean_distinguishability(rb)
     return {

@@ -11,7 +11,6 @@ import pytest
 
 from xanfis.cli import (
     ExperimentConfig,
-    SweepSpec,
     build_config,
     build_parser,
     cmd_export_partition,
@@ -22,7 +21,7 @@ from xanfis.cli import (
     weight_grid,
 )
 from xanfis.inference import load_model
-from xanfis.membership import membership_values
+from xanfis.membership import SCALE_MAX, SCALE_MIN, membership_values
 from xanfis.metrics import mean_distinguishability
 
 
@@ -48,7 +47,7 @@ def read_rows(path):
 
 class TestWeightGrid:
     def test_log_spaced_with_exact_endpoints(self):
-        grid = weight_grid(SweepSpec(count=20, lo=0.01, hi=10.0))
+        grid = weight_grid(20, 0.01, 10.0)
         assert len(grid) == 20
         assert grid[0] == 0.01
         assert grid[-1] == 10.0
@@ -56,13 +55,13 @@ class TestWeightGrid:
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-9)
 
     def test_single_weight(self):
-        np.testing.assert_array_equal(weight_grid(SweepSpec(count=1, lo=0.5, hi=2.0)), [0.5])
+        np.testing.assert_array_equal(weight_grid(1, 0.5, 2.0), [0.5])
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            weight_grid(SweepSpec(count=0, lo=0.01, hi=10))
+            weight_grid(0, 0.01, 10)
         with pytest.raises(ValueError):
-            weight_grid(SweepSpec(count=5, lo=-1.0, hi=10))
+            weight_grid(5, -1.0, 10)
 
 
 class TestTrainCommand:
@@ -135,6 +134,11 @@ class TestInitStudyCommand:
         with pytest.raises(ValueError, match="nonempty"):
             cmd_init_study(fast_cfg(tmp_path / "s"), [])
 
+    def test_scale_bounds_accepted(self, tmp_path):
+        out = tmp_path / "study"
+        cmd_init_study(fast_cfg(out, seeds=[0], max_epochs=2), [SCALE_MIN, SCALE_MAX])
+        assert {r["init_scale"] for r in read_rows(out / "summary.csv")} == {"0.001", "1.0"}
+
     def test_colliding_file_stems_rejected(self, tmp_path):
         # both scales print as 0.1 under %g, so their trace files would collide
         out = tmp_path / "s"
@@ -146,8 +150,8 @@ class TestInitStudyCommand:
 class TestParetoSweepCommand:
     def test_points_and_front_files(self, tmp_path):
         out = tmp_path / "sweep"
-        cfg = fast_cfg(out, seeds=[0])
-        records, front = cmd_pareto_sweep(cfg, SweepSpec(count=5, lo=0.01, hi=10.0))
+        cfg = fast_cfg(out, seeds=[0], weights_count=5, weights_lo=0.01, weights_hi=10.0)
+        records, front = cmd_pareto_sweep(cfg)
         points = read_rows(out / "points.csv")
         assert len(points) == 7  # 5 weights + 2 reference rows
         assert points[-2]["mode"] == "anfis" and points[-2]["run_id"] == "ref_anfis"
@@ -160,7 +164,8 @@ class TestParetoSweepCommand:
     def test_front_file_sorted_by_r2_descending(self, tmp_path):
         # with this seed and grid the sweep order of the front is not its r2 order
         out = tmp_path / "sweep"
-        _, front = cmd_pareto_sweep(fast_cfg(out, seeds=[0]), SweepSpec(count=6, lo=0.01, hi=10.0))
+        cfg = fast_cfg(out, seeds=[0], weights_count=6, weights_lo=0.01, weights_hi=10.0)
+        _, front = cmd_pareto_sweep(cfg)
         rows = read_rows(out / "front.csv")
         r2 = [float(r["r2"]) for r in rows]
         assert len(r2) >= 2 and r2 == sorted(r2, reverse=True)
@@ -170,16 +175,19 @@ class TestParetoSweepCommand:
         # every run's first lambda-0 refit is singular (60 columns, 35 rows):
         # all are listed with r2 nan and none is on the front
         out = tmp_path / "sweep"
-        cfg = fast_cfg(out, seeds=[0], synth_n=50, rules=20, order="first", lam=0.0)
-        records, front = cmd_pareto_sweep(cfg, SweepSpec(count=3, lo=0.01, hi=10.0))
+        cfg = fast_cfg(
+            out, seeds=[0], synth_n=50, rules=20, order="first", lam=0.0,
+            weights_count=3, weights_lo=0.01, weights_hi=10.0,
+        )
+        records, front = cmd_pareto_sweep(cfg)
         assert all(r.diverged for r in records) and front == []
         assert [r["r2"] for r in read_rows(out / "points.csv")] == ["nan"] * 5
         assert read_rows(out / "front.csv") == []
 
     def test_front_matches_brute_force(self, tmp_path):
         out = tmp_path / "sweep"
-        cfg = fast_cfg(out, seeds=[1])
-        _, front = cmd_pareto_sweep(cfg, SweepSpec(count=6, lo=0.01, hi=10.0))
+        cfg = fast_cfg(out, seeds=[1], weights_count=6, weights_lo=0.01, weights_hi=10.0)
+        _, front = cmd_pareto_sweep(cfg)
         points = [r for r in read_rows(out / "points.csv") if r["mode"] == "mo_anfis"]
         vals = [(r["run_id"], float(r["r2"]), float(r["mean_D"])) for r in points]
         survivors = set()
@@ -302,6 +310,21 @@ class TestMainEntry:
         out = tmp_path / "x"
         assert main(["pareto-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "pareto-sweep runs one seed, got seeds [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scales, shown",
+        [("1,0", "0"), ("1,nan", "nan"), ("-0.5", "-0.5"), ("5", "5"), ("inf", "inf"),
+         ("1e-9", "1e-09")],
+    )
+    def test_init_study_rejects_scales_outside_bounds(self, tmp_path, capsys, scales, shown):
+        out = tmp_path / "study"
+        args = [
+            "init-study", "--synth", "sinc2d", "--synth-n", "300", "--rules", "4",
+            "--epochs", "5", "--seeds", "0", "--scales", scales, "--out", str(out),
+        ]
+        assert main(args) == 1
+        assert f"init scale {shown} is outside [0.001, 1]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_init_study_records_singular_runs(self, tmp_path, capsys):

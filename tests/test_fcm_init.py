@@ -151,6 +151,19 @@ class TestFit:
             u = _memberships_from_distances(d2, exponent)
         np.testing.assert_array_equal(u, expected)
 
+    @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
+    def test_memberships_tiny_distance_row_is_full_membership(self, exponent):
+        # d2 ** -exponent overflows for the 1e-300 entry; the limit is [1, 0, 0]
+        d2 = np.array([[1e-300, 2.0, 3.0], [0.04, 0.25, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _memberships_from_distances(d2, exponent)
+        assert np.all(np.isfinite(u))
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u[0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+        inv = d2[1] ** (-exponent)
+        np.testing.assert_array_equal(u[1], inv / inv.sum())
+
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             fcm_fit(np.zeros((3, 2)), FCMConfig(n_clusters=4, seed=0))

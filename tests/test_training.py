@@ -1,6 +1,7 @@
 """Training passes: gradient oracles, adjacency, X-pass, modes, early stop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xanfis.inference
+import xanfis.numerics
 from xanfis.inference import Order, RuleBase, firing_strengths, fit_consequents, predict
 from xanfis.membership import SCALE_MIN, MFKind
 from xanfis.training import (
@@ -458,7 +460,7 @@ class TestTrainLoop:
     def test_epochs_strictly_increasing_and_traces_complete(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=6)
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=15, patience=15)
-        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg, record_trajectory=True)
+        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         epochs = [t.epoch for t in traces]
         assert epochs == list(range(len(traces)))
         assert all(t.centers_snapshot is not None for t in traces)
@@ -480,6 +482,56 @@ class TestTrainLoop:
             _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
             assert len(traces) == 7
             assert calls["n"] == 2 * 6 + 2
+
+    @pytest.mark.parametrize("order", list(Order))
+    def test_four_validation_scans_per_epoch(self, monkeypatch, order):
+        # per epoch: X in fit_consequents, phi and y in ridge_solve, X_val in
+        # predict; the kernels below the entry points re-check nothing
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        rb0 = RuleBase(rb0.mf_kind, rb0.centers, rb0.scales, order=order)
+        calls = {"n": 0}
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls["n"] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        for real in (xanfis.numerics.as_matrix, xanfis.numerics.as_vector):
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] != "xanfis":
+                    continue
+                for attr, obj in list(vars(mod).items()):
+                    if obj is real:
+                        monkeypatch.setattr(mod, attr, counting(real))
+
+        def scans(mode, epochs):
+            calls["n"] = 0
+            cfg = TrainConfig(mode=mode, max_epochs=epochs, patience=epochs + 1)
+            _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+            assert len(traces) == epochs + 1
+            return calls["n"]
+
+        for mode in Mode:
+            assert scans(mode, 6) - scans(mode, 0) == 4 * 6
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_row_count_mismatch_rejected_before_epoch_0(self, monkeypatch, part):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        arrays = {"train": (X_tr, y_tr[:1], X_val, y_val), "val": (X_tr, y_tr, X_val, y_val[:1])}
+        n_rows = {"train": 40, "val": 20}[part]
+        forwards = {"n": 0}
+        real = xanfis.inference.membership_tensor
+
+        def counting(X, rb):
+            forwards["n"] += 1
+            return real(X, rb)
+
+        monkeypatch.setattr(xanfis.inference, "membership_tensor", counting)
+        with pytest.raises(ValueError, match=f"X_{part} has {n_rows} rows but y_{part} has 1 entries"):
+            train(*arrays[part], rb0, TrainConfig(mode=Mode.ANFIS, max_epochs=3))
+        assert forwards["n"] == 0
 
     def test_singular_refit_is_divergence(self):
         # rule 0 sits at SCALE_MIN beyond every sample, so its design column
@@ -549,7 +601,7 @@ class TestModeDegeneracy:
     def test_bounds_hold_every_epoch(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=11)
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=25, patience=25)
-        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg, record_trajectory=True)
+        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         for t in traces:
             assert np.all(t.centers_snapshot >= 0.0) and np.all(t.centers_snapshot <= 1.0)
             assert np.all(t.scales_snapshot >= SCALE_MIN) and np.all(t.scales_snapshot <= 1.0)
