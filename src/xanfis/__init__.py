@@ -15,18 +15,7 @@ from .data import (
     synth_regression,
 )
 from .fcm_init import FCMConfig, FCMResult, derive_scales, fcm_fit
-from .inference import (
-    EPS_DENOM,
-    FiringMatrices,
-    Order,
-    RuleBase,
-    design_matrix,
-    firing_strengths,
-    fit_consequents,
-    load_model,
-    predict,
-    save_model,
-)
+from .inference import Order, RuleBase, fit_consequents, load_model, predict, save_model
 from .membership import SCALE_MIN, MFKind
 from .metrics import (
     EvalReport,
@@ -43,16 +32,7 @@ from .numerics import (
     mean_ci95,
     ridge_solve,
 )
-from .training import (
-    DivergenceError,
-    EpochTrace,
-    Mode,
-    TrainConfig,
-    adjacency_pairs,
-    backward_pass,
-    train,
-    xpass_update,
-)
+from .training import DivergenceError, EpochTrace, Mode, TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -60,12 +40,10 @@ __all__ = [
     "DatasetManifest",
     "DatasetSplit",
     "DivergenceError",
-    "EPS_DENOM",
     "EpochTrace",
     "EvalReport",
     "FCMConfig",
     "FCMResult",
-    "FiringMatrices",
     "InsufficientDataError",
     "MFKind",
     "Mode",
@@ -77,13 +55,9 @@ __all__ = [
     "Scaler",
     "SingularMatrixError",
     "TrainConfig",
-    "adjacency_pairs",
-    "backward_pass",
     "derive_scales",
-    "design_matrix",
     "evaluate_model",
     "fcm_fit",
-    "firing_strengths",
     "fit_consequents",
     "load_csv",
     "load_manifest",
@@ -98,5 +72,4 @@ __all__ = [
     "split_scale",
     "synth_regression",
     "train",
-    "xpass_update",
 ]

@@ -18,13 +18,17 @@ import argparse
 import concurrent.futures
 import contextlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import load_csv, load_manifest, split_scale, synth_regression, write_csv
+from .data import (
+    SYNTH_DATASETS, check_synth, load_csv, load_manifest, split_scale, synth_regression,
+    write_csv,
+)
 from .fcm_init import FCMConfig, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
@@ -46,32 +50,36 @@ from .training import (
 )
 
 
+#: accepted types of each config field annotation; a JSON integer is a
+#: valid float and is kept as given, so the repr() of every output is unchanged
+_FIELD_TYPES = {
+    "Mode": str, "str": str, "str | None": (str, type(None)), "int": int,
+    "float": (int, float), "bool": bool, "list": list,
+}
+
+
+def _has_type(value, kind):
+    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
+    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(TrainConfig):
+    """Every knob of a command: the TrainConfig fields plus data, model and experiment."""
+
     # data source: exactly one of manifest / synth
     manifest: str | None = None
     synth: str | None = None
     synth_n: int = 2000
     synth_noise: float = 0.05
     # model
-    mode: str = "anfis"
     mf: str = "cauchy"
     rules: int = 5
     order: str = "zero"
-    # training
-    lr_backward: float = 0.1
-    lr_xpass: float = 0.1
-    lam: float = 1e-4
-    d_target: float = 0.5
-    mo_weight: float = 1.0
-    max_epochs: int = 500
-    patience: int = 20
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
     # clustering
-    fcm_fuzziness: float = 2.0
-    fcm_tol: float = 1e-5
-    fcm_max_iter: int = 300
+    fcm_fuzziness: float = FCMConfig.fuzziness
+    fcm_tol: float = FCMConfig.tol
+    fcm_max_iter: int = FCMConfig.max_iter
     # experiment
     seeds: list = field(default_factory=lambda: list(range(10)))
     out: str = "runs"
@@ -84,19 +92,42 @@ class ExperimentConfig:
     weights_lo: float = 0.01
     weights_hi: float = 10.0
 
-    def train_config(self, mode=None, mo_weight=None):
-        return TrainConfig(
-            mode=Mode(mode or self.mode),
-            lr_backward=self.lr_backward,
-            lr_xpass=self.lr_xpass,
-            lam=self.lam,
-            d_target=self.d_target,
-            mo_weight=self.mo_weight if mo_weight is None else mo_weight,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            clip_lo=self.clip_lo,
-            clip_hi=self.clip_hi,
+    def fcm_config(self, seed):
+        """The FCM settings of this config's rules and fcm_* fields, seeded."""
+        return FCMConfig(
+            n_clusters=self.rules, fuzziness=self.fcm_fuzziness, tol=self.fcm_tol,
+            max_iter=self.fcm_max_iter, seed=seed,
         )
+
+    def validate(self):
+        """Reject, naming it, any value a run would fail on or silently misuse."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        super().validate()
+        for name, kind in (("mode", Mode), ("mf", MFKind), ("order", Order)):
+            value, names = getattr(self, name), [member.value for member in kind]
+            if value not in names:
+                raise ValueError(f"{name} must be one of {names}, got {value!r}")
+        if not (self.manifest or self.synth):
+            raise ValueError("config must name either a CSV manifest or a synthetic dataset")
+        if not self.manifest:
+            check_synth(self.synth, self.synth_n)
+        self.fcm_config(seed=0).validate()
+        weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.seeds or not all(_has_type(seed, "int") for seed in self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(
+                f"duplicate seeds in {self.seeds}: each seed names its own output files"
+            )
+        if not all(_has_type(scale, "float") for scale in self.scales):
+            raise ValueError(f"scales must be numbers, got {self.scales!r}")
 
 
 def weight_grid(count, lo, hi):
@@ -138,22 +169,10 @@ def prepare_seed(task):
     seed = int(task["seed"])
     if cfg.manifest:
         X, y = load_csv(load_manifest(cfg.manifest))
-    elif cfg.synth:
-        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
     else:
-        raise ValueError("config must name either a CSV manifest or a synthetic dataset")
+        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
     split = split_scale(X, y, seed=seed)
-    fcm = fcm_fit(
-        split.X_train,
-        FCMConfig(
-            n_clusters=cfg.rules,
-            fuzziness=cfg.fcm_fuzziness,
-            tol=cfg.fcm_tol,
-            max_iter=cfg.fcm_max_iter,
-            seed=seed,
-        ),
-    )
-    return split, fcm
+    return split, fcm_fit(split.X_train, cfg.fcm_config(seed))
 
 
 def run_experiment(task):
@@ -172,7 +191,7 @@ def run_experiment(task):
     rb0 = RuleBase(
         mf_kind=mf, centers=fcm.centers, scales=scales, order=Order(cfg.order)
     )
-    tcfg = cfg.train_config(mode=mode, mo_weight=task.get("mo_weight"))
+    tcfg = replace(cfg, mode=mode, mo_weight=task.get("mo_weight", cfg.mo_weight))
 
     diverged = False
     try:
@@ -277,6 +296,7 @@ def _aggregate_row(name, values):
 
 def cmd_train(cfg):
     """One model per seed; writes models, traces, metrics and aggregates."""
+    cfg.validate()
     _check_out_dir(cfg.out)
     tasks = [
         {"cfg": cfg, "run_id": f"seed{seed:04d}", "seed": seed}
@@ -310,19 +330,20 @@ def cmd_train(cfg):
     return records
 
 
-def cmd_init_study(cfg, scale_list):
-    """Both MF kinds across the given initialization scales (one seed).
+def cmd_init_study(cfg):
+    """Both MF kinds across the initialization scales cfg.scales (one seed).
 
     Every run's parameter trajectory is written; diverged runs keep their
     last finite metrics instead of aborting the study.
     """
-    if not scale_list:
+    cfg.validate()
+    if not cfg.scales:
         raise ValueError("init-study needs a nonempty list of initialization scales")
-    stems = [f"{float(scale):g}" for scale in scale_list]
+    stems = [f"{float(scale):g}" for scale in cfg.scales]
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ValueError(f"init scales share output file names: {', '.join(clashes)}")
-    for scale in scale_list:
+    for scale in cfg.scales:
         if not SCALE_MIN <= float(scale) <= SCALE_MAX:
             raise ValueError(
                 f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
@@ -331,7 +352,7 @@ def cmd_init_study(cfg, scale_list):
     seed = cfg.seeds[0]
     tasks = []
     for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY):
-        for idx, scale in enumerate(scale_list):
+        for idx, scale in enumerate(cfg.scales):
             tasks.append(
                 {
                     "cfg": cfg,
@@ -368,6 +389,7 @@ def cmd_pareto_sweep(cfg):
     Writes points.csv (sweep points then reference rows) and front.csv
     (non-dominated subset of the sweep points, sorted by r2 descending).
     """
+    cfg.validate()
     _check_out_dir(cfg.out)
     weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi)
     seed = cfg.seeds[0]
@@ -388,8 +410,7 @@ def cmd_pareto_sweep(cfg):
     sweep_records = [r for r in records if r.run_id.startswith("mo_w")]
     refs = [r for r in records if not r.run_id.startswith("mo_w")]
     points = [
-        ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D,
-                    config={"weight": r.weight, "mode": r.mode})
+        ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D)
         for r in sweep_records
         if np.isfinite(r.report.r2)  # a run that failed before its first fit has no r2
     ]
@@ -462,7 +483,7 @@ def _parse_range(text):
 def _add_common_flags(p):
     p.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p.add_argument("--manifest", help="JSON dataset manifest (CSV ingestion)")
-    p.add_argument("--synth", choices=["two_blob", "sinc2d", "friedman"])
+    p.add_argument("--synth", choices=SYNTH_DATASETS)
     p.add_argument("--synth-n", type=int, dest="synth_n")
     p.add_argument("--synth-noise", type=float, dest="synth_noise")
     p.add_argument("--mode", choices=[m.value for m in Mode])
@@ -531,12 +552,7 @@ def build_config(args):
     if getattr(args, "weights_range", None) is not None:
         doc["weights_lo"], doc["weights_hi"] = args.weights_range
         explicit.update(("weights_lo", "weights_hi"))
-    cfg = ExperimentConfig(**doc)
-    if not cfg.seeds:
-        raise ValueError("need at least one seed")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ValueError(f"duplicate seeds in {cfg.seeds}: each seed names its own output files")
-    return cfg, explicit
+    return ExperimentConfig(**doc), explicit
 
 
 def main(argv=None):
@@ -548,7 +564,8 @@ def main(argv=None):
             return 0
         cfg, explicit = build_config(args)
         one_seed = args.command in ("init-study", "pareto-sweep")
-        if one_seed and "seeds" in explicit and len(cfg.seeds) > 1:
+        # a seeds value that is not a list is rejected by the command's validate
+        if one_seed and "seeds" in explicit and isinstance(cfg.seeds, list) and len(cfg.seeds) > 1:
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
         if cfg.mode == Mode.ANFIS.value and "lr_xpass" in explicit:
             print("warning: lr_xpass is ignored in anfis mode", file=sys.stderr)
@@ -560,12 +577,9 @@ def main(argv=None):
                 return 1
             return 0
         if args.command == "init-study":
-            if args.scales is not None and not args.scales:
-                parser.error("--scales must list at least one value")
-            scale_list = args.scales if args.scales is not None else cfg.scales
-            if not scale_list:
+            if not cfg.scales:
                 parser.error("init-study needs --scales or a 'scales' config entry")
-            cmd_init_study(cfg, scale_list)
+            cmd_init_study(cfg)
             return 0
         if args.command == "pareto-sweep":
             cmd_pareto_sweep(cfg)

@@ -234,6 +234,8 @@ SINC2D_BLOB_STD = 0.05
 
 TWO_BLOB_CENTERS = ((0.2, 0.2), (0.8, 0.8))
 
+SYNTH_DATASETS = ("two_blob", "sinc2d", "friedman")
+
 
 def sinc2d_target(X):
     """sin(pi x1)/(pi x1) * sin(pi x2)/(pi x2) with the limit value 1 at 0."""
@@ -250,11 +252,18 @@ def friedman_target(X):
     )
 
 
+def check_synth(name, n):
+    """Reject a synthetic dataset of fewer than 50 rows or not in SYNTH_DATASETS."""
+    if n < 50:
+        raise ValueError(f"need n >= 50, got {n}")
+    if name not in SYNTH_DATASETS:
+        raise ValueError(f"unknown synthetic dataset {name!r}")
+
+
 def synth_regression(name, n, noise, seed):
     """Deterministic synthetic datasets: two_blob, sinc2d or friedman."""
     n = int(n)
-    if n < 50:
-        raise ValueError(f"need n >= 50, got {n}")
+    check_synth(name, n)
     stream = RandomStream(seed)
     if name == "two_blob":
         half = n // 2
@@ -280,8 +289,6 @@ def synth_regression(name, n, noise, seed):
         X = np.column_stack([x1, x2])
         y = sinc2d_target(X) + noise * stream.normals(n)
         return X, y
-    if name == "friedman":
-        X = stream.uniforms(5 * n).reshape(n, 5)
-        y = friedman_target(X) + noise * stream.normals(n)
-        return X, y
-    raise ValueError(f"unknown synthetic dataset {name!r}")
+    X = stream.uniforms(5 * n).reshape(n, 5)  # friedman
+    y = friedman_target(X) + noise * stream.normals(n)
+    return X, y

@@ -30,6 +30,8 @@ class FCMConfig:
             raise ValueError(f"fuzziness must be > 1, got {self.fuzziness}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass

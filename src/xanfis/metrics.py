@@ -32,7 +32,6 @@ class ParetoPoint:
     run_id: str
     r2: float
     mean_D: float
-    config: dict = field(default_factory=dict)
 
 
 def regression_metrics(y, yhat):
@@ -63,19 +62,12 @@ def pareto_front(points):
     bad = [p.run_id for p in points if not (math.isfinite(p.r2) and math.isfinite(p.mean_D))]
     if bad:
         raise ValueError(f"non-finite r2 or mean_D in point(s): {', '.join(bad)}")
-    ordered = sorted(points, key=lambda p: (-p.r2, -p.mean_D))
     front = []
-    best_d = -np.inf
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].r2 == ordered[i].r2:
-            j += 1
-        group_best = max(p.mean_D for p in ordered[i:j])
-        if group_best > best_d:
-            front.extend(p for p in ordered[i:j] if p.mean_D == group_best)
-            best_d = group_best
-        i = j
+    for p in sorted(points, key=lambda p: (-p.r2, -p.mean_D)):
+        # the last kept point has the largest mean_D of every point before p
+        last = front[-1] if front else None
+        if last is None or p.mean_D > last.mean_D or (p.r2, p.mean_D) == (last.r2, last.mean_D):
+            front.append(p)
     return front
 
 

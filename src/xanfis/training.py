@@ -88,8 +88,8 @@ class EpochTrace:
     train_mse: float
     val_mse: float
     mean_D: float
-    centers_snapshot: np.ndarray | None = None
-    scales_snapshot: np.ndarray | None = None
+    centers_snapshot: np.ndarray
+    scales_snapshot: np.ndarray
 
 
 def adjacency_pairs(centers):
@@ -289,21 +289,13 @@ def traces_to_csv(traces, path):
 
 
 def trajectory_to_csv(traces, path):
-    """Per-parameter rows (epoch, rule, feature, center, scale) of snapshotted traces."""
+    """Per-parameter rows (epoch, rule, feature, center, scale) of each trace's snapshot."""
 
     def rows():
         for t in traces:
-            if t.centers_snapshot is None:
-                raise ValueError(f"epoch {t.epoch} has no parameter snapshot")
-            r, f = t.centers_snapshot.shape
-            for j in range(r):
-                for k in range(f):
-                    yield [
-                        t.epoch,
-                        j,
-                        k,
-                        repr(float(t.centers_snapshot[j, k])),
-                        repr(float(t.scales_snapshot[j, k])),
-                    ]
+            centers, scales = t.centers_snapshot.tolist(), t.scales_snapshot.tolist()
+            for j, (cs, ss) in enumerate(zip(centers, scales)):
+                for k, (c, s) in enumerate(zip(cs, ss)):
+                    yield [t.epoch, j, k, repr(c), repr(s)]
 
     write_csv(path, ["epoch", "rule", "feature", "center", "scale"], rows())

@@ -113,7 +113,7 @@ class TestTrainCommand:
 class TestInitStudyCommand:
     def test_kind_by_scale_grid(self, tmp_path):
         out = tmp_path / "study"
-        records = cmd_init_study(fast_cfg(out, seeds=[0]), [0.5, 0.25, 0.125])
+        records = cmd_init_study(fast_cfg(out, seeds=[0], scales=[0.5, 0.25, 0.125]))
         assert len(records) == 6  # two kinds x three scales
         rows = read_rows(out / "summary.csv")
         assert len(rows) == 6
@@ -125,25 +125,25 @@ class TestInitStudyCommand:
 
     def test_initial_scales_come_from_override(self, tmp_path):
         out = tmp_path / "study"
-        cmd_init_study(fast_cfg(out, seeds=[0]), [0.25])
+        cmd_init_study(fast_cfg(out, seeds=[0], scales=[0.25]))
         rows = read_rows(out / "trajectory_cauchy_0.25.csv")
         first_epoch = [r for r in rows if r["epoch"] == "0"]
         assert all(float(r["scale"]) == 0.25 for r in first_epoch)
 
     def test_empty_scales_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonempty"):
-            cmd_init_study(fast_cfg(tmp_path / "s"), [])
+            cmd_init_study(fast_cfg(tmp_path / "s", scales=[]))
 
     def test_scale_bounds_accepted(self, tmp_path):
         out = tmp_path / "study"
-        cmd_init_study(fast_cfg(out, seeds=[0], max_epochs=2), [SCALE_MIN, SCALE_MAX])
+        cmd_init_study(fast_cfg(out, seeds=[0], max_epochs=2, scales=[SCALE_MIN, SCALE_MAX]))
         assert {r["init_scale"] for r in read_rows(out / "summary.csv")} == {"0.001", "1.0"}
 
     def test_colliding_file_stems_rejected(self, tmp_path):
         # both scales print as 0.1 under %g, so their trace files would collide
         out = tmp_path / "s"
         with pytest.raises(ValueError, match="share output file names: 0.1"):
-            cmd_init_study(fast_cfg(out, seeds=[0]), [0.1, 0.5, 0.1000001])
+            cmd_init_study(fast_cfg(out, seeds=[0], scales=[0.1, 0.5, 0.1000001]))
         assert not out.exists()
 
 
@@ -390,6 +390,57 @@ class TestMainEntry:
         cfg, explicit = build_config(args)
         assert cfg.weights_lo == 0.01 and cfg.weights_hi == 10.0
         assert cfg.seeds == [0, 1]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "args, doc, shown",
+        [
+            (["--lr", "-1"], {}, "lr_backward must be positive, got -1.0"),
+            (["--rules", "1"], {}, "n_clusters must be >= 2, got 1"),
+            (["--d-target", "2"], {}, "d_target must be in (0, 1], got 2.0"),
+            (["--patience", "0"], {}, "patience must be >= 1, got 0"),
+            (["--workers", "0"], {}, "workers must be >= 1, got 0"),
+            (["--workers", "-2"], {}, "workers must be >= 1, got -2"),
+            ([], {"mode": "foo"}, "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'foo'"),
+            ([], {"order": "second"}, "order must be one of ['zero', 'first'], got 'second'"),
+            ([], {"rules": 4.0}, "rules must be int, got 4.0"),
+            ([], {"lr_backward": "0.1"}, "lr_backward must be float, got '0.1'"),
+            ([], {"seeds": "0"}, "seeds must be list, got '0'"),
+            ([], {"trajectory": "no"}, "trajectory must be bool, got 'no'"),
+            ([], {"max_epochs": True}, "max_epochs must be int, got True"),
+            ([], {"fcm_max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ([], {"synth_n": 300.5}, "synth_n must be int, got 300.5"),
+            ([], {"synth_n": 10}, "need n >= 50, got 10"),
+            ([], {"synth": "sinc"}, "unknown synthetic dataset 'sinc'"),
+            ([], {"lam": float("nan")}, "lam must be finite, got nan"),
+            ([], {"seeds": [0, True]}, "seeds must be a nonempty list of integers, got [0, True]"),
+            ([], {"scales": ["0.5"]}, "scales must be numbers, got ['0.5']"),
+        ],
+    )
+    def test_bad_value_rejected_before_out_dir(self, tmp_path, capsys, args, doc, shown):
+        cfg_path = tmp_path / "cfg.json"
+        base = {"synth": "sinc2d", "synth_n": 300, "rules": 4, "max_epochs": 3, "seeds": [0]}
+        cfg_path.write_text(json.dumps({**base, **doc}))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg_path), *args, "--out", str(out)]) == 1
+        assert f"error: {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_list_seeds_rejected_by_one_seed_command(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": "sinc2d", "seeds": 5}))
+        out = tmp_path / "x"
+        assert main(["pareto-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: seeds must be list, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [cmd_train, cmd_init_study, cmd_pareto_sweep])
+    def test_commands_validate_before_writing(self, tmp_path, command):
+        out = tmp_path / "runs"
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            command(fast_cfg(out, seeds=[0], scales=[0.5], workers=0))
+        assert not out.exists()
 
 
 class TestImportFootprint:

@@ -173,6 +173,9 @@ class TestFit:
             fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=1, seed=0))
         with pytest.raises(ValueError):
             fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, fuzziness=1.0, seed=0))
+        # zero iterations would return the all-zero initial centers
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+            fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, max_iter=0, seed=0))
 
 
 class TestDeriveScales:

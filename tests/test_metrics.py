@@ -150,9 +150,16 @@ class TestParetoFront:
         # inject exact ties
         pts[50] = ParetoPoint("p50", pts[10].r2, pts[10].mean_D)
         pts[60] = ParetoPoint("p60", pts[10].r2, 0.0)
-        fast = {p.run_id for p in pareto_front(pts)}
-        slow = {p.run_id for p in brute_force_front(pts)}
-        assert fast == slow
+        # tie-heavy: shared r2 with a different mean_D, shared mean_D with a different r2
+        grid = [0.1, 0.2, 0.3, 0.5]
+        ties = [
+            ParetoPoint(f"t{i}", float(rng.choice(grid)), float(rng.choice(grid)))
+            for i in range(40)
+        ]
+        for case in (pts, ties):
+            fast = {p.run_id for p in pareto_front(case)}
+            slow = {p.run_id for p in brute_force_front(case)}
+            assert fast == slow
 
     def test_output_sorted_by_r2_descending(self):
         rng = np.random.default_rng(18)

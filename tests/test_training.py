@@ -609,9 +609,12 @@ class TestModeDegeneracy:
 
 class TestTraceExport:
     def test_trace_csv_round_trip(self, tmp_path):
+        snap = np.array([[0.5]])
         traces = [
-            EpochTrace(epoch=0, train_mse=0.5, val_mse=0.6, mean_D=0.1),
-            EpochTrace(epoch=1, train_mse=0.25, val_mse=0.3, mean_D=0.2),
+            EpochTrace(epoch=0, train_mse=0.5, val_mse=0.6, mean_D=0.1,
+                       centers_snapshot=snap, scales_snapshot=snap),
+            EpochTrace(epoch=1, train_mse=0.25, val_mse=0.3, mean_D=0.2,
+                       centers_snapshot=snap, scales_snapshot=snap),
         ]
         path = tmp_path / "trace.csv"
         traces_to_csv(traces, path)
@@ -630,8 +633,4 @@ class TestTraceExport:
         trajectory_to_csv(traces, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,rule,feature,center,scale"
-        assert len(lines) == 1 + 4  # 2 rules x 2 features
-
-    def test_trajectory_requires_snapshots(self, tmp_path):
-        with pytest.raises(ValueError):
-            trajectory_to_csv([EpochTrace(0, 0.1, 0.1, 0.0)], tmp_path / "x.csv")
+        assert lines[1:] == ["0,0,0,0.1,0.5", "0,0,1,0.2,0.6", "0,1,0,0.3,0.7", "0,1,1,0.4,0.8"]
