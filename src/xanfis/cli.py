@@ -112,9 +112,11 @@ class ExperimentConfig(TrainConfig):
             value, names = getattr(self, name), [member.value for member in kind]
             if value not in names:
                 raise ValueError(f"{name} must be one of {names}, got {value!r}")
-        if not (self.manifest or self.synth):
-            raise ValueError("config must name either a CSV manifest or a synthetic dataset")
-        if not self.manifest:
+        if bool(self.manifest) == bool(self.synth):
+            raise ValueError("config must name exactly one data source (manifest or synth)")
+        if self.manifest:
+            load_manifest(self.manifest)
+        else:
             check_synth(self.synth, self.synth_n)
         self.fcm_config(seed=0).validate()
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
@@ -144,58 +146,54 @@ def weight_grid(count, lo, hi):
     return grid
 
 
-@dataclass
-class RunRecord:
+@dataclass(frozen=True)
+class Run:
+    """One run of a command; cfg already carries the run's mode, mf and mo_weight."""
+
     run_id: str
-    mode: str
-    mf: str
     seed: int
+    cfg: ExperimentConfig
+    weight: float | None = None  # the scalarization weight of a sweep point
+    init_scale: float | None = None  # the init-study override of every scale
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunRecord(Run):
+    """A run and its results."""
+
     report: EvalReport
-    rb: object
+    rb: RuleBase
     traces: list
     scaler: object
-    epochs_run: int
-    diverged: bool = False
-    weight: float | None = None
-    init_scale: float | None = None
+    diverged: bool
+
+    @property
+    def epochs_run(self):
+        return max(len(self.traces) - 1, 0)
 
 
-def prepare_seed(task):
-    """Dataset, split and FCM fit of one seed, shared by all of its runs.
-
-    task: any task of the seed (only its cfg and seed are read).
-    """
-    cfg = task["cfg"]
-    seed = int(task["seed"])
+def prepare_seed(run):
+    """Dataset, split and FCM fit of run.seed, shared by all of the seed's runs."""
+    cfg = run.cfg
     if cfg.manifest:
         X, y = load_csv(load_manifest(cfg.manifest))
     else:
-        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
-    split = split_scale(X, y, seed=seed)
-    return split, fcm_fit(split.X_train, cfg.fcm_config(seed))
+        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
+    split = split_scale(X, y, seed=run.seed)
+    return split, fcm_fit(split.X_train, cfg.fcm_config(run.seed))
 
 
-def run_experiment(task):
-    """Train and evaluate one configured run; used by every subcommand.
-
-    task: dict with cfg (ExperimentConfig), run_id, seed and prepared (the
-    seed's (split, fcm) pair from prepare_seed), plus optional overrides
-    mode / mf / mo_weight / init_scale.
-    """
-    cfg = task["cfg"]
-    split, fcm = task["prepared"]
-    mode = Mode(task.get("mode", cfg.mode))
-    mf = MFKind(task.get("mf", cfg.mf))
-
-    scales = derive_scales(split.X_train, fcm, override_scale=task.get("init_scale"))
+def run_experiment(run, prepared):
+    """Train and evaluate one run on its seed's (split, fcm) pair from prepare_seed."""
+    split, fcm = prepared
+    cfg = run.cfg
+    scales = derive_scales(split.X_train, fcm, override_scale=run.init_scale)
     rb0 = RuleBase(
-        mf_kind=mf, centers=fcm.centers, scales=scales, order=Order(cfg.order)
+        mf_kind=MFKind(cfg.mf), centers=fcm.centers, scales=scales, order=Order(cfg.order)
     )
-    tcfg = replace(cfg, mode=mode, mo_weight=task.get("mo_weight", cfg.mo_weight))
-
     diverged = False
     try:
-        rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, tcfg)
+        rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
     except DivergenceError as err:
         diverged = True
         rb, traces = err.last_rb, err.traces
@@ -208,39 +206,29 @@ def run_experiment(task):
     else:
         report = evaluate_model(rb, split.X_test, split.y_test)
     return RunRecord(
-        run_id=task["run_id"],
-        mode=mode.value,
-        mf=mf.value,
-        seed=int(task["seed"]),
-        report=report,
-        rb=rb,
-        traces=traces,
-        scaler=split.scaler,
-        epochs_run=max(len(traces) - 1, 0),
-        diverged=diverged,
-        weight=task.get("mo_weight"),
-        init_scale=task.get("init_scale"),
+        **vars(run), report=report, rb=rb, traces=traces, scaler=split.scaler, diverged=diverged
     )
 
 
-def _run_all(tasks, workers):
-    """Prepare each distinct seed once, then run every task; sorted by run_id.
+def _run_all(runs, workers):
+    """Prepare each distinct seed once, then run every run; sorted by run_id.
 
-    Both stages go through the same map (a process pool when workers > 1),
-    so the preparation of different seeds is spread over the workers too.
+    Both stages go through the same map (a process pool of at most one
+    worker per run when workers > 1), so the preparation of different
+    seeds is spread over the workers too.
     """
-    first_task = {}
-    for task in tasks:
-        first_task.setdefault(task["seed"], task)
+    first_run = {}
+    for run in runs:
+        first_run.setdefault(run.seed, run)
+    workers = min(workers, len(runs))
     if workers > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     else:
         pool = contextlib.nullcontext()
     with pool as executor:
         mapper = executor.map if executor else map
-        prepared = dict(zip(first_task, mapper(prepare_seed, first_task.values())))
-        tasks = [{**task, "prepared": prepared[task["seed"]]} for task in tasks]
-        results = list(mapper(run_experiment, tasks))
+        prepared = dict(zip(first_run, mapper(prepare_seed, first_run.values())))
+        results = list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
     return sorted(results, key=lambda r: r.run_id)
 
 
@@ -255,24 +243,34 @@ def _check_out_dir(out):
         raise ValueError(f"output directory {out!r} is not writable: {err}") from err
 
 
-METRICS_COLUMNS = [
-    "run_id", "mode", "mf", "order", "rules", "seed", "lr_backward", "lr_xpass",
-    "lambda", "d_target", "mo_weight", "weight", "init_scale", "epochs_run",
-    "diverged", "mse", "rmse", "mae", "r2", "mean_D",
-]
+#: the cell of each run-table column, in metrics.csv order; floats at full
+#: precision, an unset run input empty; mode and mf may be enum members
+_CELLS = {
+    "run_id": lambda r: r.run_id,
+    "mode": lambda r: Mode(r.cfg.mode).value,
+    "mf": lambda r: MFKind(r.cfg.mf).value,
+    "order": lambda r: r.cfg.order,
+    "rules": lambda r: r.cfg.rules,
+    "seed": lambda r: r.seed,
+    "lr_backward": lambda r: repr(r.cfg.lr_backward),
+    "lr_xpass": lambda r: repr(r.cfg.lr_xpass),
+    "lambda": lambda r: repr(r.cfg.lam),
+    "d_target": lambda r: repr(r.cfg.d_target),
+    "mo_weight": lambda r: repr(r.cfg.mo_weight),
+    "weight": lambda r: "" if r.weight is None else repr(r.weight),
+    "init_scale": lambda r: "" if r.init_scale is None else repr(r.init_scale),
+    "epochs_run": lambda r: r.epochs_run,
+    "diverged": lambda r: int(r.diverged),
+    **{
+        m: lambda r, m=m: repr(getattr(r.report, m))
+        for m in ("mse", "rmse", "mae", "r2", "mean_D")
+    },
+}
 
 
-def _metrics_row(cfg, rec):
-    rep = rec.report
-    return [
-        rec.run_id, rec.mode, rec.mf, cfg.order, cfg.rules, rec.seed,
-        repr(cfg.lr_backward), repr(cfg.lr_xpass), repr(cfg.lam),
-        repr(cfg.d_target), repr(cfg.mo_weight),
-        "" if rec.weight is None else repr(rec.weight),
-        "" if rec.init_scale is None else repr(rec.init_scale),
-        rec.epochs_run, int(rec.diverged),
-        repr(rep.mse), repr(rep.rmse), repr(rep.mae), repr(rep.r2), repr(rep.mean_D),
-    ]
+def _write_table(path, columns, records):
+    """One CSV row per run record, one _CELLS cell per column."""
+    write_csv(path, list(columns), ([_CELLS[c](rec) for c in columns] for rec in records))
 
 
 def _aggregate_row(name, values):
@@ -298,11 +296,7 @@ def cmd_train(cfg):
     """One model per seed; writes models, traces, metrics and aggregates."""
     cfg.validate()
     _check_out_dir(cfg.out)
-    tasks = [
-        {"cfg": cfg, "run_id": f"seed{seed:04d}", "seed": seed}
-        for seed in cfg.seeds
-    ]
-    records = _run_all(tasks, cfg.workers)
+    records = _run_all([Run(f"seed{seed:04d}", seed, cfg) for seed in cfg.seeds], cfg.workers)
     for rec in records:
         save_model(
             os.path.join(cfg.out, f"model_{rec.run_id}.json"),
@@ -314,11 +308,7 @@ def cmd_train(cfg):
             trajectory_to_csv(
                 rec.traces, os.path.join(cfg.out, f"trajectory_{rec.run_id}.csv")
             )
-    write_csv(
-        os.path.join(cfg.out, "metrics.csv"),
-        METRICS_COLUMNS,
-        (_metrics_row(cfg, rec) for rec in records),
-    )
+    _write_table(os.path.join(cfg.out, "metrics.csv"), _CELLS, records)
     write_csv(
         os.path.join(cfg.out, "aggregate.csv"),
         ["metric", "mean", "ci_lo", "ci_hi", "n"],
@@ -349,36 +339,23 @@ def cmd_init_study(cfg):
                 f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
             )
     _check_out_dir(cfg.out)
-    seed = cfg.seeds[0]
-    tasks = []
-    for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY):
-        for idx, scale in enumerate(cfg.scales):
-            tasks.append(
-                {
-                    "cfg": cfg,
-                    "run_id": f"{kind.value}_s{idx:02d}",
-                    "seed": seed,
-                    "mode": Mode.ANFIS.value,
-                    "mf": kind.value,
-                    "init_scale": float(scale),
-                }
-            )
-    records = _run_all(tasks, cfg.workers)
+    runs = [
+        Run(
+            f"{kind.value}_s{idx:02d}", cfg.seeds[0],
+            replace(cfg, mode=Mode.ANFIS.value, mf=kind.value), init_scale=float(scale),
+        )
+        for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY)
+        for idx, scale in enumerate(cfg.scales)
+    ]
+    records = _run_all(runs, cfg.workers)
     for rec in records:
-        stem = f"{rec.mf}_{rec.init_scale:g}"
+        stem = f"{rec.cfg.mf}_{rec.init_scale:g}"
         traces_to_csv(rec.traces, os.path.join(cfg.out, f"trace_{stem}.csv"))
         trajectory_to_csv(rec.traces, os.path.join(cfg.out, f"trajectory_{stem}.csv"))
-    write_csv(
+    _write_table(
         os.path.join(cfg.out, "summary.csv"),
         ["mf", "init_scale", "mse", "rmse", "mae", "r2", "mean_D", "epochs_run", "diverged"],
-        (
-            [
-                rec.mf, repr(rec.init_scale), repr(rec.report.mse), repr(rec.report.rmse),
-                repr(rec.report.mae), repr(rec.report.r2), repr(rec.report.mean_D),
-                rec.epochs_run, int(rec.diverged),
-            ]
-            for rec in records
-        ),
+        records,
     )
     return records
 
@@ -391,52 +368,36 @@ def cmd_pareto_sweep(cfg):
     """
     cfg.validate()
     _check_out_dir(cfg.out)
-    weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi)
     seed = cfg.seeds[0]
-    tasks = [
-        {
-            "cfg": cfg,
-            "run_id": f"mo_w{idx:04d}",
-            "seed": seed,
-            "mode": Mode.MO_ANFIS.value,
-            "mo_weight": float(w),
-        }
+    weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi).tolist()
+    runs = [
+        Run(f"mo_w{idx:04d}", seed, replace(cfg, mode=Mode.MO_ANFIS.value, mo_weight=w), weight=w)
         for idx, w in enumerate(weights)
     ]
-    tasks.append({"cfg": cfg, "run_id": "ref_anfis", "seed": seed, "mode": Mode.ANFIS.value})
-    tasks.append({"cfg": cfg, "run_id": "ref_x_anfis", "seed": seed, "mode": Mode.X_ANFIS.value})
-    records = _run_all(tasks, cfg.workers)
-
-    sweep_records = [r for r in records if r.run_id.startswith("mo_w")]
-    refs = [r for r in records if not r.run_id.startswith("mo_w")]
+    runs.append(Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)))
+    runs.append(Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)))
+    # sorted by run_id: the mo_w sweep points, then the two references
+    records = _run_all(runs, cfg.workers)
+    sweep = [r for r in records if r.weight is not None]
     points = [
         ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D)
-        for r in sweep_records
+        for r in sweep
         if np.isfinite(r.report.r2)  # a run that failed before its first fit has no r2
     ]
     front = pareto_front(points)
-
     columns = ["run_id", "mode", "weight", "seed", "r2", "mean_D"]
-
-    def point_row(rec):
-        return [
-            rec.run_id, rec.mode,
-            "" if rec.weight is None else repr(rec.weight),
-            rec.seed, repr(rec.report.r2), repr(rec.report.mean_D),
-        ]
-
-    write_csv(os.path.join(cfg.out, "points.csv"), columns, map(point_row, sweep_records + refs))
-    by_id = {rec.run_id: rec for rec in sweep_records}
-    write_csv(
-        os.path.join(cfg.out, "front.csv"), columns, (point_row(by_id[p.run_id]) for p in front)
-    )
+    _write_table(os.path.join(cfg.out, "points.csv"), columns, records)
+    by_id = {rec.run_id: rec for rec in sweep}
+    _write_table(os.path.join(cfg.out, "front.csv"), columns, (by_id[p.run_id] for p in front))
     return records, front
 
 
 def cmd_export_partition(model_path, samples_per_curve, out):
     """Dump a saved model's centers and sampled membership curves."""
-    _check_out_dir(out)
     rb, _scaler = load_model(model_path)
+    if samples_per_curve < 1:
+        raise ValueError(f"samples must be >= 1, got {samples_per_curve}")
+    _check_out_dir(out)
     r, f = rb.centers.shape
     centers_path = os.path.join(out, "centers.csv")
     write_csv(
@@ -580,11 +541,9 @@ def main(argv=None):
             if not cfg.scales:
                 parser.error("init-study needs --scales or a 'scales' config entry")
             cmd_init_study(cfg)
-            return 0
-        if args.command == "pareto-sweep":
+        else:
             cmd_pareto_sweep(cfg)
-            return 0
-        parser.error(f"unknown command {args.command!r}")
+        return 0
     except (ValueError, OSError, DivergenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -46,11 +46,21 @@ class DatasetManifest:
 def load_manifest(path):
     """Read a JSON manifest file with the DatasetManifest fields."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"manifest {path} is not JSON: {err}") from err
+    required = ("csv_path", "target_column", "feature_columns")
+    missing = [key for key in required if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise ValueError(f"manifest {path} lacks {', '.join(missing)}")
+    features = doc["feature_columns"]
+    if not isinstance(features, list):
+        raise ValueError(f"manifest {path}: feature_columns must be a list, got {features!r}")
     manifest = DatasetManifest(
         csv_path=doc["csv_path"],
         target_column=doc["target_column"],
-        feature_columns=list(doc["feature_columns"]),
+        feature_columns=features,
         has_header=bool(doc.get("has_header", True)),
         delimiter=str(doc.get("delimiter", ",")),
     )

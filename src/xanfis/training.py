@@ -216,7 +216,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     validation improvement or at cfg.max_epochs.  Every trace carries a
     snapshot of that epoch's centers and scales.
     """
-    cfg.validate()
+    TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
     X_train = as_matrix(X_train, "X_train")
     y_train = as_vector(y_train, "y_train")
     X_val = as_matrix(X_val, "X_val")

@@ -1,5 +1,6 @@
 """Command harness: file contracts, grids, determinism, error paths."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -108,6 +109,27 @@ class TestTrainCommand:
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
             tmp_path / "b" / "metrics.csv"
         ).read_bytes()
+
+    def test_pool_capped_at_run_count(self, tmp_path, monkeypatch):
+        # a process pool starts all its workers up front: one run needs none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cmd_train(fast_cfg(tmp_path / "one", seeds=[0], workers=8))
+        cmd_train(fast_cfg(tmp_path / "three", seeds=[0, 1, 2], workers=8))
+        assert sizes == [3]
 
 
 class TestInitStudyCommand:
@@ -236,6 +258,18 @@ class TestExportPartitionCommand:
         assert main(["export-partition", "--model", str(bad), "--out", str(out)]) == 1
         assert "centers must be finite" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_nonpositive_samples_fail_before_writing(self, tmp_path, capsys, samples):
+        runs = tmp_path / "runs"
+        cmd_train(fast_cfg(runs, seeds=[0], max_epochs=2))
+        out = tmp_path / "export"
+        args = ["export-partition", "--model", str(runs / "model_seed0000.json"),
+                "--samples", samples, "--out", str(out)]
+        assert main(args) == 1
+        assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainEntry:
@@ -392,6 +426,19 @@ class TestMainEntry:
         assert cfg.seeds == [0, 1]
 
 
+#: manifest files the config-validation cases name (relative to the test's directory)
+MANIFESTS = {
+    "broken.json": "{broken",
+    "no_csv.json": json.dumps({"target_column": "y", "feature_columns": ["a"]}),
+    "str_features.json": json.dumps(
+        {"csv_path": "d.csv", "target_column": "y", "feature_columns": "ab"}
+    ),
+    "target_feature.json": json.dumps(
+        {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "y"]}
+    ),
+}
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "args, doc, shown",
@@ -416,9 +463,25 @@ class TestConfigValidation:
             ([], {"lam": float("nan")}, "lam must be finite, got nan"),
             ([], {"seeds": [0, True]}, "seeds must be a nonempty list of integers, got [0, True]"),
             ([], {"scales": ["0.5"]}, "scales must be numbers, got ['0.5']"),
+            (["--manifest", "no_csv.json"], {},
+             "config must name exactly one data source (manifest or synth)"),
+            ([], {"synth": None}, "config must name exactly one data source (manifest or synth)"),
+            (["--manifest", "nowhere.json"], {"synth": None},
+             "[Errno 2] No such file or directory: 'nowhere.json'"),
+            (["--manifest", "broken.json"], {"synth": None}, "manifest broken.json is not JSON"),
+            (["--manifest", "no_csv.json"], {"synth": None}, "manifest no_csv.json lacks csv_path"),
+            (["--manifest", "str_features.json"], {"synth": None},
+             "manifest str_features.json: feature_columns must be a list, got 'ab'"),
+            (["--manifest", "target_feature.json"], {"synth": None},
+             "target column 'y' is also listed as a feature"),
         ],
     )
-    def test_bad_value_rejected_before_out_dir(self, tmp_path, capsys, args, doc, shown):
+    def test_bad_value_rejected_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, args, doc, shown
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in MANIFESTS.items():
+            (tmp_path / name).write_text(text)
         cfg_path = tmp_path / "cfg.json"
         base = {"synth": "sinc2d", "synth_n": 300, "rules": 4, "max_epochs": 3, "seeds": [0]}
         cfg_path.write_text(json.dumps({**base, **doc}))
