@@ -100,7 +100,7 @@ class ExperimentConfig(TrainConfig):
         )
 
     def validate(self):
-        """Reject, naming it, any value a run would fail on or silently misuse."""
+        """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
         for f in fields(self):
             value = getattr(self, f.name)
             if not _has_type(value, f.type):
@@ -114,9 +114,7 @@ class ExperimentConfig(TrainConfig):
                 raise ValueError(f"{name} must be one of {names}, got {value!r}")
         if bool(self.manifest) == bool(self.synth):
             raise ValueError("config must name exactly one data source (manifest or synth)")
-        if self.manifest:
-            load_manifest(self.manifest)
-        else:
+        if self.synth:
             check_synth(self.synth, self.synth_n)
         self.fcm_config(seed=0).validate()
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
@@ -172,14 +170,12 @@ class RunRecord(Run):
         return max(len(self.traces) - 1, 0)
 
 
-def prepare_seed(run):
-    """Dataset, split and FCM fit of run.seed, shared by all of the seed's runs."""
+def prepare_seed(run, data):
+    """Split and FCM fit of run.seed on data, the command's (X, y) or None for a synthetic set."""
     cfg = run.cfg
-    if cfg.manifest:
-        X, y = load_csv(load_manifest(cfg.manifest))
-    else:
-        X, y = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
-    split = split_scale(X, y, seed=run.seed)
+    if data is None:
+        data = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
+    split = split_scale(*data, seed=run.seed)
     return split, fcm_fit(split.X_train, cfg.fcm_config(run.seed))
 
 
@@ -201,8 +197,7 @@ def run_experiment(run, prepared):
     if rb.consequents is None:
         # failed before the first fit: no error metrics, initial antecedents' D
         nan = float("nan")
-        mean_d, per_feature = mean_distinguishability(rb)
-        report = EvalReport(nan, nan, nan, nan, mean_d, per_feature)
+        report = EvalReport(nan, nan, nan, nan, mean_distinguishability(rb))
     else:
         report = evaluate_model(rb, split.X_test, split.y_test)
     return RunRecord(
@@ -210,24 +205,30 @@ def run_experiment(run, prepared):
     )
 
 
-def _run_all(runs, workers):
-    """Prepare each distinct seed once, then run every run; sorted by run_id.
+def _run_all(runs, cfg):
+    """Run every run of a command; sorted by run_id.
 
-    Both stages go through the same map (a process pool of at most one
-    worker per run when workers > 1), so the preparation of different
-    seeds is spread over the workers too.
+    The manifest and its CSV are read once, before cfg.out is made, so a
+    bad input leaves nothing behind.  Each distinct seed is then prepared
+    once and every run is run; both stages go through the same map (a
+    process pool of at most one worker per run when cfg.workers > 1), so
+    the preparation of different seeds is spread over the workers too.
     """
+    data = load_csv(load_manifest(cfg.manifest)) if cfg.manifest else None
+    _check_out_dir(cfg.out)
     first_run = {}
     for run in runs:
         first_run.setdefault(run.seed, run)
-    workers = min(workers, len(runs))
+    workers = min(cfg.workers, len(runs))
     if workers > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     else:
         pool = contextlib.nullcontext()
     with pool as executor:
         mapper = executor.map if executor else map
-        prepared = dict(zip(first_run, mapper(prepare_seed, first_run.values())))
+        prepared = mapper(prepare_seed, first_run.values(), [data] * len(first_run))
+        prepared = dict(zip(first_run, prepared))
+        del data  # every seed is split: the raw rows are not kept through training
         results = list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
     return sorted(results, key=lambda r: r.run_id)
 
@@ -295,8 +296,7 @@ def _aggregate_row(name, values):
 def cmd_train(cfg):
     """One model per seed; writes models, traces, metrics and aggregates."""
     cfg.validate()
-    _check_out_dir(cfg.out)
-    records = _run_all([Run(f"seed{seed:04d}", seed, cfg) for seed in cfg.seeds], cfg.workers)
+    records = _run_all([Run(f"seed{seed:04d}", seed, cfg) for seed in cfg.seeds], cfg)
     for rec in records:
         save_model(
             os.path.join(cfg.out, f"model_{rec.run_id}.json"),
@@ -338,7 +338,6 @@ def cmd_init_study(cfg):
             raise ValueError(
                 f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
             )
-    _check_out_dir(cfg.out)
     runs = [
         Run(
             f"{kind.value}_s{idx:02d}", cfg.seeds[0],
@@ -347,7 +346,7 @@ def cmd_init_study(cfg):
         for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY)
         for idx, scale in enumerate(cfg.scales)
     ]
-    records = _run_all(runs, cfg.workers)
+    records = _run_all(runs, cfg)
     for rec in records:
         stem = f"{rec.cfg.mf}_{rec.init_scale:g}"
         traces_to_csv(rec.traces, os.path.join(cfg.out, f"trace_{stem}.csv"))
@@ -367,7 +366,6 @@ def cmd_pareto_sweep(cfg):
     (non-dominated subset of the sweep points, sorted by r2 descending).
     """
     cfg.validate()
-    _check_out_dir(cfg.out)
     seed = cfg.seeds[0]
     weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi).tolist()
     runs = [
@@ -377,7 +375,7 @@ def cmd_pareto_sweep(cfg):
     runs.append(Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)))
     runs.append(Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)))
     # sorted by run_id: the mo_w sweep points, then the two references
-    records = _run_all(runs, cfg.workers)
+    records = _run_all(runs, cfg)
     sweep = [r for r in records if r.weight is not None]
     points = [
         ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D)
@@ -500,7 +498,12 @@ def build_config(args):
     doc = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as err:
+                raise ValueError(f"config {args.config} is not JSON: {err}") from err
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {args.config} must be a JSON object, got {doc!r}")
         unknown = set(doc) - _CONFIG_FIELDS
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -190,7 +190,6 @@ class DatasetSplit:
     X_test: np.ndarray
     y_test: np.ndarray
     scaler: Scaler
-    permutation: np.ndarray
 
 
 def split_scale(X, y, fractions=(0.7, 0.1, 0.2), seed=0):
@@ -225,7 +224,6 @@ def split_scale(X, y, fractions=(0.7, 0.1, 0.2), seed=0):
         X_test=scaler.transform_X(X[idx_test]),
         y_test=scaler.transform_y(y[idx_test]),
         scaler=scaler,
-        permutation=perm,
     )
 
 

@@ -8,7 +8,7 @@ units map predictions back with the scaler's range, y * (y_max - y_min) + y_min.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class EvalReport:
     mae: float
     r2: float
     mean_D: float
-    per_feature_D: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -74,7 +73,4 @@ def pareto_front(points):
 def evaluate_model(rb, X, y):
     """Predict and bundle regression metrics with distinguishability."""
     mse, rmse, mae, r2 = regression_metrics(y, predict(rb, X))
-    mean_d, per_feature = mean_distinguishability(rb)
-    return EvalReport(
-        mse=mse, rmse=rmse, mae=mae, r2=r2, mean_D=mean_d, per_feature_D=per_feature
-    )
+    return EvalReport(mse=mse, rmse=rmse, mae=mae, r2=r2, mean_D=mean_distinguishability(rb))

@@ -13,7 +13,7 @@ import numpy as np
 
 
 class SingularMatrixError(ValueError):
-    """Normal equations are singular and no regularization was requested."""
+    """The regularized normal equations are not positive definite in float64."""
 
 
 class InsufficientDataError(ValueError):
@@ -46,7 +46,9 @@ def ridge_solve(phi, y, lam):
     Solves the normal equations (phi^T phi + lam I) w = phi^T y with a
     Cholesky factorization; the system sizes here are small (columns =
     rules or rules*(features+1)), so the direct solve is both fast and
-    accurate once lam > 0 makes it positive definite.
+    accurate.  A system that is not positive definite in float64 (lam = 0
+    with dependent columns, or lam below rounding) raises
+    SingularMatrixError.
     """
     phi = as_matrix(phi, "phi")
     y = as_vector(y, "y")
@@ -66,17 +68,9 @@ def ridge_solve(phi, y, lam):
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
-        if lam == 0.0:
-            raise SingularMatrixError(
-                "phi^T phi is singular and lambda is 0; supply lambda > 0"
-            ) from err
-        # Positive lam guarantees a solution; fall back to the stacked
-        # least-squares form if the factorization hits conditioning limits.
-        n, r = phi.shape
-        stacked = np.vstack([phi, math.sqrt(lam) * np.eye(r)])
-        target = np.concatenate([y, np.zeros(r)])
-        w, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-        return w
+        raise SingularMatrixError(
+            f"phi^T phi + lambda I is not positive definite at lambda {lam}"
+        ) from err
     # two solves with the factor: L z = b, then L^T w = z
     return np.linalg.solve(low.T, np.linalg.solve(low, b))
 

@@ -114,14 +114,11 @@ def _pair_distances(centers, scales, order):
 
 
 def mean_distinguishability(rb):
-    """Mean pair distance over all per-feature adjacent pairs.
-
-    Returns (overall mean, per-feature means); requires at least 2 rules.
-    """
+    """Mean pair distance over all per-feature adjacent pairs; requires at least 2 rules."""
     if rb.n_rules < 2:
         raise ValueError(f"no adjacent pairs with {rb.n_rules} rule(s)")
     _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
-    return float(np.mean(d)), d.mean(axis=1).tolist()
+    return float(np.mean(d))
 
 
 def mse_antecedent_gradients(rb, fm, X, y):
@@ -245,7 +242,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
                 epoch=epoch,
                 train_mse=train_mse,
                 val_mse=val_mse,
-                mean_D=mean_distinguishability(rb)[0] if rb.n_rules > 1 else 0.0,
+                mean_D=mean_distinguishability(rb) if rb.n_rules > 1 else 0.0,
                 centers_snapshot=rb.centers.copy(),
                 scales_snapshot=rb.scales.copy(),
             )

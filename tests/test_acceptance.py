@@ -70,7 +70,7 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience)
     rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
     _, _, _, r2 = regression_metrics(split.y_test, predict(rb, split.X_test))
-    mean_d, _ = mean_distinguishability(rb)
+    mean_d = mean_distinguishability(rb)
     return {
         "mode": mode, "mf": mf, "rules": rules, "seed": seed,
         "r2": r2, "mean_D": mean_d, "rb": rb, "traces": traces, "split": split,

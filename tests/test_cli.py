@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import xanfis.cli
 from xanfis.cli import (
     ExperimentConfig,
     build_config,
@@ -21,6 +22,7 @@ from xanfis.cli import (
     main,
     weight_grid,
 )
+from xanfis.data import synth_regression
 from xanfis.inference import load_model
 from xanfis.membership import SCALE_MAX, SCALE_MIN, membership_values
 from xanfis.metrics import mean_distinguishability
@@ -395,7 +397,7 @@ class TestMainEntry:
         assert all(row[k] == "nan" for k in ("mse", "rmse", "mae", "r2"))
         rb, _ = load_model(out / "model_seed0000.json")
         assert rb.consequents is None
-        assert float(row["mean_D"]) == mean_distinguishability(rb)[0]
+        assert float(row["mean_D"]) == mean_distinguishability(rb)
         agg = {r["metric"]: r for r in read_rows(out / "aggregate.csv")}
         assert (agg["r2"]["mean"], agg["r2"]["n"]) == ("", "0")
 
@@ -497,6 +499,55 @@ class TestConfigValidation:
         assert main(["pareto-sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "error: seeds must be list, got 5" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("5", "must be a JSON object, got 5"), ("[]", "must be a JSON object, got []"),
+         ("not json", "is not JSON: ")],
+    )
+    def test_config_not_a_json_object_rejected(self, tmp_path, capsys, text, shown):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: config {cfg_path} {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("train", []), ("init-study", ["--scales", "0.5"]), ("pareto-sweep", [])],
+    )
+    def test_missing_csv_rejected_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        monkeypatch.chdir(tmp_path)
+        doc = {"csv_path": "nope.csv", "target_column": "y", "feature_columns": ["a"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        args = [command, "--manifest", "m.json", "--seeds", "0", *extra, "--out", str(out)]
+        assert main(args) == 1
+        assert "error: cannot open nope.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_and_csv_read_once_per_command(self, tmp_path, monkeypatch):
+        X, y = synth_regression("sinc2d", 300, 0.05, seed=0)
+        np.savetxt(tmp_path / "d.csv", np.column_stack([X, y]), delimiter=",",
+                   header="a,b,y", comments="")
+        doc = {"csv_path": str(tmp_path / "d.csv"), "target_column": "y",
+               "feature_columns": ["a", "b"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        calls = []
+        for name in ("load_csv", "load_manifest"):
+            real = getattr(xanfis.cli, name)
+            monkeypatch.setattr(
+                xanfis.cli, name,
+                lambda *a, name=name, real=real: calls.append(name) or real(*a),
+            )
+        args = ["train", "--manifest", str(tmp_path / "m.json"), "--seeds", "0,1,2",
+                "--workers", "1", "--rules", "3", "--epochs", "2", "--out", str(tmp_path / "o")]
+        assert main(args) == 0
+        assert sorted(calls) == ["load_csv", "load_manifest"]
+        assert len(read_rows(tmp_path / "o" / "metrics.csv")) == 3
 
     @pytest.mark.parametrize("command", [cmd_train, cmd_init_study, cmd_pareto_sweep])
     def test_commands_validate_before_writing(self, tmp_path, command):

@@ -21,6 +21,7 @@ from xanfis.data import (
     synth_regression,
 )
 from xanfis.inference import load_model
+from xanfis.numerics import RandomStream
 
 
 @pytest.fixture
@@ -236,16 +237,20 @@ class TestSplitScale:
         y = rng.uniform(size=50)
         a = split_scale(X, y, seed=9)
         b = split_scale(X, y, seed=9)
-        np.testing.assert_array_equal(a.permutation, b.permutation)
         np.testing.assert_array_equal(a.X_train, b.X_train)
+        np.testing.assert_array_equal(a.y_test, b.y_test)
 
     def test_partitions_disjoint_and_cover(self):
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(53, 2))
         y = rng.uniform(size=53)
         sp = split_scale(X, y, seed=4)
-        assert sorted(sp.permutation.tolist()) == list(range(53))
+        perm = RandomStream(4).permutation(53)
+        assert sorted(perm.tolist()) == list(range(53))
         assert len(sp.X_train) + len(sp.X_val) + len(sp.X_test) == 53
+        # the partitions are the permuted rows, in order
+        parts = np.vstack([sp.X_train, sp.X_val, sp.X_test])
+        np.testing.assert_array_equal(parts, sp.scaler.transform_X(X[perm]))
 
     def test_scaler_fitted_on_train_only(self):
         rng = np.random.default_rng(4)
@@ -253,12 +258,13 @@ class TestSplitScale:
         y = rng.uniform(size=40)
         sp = split_scale(X, y, seed=5)
         n_train = len(sp.X_train)
-        train_rows = X[sp.permutation[:n_train]]
+        perm = RandomStream(5).permutation(40)
+        train_rows = X[perm[:n_train]]
         np.testing.assert_allclose(sp.scaler.x_min, train_rows.min(axis=0))
         np.testing.assert_allclose(sp.scaler.x_max, train_rows.max(axis=0))
         # shuffling the held-out rows leaves the scaler unchanged
         X2 = X.copy()
-        held = sp.permutation[n_train:]
+        held = perm[n_train:]
         X2[held] = X2[held[::-1]]
         y2 = y.copy()
         y2[held] = y2[held[::-1]]
@@ -281,7 +287,7 @@ class TestSplitScale:
     def test_scaler_round_trip(self, train_artifact):
         # the artifact's ranges map the scaled training rows back to raw units
         block, X, y, split = train_artifact
-        rows = split.permutation[: len(split.X_train)]
+        rows = RandomStream(3).permutation(len(X))[: len(split.X_train)]
         x_lo, x_hi = np.array(block["x_min"]), np.array(block["x_max"])
         raw_X = split.X_train * (x_hi - x_lo) + x_lo
         np.testing.assert_allclose(raw_X, X[rows], rtol=0, atol=1e-12)
@@ -291,7 +297,7 @@ class TestSplitScale:
     def test_scaler_dict_round_trip(self, train_artifact):
         # the artifact records the min-max of the raw training rows exactly
         block, X, y, split = train_artifact
-        rows = split.permutation[: len(split.X_train)]
+        rows = RandomStream(3).permutation(len(X))[: len(split.X_train)]
         assert block == {
             "x_min": X[rows].min(axis=0).tolist(),
             "x_max": X[rows].max(axis=0).tolist(),

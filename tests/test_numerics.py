@@ -63,6 +63,15 @@ class TestRidgeSolve:
         with pytest.raises(SingularMatrixError):
             ridge_solve(phi, np.ones(5), 0.0)
 
+    def test_lambda_below_rounding_raises_naming_lambda(self):
+        # a duplicated 0/1 column first: its Gram entries are exactly 100, so
+        # the second pivot is exactly 0, since 100 + 1e-20 rounds to 100
+        rng = np.random.default_rng(5)
+        col = (np.arange(200) < 100).astype(float)[:, None]
+        phi = np.hstack([col, col, rng.normal(size=(200, 3))])
+        with pytest.raises(SingularMatrixError, match="1e-20"):
+            ridge_solve(phi, rng.normal(size=200), 1e-20)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             ridge_solve(np.eye(3), np.ones(4), 0.1)
