@@ -208,14 +208,13 @@ def run_experiment(run, prepared):
 def _run_all(runs, cfg):
     """Run every run of a command; sorted by run_id.
 
-    The manifest and its CSV are read once, before cfg.out is made, so a
-    bad input leaves nothing behind.  Each distinct seed is then prepared
-    once and every run is run; both stages go through the same map (a
-    process pool of at most one worker per run when cfg.workers > 1), so
-    the preparation of different seeds is spread over the workers too.
+    The manifest and its CSV are read once and each distinct seed is
+    split and FCM-fitted once, all before cfg.out is made, so a bad input
+    or a degenerate split leaves nothing behind.  Preparation and the runs
+    go through the same map (a process pool of at most one worker per run
+    when cfg.workers > 1), so the seeds are prepared in parallel too.
     """
     data = load_csv(load_manifest(cfg.manifest)) if cfg.manifest else None
-    _check_out_dir(cfg.out)
     first_run = {}
     for run in runs:
         first_run.setdefault(run.seed, run)
@@ -229,6 +228,7 @@ def _run_all(runs, cfg):
         prepared = mapper(prepare_seed, first_run.values(), [data] * len(first_run))
         prepared = dict(zip(first_run, prepared))
         del data  # every seed is split: the raw rows are not kept through training
+        _check_out_dir(cfg.out)
         results = list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
     return sorted(results, key=lambda r: r.run_id)
 
@@ -547,7 +547,7 @@ def main(argv=None):
         else:
             cmd_pareto_sweep(cfg)
         return 0
-    except (ValueError, OSError, DivergenceError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -84,7 +84,7 @@ def _resolve_column(col, header, path):
 
 
 def load_csv(manifest):
-    """Read the manifest's CSV into (feature matrix, target vector)."""
+    """Read the manifest's CSV into (X, y); a short row, bad cell or non-finite value is named."""
     manifest.validate()
     path = manifest.csv_path
     try:
@@ -106,34 +106,32 @@ def load_csv(manifest):
     target_idx = _resolve_column(manifest.target_column, header, path)
     feature_idx = [_resolve_column(c, header, path) for c in manifest.feature_columns]
 
-    # numpy applies Python's float() to each string; a short row or a bad
-    # cell falls through to the per-cell scan below, which names the first one
+    # the one conversion: numpy applies Python's float() to each string
+    first_data_row = 2 if manifest.has_header else 1
     try:
         X = np.array([[row[c] for c in feature_idx] for row in rows], dtype=np.float64)
         y = np.array([row[target_idx] for row in rows], dtype=np.float64)
-        return X, y
     except (IndexError, ValueError):
-        pass
-
-    def cell(row, row_no, col):
-        if col >= len(row):
-            raise CSVFormatError(f"{path}: row {row_no} has no column {col}")
-        text = row[col].strip()
-        try:
-            return float(text)
-        except ValueError:
-            raise CSVFormatError(
-                f"{path}: cannot parse {text!r} at row {row_no}, column {col}"
-            ) from None
-
-    first_data_row = 2 if manifest.has_header else 1
-    X = np.empty((len(rows), len(feature_idx)))
-    y = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        row_no = first_data_row + i
-        for k, col in enumerate(feature_idx):
-            X[i, k] = cell(row, row_no, col)
-        y[i] = cell(row, row_no, target_idx)
+        # name the first short row or bad cell, in row-major order
+        for row_no, row in enumerate(rows, start=first_data_row):
+            for col in (*feature_idx, target_idx):
+                if not -len(row) <= col < len(row):
+                    raise CSVFormatError(f"{path}: row {row_no} has no column {col}") from None
+                try:
+                    float(row[col])
+                except ValueError:
+                    raise CSVFormatError(
+                        f"{path}: cannot parse {row[col].strip()!r} at row {row_no}, column {col}"
+                    ) from None
+        raise  # a failure the scan cannot place: numpy's own error
+    del rows  # released first, so the finiteness check adds nothing to peak memory
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        table = np.column_stack([X, y])
+        i, k = np.argwhere(~np.isfinite(table))[0]
+        raise CSVFormatError(
+            f"{path}: non-finite value {float(table[i, k])!r} at row {first_data_row + i}, "
+            f"column {(*feature_idx, target_idx)[k]}"
+        )
     return X, y
 
 
@@ -192,11 +190,11 @@ class DatasetSplit:
     scaler: Scaler
 
 
-def split_scale(X, y, fractions=(0.7, 0.1, 0.2), seed=0):
+def split_scale(X, y, seed=0):
     """Seeded shuffle into train/val/test, scaled by train-only min-max.
 
-    Partition sizes are floor(f_train*N), floor(f_val*N) and the
-    remainder.
+    Partition sizes are floor(0.7 N), floor(0.1 N) and the remainder.  A
+    target constant on the test rows is rejected: r2 is undefined there.
     """
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
@@ -205,24 +203,25 @@ def split_scale(X, y, fractions=(0.7, 0.1, 0.2), seed=0):
         raise ValueError(f"X has {n} rows but y has {y.shape[0]} entries")
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
-    if len(fractions) != 3 or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
-        raise ValueError(f"fractions must be three values summing to 1, got {fractions}")
 
     perm = RandomStream(seed).permutation(n)
-    n_train = int(math.floor(fractions[0] * n))
-    n_val = int(math.floor(fractions[1] * n))
+    n_train = math.floor(0.7 * n)
+    n_val = math.floor(0.1 * n)
     idx_train = perm[:n_train]
     idx_val = perm[n_train : n_train + n_val]
     idx_test = perm[n_train + n_val :]
 
     scaler = Scaler.fit(X[idx_train], y[idx_train])
+    y_test = scaler.transform_y(y[idx_test])
+    if y_test.min() == y_test.max():
+        raise ValueError("target column is constant on the test rows: r2 is undefined")
     return DatasetSplit(
         X_train=scaler.transform_X(X[idx_train]),
         y_train=scaler.transform_y(y[idx_train]),
         X_val=scaler.transform_X(X[idx_val]),
         y_val=scaler.transform_y(y[idx_val]),
         X_test=scaler.transform_X(X[idx_test]),
-        y_test=scaler.transform_y(y[idx_test]),
+        y_test=y_test,
         scaler=scaler,
     )
 

@@ -26,6 +26,7 @@ from xanfis.data import synth_regression
 from xanfis.inference import load_model
 from xanfis.membership import SCALE_MAX, SCALE_MIN, membership_values
 from xanfis.metrics import mean_distinguishability
+from xanfis.numerics import RandomStream
 
 
 def fast_cfg(out, **kw):
@@ -476,6 +477,11 @@ class TestConfigValidation:
              "manifest str_features.json: feature_columns must be a list, got 'ab'"),
             (["--manifest", "target_feature.json"], {"synth": None},
              "target column 'y' is also listed as a feature"),
+            ([], {"fcm_tol": 0.0}, "tol must be positive, got 0.0"),
+            (["--lr-xpass", "-1"], {}, "lr_xpass must be nonnegative, got -1.0"),
+            (["--lambda", "-1"], {}, "lambda must be nonnegative, got -1.0"),
+            (["--epochs", "-1"], {}, "max_epochs must be nonnegative, got -1"),
+            (["--mo-weight", "-1"], {}, "mo_weight must be nonnegative, got -1.0"),
         ],
     )
     def test_bad_value_rejected_before_out_dir(
@@ -549,6 +555,45 @@ class TestConfigValidation:
         assert sorted(calls) == ["load_csv", "load_manifest"]
         assert len(read_rows(tmp_path / "o" / "metrics.csv")) == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "case, shown",
+        [
+            ("non_finite", "d.csv: non-finite value inf at row 7, column 1"),
+            ("constant_feature", "feature column 0 is constant on the training rows"),
+            ("few_rows", "need at least 10 rows to split, got 9"),
+            ("many_rules", "28 samples cannot support 29 clusters"),
+            ("constant_test_target", "target column is constant on the test rows"),
+        ],
+    )
+    def test_bad_data_rejected_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, workers, case, shown
+    ):
+        # each fault shows only once the CSV is read or a seed is split and clustered
+        monkeypatch.chdir(tmp_path)
+        X = np.random.default_rng(0).uniform(size=(40, 2))
+        y = X.sum(axis=1)
+        rules = "3"
+        if case == "non_finite":
+            X[5, 1] = np.inf
+        elif case == "constant_feature":
+            X[:, 0] = 0.5
+        elif case == "few_rows":
+            X, y = X[:9], y[:9]
+        elif case == "many_rules":
+            rules = "29"
+        else:
+            y[RandomStream(0).permutation(40)[32:]] = 1.0  # the test rows of seed 0
+        np.savetxt("d.csv", np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
+        doc = {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "b"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        args = ["train", "--manifest", "m.json", "--seeds", "0,1", "--rules", rules,
+                "--epochs", "2", "--workers", str(workers), "--out", str(out)]
+        assert main(args) == 1
+        assert f"error: {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [cmd_train, cmd_init_study, cmd_pareto_sweep])
     def test_commands_validate_before_writing(self, tmp_path, command):
         out = tmp_path / "runs"
@@ -557,16 +602,36 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_python(*args):
+    """Run this interpreter on args with the repository's src first on PYTHONPATH."""
+    path = [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 class TestImportFootprint:
     def test_cli_import_leaves_scipy_unloaded(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
         code = "import sys, xanfis.cli; print(xanfis.cli.__file__); print('scipy' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-            capture_output=True, text=True, check=True,
-        )
+        done = run_python("-c", code)
+        assert done.returncode == 0, done.stderr
         module_file, scipy_loaded = done.stdout.split()
-        assert module_file.startswith(os.path.join(src, ""))
+        assert module_file.startswith(os.path.join(SRC, ""))
         assert scipy_loaded == "False"
+
+
+class TestModuleEntry:
+    def test_invalid_config_exits_one_before_out_dir(self, tmp_path):
+        out = tmp_path / "x"
+        done = run_python(
+            "-m", "xanfis.cli", "train", "--synth", "sinc2d", "--synth-n", "10", "--out", str(out)
+        )
+        assert (done.returncode, done.stderr) == (1, "error: need n >= 50, got 10\n")
+        assert not out.exists()
+
+    def test_help_exits_zero(self):
+        done = run_python("-m", "xanfis.cli", "--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: xanfis")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,29 @@ class TestLoadCSV:
         with pytest.raises(CSVFormatError, match=r"cannot parse '\?' at row 2, column 2$"):
             load_csv(m)
 
+    @pytest.mark.parametrize(
+        "text, fields, shown",
+        [
+            ("a,t\n1,2\nnan,4\n", {}, "non-finite value nan at row 3, column 0"),
+            ("a,t\n1,2\n3,-inf\n", {}, "non-finite value -inf at row 3, column 1"),
+            ("a,t\n1e400,2\n3,4\n", {}, "non-finite value inf at row 2, column 0"),
+            # a parse error is reported before any non-finite value, wherever it is
+            ("a,t\n1,inf\nx,4\n", {}, "cannot parse 'x' at row 3, column 0"),
+            ("a,t\n1,2\n", {"target_column": -3}, "row 2 has no column -3"),
+            ("1,2\n", {"has_header": False},
+             "column 't' referenced by name but the file has no header"),
+            ("", {}, "empty file"),
+            ("a,t\n", {}, "no data rows"),
+            ("a,t\n1,2\n", {"feature_columns": []}, "manifest needs at least one feature column"),
+        ],
+    )
+    def test_bad_input_named(self, tmp_path, text, fields, shown):
+        path = write_csv(tmp_path / "d.csv", text)
+        fields = {"target_column": "t", "feature_columns": ["a"], **fields}
+        m = DatasetManifest(csv_path=path, **fields)
+        with pytest.raises(ValueError, match=f"{re.escape(shown)}$"):
+            load_csv(m)
+
     def test_duplicate_header_rejected(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,a,t\n1,2,3\n")
         m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["a"])
@@ -224,10 +248,12 @@ class TestSplitScale:
         assert sp.X_test.shape == (20, 2)
 
     def test_training_column_scaled_to_unit_range(self):
-        # all rows in training: the scaled column spans exactly [0, 1]
+        # seed 1 puts all three values among the 8 training rows, so the
+        # scaled column spans exactly [0, 1]
         X = np.array([[2.0], [4.0], [6.0]] * 4)
         y = np.arange(12, dtype=float)
-        sp = split_scale(X, y, fractions=(10 / 12, 1 / 12, 1 / 12), seed=1)
+        sp = split_scale(X, y, seed=1)
+        assert len(sp.X_train) == 8
         train_sorted = np.sort(np.unique(sp.X_train[:, 0]))
         np.testing.assert_allclose(train_sorted, [0.0, 0.5, 1.0], atol=1e-12)
 
@@ -279,6 +305,28 @@ class TestSplitScale:
         y = np.arange(20, dtype=float)
         with pytest.raises(ScalerError, match="column 0"):
             split_scale(X, y, seed=0)
+
+    @pytest.mark.parametrize(
+        "y, shown",
+        [
+            (np.ones(20), "target column is constant on the training rows"),
+            (np.arange(19.0), "X has 20 rows but y has 19 entries"),
+        ],
+    )
+    def test_degenerate_target_rejected(self, y, shown):
+        X = np.random.default_rng(6).uniform(size=(20, 2))
+        with pytest.raises(ValueError, match=shown):
+            split_scale(X, y, seed=0)
+
+    def test_constant_test_target_rejected(self):
+        # r2 is undefined on the test rows: rejected before any training
+        X = np.random.default_rng(6).uniform(size=(20, 2))
+        y = np.arange(20.0)
+        y[RandomStream(0).permutation(20)[16:]] = 7.5  # the 4 test rows of seed 0
+        with pytest.raises(ValueError, match="constant on the test rows: r2 is undefined"):
+            split_scale(X, y, seed=0)
+        y[RandomStream(0).permutation(20)[16]] = 8.5
+        assert split_scale(X, y, seed=0).y_test.std() > 0
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):

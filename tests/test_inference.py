@@ -19,6 +19,7 @@ from xanfis.inference import (
     fit_consequents,
     load_model,
     predict,
+    rule_outputs,
     save_model,
 )
 from xanfis.membership import SCALE_MIN, MFKind, membership_values
@@ -268,6 +269,8 @@ class TestPredict:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             predict(random_rulebase(rng), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="no fitted consequents"):
+            rule_outputs(random_rulebase(rng), np.zeros((2, 3)))
 
 
 class TestModelArtifact:
@@ -373,6 +376,20 @@ class TestModelArtifact:
             n = 6 if order == "first" else 2
             with pytest.raises(ValueError, match=f"{re.escape(str(path))}: consequents must be {n} finite"):
                 load_model(path)
+
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [
+            ({"version": 2}, "unsupported model version 2"),
+            ({"mf_kind": "triangle"}, "'triangle' is not a valid MFKind"),
+            ({"centers": "x"}, "could not convert string to float"),
+            ({"centers": [[0.2, 0.4]]}, "center/scale shape mismatch"),
+            ({"centers": [0.2, 0.4], "scales": [0.3, 0.3]}, "center/scale shape mismatch"),
+        ],
+    )
+    def test_malformed_artifact_named(self, tmp_path, fields, shown):
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            load_model(self.artifact(tmp_path, **fields))
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

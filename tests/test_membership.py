@@ -83,6 +83,14 @@ class TestGrad:
         dc, ds = log_grads(kind, 0.37, 0.37, 0.2)
         assert dc == 0.0 and ds == 0.0
 
+    def test_unknown_kind_rejected(self):
+        for kernel in (
+            lambda: membership_values("triangle", 0.5, 0.4, 0.2),
+            lambda: log_grad_factor("triangle", np.zeros(3)),
+        ):
+            with pytest.raises(ValueError, match="unknown membership kind: 'triangle'"):
+                kernel()
+
     def test_cauchy_worked_values(self):
         # mu = 0.5 at one scale from center: both partials of mu equal
         # 5.0, so both partials of log mu equal 5.0 / 0.5 = 10.0

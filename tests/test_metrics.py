@@ -40,6 +40,10 @@ class TestRegressionMetrics:
         with pytest.raises(ValueError):
             regression_metrics([1.0, 2.0], [1.0])
 
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            regression_metrics([1.0], [1.0])
+
     def test_rmse_is_sqrt_mse(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=50)
