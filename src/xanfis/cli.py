@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -26,8 +24,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (
-    SYNTH_DATASETS, check_synth, load_csv, load_manifest, split_scale, synth_regression,
-    write_csv,
+    SYNTH_DATASETS, check_fields, check_synth, has_type, load_csv, load_manifest, read_json,
+    split_scale, synth_regression, write_csv,
 )
 from .fcm_init import FCMConfig, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
@@ -48,19 +46,6 @@ from .training import (
     train,
     trajectory_to_csv,
 )
-
-
-#: accepted types of each config field annotation; a JSON integer is a
-#: valid float and is kept as given, so the repr() of every output is unchanged
-_FIELD_TYPES = {
-    "Mode": str, "str": str, "str | None": (str, type(None)), "int": int,
-    "float": (int, float), "bool": bool, "list": list,
-}
-
-
-def _has_type(value, kind):
-    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
-    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
 
 
 @dataclass
@@ -101,14 +86,9 @@ class ExperimentConfig(TrainConfig):
 
     def validate(self):
         """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, f.type):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_fields(self)
         super().validate()
-        for name, kind in (("mode", Mode), ("mf", MFKind), ("order", Order)):
+        for name, kind in (("mf", MFKind), ("order", Order)):
             value, names = getattr(self, name), [member.value for member in kind]
             if value not in names:
                 raise ValueError(f"{name} must be one of {names}, got {value!r}")
@@ -120,13 +100,13 @@ class ExperimentConfig(TrainConfig):
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.seeds or not all(_has_type(seed, "int") for seed in self.seeds):
+        if not self.seeds or not all(has_type(seed, "int") for seed in self.seeds):
             raise ValueError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(
                 f"duplicate seeds in {self.seeds}: each seed names its own output files"
             )
-        if not all(_has_type(scale, "float") for scale in self.scales):
+        if not all(has_type(scale, "float") for scale in self.scales):
             raise ValueError(f"scales must be numbers, got {self.scales!r}")
 
 
@@ -184,9 +164,7 @@ def run_experiment(run, prepared):
     split, fcm = prepared
     cfg = run.cfg
     scales = derive_scales(split.X_train, fcm, override_scale=run.init_scale)
-    rb0 = RuleBase(
-        mf_kind=MFKind(cfg.mf), centers=fcm.centers, scales=scales, order=Order(cfg.order)
-    )
+    rb0 = RuleBase(mf_kind=cfg.mf, centers=fcm.centers, scales=scales, order=cfg.order)
     diverged = False
     try:
         rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
@@ -495,18 +473,10 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 def build_config(args):
     """Merge config file and explicit flags; returns (config, explicit keys)."""
-    doc = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as err:
-                raise ValueError(f"config {args.config} is not JSON: {err}") from err
-        if not isinstance(doc, dict):
-            raise ValueError(f"config {args.config} must be a JSON object, got {doc!r}")
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    doc = read_json(args.config, "config") if getattr(args, "config", None) else {}
+    unknown = set(doc) - _CONFIG_FIELDS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     explicit = set(doc)
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
@@ -520,8 +490,7 @@ def build_config(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "export-partition":
             cmd_export_partition(args.model, args.samples, args.out)
@@ -541,8 +510,6 @@ def main(argv=None):
                 return 1
             return 0
         if args.command == "init-study":
-            if not cfg.scales:
-                parser.error("init-study needs --scales or a 'scales' config entry")
             cmd_init_study(cfg)
         else:
             cmd_pareto_sweep(cfg)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,41 @@ class ScalerError(ValueError):
     """A selected column cannot be min-max scaled (constant on train rows)."""
 
 
+#: accepted types of each field annotation of a JSON-read dataclass; a JSON
+#: integer is a valid float and is kept as given, so the repr() of every output is unchanged
+_FIELD_TYPES = {
+    "Mode": str, "str": str, "str | None": (str, type(None)), "str | int": (str, int),
+    "int": int, "float": (int, float), "bool": bool, "list": list,
+}
+
+
+def has_type(value, kind):
+    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
+    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
+def check_fields(obj):
+    """Reject, naming it, a dataclass field not of its declared type or a non-finite float."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not has_type(value, f.type):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
+def read_json(path, what):
+    """The JSON object in the file at path; what names the document in each error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{what} {path} is not JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must be a JSON object, got {doc!r}")
+    return doc
+
+
 @dataclass
 class DatasetManifest:
     csv_path: str
@@ -35,36 +70,28 @@ class DatasetManifest:
     delimiter: str = ","
 
     def validate(self):
+        check_fields(self)
         if not self.feature_columns:
             raise ValueError("manifest needs at least one feature column")
+        for col in (self.target_column, *self.feature_columns):
+            if not (has_type(col, "str | int") and (isinstance(col, str) or col >= 0)):
+                raise ValueError(f"column {col!r} is neither a name nor a non-negative index")
         if self.target_column in self.feature_columns:
             raise ValueError(
                 f"target column {self.target_column!r} is also listed as a feature"
             )
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 def load_manifest(path):
-    """Read a JSON manifest file with the DatasetManifest fields."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"manifest {path} is not JSON: {err}") from err
-    required = ("csv_path", "target_column", "feature_columns")
-    missing = [key for key in required if not isinstance(doc, dict) or key not in doc]
-    if missing:
-        raise ValueError(f"manifest {path} lacks {', '.join(missing)}")
-    features = doc["feature_columns"]
-    if not isinstance(features, list):
-        raise ValueError(f"manifest {path}: feature_columns must be a list, got {features!r}")
-    manifest = DatasetManifest(
-        csv_path=doc["csv_path"],
-        target_column=doc["target_column"],
-        feature_columns=features,
-        has_header=bool(doc.get("has_header", True)),
-        delimiter=str(doc.get("delimiter", ",")),
-    )
-    manifest.validate()
+    """Read a JSON manifest file with the DatasetManifest fields; each fault names the file."""
+    doc = read_json(path, "manifest")
+    try:
+        manifest = DatasetManifest(**doc)
+        manifest.validate()
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"manifest {path}: {err}") from err
     return manifest
 
 
@@ -115,7 +142,7 @@ def load_csv(manifest):
         # name the first short row or bad cell, in row-major order
         for row_no, row in enumerate(rows, start=first_data_row):
             for col in (*feature_idx, target_idx):
-                if not -len(row) <= col < len(row):
+                if col >= len(row):
                     raise CSVFormatError(f"{path}: row {row_no} has no column {col}") from None
                 try:
                     float(row[col])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import read_json
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
 from .numerics import as_matrix, ridge_solve
 
@@ -41,6 +42,11 @@ class RuleBase:
     scales: np.ndarray
     consequents: np.ndarray | None = None
     order: Order = Order.ZERO
+
+    def __post_init__(self):
+        # a name such as "first" becomes its member here, and a bad name fails here
+        object.__setattr__(self, "mf_kind", MFKind(self.mf_kind))
+        object.__setattr__(self, "order", Order(self.order))
 
     @property
     def n_rules(self):
@@ -164,23 +170,19 @@ def save_model(path, rb, scaler_meta=None):
 
 def load_model(path):
     """Read a model artifact; returns (RuleBase, scaler_meta or None)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"corrupt model file {path}: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+    doc = read_json(path, "model")
+    if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} artifact")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     try:
         consequents = doc["consequents"]
         rb = RuleBase(
-            mf_kind=MFKind(doc["mf_kind"]),
+            mf_kind=doc["mf_kind"],
             centers=np.asarray(doc["centers"], dtype=np.float64),
             scales=np.asarray(doc["scales"], dtype=np.float64),
             consequents=None if consequents is None else np.asarray(consequents, dtype=np.float64),
-            order=Order(doc["order"]),
+            order=doc["order"],
         )
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err

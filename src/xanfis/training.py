@@ -64,6 +64,9 @@ class TrainConfig:
     clip_hi: float = 1.0
 
     def validate(self):
+        names = [m.value for m in Mode]
+        if self.mode not in names:
+            raise ValueError(f"mode must be one of {names}, got {self.mode!r}")
         if self.clip_lo >= self.clip_hi:
             raise ValueError(f"clip_lo={self.clip_lo} must be < clip_hi={self.clip_hi}")
         if not 0.0 < self.d_target <= 1.0:

@@ -406,10 +406,11 @@ class TestMainEntry:
         code = main(["train", "--seeds", "0", "--out", str(tmp_path / "x")])
         assert code == 1
 
-    def test_init_study_requires_scales(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["init-study", "--synth", "sinc2d", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 2
+    def test_init_study_requires_scales(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["init-study", "--synth", "sinc2d", "--out", str(out)]) == 1
+        assert "error: init-study needs a nonempty list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parser_covers_spec_flags(self):
         parser = build_parser()
@@ -472,11 +473,13 @@ class TestConfigValidation:
             (["--manifest", "nowhere.json"], {"synth": None},
              "[Errno 2] No such file or directory: 'nowhere.json'"),
             (["--manifest", "broken.json"], {"synth": None}, "manifest broken.json is not JSON"),
-            (["--manifest", "no_csv.json"], {"synth": None}, "manifest no_csv.json lacks csv_path"),
+            (["--manifest", "no_csv.json"], {"synth": None},
+             "manifest no_csv.json: DatasetManifest.__init__() missing 1 required positional "
+             "argument: 'csv_path'"),
             (["--manifest", "str_features.json"], {"synth": None},
-             "manifest str_features.json: feature_columns must be a list, got 'ab'"),
+             "manifest str_features.json: feature_columns must be list, got 'ab'"),
             (["--manifest", "target_feature.json"], {"synth": None},
-             "target column 'y' is also listed as a feature"),
+             "manifest target_feature.json: target column 'y' is also listed as a feature"),
             ([], {"fcm_tol": 0.0}, "tol must be positive, got 0.0"),
             (["--lr-xpass", "-1"], {}, "lr_xpass must be nonnegative, got -1.0"),
             (["--lambda", "-1"], {}, "lambda must be nonnegative, got -1.0"),
@@ -533,6 +536,37 @@ class TestConfigValidation:
         args = [command, "--manifest", "m.json", "--seeds", "0", *extra, "--out", str(out)]
         assert main(args) == 1
         assert "error: cannot open nope.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [
+            ({"has_header": "false"}, "has_header must be bool, got 'false'"),
+            ({"has_headr": False},
+             "DatasetManifest.__init__() got an unexpected keyword argument 'has_headr'"),
+            ({"target_column": -1, "feature_columns": [True]},
+             "column -1 is neither a name nor a non-negative index"),
+            ({"csv_path": 0}, "csv_path must be str, got 0"),
+            ({"delimiter": ";;"}, "delimiter must be one character, got ';;'"),
+            ({"delimiter": 5}, "delimiter must be str, got 5"),
+            ({"target_column": 1.5}, "target_column must be str | int, got 1.5"),
+            ({"feature_columns": [["a"]]},
+             "column ['a'] is neither a name nor a non-negative index"),
+        ],
+    )
+    def test_bad_manifest_field_rejected_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, fields, shown
+    ):
+        monkeypatch.chdir(tmp_path)
+        X, y = synth_regression("sinc2d", 100, 0.05, seed=0)
+        np.savetxt("d.csv", np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
+        doc = {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "b"]}
+        (tmp_path / "m.json").write_text(json.dumps({**doc, **fields}))
+        out = tmp_path / "x"
+        args = ["train", "--manifest", "m.json", "--seeds", "0", "--rules", "2",
+                "--epochs", "2", "--out", str(out)]
+        assert main(args) == 1
+        assert f"error: manifest m.json: {shown}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_and_csv_read_once_per_command(self, tmp_path, monkeypatch):

@@ -178,7 +178,7 @@ class TestLoadCSV:
             ("a,t\n1e400,2\n3,4\n", {}, "non-finite value inf at row 2, column 0"),
             # a parse error is reported before any non-finite value, wherever it is
             ("a,t\n1,inf\nx,4\n", {}, "cannot parse 'x' at row 3, column 0"),
-            ("a,t\n1,2\n", {"target_column": -3}, "row 2 has no column -3"),
+            ("a,t\n1,2\n", {"target_column": 5}, "row 2 has no column 5"),
             ("1,2\n", {"has_header": False},
              "column 't' referenced by name but the file has no header"),
             ("", {}, "empty file"),

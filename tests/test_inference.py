@@ -321,11 +321,32 @@ class TestModelArtifact:
         else:
             assert rb2.consequents is None
 
-    def test_corrupt_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, shown", [("5", "must be a JSON object, got 5"), ("{broken", "is not JSON: ")]
+    )
+    def test_corrupt_file_rejected(self, tmp_path, text, shown):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"model {path} {shown}")):
             load_model(path)
+
+    def test_names_stored_as_members(self, tmp_path):
+        rb = random_rulebase(np.random.default_rng(3), kind="gaussian", order="first")
+        assert (rb.mf_kind, rb.order) == (MFKind.GAUSSIAN, Order.FIRST)
+        path = tmp_path / "model.json"
+        save_model(path, rb)
+        rb2, _ = load_model(path)
+        assert (rb2.mf_kind, rb2.order) == (MFKind.GAUSSIAN, Order.FIRST)
+        np.testing.assert_array_equal(rb2.centers, rb.centers)
+
+    @pytest.mark.parametrize(
+        "fields, shown",
+        [({"order": "bogus"}, "'bogus' is not a valid Order"),
+         ({"kind": "triangle"}, "'triangle' is not a valid MFKind")],
+    )
+    def test_bad_name_rejected(self, fields, shown):
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            random_rulebase(np.random.default_rng(0), **fields)
 
     @staticmethod
     def artifact(tmp_path, **fields):

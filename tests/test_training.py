@@ -1,6 +1,7 @@
 """Training passes: gradient oracles, adjacency, X-pass, modes, early stop."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -191,6 +192,11 @@ class TestTrainConfig:
         for lo, hi in ((1.0, -1.0), (0.5, 0.5)):
             with pytest.raises(ValueError, match="clip_lo"):
                 TrainConfig(clip_lo=lo, clip_hi=hi).validate()
+
+    def test_unknown_mode_rejected(self):
+        shown = "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'xanfis'"
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            TrainConfig(mode="xanfis").validate()
 
 
 class TestAdjacency:
