@@ -130,8 +130,14 @@ def load_csv(manifest):
     if not rows:
         raise CSVFormatError(f"{path}: no data rows")
 
-    target_idx = _resolve_column(manifest.target_column, header, path)
-    feature_idx = [_resolve_column(c, header, path) for c in manifest.feature_columns]
+    columns = (manifest.target_column, *manifest.feature_columns)
+    target_idx, *feature_idx = resolved = [_resolve_column(c, header, path) for c in columns]
+    for k, idx in enumerate(resolved):
+        if (first := resolved.index(idx)) < k:  # a name and an index may spell one column
+            raise CSVFormatError(
+                f"{path}: {'target' if first == 0 else 'feature'} column {columns[first]!r} "
+                f"and feature column {columns[k]!r} are both column {idx}"
+            )
 
     # the one conversion: numpy applies Python's float() to each string
     first_data_row = 2 if manifest.has_header else 1

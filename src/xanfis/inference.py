@@ -59,54 +59,60 @@ class RuleBase:
 
 @dataclass
 class FiringMatrices:
-    """One antecedent state's forward on X; the backward pass reuses all of it."""
+    """One antecedent state's forward on X, sample axis last; the backward pass reuses it all."""
 
-    raw: np.ndarray         # (N, R), entries in [0, 1]
-    normalized: np.ndarray  # (N, R), live rows sum to 1
-    den: np.ndarray         # (N,), max(raw row sum, EPS_DENOM)
-    live: np.ndarray        # (N,), raw row sum > EPS_DENOM
-    u: np.ndarray           # (N, R, F), standardized distances (x - c) / s
+    raw: np.ndarray         # (R, N), entries in [0, 1]
+    normalized: np.ndarray  # (R, N), live columns sum to 1
+    den: np.ndarray         # (N,), max(raw column sum, EPS_DENOM)
+    live: np.ndarray        # (N,), raw column sum > EPS_DENOM
+    u: np.ndarray           # (F, R, N), standardized distances (x - c) / s
 
 
 def membership_tensor(X, rb):
-    """Standardized distances u = (x - c) / s per sample, rule and feature, (N, R, F)."""
+    """Standardized distances u = (x - c) / s per feature, rule and sample, (F, R, N)."""
     if X.shape[1] != rb.n_features:
         raise ValueError(
             f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
         )
-    u = X[:, None, :] - rb.centers
-    u /= rb.scales
+    xt = np.ascontiguousarray(X.T)[:, None, :]  # (F, 1, N)
+    # an explicit C-ordered buffer: the broadcast operands alone give a strided result
+    u = np.subtract(xt, rb.centers.T[:, :, None], out=np.empty((*rb.centers.T.shape, len(X))))
+    u /= rb.scales.T[:, :, None]
     return u
 
 
 def firing_strengths(X, rb):
-    """Product t-norm firing strengths and their row normalization.
+    """Product t-norm firing strengths and their per-sample normalization.
 
-    normalized[t] = raw[t] / den[t] with den[t] = max(sum(raw[t]), EPS_DENOM):
-    live rows (sum above the floor) form an exact partition of unity; fully
-    underflowed rows degrade to ~0 instead of dividing by zero.
+    normalized[:, t] = raw[:, t] / den[t] with den[t] = max(sum(raw[:, t]),
+    EPS_DENOM): live samples (sum above the floor) form an exact partition
+    of unity; fully underflowed samples degrade to ~0 instead of dividing by zero.
     """
     u = membership_tensor(X, rb)
     raw = product_firing(rb.mf_kind, u)
-    total = raw.sum(axis=1)
+    total = raw.sum(axis=0)
     den = np.maximum(total, EPS_DENOM)
-    return FiringMatrices(
-        raw=raw, normalized=raw / den[:, None], den=den, live=total > EPS_DENOM, u=u
-    )
+    return FiringMatrices(raw=raw, normalized=raw / den, den=den, live=total > EPS_DENOM, u=u)
+
+
+def _augmented_t(X):
+    """(x_1, ..., x_F, 1) per sample, laid out (F+1, N)."""
+    return np.concatenate([X.T, np.ones((1, X.shape[0]))], axis=0)
 
 
 def design_matrix(fm, X, order):
-    """LSE design matrix for the given consequent order.
+    """Transposed LSE design matrix phi^T for the given consequent order.
 
-    Zero-order: the normalized firing matrix itself.  First-order: per
-    rule j the block normalized[:, j] * (x_1, ..., x_F, 1).
+    Zero-order: the normalized firing matrix itself, (R, N).  First-order:
+    per rule j the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N).
     """
     if order == Order.ZERO:
         return fm.normalized
-    n = X.shape[0]
-    aug = np.concatenate([X, np.ones((n, 1))], axis=1)  # (N, F+1)
-    blocks = fm.normalized[:, :, None] * aug[:, None, :]  # (N, R, F+1)
-    return blocks.reshape(n, -1)
+    aug = _augmented_t(X)
+    n_rules, n = fm.normalized.shape
+    # a C-ordered (R, F+1, N) buffer, so the reshape below is a view and not a copy
+    blocks = np.multiply(fm.normalized[:, None, :], aug, out=np.empty((n_rules, *aug.shape)))
+    return blocks.reshape(-1, n)
 
 
 def fit_consequents(rb, X, y, lam):
@@ -117,21 +123,18 @@ def fit_consequents(rb, X, y, lam):
     """
     X = as_matrix(X, "X")
     fm = firing_strengths(X, rb)
-    phi = design_matrix(fm, X, rb.order)
-    w = ridge_solve(phi, y, lam)
-    return replace(rb, consequents=w), fm, phi @ w
+    phi_t = design_matrix(fm, X, rb.order)
+    w = ridge_solve(phi_t.T, y, lam)
+    return replace(rb, consequents=w), fm, w @ phi_t
 
 
 def rule_outputs(rb, X):
-    """Per-rule consequent values f_j(x_t), shape (N, R)."""
+    """Per-rule consequent values f_j(x_t), shape (R, N); zero-order (R, 1)."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
-    n, f = X.shape
     if rb.order == Order.ZERO:
-        return np.broadcast_to(rb.consequents, (n, rb.n_rules)).copy()
-    aug = np.concatenate([X, np.ones((n, 1))], axis=1)
-    coeffs = rb.consequents.reshape(rb.n_rules, f + 1)
-    return aug @ coeffs.T
+        return rb.consequents[:, None]
+    return rb.consequents.reshape(rb.n_rules, -1) @ _augmented_t(X)
 
 
 def predict(rb, X):
@@ -139,8 +142,8 @@ def predict(rb, X):
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
     X = as_matrix(X, "X")
-    phi = design_matrix(firing_strengths(X, rb), X, rb.order)
-    return phi @ rb.consequents
+    phi_t = design_matrix(firing_strengths(X, rb), X, rb.order)
+    return rb.consequents @ phi_t
 
 
 # --------------------------------------------------------------------

@@ -48,15 +48,15 @@ def membership_values(kind, x, centers, scales):
 
 
 def product_firing(kind, u):
-    """Product over the last axis of the memberships at standardized distances u.
+    """Product over the leading (feature) axis of the memberships at standardized distances u.
 
     u = (x - c) / s.  Gaussian: one exp of -0.5 * sum(u^2), with no
     per-feature membership; Cauchy: the product of 1 / (1 + u^2).
     """
     with np.errstate(under="ignore"):
         if kind == MFKind.GAUSSIAN:
-            return np.exp(-0.5 * np.einsum("...f,...f->...", u, u))
-        return np.prod(_mu(kind, u), axis=-1)
+            return np.exp(-0.5 * np.einsum("f...,f...->...", u, u))
+        return np.prod(_mu(kind, u), axis=0)
 
 
 def log_grad_factor(kind, u):

@@ -140,14 +140,15 @@ def mse_antecedent_gradients(rb, fm, X, y):
     """
     n = X.shape[0]
     fout = rule_outputs(rb, X)
-    yhat = (fm.normalized * fout).sum(axis=1)
+    yhat = (fm.normalized * fout).sum(axis=0)
     upstream = (2.0 / n) * (yhat - y)
-    coef = (fout - np.where(fm.live, yhat, 0.0)[:, None]) / fm.den[:, None]
+    coef = (fout - np.where(fm.live, yhat, 0.0)) / fm.den
     with np.errstate(under="ignore"):
-        b = upstream[:, None] * coef * fm.raw  # (N, R)
-        w = b[:, :, None] * log_grad_factor(rb.mf_kind, fm.u)  # (N, R, F)
-    grad_c = w.sum(axis=0) / rb.scales
-    grad_s = np.einsum("trf,trf->rf", w, fm.u) / rb.scales
+        b = upstream * coef * fm.raw  # (R, N)
+        w = b * log_grad_factor(rb.mf_kind, fm.u)  # (F, R, N)
+    # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
+    grad_c = w.sum(axis=-1).T / rb.scales
+    grad_s = np.einsum("frt,frt->fr", w, fm.u).T / rb.scales
     return grad_c, grad_s
 
 
@@ -261,7 +262,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         stepped = backward_pass(rb, fm, X_train, y_train, cfg)
         if cfg.mode == Mode.X_ANFIS:
             stepped = xpass_update(stepped, cfg)
-        del fm  # frees this state's (N, R, F) tensor before the refit builds the next
+        del fm  # frees this state's (F, R, N) tensor before the refit builds the next
         rb, fm, yhat = refit(epoch, stepped, prev)
         val_mse = record(epoch, rb, yhat, prev)
         if val_mse < best_val:

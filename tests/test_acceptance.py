@@ -180,7 +180,7 @@ class TestCriterion2LSEOptimality:
             rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
             phi = design_matrix(
                 firing_strengths(split.X_train, rb), split.X_train, rb.order
-            )
+            ).T  # (N, columns)
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
@@ -376,9 +376,9 @@ class TestCriterion9Invariants:
                 ok &= bool(np.all(s >= SCALE_MIN) and np.all(s <= 1.0))
                 rb = RuleBase(run["rb"].mf_kind, c, s)
                 fm = firing_strengths(split.X_train, rb)
-                live = fm.raw.max(axis=1) > EPS_DENOM
+                live = fm.raw.max(axis=0) > EPS_DENOM
                 if np.any(live):
-                    dev = np.max(np.abs(fm.normalized[live].sum(axis=1) - 1.0))
+                    dev = np.max(np.abs(fm.normalized[:, live].sum(axis=0) - 1.0))
                     worst_rowsum = max(worst_rowsum, dev)
                     ok &= bool(dev < 1e-9)
                 epochs_checked += 1

@@ -628,6 +628,30 @@ class TestConfigValidation:
         assert f"error: {shown}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "target, features, shown",
+        [
+            (2, ["a", "y"], "d.csv: target column 2 and feature column 'y' are both column 2"),
+            ("y", ["a", "a"], "d.csv: feature column 'a' and feature column 'a' are both column 0"),
+            ("y", ["a", 0], "d.csv: feature column 'a' and feature column 0 are both column 0"),
+        ],
+    )
+    def test_column_used_twice_rejected_before_out_dir(
+        self, tmp_path, capsys, monkeypatch, target, features, shown
+    ):
+        # each spelling passes the manifest check; only the header resolves them to one column
+        monkeypatch.chdir(tmp_path)
+        X, y = synth_regression("sinc2d", 100, 0.05, seed=0)
+        np.savetxt("d.csv", np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
+        doc = {"csv_path": "d.csv", "target_column": target, "feature_columns": features}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        args = ["train", "--manifest", "m.json", "--seeds", "0", "--rules", "2",
+                "--epochs", "2", "--out", str(out)]
+        assert main(args) == 1
+        assert f"error: {shown}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [cmd_train, cmd_init_study, cmd_pareto_sweep])
     def test_commands_validate_before_writing(self, tmp_path, command):
         out = tmp_path / "runs"

@@ -40,20 +40,20 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
 
 
 def scalar_firing_oracle(X, rb):
-    """Per-element reference: nested loops over scalar membership_values."""
+    """Per-element reference: nested loops over scalar membership_values, (R, N)."""
     n, f = X.shape
     r = rb.n_rules
-    raw = np.ones((n, r))
+    raw = np.ones((r, n))
     for t in range(n):
         for j in range(r):
             for k in range(f):
-                raw[t, j] *= float(
+                raw[j, t] *= float(
                     membership_values(rb.mf_kind, X[t, k], rb.centers[j, k], rb.scales[j, k])
                 )
     norm = np.zeros_like(raw)
     for t in range(n):
-        s = raw[t].sum()
-        norm[t] = raw[t] / max(s, EPS_DENOM)
+        s = raw[:, t].sum()
+        norm[:, t] = raw[:, t] / max(s, EPS_DENOM)
     return raw, norm
 
 
@@ -86,8 +86,8 @@ class TestFiringStrengths:
             X = rng.uniform(-0.3, 1.3, size=(50, 2))
             rb = random_rulebase(rng, n_rules=6, n_features=2, kind=kind)
             fm = firing_strengths(X, rb)
-            live = fm.raw.max(axis=1) > EPS_DENOM
-            np.testing.assert_allclose(fm.normalized[live].sum(axis=1), 1.0, atol=1e-9)
+            live = fm.raw.max(axis=0) > EPS_DENOM
+            np.testing.assert_allclose(fm.normalized[:, live].sum(axis=0), 1.0, atol=1e-9)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -101,11 +101,13 @@ class TestFiringStrengths:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
         fm = firing_strengths(X, wide_rulebase(rng, kind, Order.ZERO, n_rules, n_features))
-        total = fm.raw.sum(axis=1)
+        total = fm.raw.sum(axis=0)
         np.testing.assert_array_equal(fm.live, total > EPS_DENOM)
         np.testing.assert_array_equal(fm.den, np.maximum(total, EPS_DENOM))
-        np.testing.assert_allclose(fm.normalized[fm.live].sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(fm.normalized[~fm.live].sum(axis=1) <= 1.0 + 1e-12)
+        np.testing.assert_allclose(
+            fm.normalized[:, fm.live].sum(axis=0), 1.0, rtol=0, atol=1e-12
+        )
+        assert np.all(fm.normalized[:, ~fm.live].sum(axis=0) <= 1.0 + 1e-12)
 
     def test_dead_rows_stay_finite(self):
         # Gaussian memberships underflow far from the centers
@@ -128,7 +130,7 @@ class TestDesignMatrix:
         X = np.array([[0.3]])
         fm = firing_strengths(X, rb)  # single rule: normalized == 1
         phi = design_matrix(fm, X, Order.FIRST)
-        np.testing.assert_allclose(phi, [[0.3, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(phi, [[0.3], [1.0]], atol=1e-15)
 
     def test_first_order_prediction_matches_rulewise_oracle(self):
         rng = np.random.default_rng(77)
@@ -144,8 +146,27 @@ class TestDesignMatrix:
             total = 0.0
             for j in range(3):
                 f_j = coeffs[j, 0] * X[t, 0] + coeffs[j, 1] * X[t, 1] + coeffs[j, 2]
-                total += fm.normalized[t, j] * f_j
+                total += fm.normalized[j, t] * f_j
             assert abs(yhat[t] - total) < 1e-10
+
+
+class TestSampleAxisLast:
+    def test_forward_buffers_contiguous_and_design_is_a_view(self):
+        # every per-epoch kernel runs over contiguous rows of N; a design
+        # matrix that no longer views its (R, F+1, N) block buffer means the
+        # reshape copies the whole matrix on every forward
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, size=(40, 3))
+        rb = random_rulebase(rng, n_rules=4, n_features=3, order=Order.FIRST)
+        fm = firing_strengths(X, rb)
+        assert fm.u.shape == (3, 4, 40) and fm.u.flags.c_contiguous
+        for a in (fm.raw, fm.normalized):
+            assert a.shape == (4, 40) and a.flags.c_contiguous
+        assert fm.den.shape == fm.live.shape == (40,)
+        phi = design_matrix(fm, X, Order.FIRST)
+        assert phi.shape == (16, 40) and phi.flags.c_contiguous
+        assert phi.base is not None and phi.base.shape == (4, 4, 40)
+        assert np.shares_memory(phi, phi.base)
 
 
 class TestFitConsequents:
@@ -170,7 +191,7 @@ class TestFitConsequents:
         rb = random_rulebase(rng, n_rules=5, n_features=3)
         lam = 1e-4
         rb, _, _ = fit_consequents(rb, X, y, lam)
-        phi = design_matrix(firing_strengths(X, rb), X, rb.order)
+        phi = design_matrix(firing_strengths(X, rb), X, rb.order).T  # (N, columns)
         resid = phi.T @ (phi @ rb.consequents - y) + lam * rb.consequents
         assert np.max(np.abs(resid)) < 1e-8 * (1 + np.max(np.abs(phi.T @ y)))
 
@@ -212,7 +233,7 @@ class TestFitConsequents:
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=4, n_features=2)
         rb, _, _ = fit_consequents(rb, X, y, 0.0)
-        phi = design_matrix(firing_strengths(X, rb), X, rb.order)
+        phi = design_matrix(firing_strengths(X, rb), X, rb.order).T  # (N, columns)
         best = np.mean((phi @ rb.consequents - y) ** 2)
         for _ in range(100):
             other = rng.normal(size=rb.consequents.shape)
@@ -241,7 +262,7 @@ class TestPredict:
         rb, _, _ = fit_consequents(random_rulebase(rng), X, y, 1e-4)
         yhat = predict(rb, X)
         _, norm = scalar_firing_oracle(X, rb)
-        ref = norm @ rb.consequents
+        ref = rb.consequents @ norm
         np.testing.assert_allclose(yhat, ref, atol=1e-12)
 
     def test_rule_permutation_invariance(self):

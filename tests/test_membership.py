@@ -146,13 +146,15 @@ class TestProductFiring:
         # random states with log-uniform scales, a share of them pinned at
         # SCALE_MIN so that Gaussian rows underflow to 0
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-0.2, 1.2, size=(n_samples, 1, n_features))
-        centers = rng.uniform(0, 1, size=(n_rules, n_features))
+        # laid out (F, R, N) as the forward does: features lead, samples last
+        x = rng.uniform(-0.2, 1.2, size=(n_samples, 1, n_features)).T
+        centers = rng.uniform(0, 1, size=(n_rules, n_features)).T[:, :, None]
         scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
         scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
+        scales = scales.T[:, :, None]
         fused = product_firing(kind, (x - centers) / scales)
         with np.errstate(under="ignore"):
-            ref = np.prod(membership_values(kind, x, centers, scales), axis=2)
+            ref = np.prod(membership_values(kind, x, centers, scales), axis=0)
         if kind == MFKind.CAUCHY:
             np.testing.assert_array_equal(fused, ref)
         else:

@@ -27,25 +27,25 @@ COMMANDS = [
 DIGESTS = {
     "partition/centers.csv": "7f28552089a00a627311d2a1bade42fcd6f094182b687219a3a2d0037713ab73",
     "partition/curves.csv": "ece0671f4b4fc453a630ba8bd2096c0816bc3a6e9f7fa97ae33af46df964dfdb",
-    "study/summary.csv": "e8fc2446ff4cc65d8ea68471d686a66636b22d0a058b7e7bcbb620f48e427fa8",
-    "study/trace_cauchy_0.0625.csv": "2a88c28d60c14c78f8d16341de8f4517b1362c33fefc57d6807ccb385fe85ba8",
-    "study/trace_cauchy_0.5.csv": "e4888f8764df8fd0f544011697cc236bffd084a1a522e263b144c00d34876ec7",
-    "study/trace_gaussian_0.0625.csv": "9f68bb62406c2e1c3331a58a801e01c5e59aa69a58f1f5cb7af95b439da207f3",
-    "study/trace_gaussian_0.5.csv": "82edc8e393f2e09d1f21a997ef1258e14ffd127d8448eeea0cdece5b251421f7",
-    "study/trajectory_cauchy_0.0625.csv": "ab441b9f560fa7ef088e5278e74856de5ac74828576c22bad9ae8148534009b7",
-    "study/trajectory_cauchy_0.5.csv": "b188a37cbf31e0673827808129c0b80102107220a8037da3c1dcf592fe712b50",
-    "study/trajectory_gaussian_0.0625.csv": "4aefb5df7479551b72a870b8f709e0099735bdc03db07ef1fec17a81c5b5f494",
-    "study/trajectory_gaussian_0.5.csv": "e9fc9108134aff1900a5becfc001dd58515b105007972e14e531d4c0ea93519f",
-    "sweep/front.csv": "bc776dacf8522c25f6625a8227e04fced7cc41e7138bdd665da8701961881a24",
-    "sweep/points.csv": "da496d404257ecfa85613b591126df4843071a59e3b825e75dd9c2784a5d51bb",
-    "train/aggregate.csv": "3fa8f29dcfe0cdcf4f6abf78d30ec08f23960b395fc0aa21d7fe295c5d93dee1",
-    "train/metrics.csv": "0700a5e17c3bc602a9bfcbd2bfbe20a1541cbc92fc5936663b424cb594b15b77",
-    "train/model_seed0000.json": "2cafc52facc0d708f5a1a8e7bb81861dc738346272f5bffa8617dff5dfc8c32f",
-    "train/model_seed0001.json": "57055fe0c9c89f0b21c85feab68bb2779bd03e1eb50f4429aa495ee0fd5d779e",
-    "train/trace_seed0000.csv": "93b479714fc1662ed08c13dc871e665c645cba5a0d1da935a09318858df55a01",
-    "train/trace_seed0001.csv": "28cd9133e8407205d24264d30d7c2e84b97209cb470919b51685891e11ebc3d7",
-    "train/trajectory_seed0000.csv": "ac8a56091931fd7b3342d23c3383aeda97b8edf3952af2a0a8e6560ff827f244",
-    "train/trajectory_seed0001.csv": "07d12c439dcf29537c735628d4c25fdf45518e62729d30b02526ffdb1b2a0b9e",
+    "study/summary.csv": "eb605256f3289f6fcde7d34d0612862b60a3ffeda3cfb7b91c835e747e22bb4f",
+    "study/trace_cauchy_0.0625.csv": "33b7e4b552a783b8785b8dcb9d89496f819331e07776080cd8243398f42365dc",
+    "study/trace_cauchy_0.5.csv": "85b58613a2c39576bd4a5ee5e9a2171564998a35607a396b68f9e3688b57862e",
+    "study/trace_gaussian_0.0625.csv": "037778d27f9488b9e48c7a975ae8b80f2d06335b5823a2121b8996ddc998420b",
+    "study/trace_gaussian_0.5.csv": "7151b7ce569bdbc22d95d220414cf8dc565765353d9d7628bed3baeb06e82c44",
+    "study/trajectory_cauchy_0.0625.csv": "9700d828aab03791939e63f8a47e8eb98b27342fe1ed642e2d439dd527e03170",
+    "study/trajectory_cauchy_0.5.csv": "5b5b508c2a8a3a46241494ea6665bdbe8a4fd59abfa9a8b11722308cc7d4be01",
+    "study/trajectory_gaussian_0.0625.csv": "a303440aa40788b893c58b406d97308fa4449e533d243fdd285def9f848242f2",
+    "study/trajectory_gaussian_0.5.csv": "59d3555e3f568ecb1039ba81a3adbbc56de2b79d6b31b85420ef622752f84df7",
+    "sweep/front.csv": "90d3678e645c2efc1475c00944a4f033cbf7438286cc6568b5dacb30cbcea921",
+    "sweep/points.csv": "bdd4f1f129e151d8c50d990056eed65ef9892d5b314eb47c4a9e9f6102713a15",
+    "train/aggregate.csv": "af70f9b5bf94550a426aaa9f361c2ede423baf33945836f3ef3c6d948dab6157",
+    "train/metrics.csv": "ff92a208cace481be15c44f7c9f20c740dba1a83767b81d2b05c24c7a3473fef",
+    "train/model_seed0000.json": "fa519aee09b962b7563e51d19bbe7e66aaa50b558cfbc086a7abb932eeaa712a",
+    "train/model_seed0001.json": "a379914f31c2bd212675a81a6e7fc012718f65b81c4d650853cd7f5765f94f5f",
+    "train/trace_seed0000.csv": "5130c2e1c7b0c4d29c0d7385c61e360b0cef40e416abeb1015c44ab8a1dd82cc",
+    "train/trace_seed0001.csv": "c5ee75acee8537f99543e1f6490a6bba28a81ed86d6bea107a021e7a518f8117",
+    "train/trajectory_seed0000.csv": "8d55f7d1f6b41963b11eaa29a25d6535c25fe3b1178eb8193724fb58a9bfdeb5",
+    "train/trajectory_seed0001.csv": "f70b1e297bae077421c31e03b15a8920bfd5776aa48d0210b538bd829b220578",
 }
 
 

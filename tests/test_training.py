@@ -127,7 +127,7 @@ class TestMSEGradients:
         y = rng.uniform(0, 1, size=20)
         rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
         live = fm.live
-        assert live.sum() == 12 and np.all(fm.raw[~live] == 0.0)
+        assert live.sum() == 12 and np.all(fm.raw[:, ~live] == 0.0)
         gc, gs = mse_antecedent_gradients(rb, fm, X, y)
         assert np.all(np.isfinite(gc)) and np.all(np.isfinite(gs))
         assert np.all(gc != 0.0) and np.all(gs != 0.0)
