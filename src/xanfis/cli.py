@@ -500,8 +500,10 @@ def main(argv=None):
         # a seeds value that is not a list is rejected by the command's validate
         if one_seed and "seeds" in explicit and isinstance(cfg.seeds, list) and len(cfg.seeds) > 1:
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
-        if cfg.mode == Mode.ANFIS.value and "lr_xpass" in explicit:
-            print("warning: lr_xpass is ignored in anfis mode", file=sys.stderr)
+        # lr_xpass reaches x_anfis runs only: pareto-sweep always has one, init-study none
+        train_x = args.command == "train" and cfg.mode == Mode.X_ANFIS
+        if "lr_xpass" in explicit and not (train_x or args.command == "pareto-sweep"):
+            print("warning: lr_xpass is ignored: no run is in x_anfis mode", file=sys.stderr)
         if args.command == "train":
             records = cmd_train(cfg)
             if any(r.diverged for r in records):

@@ -61,10 +61,8 @@ class RuleBase:
 class FiringMatrices:
     """One antecedent state's forward on X, sample axis last; the backward pass reuses it all."""
 
-    raw: np.ndarray         # (R, N), entries in [0, 1]
-    normalized: np.ndarray  # (R, N), live columns sum to 1
-    den: np.ndarray         # (N,), max(raw column sum, EPS_DENOM)
-    live: np.ndarray        # (N,), raw column sum > EPS_DENOM
+    normalized: np.ndarray  # (R, N), raw firing / max(its column sum, EPS_DENOM)
+    live: np.ndarray        # (N,), raw firing column sum > EPS_DENOM
     u: np.ndarray           # (F, R, N), standardized distances (x - c) / s
 
 
@@ -82,17 +80,17 @@ def membership_tensor(X, rb):
 
 
 def firing_strengths(X, rb):
-    """Product t-norm firing strengths and their per-sample normalization.
+    """Product t-norm firing strengths, normalized per sample in place.
 
-    normalized[:, t] = raw[:, t] / den[t] with den[t] = max(sum(raw[:, t]),
-    EPS_DENOM): live samples (sum above the floor) form an exact partition
-    of unity; fully underflowed samples degrade to ~0 instead of dividing by zero.
+    normalized[:, t] = raw[:, t] / max(sum(raw[:, t]), EPS_DENOM): live
+    samples (sum above the floor) form an exact partition of unity; fully
+    underflowed samples degrade to ~0 instead of dividing by zero.
     """
     u = membership_tensor(X, rb)
     raw = product_firing(rb.mf_kind, u)
     total = raw.sum(axis=0)
-    den = np.maximum(total, EPS_DENOM)
-    return FiringMatrices(raw=raw, normalized=raw / den, den=den, live=total > EPS_DENOM, u=u)
+    raw /= np.maximum(total, EPS_DENOM)
+    return FiringMatrices(normalized=raw, live=total > EPS_DENOM, u=u)
 
 
 def _augmented_t(X):

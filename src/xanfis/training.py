@@ -124,27 +124,24 @@ def mean_distinguishability(rb):
     return float(np.mean(d))
 
 
-def mse_antecedent_gradients(rb, fm, X, y):
+def mse_antecedent_gradients(rb, fm, X, y, yhat):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
-    X and y are checked arrays (train checks them once) and fm holds rb's
-    firing matrices on X.  Chain rule through the normalized firing
-    strengths, with fm's row floor den and live-row mask:
+    X and y are checked arrays (train checks them once); fm and yhat are
+    rb's firing matrices and predictions on X, as fit_consequents returns
+    them.  Chain rule through the normalized firing strengths, with fm's
+    live-row mask:
 
-        d yhat_t / d raw_tj = (f_j(x_t) - live_t * yhat_t) / den_t
-        d raw_tj / d theta_jf = raw_tj * d log mu_tjf / d theta,
+        d yhat_t / d theta_jf = normalized_jt * (f_j(x_t) - live_t * yhat_t)
+                                * d log mu_tjf / d theta,
 
     where d log mu / d c = g / s and d log mu / d s = g u / s for the
     kind's factor g at fm's standardized distances u; these stay finite
     even when mu underflows.  The 1/s is applied after the sum over samples.
     """
-    n = X.shape[0]
-    fout = rule_outputs(rb, X)
-    yhat = (fm.normalized * fout).sum(axis=0)
-    upstream = (2.0 / n) * (yhat - y)
-    coef = (fout - np.where(fm.live, yhat, 0.0)) / fm.den
+    upstream = (2.0 / X.shape[0]) * (yhat - y)
     with np.errstate(under="ignore"):
-        b = upstream * coef * fm.raw  # (R, N)
+        b = upstream * fm.normalized * (rule_outputs(rb, X) - np.where(fm.live, yhat, 0.0))
         w = b * log_grad_factor(rb.mf_kind, fm.u)  # (F, R, N)
     # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
     grad_c = w.sum(axis=-1).T / rb.scales
@@ -178,13 +175,14 @@ def _clipped_step(values, grad, lr, cfg):
     return values - lr * np.clip(grad, cfg.clip_lo, cfg.clip_hi)
 
 
-def backward_pass(rb, fm, X, y, cfg):
+def backward_pass(rb, fm, X, y, yhat, cfg):
     """One clipped gradient-descent step on MSE over centers and scales.
 
-    fm holds rb's firing matrices on X.  In MO-ANFIS mode the centers also
-    descend mo_weight times the pair penalty; scales get only the MSE term.
+    fm and yhat are rb's firing matrices and predictions on X.  In MO-ANFIS
+    mode the centers also descend mo_weight times the pair penalty; scales
+    get only the MSE term.
     """
-    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y)
+    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y, yhat)
     if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
         grad_c = grad_c + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
     centers = _clipped_step(rb.centers, grad_c, cfg.lr_backward, cfg)
@@ -259,7 +257,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
         prev = rb
-        stepped = backward_pass(rb, fm, X_train, y_train, cfg)
+        stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg)
         if cfg.mode == Mode.X_ANFIS:
             stepped = xpass_update(stepped, cfg)
         del fm  # frees this state's (F, R, N) tensor before the refit builds the next

@@ -26,9 +26,10 @@ from xanfis.inference import (
     design_matrix,
     firing_strengths,
     fit_consequents,
+    membership_tensor,
     predict,
 )
-from xanfis.membership import SCALE_MIN, MFKind
+from xanfis.membership import SCALE_MIN, MFKind, product_firing
 from xanfis.metrics import ParetoPoint, mean_distinguishability, pareto_front, regression_metrics
 from xanfis.training import (
     Mode,
@@ -111,9 +112,9 @@ class TestCriterion1GradientCorrectness:
             y = rng.uniform(0, 1, size=n)
             centers = rng.uniform(0.05, 0.95, size=(r, f))
             scales = rng.uniform(0.05, 0.8, size=(r, f))
-            rb, fm, _ = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
+            rb, fm, yhat = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
 
-            gc, gs = mse_antecedent_gradients(rb, fm, X, y)
+            gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
             fd_c = np.zeros_like(gc)
             fd_s = np.zeros_like(gs)
 
@@ -177,14 +178,15 @@ class TestCriterion2LSEOptimality:
         cfg = TrainConfig(mode=Mode.X_ANFIS, lam=1e-4)
         worst = 0.0
         for _ in range(50):
-            rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
+            rb, fm, yhat = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
             phi = design_matrix(
                 firing_strengths(split.X_train, rb), split.X_train, rb.order
             ).T  # (N, columns)
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
-            rb = xpass_update(backward_pass(rb, fm, split.X_train, split.y_train, cfg), cfg)
+            stepped = backward_pass(rb, fm, split.X_train, split.y_train, yhat, cfg)
+            rb = xpass_update(stepped, cfg)
         report(2, worst < 1.0, f"50 epochs, worst residual at {worst:.2e} of the bound")
 
 
@@ -376,7 +378,8 @@ class TestCriterion9Invariants:
                 ok &= bool(np.all(s >= SCALE_MIN) and np.all(s <= 1.0))
                 rb = RuleBase(run["rb"].mf_kind, c, s)
                 fm = firing_strengths(split.X_train, rb)
-                live = fm.raw.max(axis=0) > EPS_DENOM
+                raw = product_firing(rb.mf_kind, membership_tensor(split.X_train, rb))
+                live = raw.max(axis=0) > EPS_DENOM
                 if np.any(live):
                     dev = np.max(np.abs(fm.normalized[:, live].sum(axis=0) - 1.0))
                     worst_rowsum = max(worst_rowsum, dev)

@@ -307,14 +307,27 @@ class TestMainEntry:
         assert (out / "metrics.csv").exists()
         assert not (tmp_path / "from_config").exists()
 
-    def test_anfis_mode_warns_on_explicit_lr_xpass(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, extra, warns",
+        [
+            ("train", ["--mode", "anfis"], True),
+            ("train", ["--mode", "mo_anfis"], True),
+            ("train", ["--mode", "x_anfis"], False),
+            ("init-study", ["--mode", "x_anfis", "--scales", "0.5"], True),
+            ("pareto-sweep", ["--weights-count", "2"], False),
+        ],
+    )
+    def test_explicit_lr_xpass_warns_when_no_run_uses_it(
+        self, tmp_path, capsys, command, extra, warns
+    ):
+        # init-study runs only anfis; pareto-sweep's ref_x_anfis run takes the value
         args = [
-            "train", "--synth", "sinc2d", "--synth-n", "300", "--rules", "3",
-            "--seeds", "0", "--epochs", "5", "--mode", "anfis",
+            command, "--synth", "sinc2d", "--synth-n", "300", "--rules", "3",
+            "--seeds", "0", "--epochs", "5", *extra,
             "--lr-xpass", "0.2", "--out", str(tmp_path / "w"),
         ]
         assert main(args) == 0
-        assert "lr_xpass is ignored" in capsys.readouterr().err
+        assert ("lr_xpass is ignored" in capsys.readouterr().err) == warns
 
     def test_unknown_config_key_fails(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -18,11 +18,12 @@ from xanfis.inference import (
     firing_strengths,
     fit_consequents,
     load_model,
+    membership_tensor,
     predict,
     rule_outputs,
     save_model,
 )
-from xanfis.membership import SCALE_MIN, MFKind, membership_values
+from xanfis.membership import SCALE_MIN, MFKind, membership_values, product_firing
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -37,6 +38,11 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
     scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
     scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
     return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+
+
+def raw_firing(X, rb):
+    """Unnormalized product firing strengths, (R, N), derived apart from firing_strengths."""
+    return product_firing(rb.mf_kind, membership_tensor(X, rb))
 
 
 def scalar_firing_oracle(X, rb):
@@ -61,8 +67,9 @@ class TestFiringStrengths:
     def test_sample_at_all_centers(self):
         centers = np.tile([0.5, 0.5], (3, 1))
         rb = RuleBase(MFKind.CAUCHY, centers, np.full((3, 2), 0.2))
-        fm = firing_strengths(np.array([[0.5, 0.5]]), rb)
-        np.testing.assert_allclose(fm.raw, 1.0)
+        X = np.array([[0.5, 0.5]])
+        fm = firing_strengths(X, rb)
+        np.testing.assert_allclose(raw_firing(X, rb), 1.0)
         np.testing.assert_allclose(fm.normalized, 1.0 / 3.0)
 
     def test_two_identical_rules_split_evenly(self):
@@ -77,7 +84,7 @@ class TestFiringStrengths:
         rb = random_rulebase(rng, n_rules=4, n_features=3)
         fm = firing_strengths(X, rb)
         raw_ref, norm_ref = scalar_firing_oracle(X, rb)
-        np.testing.assert_allclose(fm.raw, raw_ref, atol=1e-12)
+        np.testing.assert_allclose(raw_firing(X, rb), raw_ref, atol=1e-12)
         np.testing.assert_allclose(fm.normalized, norm_ref, atol=1e-12)
 
     def test_partition_of_unity_random(self):
@@ -86,7 +93,7 @@ class TestFiringStrengths:
             X = rng.uniform(-0.3, 1.3, size=(50, 2))
             rb = random_rulebase(rng, n_rules=6, n_features=2, kind=kind)
             fm = firing_strengths(X, rb)
-            live = fm.raw.max(axis=0) > EPS_DENOM
+            live = raw_firing(X, rb).max(axis=0) > EPS_DENOM
             np.testing.assert_allclose(fm.normalized[:, live].sum(axis=0), 1.0, atol=1e-9)
 
     @settings(max_examples=80, deadline=None)
@@ -100,10 +107,12 @@ class TestFiringStrengths:
     def test_live_rows_partition_unity(self, kind, n_rules, n_features, n_samples, seed):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
-        fm = firing_strengths(X, wide_rulebase(rng, kind, Order.ZERO, n_rules, n_features))
-        total = fm.raw.sum(axis=0)
+        rb = wide_rulebase(rng, kind, Order.ZERO, n_rules, n_features)
+        fm = firing_strengths(X, rb)
+        raw = raw_firing(X, rb)
+        total = raw.sum(axis=0)
         np.testing.assert_array_equal(fm.live, total > EPS_DENOM)
-        np.testing.assert_array_equal(fm.den, np.maximum(total, EPS_DENOM))
+        np.testing.assert_array_equal(fm.normalized, raw / np.maximum(total, EPS_DENOM))
         np.testing.assert_allclose(
             fm.normalized[:, fm.live].sum(axis=0), 1.0, rtol=0, atol=1e-12
         )
@@ -112,9 +121,10 @@ class TestFiringStrengths:
     def test_dead_rows_stay_finite(self):
         # Gaussian memberships underflow far from the centers
         rb = RuleBase(MFKind.GAUSSIAN, np.zeros((2, 2)), np.full((2, 2), 1e-3))
-        fm = firing_strengths(np.array([[1.0, 1.0]]), rb)
+        X = np.array([[1.0, 1.0]])
+        fm = firing_strengths(X, rb)
         assert np.all(np.isfinite(fm.normalized))
-        np.testing.assert_array_equal(fm.raw, 0.0)
+        np.testing.assert_array_equal(raw_firing(X, rb), 0.0)
 
 
 class TestDesignMatrix:
@@ -160,9 +170,11 @@ class TestSampleAxisLast:
         rb = random_rulebase(rng, n_rules=4, n_features=3, order=Order.FIRST)
         fm = firing_strengths(X, rb)
         assert fm.u.shape == (3, 4, 40) and fm.u.flags.c_contiguous
-        for a in (fm.raw, fm.normalized):
+        raw = raw_firing(X, rb)
+        for a in (raw, fm.normalized):
             assert a.shape == (4, 40) and a.flags.c_contiguous
-        assert fm.den.shape == fm.live.shape == (40,)
+        den = np.maximum(raw.sum(axis=0), EPS_DENOM)
+        assert den.shape == fm.live.shape == (40,)
         phi = design_matrix(fm, X, Order.FIRST)
         assert phi.shape == (16, 40) and phi.flags.c_contiguous
         assert phi.base is not None and phi.base.shape == (4, 4, 40)
@@ -224,7 +236,9 @@ class TestFitConsequents:
         fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
         np.testing.assert_array_equal(yhat, predict(fitted, X))
         ref = firing_strengths(X, rb)
-        np.testing.assert_array_equal(fm.raw, ref.raw)
+        raw = raw_firing(X, rb)
+        np.testing.assert_array_equal(fm.normalized, raw / np.maximum(raw.sum(axis=0), EPS_DENOM))
+        np.testing.assert_array_equal(fm.live, raw.sum(axis=0) > EPS_DENOM)
         np.testing.assert_array_equal(fm.normalized, ref.normalized)
 
     def test_lse_beats_random_consequents(self):

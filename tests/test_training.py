@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 
 import xanfis.inference
 import xanfis.numerics
-from xanfis.inference import Order, RuleBase, firing_strengths, fit_consequents, predict
-from xanfis.membership import SCALE_MIN, MFKind
+from xanfis.inference import (
+    EPS_DENOM,
+    Order,
+    RuleBase,
+    firing_strengths,
+    fit_consequents,
+    membership_tensor,
+    predict,
+    rule_outputs,
+)
+from xanfis.membership import SCALE_MIN, MFKind, log_grad_factor, product_firing
 from xanfis.training import (
     D_SING,
     DivergenceError,
@@ -39,8 +48,47 @@ def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO)
     centers = rng.uniform(0.05, 0.95, size=(n_rules, n_features))
     scales = rng.uniform(0.05, 0.8, size=(n_rules, n_features))
     rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
-    rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
-    return X, y, rb, fm
+    rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+    return X, y, rb, fm, yhat
+
+
+def raw_firing(X, rb):
+    """Unnormalized product firing strengths, (R, N), derived apart from firing_strengths."""
+    return product_firing(rb.mf_kind, membership_tensor(X, rb))
+
+
+def reference_chain_rule(rb, X, y):
+    """MSE antecedent gradients through the raw firing and its floored column sum.
+
+    d yhat_t / d raw_jt = (f_j(x_t) - live_t * yhat_t) / den_t, times
+    raw_jt * d log mu / d theta, with yhat re-summed from the rule outputs.
+    """
+    u = membership_tensor(X, rb)
+    raw = product_firing(rb.mf_kind, u)
+    total = raw.sum(axis=0)
+    den = np.maximum(total, EPS_DENOM)
+    fout = rule_outputs(rb, X)
+    yhat = (raw / den * fout).sum(axis=0)
+    upstream = (2.0 / X.shape[0]) * (yhat - y)
+    coef = (fout - np.where(total > EPS_DENOM, yhat, 0.0)) / den
+    with np.errstate(under="ignore"):
+        w = upstream * coef * raw * log_grad_factor(rb.mf_kind, u)
+    grad_c = w.sum(axis=-1).T / rb.scales
+    grad_s = np.einsum("frt,frt->fr", w, u).T / rb.scales
+    return grad_c, grad_s
+
+
+def dead_row_problem(rng, kind, order, n_rules=3, n_features=3):
+    """Narrow, overlapping sets near 0.2: rows near 0.2 are live, rows near 1 are dead."""
+    centers = 0.2 + rng.uniform(-0.003, 0.003, size=(n_rules, n_features))
+    scales = rng.uniform(0.002, 0.003, size=(n_rules, n_features))
+    near = 0.2 + rng.uniform(-0.004, 0.004, size=(24, n_features))
+    far = rng.uniform(0.9, 1.0, size=(16, n_features))
+    X = np.concatenate([near, far])[rng.permutation(40)]
+    y = rng.uniform(0, 1, size=40)
+    rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+    rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+    return X, y, rb, fm, yhat
 
 
 def mse_with_frozen_consequents(rb, X, y):
@@ -81,8 +129,8 @@ class TestMSEGradients:
         X = rng.uniform(0, 1, size=(20, 2))
         y = np.full(20, 0.4)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.5, 0.5]]), np.array([[0.3, 0.3]]))
-        rb, fm, _ = fit_consequents(rb, X, y, 0.0)
-        gc, gs = mse_antecedent_gradients(rb, fm, X, y)
+        rb, fm, yhat = fit_consequents(rb, X, y, 0.0)
+        gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
         np.testing.assert_allclose(gc, 0.0, atol=1e-12)
         np.testing.assert_allclose(gs, 0.0, atol=1e-12)
 
@@ -91,11 +139,31 @@ class TestMSEGradients:
     def test_matches_finite_differences(self, kind, order):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            X, y, rb, fm = make_problem(rng, 3, 2, kind, order=order)
-            gc, gs = mse_antecedent_gradients(rb, fm, X, y)
+            X, y, rb, fm, yhat = make_problem(rng, 3, 2, kind, order=order)
+            gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
             fd_c, fd_s = fd_mse_gradients(rb, X, y)
             assert rel_err(gc, fd_c) < 1e-4
             assert rel_err(gs, fd_s) < 1e-4
+
+    @pytest.mark.parametrize("kind", [MFKind.GAUSSIAN, MFKind.CAUCHY])
+    @pytest.mark.parametrize("order", [Order.ZERO, Order.FIRST])
+    def test_matches_raw_firing_chain_rule(self, kind, order):
+        # the gradient from normalized firing and the refit's predictions is
+        # the raw-firing chain rule, on all-live data and with dead rows; the
+        # tolerance is relative to each gradient's largest entry, since the
+        # two yhat sums round apart and entries that cancel over samples
+        # magnify that past 1e-12 of their own size
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            for X, y, rb, fm, yhat in (
+                make_problem(rng, 4, 3, kind, order=order),
+                dead_row_problem(rng, kind, order),
+            ):
+                for grad, ref in zip(
+                    mse_antecedent_gradients(rb, fm, X, y, yhat), reference_chain_rule(rb, X, y)
+                ):
+                    np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+            assert 0 < fm.live.sum() < len(X)  # the dead-row problem, checked last
 
     def test_backward_step_arithmetic_with_clipping(self):
         # a +10 raw gradient entry is clipped to +1, so the parameter
@@ -108,9 +176,9 @@ class TestMSEGradients:
 
     def test_backward_pass_projects_bounds(self):
         rng = np.random.default_rng(7)
-        X, y, rb, fm = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        X, y, rb, fm, yhat = make_problem(rng, 4, 2, MFKind.CAUCHY)
         cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10)
-        out = backward_pass(rb, fm, X, y, cfg)
+        out = backward_pass(rb, fm, X, y, yhat, cfg)
         assert np.all(out.centers >= 0.0) and np.all(out.centers <= 1.0)
         assert np.all(out.scales >= SCALE_MIN) and np.all(out.scales <= 1.0)
 
@@ -125,14 +193,14 @@ class TestMSEGradients:
         far = rng.uniform(0.5, 1.0, size=(8, 1))
         X = np.concatenate([near, far])[rng.permutation(20)]
         y = rng.uniform(0, 1, size=20)
-        rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
+        rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
         live = fm.live
-        assert live.sum() == 12 and np.all(fm.raw[:, ~live] == 0.0)
-        gc, gs = mse_antecedent_gradients(rb, fm, X, y)
+        assert live.sum() == 12 and np.all(raw_firing(X, rb)[:, ~live] == 0.0)
+        gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
         assert np.all(np.isfinite(gc)) and np.all(np.isfinite(gs))
         assert np.all(gc != 0.0) and np.all(gs != 0.0)
         gc_live, gs_live = mse_antecedent_gradients(
-            rb, firing_strengths(X[live], rb), X[live], y[live]
+            rb, firing_strengths(X[live], rb), X[live], y[live], yhat[live]
         )
         np.testing.assert_allclose(20 * gc, 12 * gc_live, rtol=1e-12)
         np.testing.assert_allclose(20 * gs, 12 * gs_live, rtol=1e-12)
@@ -162,8 +230,8 @@ class TestMSEGradients:
             assert np.all((state.scales >= SCALE_MIN) & (state.scales <= 1.0))
 
         for _ in range(3):
-            rb, fm, _ = fit_consequents(rb, X, y, 1e-4)
-            rb = backward_pass(rb, fm, X, y, cfg)
+            rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+            rb = backward_pass(rb, fm, X, y, yhat, cfg)
             assert_in_bounds(rb)
             rb = xpass_update(rb, cfg)
             assert_in_bounds(rb)
@@ -379,9 +447,11 @@ class TestXPass:
 class TestMOPass:
     def test_weight_zero_equals_backward(self):
         rng = np.random.default_rng(21)
-        X, y, rb, fm = make_problem(rng, 4, 2, MFKind.CAUCHY)
-        out_mo = backward_pass(rb, fm, X, y, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0))
-        out_bw = backward_pass(rb, fm, X, y, TrainConfig(mode=Mode.ANFIS))
+        X, y, rb, fm, yhat = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        out_mo = backward_pass(
+            rb, fm, X, y, yhat, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0)
+        )
+        out_bw = backward_pass(rb, fm, X, y, yhat, TrainConfig(mode=Mode.ANFIS))
         np.testing.assert_array_equal(out_mo.centers, out_bw.centers)
         np.testing.assert_array_equal(out_mo.scales, out_bw.scales)
 
@@ -391,9 +461,9 @@ class TestMOPass:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.full(3, 0.25)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.array([[0.2], [0.2]]))
-        rb, fm, _ = fit_consequents(rb, X, y, 0.0)
+        rb, fm, yhat = fit_consequents(rb, X, y, 0.0)
         cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, d_target=0.5, lr_backward=1.0)
-        out = backward_pass(rb, fm, X, y, cfg)
+        out = backward_pass(rb, fm, X, y, yhat, cfg)
         np.testing.assert_allclose(rb.centers - out.centers, 0.0, atol=1e-12)
         np.testing.assert_allclose(rb.scales - out.scales, 0.0, atol=1e-12)
 
@@ -403,12 +473,12 @@ class TestMOPass:
         # projection inactive, so the step is exactly -lr * gradient
         rng = np.random.default_rng(22)
         for _ in range(10):
-            X, y, rb, fm = make_problem(rng, 4, 3, MFKind.CAUCHY)
+            X, y, rb, fm, yhat = make_problem(rng, 4, 3, MFKind.CAUCHY)
             cfg = TrainConfig(
                 mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3, clip_lo=-1e6, clip_hi=1e6
             )
-            out = backward_pass(rb, fm, X, y, cfg)
-            gc_mse, gs_mse = mse_antecedent_gradients(rb, fm, X, y)
+            out = backward_pass(rb, fm, X, y, yhat, cfg)
+            gc_mse, gs_mse = mse_antecedent_gradients(rb, fm, X, y, yhat)
             gx = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
             np.testing.assert_array_equal(out.centers, rb.centers - 1e-3 * (gc_mse + 1.0 * gx))
             np.testing.assert_array_equal(out.scales, rb.scales - 1e-3 * gs_mse)
