@@ -25,21 +25,14 @@ from .metrics import (
     pareto_front,
     regression_metrics,
 )
-from .numerics import (
-    InsufficientDataError,
-    RandomStream,
-    SingularMatrixError,
-    mean_ci95,
-    ridge_solve,
-)
-from .training import DivergenceError, EpochTrace, Mode, TrainConfig, train
+from .numerics import InsufficientDataError, RandomStream, SingularMatrixError, mean_ci95
+from .training import EpochTrace, Mode, TrainConfig, TrainResult, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DatasetManifest",
     "DatasetSplit",
-    "DivergenceError",
     "EpochTrace",
     "EvalReport",
     "FCMConfig",
@@ -55,6 +48,7 @@ __all__ = [
     "Scaler",
     "SingularMatrixError",
     "TrainConfig",
+    "TrainResult",
     "derive_scales",
     "evaluate_model",
     "fcm_fit",
@@ -67,7 +61,6 @@ __all__ = [
     "pareto_front",
     "predict",
     "regression_metrics",
-    "ridge_solve",
     "save_model",
     "split_scale",
     "synth_regression",

@@ -15,7 +15,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import os
 import sys
@@ -38,14 +37,7 @@ from .metrics import (
     pareto_front,
 )
 from .numerics import mean_ci95
-from .training import (
-    DivergenceError,
-    Mode,
-    TrainConfig,
-    traces_to_csv,
-    train,
-    trajectory_to_csv,
-)
+from .training import DIVERGED, Mode, TrainConfig, traces_to_csv, train, trajectory_to_csv
 
 
 @dataclass
@@ -143,7 +135,11 @@ class RunRecord(Run):
     rb: RuleBase
     traces: list
     scaler: object
-    diverged: bool
+    stop_reason: str  # a training.TrainResult stop reason
+
+    @property
+    def diverged(self):
+        return self.stop_reason in DIVERGED
 
     @property
     def epochs_run(self):
@@ -165,13 +161,9 @@ def run_experiment(run, prepared):
     cfg = run.cfg
     scales = derive_scales(split.X_train, fcm, override_scale=run.init_scale)
     rb0 = RuleBase(mf_kind=cfg.mf, centers=fcm.centers, scales=scales, order=cfg.order)
-    diverged = False
-    try:
-        rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
-    except DivergenceError as err:
-        diverged = True
-        rb, traces = err.last_rb, err.traces
-
+    rb, traces, stop_reason = train(
+        split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg
+    )
     if rb.consequents is None:
         # failed before the first fit: no error metrics, initial antecedents' D
         nan = float("nan")
@@ -179,7 +171,8 @@ def run_experiment(run, prepared):
     else:
         report = evaluate_model(rb, split.X_test, split.y_test)
     return RunRecord(
-        **vars(run), report=report, rb=rb, traces=traces, scaler=split.scaler, diverged=diverged
+        **vars(run), report=report, rb=rb, traces=traces, scaler=split.scaler,
+        stop_reason=stop_reason,
     )
 
 
@@ -198,6 +191,8 @@ def _run_all(runs, cfg):
         first_run.setdefault(run.seed, run)
     workers = min(cfg.workers, len(runs))
     if workers > 1:
+        import concurrent.futures  # loaded only when a pool is built
+
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     else:
         pool = contextlib.nullcontext()

@@ -272,9 +272,7 @@ SINC2D_BLOBS = ((0.15, 0.15), (0.15, 0.85), (0.85, 0.15), (0.85, 0.85), (0.5, 0.
 #: per-axis cluster standard deviation, relative to the range width
 SINC2D_BLOB_STD = 0.05
 
-TWO_BLOB_CENTERS = ((0.2, 0.2), (0.8, 0.8))
-
-SYNTH_DATASETS = ("two_blob", "sinc2d", "friedman")
+SYNTH_DATASETS = ("sinc2d", "friedman")
 
 
 def sinc2d_target(X):
@@ -301,24 +299,10 @@ def check_synth(name, n):
 
 
 def synth_regression(name, n, noise, seed):
-    """Deterministic synthetic datasets: two_blob, sinc2d or friedman."""
+    """Deterministic synthetic datasets: sinc2d or friedman."""
     n = int(n)
     check_synth(name, n)
     stream = RandomStream(seed)
-    if name == "two_blob":
-        half = n // 2
-        sizes = (half, n - half)
-        rows = []
-        labels = []
-        for label, (cx, cy) in enumerate(TWO_BLOB_CENTERS):
-            k = sizes[label]
-            radius = noise * np.sqrt(stream.uniforms(k))
-            theta = 2.0 * math.pi * stream.uniforms(k)
-            rows.append(
-                np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
-            )
-            labels.append(np.full(k, float(label)))
-        return np.vstack(rows), np.concatenate(labels)
     if name == "sinc2d":
         lo, hi = SINC2D_RANGE
         span = hi - lo

@@ -2,7 +2,8 @@
 
 A RuleBase is treated as immutable; every operation returns a new one.
 The trainer owns the single evolving copy.  fit_consequents and predict
-check X once at entry; the kernels below them take that checked array.
+check X (and fit_consequents y) once at entry; the kernels below them,
+ridge_solve included, take those checked arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import read_json
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_matrix, ridge_solve
+from .numerics import as_matrix, as_vector, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -120,6 +121,11 @@ def fit_consequents(rb, X, y, lam):
     predictions equal predict(fitted rb, X) bit for bit.
     """
     X = as_matrix(X, "X")
+    y = as_vector(y, "y")
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    if X.shape[0] < 1 or rb.n_rules < 1:
+        raise ValueError("phi must have at least one row and one column")
     fm = firing_strengths(X, rb)
     phi_t = design_matrix(fm, X, rb.order)
     w = ridge_solve(phi_t.T, y, lam)

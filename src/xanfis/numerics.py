@@ -48,16 +48,9 @@ def ridge_solve(phi, y, lam):
     rules or rules*(features+1)), so the direct solve is both fast and
     accurate.  A system that is not positive definite in float64 (lam = 0
     with dependent columns, or lam below rounding) raises
-    SingularMatrixError.
+    SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
+    matching nonzero row counts (fit_consequents checks them).
     """
-    phi = as_matrix(phi, "phi")
-    y = as_vector(y, "y")
-    if phi.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"phi has {phi.shape[0]} rows but y has {y.shape[0]} entries"
-        )
-    if phi.shape[0] < 1 or phi.shape[1] < 1:
-        raise ValueError("phi must have at least one row and one column")
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")

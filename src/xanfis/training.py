@@ -8,8 +8,8 @@ mode the backward pass descends the scalarized objective
 MSE + weight * sum over adjacent pairs of 0.5 * (D - D_target)^2 instead.
 The refit's firing matrices and predictions are the only training-set
 forward of each antecedent state.
-Early stopping watches validation MSE with a patience window and the best
-validation snapshot is returned.
+Early stopping watches validation MSE with a patience window; train
+returns the best validation snapshot and the reason the run stopped.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import write_csv
-from .inference import fit_consequents, predict, rule_outputs
+from .inference import RuleBase, fit_consequents, predict, rule_outputs
 from .membership import log_grad_factor, project_bounds_arrays
 from .numerics import SingularMatrixError, as_matrix, as_vector
 
@@ -34,20 +35,6 @@ class Mode(str, enum.Enum):
     ANFIS = "anfis"
     MO_ANFIS = "mo_anfis"
     X_ANFIS = "x_anfis"
-
-
-class DivergenceError(RuntimeError):
-    """Training stopped on a non-finite loss or a singular refit.
-
-    Carries the epochs recorded so far and the last model before the
-    failure (the unfitted initial rule base when epoch 0 fails).
-    """
-
-    def __init__(self, epoch, traces, last_rb, reason):
-        super().__init__(f"{reason} at epoch {epoch}")
-        self.epoch = epoch
-        self.traces = traces
-        self.last_rb = last_rb
 
 
 @dataclass
@@ -206,14 +193,34 @@ def _mse(yhat, y):
     return float(np.mean(diff * diff))
 
 
+#: the stop reasons of a diverged run
+DIVERGED = ("non_finite", "singular")
+
+
+class TrainResult(NamedTuple):
+    """A finished run: its model, one trace per recorded epoch, and why it stopped.
+
+    stop_reason is "patience", "max_epochs", "non_finite" (a loss) or
+    "singular" (the LSE refit).  rb is the best-validation model, or after
+    a divergence the last finite one (rb0 when epoch 0 fails).  A diverged
+    run failed at epoch len(traces); the best epoch is the first argmin of
+    val_mse over traces.
+    """
+
+    rb: RuleBase
+    traces: list
+    stop_reason: str
+
+
 def train(X_train, y_train, X_val, y_val, rb0, cfg):
-    """Run the alternating loop; returns (best-validation RuleBase, traces).
+    """Run the alternating loop; returns a TrainResult.
 
     Epoch 0 records the initial model with consequents fitted once.  Each
     later epoch applies the mode's antecedent passes and refits the
-    consequents; training stops after cfg.patience epochs without a
-    validation improvement or at cfg.max_epochs.  Every trace carries a
-    snapshot of that epoch's centers and scales.
+    consequents.  Every epoch ends with the patience check, so a run whose
+    patience runs out on its last epoch stops for "patience", not
+    "max_epochs".  Every trace carries a snapshot of that epoch's centers
+    and scales.
     """
     TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
     X_train = as_matrix(X_train, "X_train")
@@ -227,18 +234,25 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
             )
 
     traces = []
-
-    def refit(epoch, stepped, prev_rb):
+    rb = best_rb = rb0  # rb: the last finite model
+    best_val = math.inf
+    stall = 0
+    for epoch in range(cfg.max_epochs + 1):
+        stepped = rb
+        if epoch:
+            stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg)
+            if cfg.mode == Mode.X_ANFIS:
+                stepped = xpass_update(stepped, cfg)
+            del fm  # frees this state's (F, R, N) tensor before the refit builds the next
         try:
-            return fit_consequents(stepped, X_train, y_train, cfg.lam)
-        except SingularMatrixError as err:
-            raise DivergenceError(epoch, traces, prev_rb, "singular LSE refit") from err
-
-    def record(epoch, rb, yhat_train, prev_rb):
-        train_mse = _mse(yhat_train, y_train)
-        val_mse = _mse(predict(rb, X_val), y_val)
+            fitted, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam)
+        except SingularMatrixError:
+            return TrainResult(rb, traces, "singular")
+        train_mse = _mse(yhat, y_train)
+        val_mse = _mse(predict(fitted, X_val), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-            raise DivergenceError(epoch, traces, prev_rb, "non-finite loss")
+            return TrainResult(rb, traces, "non_finite")
+        rb = fitted
         traces.append(
             EpochTrace(
                 epoch=epoch,
@@ -249,29 +263,13 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
                 scales_snapshot=rb.scales.copy(),
             )
         )
-        return val_mse
-
-    rb, fm, yhat = refit(0, rb0, rb0)
-    best_rb = rb
-    best_val = record(0, rb, yhat, rb0)
-    stall = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        prev = rb
-        stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg)
-        if cfg.mode == Mode.X_ANFIS:
-            stepped = xpass_update(stepped, cfg)
-        del fm  # frees this state's (F, R, N) tensor before the refit builds the next
-        rb, fm, yhat = refit(epoch, stepped, prev)
-        val_mse = record(epoch, rb, yhat, prev)
         if val_mse < best_val:
-            best_val = val_mse
-            best_rb = rb
-            stall = 0
+            best_val, best_rb, stall = val_mse, rb, 0
         else:
             stall += 1
             if stall >= cfg.patience:
-                break
-    return best_rb, traces
+                return TrainResult(best_rb, traces, "patience")
+    return TrainResult(best_rb, traces, "max_epochs")
 
 
 # --------------------------------------------------------------------

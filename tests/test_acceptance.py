@@ -69,7 +69,7 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     scales = derive_scales(split.X_train, fcm, override_scale=init_scale)
     rb0 = RuleBase(mf_kind=mf, centers=fcm.centers, scales=scales)
     cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience)
-    rb, traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
+    rb, traces, _ = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
     _, _, _, r2 = regression_metrics(split.y_test, predict(rb, split.X_test))
     mean_d = mean_distinguishability(rb)
     return {
@@ -258,10 +258,10 @@ class TestCriterion5ModeDegeneracy:
             name: train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)
             for name, cfg in runs.items()
         }
-        ref_rb, ref_traces = outputs["anfis"]
+        ref_rb, ref_traces, _ = outputs["anfis"]
         ok = True
         for name in ("x_zero", "mo_zero"):
-            rb, traces = outputs[name]
+            rb, traces, _ = outputs[name]
             ok &= len(traces) == len(ref_traces)
             ok &= all(
                 (t.train_mse, t.val_mse, t.mean_D) == (r.train_mse, r.val_mse, r.mean_D)

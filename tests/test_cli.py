@@ -684,13 +684,17 @@ def run_python(*args):
 
 
 class TestImportFootprint:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        code = "import sys, xanfis.cli; print(xanfis.cli.__file__); print('scipy' in sys.modules)"
+    def test_cli_import_leaves_scipy_and_the_pool_unloaded(self):
+        # concurrent.futures is imported only where --workers > 1 builds a pool
+        code = (
+            "import sys, xanfis.cli; print(xanfis.cli.__file__); "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+        )
         done = run_python("-c", code)
         assert done.returncode == 0, done.stderr
-        module_file, scipy_loaded = done.stdout.split()
+        module_file, scipy_loaded, pool_loaded = done.stdout.split()
         assert module_file.startswith(os.path.join(SRC, ""))
-        assert scipy_loaded == "False"
+        assert (scipy_loaded, pool_loaded) == ("False", "False")
 
 
 class TestModuleEntry:

@@ -365,7 +365,7 @@ class TestSynthetic:
         np.testing.assert_allclose(sinc2d_target(X)[1], 0.0, atol=1e-15)
 
     def test_deterministic(self):
-        for name in ("two_blob", "sinc2d", "friedman"):
+        for name in ("sinc2d", "friedman"):
             X1, y1 = synth_regression(name, 100, 0.0, seed=5)
             X2, y2 = synth_regression(name, 100, 0.0, seed=5)
             np.testing.assert_array_equal(X1, X2)
@@ -388,14 +388,6 @@ class TestSynthetic:
             )
             assert y[t] == pytest.approx(ref, abs=1e-12)
         np.testing.assert_allclose(friedman_target(X), y, atol=1e-12)
-
-    def test_two_blob_geometry(self):
-        X, labels = synth_regression("two_blob", 200, 0.05, seed=3)
-        a = X[labels == 0]
-        b = X[labels == 1]
-        assert np.linalg.norm(a.mean(axis=0) - [0.2, 0.2]) < 0.02
-        assert np.linalg.norm(b.mean(axis=0) - [0.8, 0.8]) < 0.02
-        assert np.max(np.linalg.norm(a - [0.2, 0.2], axis=1)) <= 0.05 + 1e-12
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown synthetic"):

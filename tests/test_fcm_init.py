@@ -1,11 +1,11 @@
 """Fuzzy c-means fitting and antecedent scale derivation."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from xanfis.data import synth_regression
 from xanfis.fcm_init import (
     FCMConfig,
     FCMResult,
@@ -51,9 +51,35 @@ def einsum_fcm_oracle(X, cfg):
     return centers, u
 
 
+#: the cloud centers of two_blobs
+TWO_BLOB_CENTERS = ((0.2, 0.2), (0.8, 0.8))
+
+
 def two_blobs(n=200, radius=0.05, seed=0):
-    X, y = synth_regression("two_blob", n, radius, seed)
-    return X, y
+    """Two uniform discs of the given radius around TWO_BLOB_CENTERS; y is the 0/1 cloud label."""
+    stream = RandomStream(seed)
+    half = n // 2
+    sizes = (half, n - half)
+    rows = []
+    labels = []
+    for label, (cx, cy) in enumerate(TWO_BLOB_CENTERS):
+        k = sizes[label]
+        radius_k = radius * np.sqrt(stream.uniforms(k))
+        theta = 2.0 * math.pi * stream.uniforms(k)
+        rows.append(
+            np.column_stack([cx + radius_k * np.cos(theta), cy + radius_k * np.sin(theta)])
+        )
+        labels.append(np.full(k, float(label)))
+    return np.vstack(rows), np.concatenate(labels)
+
+
+def test_two_blob_geometry():
+    X, labels = two_blobs(200, 0.05, seed=3)
+    a = X[labels == 0]
+    b = X[labels == 1]
+    assert np.linalg.norm(a.mean(axis=0) - [0.2, 0.2]) < 0.02
+    assert np.linalg.norm(b.mean(axis=0) - [0.8, 0.8]) < 0.02
+    assert np.max(np.linalg.norm(a - [0.2, 0.2], axis=1)) <= 0.05 + 1e-12
 
 
 class TestFit:

@@ -241,6 +241,23 @@ class TestFitConsequents:
         np.testing.assert_array_equal(fm.live, raw.sum(axis=0) > EPS_DENOM)
         np.testing.assert_array_equal(fm.normalized, ref.normalized)
 
+    @pytest.mark.parametrize(
+        "X, y, n_rules, shown",
+        [
+            (np.ones(3), np.ones(3), 2, "X must be 2-D, got ndim=1"),
+            (np.array([[np.nan, 0.5], [0.5, 0.5]]), np.ones(2), 2, "X contains non-finite"),
+            (np.eye(2), np.ones((2, 1)), 2, "y must be 1-D, got ndim=2"),
+            (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
+            (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
+            (np.zeros((0, 2)), np.zeros(0), 2, "phi must have at least one row and one column"),
+            (np.eye(2), np.ones(2), 0, "phi must have at least one row and one column"),
+        ],
+    )
+    def test_malformed_input_named(self, X, y, n_rules, shown):
+        rb = random_rulebase(np.random.default_rng(0), n_rules=n_rules, n_features=2)
+        with pytest.raises(ValueError, match=shown):
+            fit_consequents(rb, X, y, 0.1)
+
     def test_lse_beats_random_consequents(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(30, 2))

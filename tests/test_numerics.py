@@ -72,32 +72,9 @@ class TestRidgeSolve:
         with pytest.raises(SingularMatrixError, match="1e-20"):
             ridge_solve(phi, rng.normal(size=200), 1e-20)
 
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            ridge_solve(np.eye(3), np.ones(4), 0.1)
-
     def test_negative_lambda_raises(self):
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones(2), -1.0)
-
-    def test_nonfinite_input_raises(self):
-        phi = np.eye(2)
-        phi[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ridge_solve(phi, np.ones(2), 0.1)
-
-    @pytest.mark.parametrize(
-        "phi, y, shown",
-        [
-            (np.ones(3), np.ones(3), "phi must be 2-D, got ndim=1"),
-            (np.eye(2), np.ones((2, 1)), "y must be 1-D, got ndim=2"),
-            (np.eye(2), np.array([1.0, np.inf]), "y contains non-finite entries"),
-            (np.zeros((0, 2)), np.zeros(0), "phi must have at least one row and one column"),
-        ],
-    )
-    def test_malformed_input_named(self, phi, y, shown):
-        with pytest.raises(ValueError, match=shown):
-            ridge_solve(phi, y, 0.1)
 
 
 class TestMeanCI95:

@@ -24,7 +24,6 @@ from xanfis.inference import (
 from xanfis.membership import SCALE_MIN, MFKind, log_grad_factor, product_firing
 from xanfis.training import (
     D_SING,
-    DivergenceError,
     EpochTrace,
     Mode,
     TrainConfig,
@@ -498,19 +497,33 @@ class TestTrainLoop:
     def test_zero_epoch_budget(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=0)
-        rb, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        result = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        rb, traces, stop_reason = result
+        assert result[1] is result.traces  # a tuple with the traces at index 1
         assert len(traces) == 1 and traces[0].epoch == 0
+        assert stop_reason == "max_epochs"
         assert rb.consequents is not None
         np.testing.assert_array_equal(rb.centers, rb0.centers)
 
-    def test_constant_validation_stops_after_patience(self, monkeypatch):
+    # the patience check ends every epoch, the last one included: patience
+    # running out on the last epoch (max_epochs 7) is a "patience" stop
+    @pytest.mark.parametrize(
+        "max_epochs, reason, last_epoch",
+        [(100, "patience", 7), (7, "patience", 7), (6, "max_epochs", 6)],
+    )
+    def test_constant_validation_stops_after_patience(
+        self, monkeypatch, max_epochs, reason, last_epoch
+    ):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         import xanfis.training as tr
 
         monkeypatch.setattr(tr, "_mse", lambda yhat, y: 0.5)
-        cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=100, patience=7)
-        _, traces = tr.train(X_tr, y_tr, X_val, y_val, rb0, cfg)
-        assert traces[-1].epoch == 7
+        cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=max_epochs, patience=7)
+        rb, traces, stop_reason = tr.train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        assert traces[-1].epoch == last_epoch and len(traces) == last_epoch + 1
+        assert stop_reason == reason
+        # no epoch beat epoch 0, so epoch 0's model is the best
+        np.testing.assert_array_equal(rb.centers, rb0.centers)
 
     def test_strict_improvement_runs_full_budget(self, monkeypatch):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
@@ -524,13 +537,14 @@ class TestTrainLoop:
 
         monkeypatch.setattr(tr, "_mse", fake_mse)
         cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=12, patience=3)
-        _, traces = tr.train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        _, traces, stop_reason = tr.train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         assert traces[-1].epoch == 12
+        assert stop_reason == "max_epochs"
 
     def test_best_validation_snapshot_returned(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=5)
         cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=30, patience=30)
-        rb, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        rb, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         best = min(traces, key=lambda t: t.val_mse)
         err = predict(rb, X_val) - y_val
         assert float(np.mean(err * err)) == pytest.approx(best.val_mse, abs=1e-15)
@@ -538,7 +552,7 @@ class TestTrainLoop:
     def test_epochs_strictly_increasing_and_traces_complete(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=6)
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=15, patience=15)
-        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         epochs = [t.epoch for t in traces]
         assert epochs == list(range(len(traces)))
         assert all(t.centers_snapshot is not None for t in traces)
@@ -557,14 +571,14 @@ class TestTrainLoop:
         for mode in Mode:
             calls["n"] = 0
             cfg = TrainConfig(mode=mode, max_epochs=6, patience=6)
-            _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+            _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
             assert len(traces) == 7
             assert calls["n"] == 2 * 6 + 2
 
     @pytest.mark.parametrize("order", list(Order))
-    def test_four_validation_scans_per_epoch(self, monkeypatch, order):
-        # per epoch: X in fit_consequents, phi and y in ridge_solve, X_val in
-        # predict; the kernels below the entry points re-check nothing
+    def test_three_validation_scans_per_epoch(self, monkeypatch, order):
+        # per epoch: X and y in fit_consequents, X_val in predict; the kernels
+        # below the entry points, ridge_solve included, re-check nothing
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         rb0 = RuleBase(rb0.mf_kind, rb0.centers, rb0.scales, order=order)
         calls = {"n": 0}
@@ -587,12 +601,12 @@ class TestTrainLoop:
         def scans(mode, epochs):
             calls["n"] = 0
             cfg = TrainConfig(mode=mode, max_epochs=epochs, patience=epochs + 1)
-            _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+            _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
             assert len(traces) == epochs + 1
             return calls["n"]
 
         for mode in Mode:
-            assert scans(mode, 6) - scans(mode, 0) == 4 * 6
+            assert scans(mode, 6) - scans(mode, 0) == 3 * 6
 
     @pytest.mark.parametrize("part", ["train", "val"])
     def test_row_count_mismatch_rejected_before_epoch_0(self, monkeypatch, part):
@@ -619,12 +633,12 @@ class TestTrainLoop:
         centers[0], scales[0] = 1.0, SCALE_MIN
         rb0 = RuleBase(MFKind.GAUSSIAN, centers, scales)
         cfg = TrainConfig(mode=Mode.ANFIS, lam=0.0, max_epochs=5)
-        with pytest.raises(DivergenceError, match="singular LSE refit at epoch 0") as exc_info:
-            train(0.9 * X_tr, y_tr, X_val, y_val, rb0, cfg)
-        assert exc_info.value.last_rb is rb0
-        assert exc_info.value.traces == []
+        rb, traces, stop_reason = train(0.9 * X_tr, y_tr, X_val, y_val, rb0, cfg)
+        assert stop_reason == "singular"
+        assert traces == []  # failed at epoch 0
+        assert rb is rb0
 
-    def test_divergence_error_names_epoch(self, monkeypatch):
+    def test_non_finite_loss_stops_at_its_epoch(self, monkeypatch):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         import xanfis.training as tr
 
@@ -632,28 +646,34 @@ class TestTrainLoop:
         real = tr._mse
 
         def poisoned(yhat, y):
+            # calls 1-4 are epochs 0 and 1 (train, then validation); epoch 1's
+            # validation MSE is made the worst, so the best model is epoch 0's
             calls["n"] += 1
             if calls["n"] >= 5:
                 return float("nan")
-            return real(yhat, y)
+            return 1e9 if calls["n"] == 4 else real(yhat, y)
 
         monkeypatch.setattr(tr, "_mse", poisoned)
-        with pytest.raises(DivergenceError, match="epoch 2") as exc_info:
-            tr.train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=Mode.ANFIS, max_epochs=10))
-        assert exc_info.value.epoch == 2
-        assert exc_info.value.last_rb is not None
-        assert len(exc_info.value.traces) == 2  # epochs 0 and 1 recorded
+        cfg = TrainConfig(mode=Mode.ANFIS, max_epochs=10)
+        rb, traces, stop_reason = tr.train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        assert stop_reason == "non_finite"
+        assert len(traces) == 2  # epochs 0 and 1 recorded, epoch 2 failed
+        # the last finite model, epoch 1's fitted state, not the best (epoch 0's)
+        assert rb.consequents is not None
+        assert not np.array_equal(traces[0].centers_snapshot, traces[1].centers_snapshot)
+        np.testing.assert_array_equal(rb.centers, traces[1].centers_snapshot)
+        np.testing.assert_array_equal(rb.scales, traces[1].scales_snapshot)
 
 
 class TestModeDegeneracy:
     def test_xanfis_with_zero_lr_equals_anfis(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=9)
         base = dict(max_epochs=30, patience=50, lr_backward=0.1)
-        rb_a, tr_a = train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=Mode.ANFIS, **base))
-        rb_x, tr_x = train(
+        rb_a, tr_a, _ = train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=Mode.ANFIS, **base))
+        rb_x, tr_x, _ = train(
             X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.0, **base)
         )
-        rb_m, tr_m = train(
+        rb_m, tr_m, _ = train(
             X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0, **base)
         )
         for t_a, t_x, t_m in zip(tr_a, tr_x, tr_m):
@@ -668,8 +688,8 @@ class TestModeDegeneracy:
     def test_determinism_bitwise(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=10)
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=20, patience=20)
-        rb1, tr1 = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
-        rb2, tr2 = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        rb1, tr1, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        rb2, tr2, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         np.testing.assert_array_equal(rb1.centers, rb2.centers)
         np.testing.assert_array_equal(rb1.consequents, rb2.consequents)
         assert [(t.train_mse, t.val_mse) for t in tr1] == [
@@ -679,7 +699,7 @@ class TestModeDegeneracy:
     def test_bounds_hold_every_epoch(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=11)
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=25, patience=25)
-        _, traces = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         for t in traces:
             assert np.all(t.centers_snapshot >= 0.0) and np.all(t.centers_snapshot <= 1.0)
             assert np.all(t.scales_snapshot >= SCALE_MIN) and np.all(t.scales_snapshot <= 1.0)
