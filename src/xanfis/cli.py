@@ -26,9 +26,9 @@ from .data import (
     SYNTH_DATASETS, check_fields, check_synth, has_type, load_csv, load_manifest, read_json,
     split_scale, synth_regression, write_csv,
 )
-from .fcm_init import FCMConfig, derive_scales, fcm_fit
+from .fcm_init import FCMConfig, check_init_scale, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
-from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
+from .membership import MFKind, membership_values
 from .metrics import (
     EvalReport,
     ParetoPoint,
@@ -307,10 +307,7 @@ def cmd_init_study(cfg):
     if clashes:
         raise ValueError(f"init scales share output file names: {', '.join(clashes)}")
     for scale in cfg.scales:
-        if not SCALE_MIN <= float(scale) <= SCALE_MAX:
-            raise ValueError(
-                f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]"
-            )
+        check_init_scale(scale)
     runs = [
         Run(
             f"{kind.value}_s{idx:02d}", cfg.seeds[0],

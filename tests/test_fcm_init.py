@@ -1,6 +1,7 @@
 """Fuzzy c-means fitting and antecedent scale derivation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,30 +21,30 @@ from xanfis.numerics import InsufficientDataError, RandomStream, as_matrix
 def fcm_objective(X, res):
     """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
     X = as_matrix(X, "X")
-    diff = X[:, None, :] - res.centers[None, :, :]
-    d2 = np.einsum("trf,trf->tr", diff, diff)
+    diff = X.T[:, None, :] - res.centers.T[:, :, None]  # (F, R, N)
+    d2 = np.einsum("frt,frt->rt", diff, diff)
     return float(np.sum(res.memberships**res.fuzziness * d2))
 
 
 def einsum_fcm_oracle(X, cfg):
-    """FCM with (N, R, F) difference tensors and masked membership rows."""
+    """FCM with (F, R, N) difference tensors and masked membership columns."""
     n, f = X.shape
     r = cfg.n_clusters
-    u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r)
-    u /= u.sum(axis=1, keepdims=True)
+    u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r).T
+    u /= u.sum(axis=0)
     m = float(cfg.fuzziness)
     centers = np.zeros((r, f))
     for it in range(1, cfg.max_iter + 1):
         um = u**m
-        new_centers = (um.T @ X) / um.sum(axis=0)[:, None]
-        diff = X[:, None, :] - new_centers[None, :, :]
-        d2 = np.einsum("trf,trf->tr", diff, diff)
+        new_centers = (um @ X) / um.sum(axis=1)[:, None]
+        diff = X.T[:, None, :] - new_centers.T[:, :, None]
+        d2 = np.einsum("frt,frt->rt", diff, diff)
         u = np.empty_like(d2)
-        zero = (d2 == 0.0).any(axis=1)
-        inv = d2[~zero] ** (-1.0 / (m - 1.0))
-        u[~zero] = inv / inv.sum(axis=1, keepdims=True)
-        hits = d2[zero] == 0.0
-        u[zero] = hits / hits.sum(axis=1, keepdims=True)
+        zero = (d2 == 0.0).any(axis=0)
+        inv = d2[:, ~zero] ** (-1.0 / (m - 1.0))
+        u[:, ~zero] = inv / inv.sum(axis=0)
+        hits = d2[:, zero] == 0.0
+        u[:, zero] = hits / hits.sum(axis=0)
         shift = np.max(np.abs(new_centers - centers)) if it > 1 else np.inf
         centers = new_centers
         if shift < cfg.tol:
@@ -95,10 +96,13 @@ class TestFit:
         assert np.linalg.norm(res.centers[0] - mean_a) < 0.02
         assert np.linalg.norm(res.centers[1] - mean_b) < 0.02
 
-    def test_membership_rows_sum_to_one(self):
+    def test_membership_columns_sum_to_one(self):
         X, _ = two_blobs(seed=3)
         res = fcm_fit(X, FCMConfig(n_clusters=4, seed=1))
-        np.testing.assert_allclose(res.memberships.sum(axis=1), 1.0, atol=1e-9)
+        # the layout of FiringMatrices.normalized: (R, N), sample axis last
+        assert res.memberships.shape == (4, len(X))
+        assert res.memberships.flags.c_contiguous
+        np.testing.assert_allclose(res.memberships.sum(axis=0), 1.0, atol=1e-9)
         assert np.all(res.memberships >= 0.0)
         assert np.all(res.memberships <= 1.0)
 
@@ -155,7 +159,7 @@ class TestFit:
             np.testing.assert_allclose(res.memberships, u, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
-    def test_memberships_patch_only_zero_distance_rows(self, exponent):
+    def test_memberships_patch_only_zero_distance_columns(self, exponent):
         d2 = np.array([
             [0.04, 0.25, 1.0],
             [0.0, 0.3, 0.1],
@@ -163,32 +167,32 @@ class TestFit:
             [1e-200, 2.0, 3.0],
             [0.0, 0.0, 0.0],
             [0.09, 0.01, 0.16],
-        ])
+        ]).T  # (R, N): one column per sample
         expected = np.empty_like(d2)
-        for t, row in enumerate(d2):
-            if np.any(row == 0.0):
-                hits = row == 0.0
-                expected[t] = hits / hits.sum()
+        for t, col in enumerate(d2.T):
+            if np.any(col == 0.0):
+                hits = col == 0.0
+                expected[:, t] = hits / hits.sum()
             else:
-                inv = row ** (-exponent)
-                expected[t] = inv / inv.sum()
+                inv = col ** (-exponent)
+                expected[:, t] = inv / inv.sum()
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the zero rows' inf/nan stay silent
+            warnings.simplefilter("error")  # the zero columns' inf/nan stay silent
             u = _memberships_from_distances(d2, exponent)
         np.testing.assert_array_equal(u, expected)
 
     @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
-    def test_memberships_tiny_distance_row_is_full_membership(self, exponent):
+    def test_memberships_tiny_distance_column_is_full_membership(self, exponent):
         # d2 ** -exponent overflows for the 1e-300 entry; the limit is [1, 0, 0]
-        d2 = np.array([[1e-300, 2.0, 3.0], [0.04, 0.25, 1.0]])
+        d2 = np.array([[1e-300, 2.0, 3.0], [0.04, 0.25, 1.0]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             u = _memberships_from_distances(d2, exponent)
         assert np.all(np.isfinite(u))
-        np.testing.assert_allclose(u.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(u[0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
-        inv = d2[1] ** (-exponent)
-        np.testing.assert_array_equal(u[1], inv / inv.sum())
+        np.testing.assert_allclose(u.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u[:, 0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+        inv = d2[:, 1] ** (-exponent)
+        np.testing.assert_array_equal(u[:, 1], inv / inv.sum())
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
@@ -205,21 +209,33 @@ class TestFit:
 
 
 class TestDeriveScales:
-    def test_override_fills_matrix(self):
+    @pytest.mark.parametrize("scale", [0.03125, SCALE_MIN, 1.0])
+    def test_override_fills_matrix(self, scale):
         res = FCMResult(
             centers=np.zeros((4, 3)),
-            memberships=np.ones((10, 4)) / 4,
+            memberships=np.ones((4, 10)) / 4,
             iterations=1,
             final_shift=0.0,
         )
-        scales = derive_scales(np.zeros((10, 3)), res, override_scale=0.03125)
+        scales = derive_scales(np.zeros((10, 3)), res, override_scale=scale)
         assert scales.shape == (4, 3)
-        assert np.all(scales == 0.03125)
+        assert np.all(scales == scale)
+
+    @pytest.mark.parametrize("scale, shown", [(0.0, "0"), (5.0, "5"), (float("nan"), "nan")])
+    def test_override_outside_bounds_rejected(self, scale, shown):
+        res = FCMResult(
+            centers=np.zeros((4, 3)),
+            memberships=np.ones((4, 10)) / 4,
+            iterations=1,
+            final_shift=0.0,
+        )
+        with pytest.raises(ValueError, match=rf"init scale {shown} is outside \[0.001, 1\]"):
+            derive_scales(np.zeros((10, 3)), res, override_scale=scale)
 
     def test_single_point_cluster_floored(self):
         # crisp memberships: cluster 0 owns one point, zero dispersion
         X = np.array([[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.15, 0.85]])
-        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]).T  # (R, N)
         centers = np.array([[0.5, 0.5], [0.15, 0.85]])
         res = FCMResult(centers=centers, memberships=u, iterations=1, final_shift=0.0)
         scales = derive_scales(X, res)
@@ -239,9 +255,21 @@ class TestDeriveScales:
     def test_scales_capped_at_one(self):
         res = FCMResult(
             centers=np.zeros((2, 2)),
-            memberships=np.ones((10, 2)) / 2,
+            memberships=np.ones((2, 10)) / 2,
             iterations=1,
             final_shift=0.0,
         )
         scales = derive_scales(np.zeros((10, 2)), res, override_scale=1.0)
         assert np.all(scales == 1.0)
+
+    def test_peak_memory_below_one_sample_rule_feature_tensor(self):
+        # one feature's (R, N) squared differences at a time: no (N, R, F) tensor
+        X = np.random.default_rng(0).uniform(size=(5000, 8))
+        res = fcm_fit(X, FCMConfig(n_clusters=10, max_iter=3, seed=0))
+        tracemalloc.start()
+        try:
+            derive_scales(X, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000 * 10 * 8 * 8  # 3.2 MB of float64

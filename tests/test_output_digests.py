@@ -25,27 +25,27 @@ COMMANDS = [
 ]
 
 DIGESTS = {
-    "partition/centers.csv": "7f28552089a00a627311d2a1bade42fcd6f094182b687219a3a2d0037713ab73",
-    "partition/curves.csv": "ece0671f4b4fc453a630ba8bd2096c0816bc3a6e9f7fa97ae33af46df964dfdb",
-    "study/summary.csv": "eb605256f3289f6fcde7d34d0612862b60a3ffeda3cfb7b91c835e747e22bb4f",
-    "study/trace_cauchy_0.0625.csv": "30e637fad2916613eaa46a15e7c616277d448d65e8f9e62d40698a7a1cb4b9bf",
-    "study/trace_cauchy_0.5.csv": "85b58613a2c39576bd4a5ee5e9a2171564998a35607a396b68f9e3688b57862e",
-    "study/trace_gaussian_0.0625.csv": "7d1fbfed1238c756c1d856a056c79c12423e12c2b8b680337bd7f49b3d2291c6",
-    "study/trace_gaussian_0.5.csv": "7151b7ce569bdbc22d95d220414cf8dc565765353d9d7628bed3baeb06e82c44",
-    "study/trajectory_cauchy_0.0625.csv": "35983d03b848369e3e72e85a57201af500986fcba258179748b460aaf1b005fc",
-    "study/trajectory_cauchy_0.5.csv": "5b5b508c2a8a3a46241494ea6665bdbe8a4fd59abfa9a8b11722308cc7d4be01",
-    "study/trajectory_gaussian_0.0625.csv": "446b794d367aa5609574e2f7556bf9f8f0498ef890d1a1c3b4f2d1dc7cc8589b",
-    "study/trajectory_gaussian_0.5.csv": "59d3555e3f568ecb1039ba81a3adbbc56de2b79d6b31b85420ef622752f84df7",
-    "sweep/front.csv": "90d3678e645c2efc1475c00944a4f033cbf7438286cc6568b5dacb30cbcea921",
-    "sweep/points.csv": "4d33bb05948bbc98d33666897f616f2be2de641238b07e7bf42797b675059cdd",
-    "train/aggregate.csv": "af70f9b5bf94550a426aaa9f361c2ede423baf33945836f3ef3c6d948dab6157",
-    "train/metrics.csv": "ff92a208cace481be15c44f7c9f20c740dba1a83767b81d2b05c24c7a3473fef",
-    "train/model_seed0000.json": "fa519aee09b962b7563e51d19bbe7e66aaa50b558cfbc086a7abb932eeaa712a",
-    "train/model_seed0001.json": "a379914f31c2bd212675a81a6e7fc012718f65b81c4d650853cd7f5765f94f5f",
-    "train/trace_seed0000.csv": "19c70305ed843bacd2c9f95e2a63a3a4546dd1aa3729b488430ce19527f4fda0",
-    "train/trace_seed0001.csv": "4579fc75b031d775e15c7d657fdbf7a99ee87b68d0950799cbcc420ecb4b384c",
-    "train/trajectory_seed0000.csv": "59726ccc6fd8ab2048a4a156b516722045721dc493183d52be62a0dcf836587a",
-    "train/trajectory_seed0001.csv": "045e62b08e49944fc828585894872fdc7bd22e81a57e69349c2324dd15c17a21",
+    "partition/centers.csv": "2a585cb4d5d8385c117bb267215e7dab27ca6d98b20277aec01978f18fa0d2a5",
+    "partition/curves.csv": "93fbb58b78d54e2f7ee73846194d824e2c8fce7cd7da09b48f47606d3e648876",
+    "study/summary.csv": "c094a655d6e8651ea0a5e9861c40b0191f4e8c561169b438ece226146fc29ead",
+    "study/trace_cauchy_0.0625.csv": "cbd9da4dcfadcd6f9a24bdd998749908f2f02e5888a3188bb1dddcd907019b3b",
+    "study/trace_cauchy_0.5.csv": "557f8aff8356761dbd500b4cdbb57b297003bf1b923015cf8bd0c2de749bf3e6",
+    "study/trace_gaussian_0.0625.csv": "16eb6a9e9fdf00bb13fbe44f7ce81cc3f6de40e8a254e628d9236dbe3f77a409",
+    "study/trace_gaussian_0.5.csv": "170db526322b8dd73938628db584aeaaff943f38e0879783d94686517872ff30",
+    "study/trajectory_cauchy_0.0625.csv": "89c27d8c0d7f205148496dc5db69dd123a92f3afecd2bc32443ce20e422c283c",
+    "study/trajectory_cauchy_0.5.csv": "f361a0cf3fd1003f670fa74c3c58284eb94431ff512adfde605a3d842660ba9b",
+    "study/trajectory_gaussian_0.0625.csv": "135d2c1d3bffd25f69dfdfcd72f8e91268c1e57a8b20dc36d509312a26fb216d",
+    "study/trajectory_gaussian_0.5.csv": "012c3dd3b8f175d8120bc2a699f5cd59f22235428df5ea6f77eaebf3ae936753",
+    "sweep/front.csv": "6a0019247857721dacc51421cf905ac0393da4c9b7a1b7445930aaa5537d1d47",
+    "sweep/points.csv": "949e1bcdc0356f8b2eb1798b03a11c47195832b080500e335f27828a05793398",
+    "train/aggregate.csv": "c4b945ad36995a06638a25bd564502bfb249f727af82959725253bb17580fa01",
+    "train/metrics.csv": "d815b31bba5d9abdaaf1bcf0be58b4b357266e73142c44a348ae2fef4a392cd7",
+    "train/model_seed0000.json": "5278e3e747fbd6ad7774688925e00b9e9d59406250395ed6530d95fd5bf384cb",
+    "train/model_seed0001.json": "a147b27bbadbd343bdb0753b32635f6ee13d4e9f270fe5af67c3c7c11794c489",
+    "train/trace_seed0000.csv": "a6c47047251c7795c5b182b0cefb99730046b794ad011674d13620be08d1d5c6",
+    "train/trace_seed0001.csv": "0c355405db3bf5577a166ab321fb779405d0244d23ee57d851b7e4c63193b124",
+    "train/trajectory_seed0000.csv": "1cebdfd07129ee7bc15c304fa9c01c9a67db9a18f47533e25d5a297da0318760",
+    "train/trajectory_seed0001.csv": "2f7e05c195bc633d652d42843f4f91a9b117135cd3506ab402f1f6e51689e371",
 }
 
 
