@@ -9,8 +9,10 @@ that by design.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -110,17 +112,59 @@ def _resolve_column(col, header, path):
     return hits[0]
 
 
-def load_csv(manifest):
-    """Read the manifest's CSV into (X, y); a short row, bad cell or non-finite value is named."""
-    manifest.validate()
-    path = manifest.csv_path
+def _resolve_columns(manifest, header, path):
+    """The file's column indices of the manifest's features, then its target."""
+    columns = (manifest.target_column, *manifest.feature_columns)
+    resolved = [_resolve_column(c, header, path) for c in columns]
+    for k, idx in enumerate(resolved):
+        if (first := resolved.index(idx)) < k:  # a name and an index may spell one column
+            raise CSVFormatError(
+                f"{path}: {'target' if first == 0 else 'feature'} column {columns[first]!r} "
+                f"and feature column {columns[k]!r} are both column {idx}"
+            )
+    return (*resolved[1:], resolved[0])
+
+
+#: a file holding one of these is read row by row: numpy's parser strips
+#: 0x1c-0x1f from a cell's ends and float() does not, and csv.reader
+#: rejects NUL before Python 3.11
+_ROW_BY_ROW_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _c_table(fh, manifest):
+    """fh's data rows in the selected columns, features then target, as one
+    (N, F+1) float64 table from numpy's C parser; None unless _read_rows
+    would return the same values (it names a missing header or data rows
+    before a column that does not resolve)."""
+    with open(manifest.csv_path, "rb") as raw:
+        chunks = iter(functools.partial(raw.read, 1 << 16), b"")
+        if any(b in chunk for chunk in chunks for b in _ROW_BY_ROW_BYTES):
+            return None
+    header = None
+    if manifest.has_header:
+        header = next((row for row in csv.reader(fh, delimiter=manifest.delimiter) if row), None)
     try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as err:
-        raise CSVFormatError(f"cannot open {path}: {err}") from err
-    with fh:
-        reader = csv.reader(fh, delimiter=manifest.delimiter)
-        rows = [row for row in reader if row]
+        cols = _resolve_columns(manifest, header, manifest.csv_path)
+    except CSVFormatError:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        try:
+            table = np.loadtxt(
+                fh, dtype=np.float64, comments=None, delimiter=manifest.delimiter,
+                usecols=cols, ndmin=2, quotechar='"',
+            )
+        except (ValueError, TypeError):
+            return None
+    return table if table.size and np.isfinite(table).all() else None
+
+
+def _read_rows(fh, manifest):
+    """_c_table's table from csv.reader rows and Python's float() per cell, or the first
+    fault named: no data rows, a column that does not resolve, a short row or an
+    unparseable cell, then a non-finite value."""
+    path = manifest.csv_path
+    rows = [row for row in csv.reader(fh, delimiter=manifest.delimiter) if row]
     header = None
     if manifest.has_header:
         if not rows:
@@ -129,43 +173,47 @@ def load_csv(manifest):
         rows = rows[1:]
     if not rows:
         raise CSVFormatError(f"{path}: no data rows")
-
-    columns = (manifest.target_column, *manifest.feature_columns)
-    target_idx, *feature_idx = resolved = [_resolve_column(c, header, path) for c in columns]
-    for k, idx in enumerate(resolved):
-        if (first := resolved.index(idx)) < k:  # a name and an index may spell one column
-            raise CSVFormatError(
-                f"{path}: {'target' if first == 0 else 'feature'} column {columns[first]!r} "
-                f"and feature column {columns[k]!r} are both column {idx}"
-            )
-
-    # the one conversion: numpy applies Python's float() to each string
+    cols = _resolve_columns(manifest, header, path)
     first_data_row = 2 if manifest.has_header else 1
-    try:
-        X = np.array([[row[c] for c in feature_idx] for row in rows], dtype=np.float64)
-        y = np.array([row[target_idx] for row in rows], dtype=np.float64)
-    except (IndexError, ValueError):
-        # name the first short row or bad cell, in row-major order
-        for row_no, row in enumerate(rows, start=first_data_row):
-            for col in (*feature_idx, target_idx):
-                if col >= len(row):
-                    raise CSVFormatError(f"{path}: row {row_no} has no column {col}") from None
-                try:
-                    float(row[col])
-                except ValueError:
-                    raise CSVFormatError(
-                        f"{path}: cannot parse {row[col].strip()!r} at row {row_no}, column {col}"
-                    ) from None
-        raise  # a failure the scan cannot place: numpy's own error
-    del rows  # released first, so the finiteness check adds nothing to peak memory
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        table = np.column_stack([X, y])
+    table = np.empty((len(rows), len(cols)))
+    for i, row in enumerate(rows):  # the first short row or bad cell, in row-major order
+        for k, col in enumerate(cols):
+            if col >= len(row):
+                raise CSVFormatError(f"{path}: row {first_data_row + i} has no column {col}")
+            try:
+                table[i, k] = float(row[col])
+            except ValueError:
+                raise CSVFormatError(
+                    f"{path}: cannot parse {row[col].strip()!r} at row {first_data_row + i}, "
+                    f"column {col}"
+                ) from None
+    if not np.isfinite(table).all():
         i, k = np.argwhere(~np.isfinite(table))[0]
         raise CSVFormatError(
             f"{path}: non-finite value {float(table[i, k])!r} at row {first_data_row + i}, "
-            f"column {(*feature_idx, target_idx)[k]}"
+            f"column {cols[k]}"
         )
-    return X, y
+    return table
+
+
+def load_csv(manifest):
+    """Read the manifest's CSV into (X, y); a short row, bad cell or non-finite value is named.
+
+    numpy's C parser reads a clean file; any other file is read by
+    _read_rows, which names the first fault.  Both give the same values.
+    """
+    manifest.validate()
+    path = manifest.csv_path
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as err:
+        raise CSVFormatError(f"cannot open {path}: {err}") from err
+    with fh:
+        table = _c_table(fh, manifest)
+        if table is None:
+            fh.seek(0)
+            table = _read_rows(fh, manifest)
+    return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
 
 
 def write_csv(path, header, rows):

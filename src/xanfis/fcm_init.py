@@ -49,9 +49,12 @@ def check_init_scale(scale):
         raise ValueError(f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
 
 
-def _squared_differences(X, centers):
-    """Yield (x_k - c_k)^2 for each feature k as an (R, N) array, sample axis last."""
-    for xk, ck in zip(np.ascontiguousarray(X.T), centers.T):
+def _squared_differences(XT, centers):
+    """Yield (x_k - c_k)^2 for each feature k as an (R, N) array, sample axis last.
+
+    XT is the (F, N) C-contiguous transpose of X, made once per caller.
+    """
+    for xk, ck in zip(XT, centers.T):
         yield (xk - ck[:, None]) ** 2
 
 
@@ -102,11 +105,12 @@ def fcm_fit(X, cfg):
     m = float(cfg.fuzziness)
     exponent = 1.0 / (m - 1.0)
     centers = np.full((r, f), np.inf)  # the first shift is infinite
+    XT = np.ascontiguousarray(X.T)
     for iterations in range(1, cfg.max_iter + 1):
         um = u**m
         new_centers = (um @ X) / um.sum(axis=1)[:, None]
         d2 = np.zeros((r, n))
-        for diff in _squared_differences(X, new_centers):
+        for diff in _squared_differences(XT, new_centers):
             d2 += diff
         u = _memberships_from_distances(d2, exponent)
         shift = float(np.max(np.abs(new_centers - centers)))
@@ -131,7 +135,7 @@ def derive_scales(X, res, override_scale=None):
         return np.full(res.centers.shape, float(override_scale))
     X = as_matrix(X, "X")
     um = res.memberships**res.fuzziness  # (R, N)
-    sq = _squared_differences(X, res.centers)
+    sq = _squared_differences(np.ascontiguousarray(X.T), res.centers)
     weighted = np.stack([np.einsum("rt,rt->r", um, diff) for diff in sq], axis=1)  # (R, F)
     scales = np.sqrt(weighted / um.sum(axis=1)[:, None])
     return np.clip(scales, SCALE_MIN, SCALE_MAX)

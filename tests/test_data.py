@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from xanfis import data
 from xanfis.cli import main
 from xanfis.data import (
     CSVFormatError,
@@ -44,12 +46,16 @@ def write_csv(path, text):
 def per_cell_oracle(manifest):
     """Reference reader: one stripped float() per cell in row-major order.
 
-    Returns (X, y), or the CSVFormatError message of the first short row
-    or unparseable cell.
+    Returns (X, y), or the CSVFormatError message of a file without data
+    rows or of the first short row or unparseable cell.
     """
     with open(manifest.csv_path, encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh, delimiter=manifest.delimiter) if row]
+    if manifest.has_header and not rows:
+        return "empty file"
     header = rows.pop(0) if manifest.has_header else None
+    if not rows:
+        return "no data rows"
 
     def index(col):
         return col if isinstance(col, int) else header.index(col)
@@ -70,9 +76,15 @@ def per_cell_oracle(manifest):
 
 @st.composite
 def csv_files(draw):
-    """CSV text plus the manifest fields that select its columns."""
+    """CSV text plus the manifest fields that select its columns.
+
+    Rows may carry unselected trailing columns or a trailing delimiter.  A
+    file may have no data rows, one cell written 1_000 (which float() reads
+    and numpy's parser does not) or one fault: a short row, an unparseable
+    cell or a whitespace-only line.
+    """
     n_cols = draw(st.integers(2, 5))
-    n_rows = draw(st.integers(1, 8))
+    n_rows = draw(st.integers(0, 8))
     has_header = draw(st.booleans())
     delimiter = draw(st.sampled_from([",", ";"]))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -80,8 +92,12 @@ def csv_files(draw):
     n_features = draw(st.integers(1, n_cols - 1))
     features, target = list(order[:n_features]), order[n_features]
     by_name = has_header and draw(st.booleans())
-    values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999)
+    # subnormals and a 17-digit value
+    texts = st.sampled_from(["1e-320", "-4.9e-324", "0.12345678901234567"])
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-999, 999) | texts
     cell_forms = st.sampled_from(["{}", " {} ", "  {}", '"{}"', '" {} "'])
+    # unselected cells: anything, a "#" included, since no comment character is set
+    extra_cells = st.lists(st.sampled_from(["x", "", "#1", "# c", '"a;b,c"', "1_0"]), max_size=2)
 
     def cell(value):
         text = f"{value:.17g}" if isinstance(value, float) else str(value)
@@ -92,15 +108,19 @@ def csv_files(draw):
     for _ in range(n_rows):
         lines += [""] * draw(st.integers(0, 1))  # blank lines are skipped
         data_lines.append(len(lines))
-        lines.append(delimiter.join(cell(draw(values)) for _ in range(n_cols)))
-    if draw(st.integers(0, 3)) == 0:  # a short row or an unparseable cell
+        cells = [cell(draw(values)) for _ in range(n_cols)] + draw(extra_cells)
+        lines.append(delimiter.join(cells) + draw(st.sampled_from(["", delimiter])))
+    if data_lines and draw(st.integers(0, 3)) == 0:
         row = draw(st.sampled_from(data_lines))
         cells = lines[row].split(delimiter)
-        if draw(st.booleans()):
+        fault = draw(st.sampled_from(["1_000", "short", "cell", "whitespace"]))
+        if fault == "short":
             cells = cells[: draw(st.integers(1, n_cols - 1))]
-        else:
-            bad = draw(st.sampled_from(["x", "", "1.5.0", "0x10"]))
-            cells[draw(st.integers(0, n_cols - 1))] = bad
+        elif fault == "whitespace":
+            cells = [draw(st.sampled_from([" ", "\t", " \t "]))]
+        else:  # "1_000" or an unparseable cell
+            bad = draw(st.sampled_from(["x", "", "1.5.0", "0x10", "#2"]))
+            cells[draw(st.integers(0, n_cols - 1))] = fault if fault == "1_000" else bad
         lines[row] = delimiter.join(cells)
     text = newline.join(lines) + newline
     name = (lambda k: f"c{k}") if by_name else (lambda k: k)
@@ -156,6 +176,40 @@ class TestLoadCSV:
         np.testing.assert_array_equal(y, expected[1], strict=True)
         assert X.flags.c_contiguous
 
+    def test_clean_file_parsed_without_row_by_row_read(self, tmp_path, monkeypatch):
+        def refuse(fh, manifest):
+            raise AssertionError("row-by-row read")
+
+        monkeypatch.setattr(data, "_read_rows", refuse)
+        path = write_csv(tmp_path / "d.csv", 'a;b;t\n1;"2.5";-0\n\n4; 1e-320 ;6;x\n')
+        m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["b", "a"],
+                            delimiter=";")
+        X, y = load_csv(m)
+        np.testing.assert_array_equal(X, [[2.5, 1.0], [1e-320, 4.0]], strict=True)
+        assert X.flags.c_contiguous and y.flags.c_contiguous
+        assert y.tobytes() == np.array([-0.0, 6.0]).tobytes()
+        # float() reads 1_000 and numpy's parser does not: only the row-by-row read decides
+        write_csv(tmp_path / "d.csv", "a;b;t\n1_000;2;3\n")
+        with pytest.raises(AssertionError, match="row-by-row read"):
+            load_csv(m)
+
+    def test_peak_memory_below_three_times_result(self, tmp_path):
+        # no Python object per cell: 20k rows x 6 columns stay near the arrays' own bytes
+        table = np.random.default_rng(0).uniform(size=(20_000, 6))
+        path = tmp_path / "d.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,d,e,t", comments="")
+        m = DatasetManifest(csv_path=str(path), target_column="t",
+                            feature_columns=["a", "b", "c", "d", "e"])
+        load_csv(m)  # first-call set-up stays out of the measurement
+        tracemalloc.start()
+        try:
+            X, y = load_csv(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(np.column_stack([X, y]), table)
+        assert peak < 3 * (X.nbytes + y.nbytes)
+
     def test_short_row_message(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,b,t\n1,2,3\n4,5\n7,x,9\n")
         m = DatasetManifest(csv_path=path, target_column="t", feature_columns=["b", "a"])
@@ -184,6 +238,10 @@ class TestLoadCSV:
             ("", {}, "empty file"),
             ("a,t\n", {}, "no data rows"),
             ("a,t\n1,2\n", {"feature_columns": []}, "manifest needs at least one feature column"),
+            # numpy's parser strips 0x1c-0x1f from a cell's ends, float() does not
+            ("a,t\n1,2\n3\x1c,4\n", {}, "at row 3, column 0"),
+            ("a,t\n1,2\n3,\x1f4\n", {}, "at row 3, column 1"),
+            ("a,t\n1,2\n#3,4\n", {}, "cannot parse '#3' at row 3, column 0"),  # no comments
         ],
     )
     def test_bad_input_named(self, tmp_path, text, fields, shown):

@@ -194,6 +194,16 @@ class TestFit:
         inv = d2[:, 1] ** (-exponent)
         np.testing.assert_array_equal(u[:, 1], inv / inv.sum())
 
+    def test_memberships_tiny_distance_columns_rescaled_by_own_minimum(self):
+        # both columns overflow d2 ** -2; divided by the first column's minimum,
+        # the second's ratios (~1e163) would underflow to 0 ** -2 and give nan
+        d2 = np.array([[5e-324, 1.0], [1e-160, 2e-160]]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = _memberships_from_distances(d2, 2.0)
+        np.testing.assert_array_equal(u[:, 0], [1.0, 0.0])
+        np.testing.assert_array_equal(u[:, 1], [0.8, 0.2])
+
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             fcm_fit(np.zeros((3, 2)), FCMConfig(n_clusters=4, seed=0))
