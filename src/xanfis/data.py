@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -140,12 +141,12 @@ def _c_table(fh, manifest):
         chunks = iter(functools.partial(raw.read, 1 << 16), b"")
         if any(b in chunk for chunk in chunks for b in _ROW_BY_ROW_BYTES):
             return None
-    header = None
-    if manifest.has_header:
-        header = next((row for row in csv.reader(fh, delimiter=manifest.delimiter) if row), None)
     try:
+        header = None
+        if manifest.has_header:
+            header = next((row for row in csv.reader(fh, delimiter=manifest.delimiter) if row), None)
         cols = _resolve_columns(manifest, header, manifest.csv_path)
-    except CSVFormatError:
+    except (csv.Error, CSVFormatError):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -159,12 +160,22 @@ def _c_table(fh, manifest):
     return table if table.size and np.isfinite(table).all() else None
 
 
+#: a cell without the whitespace float() ignores: str.strip's, except 0x1c-0x1f
+_FLOAT_SEEN = re.compile(r"[^\S\x1c-\x1f]*(.*?)[^\S\x1c-\x1f]*", re.DOTALL)
+
+
 def _read_rows(fh, manifest):
     """_c_table's table from csv.reader rows and Python's float() per cell, or the first
-    fault named: no data rows, a column that does not resolve, a short row or an
-    unparseable cell, then a non-finite value."""
+    fault named: a row csv.reader rejects, no data rows, a column that does not
+    resolve, a short row or an unparseable cell, then a non-finite value."""
     path = manifest.csv_path
-    rows = [row for row in csv.reader(fh, delimiter=manifest.delimiter) if row]
+    rows = []
+    try:
+        for row in csv.reader(fh, delimiter=manifest.delimiter):
+            if row:
+                rows.append(row)
+    except csv.Error as err:
+        raise CSVFormatError(f"{path}: row {len(rows) + 1}: {err}") from None
     header = None
     if manifest.has_header:
         if not rows:
@@ -184,8 +195,8 @@ def _read_rows(fh, manifest):
                 table[i, k] = float(row[col])
             except ValueError:
                 raise CSVFormatError(
-                    f"{path}: cannot parse {row[col].strip()!r} at row {first_data_row + i}, "
-                    f"column {col}"
+                    f"{path}: cannot parse {_FLOAT_SEEN.fullmatch(row[col])[1]!r} "
+                    f"at row {first_data_row + i}, column {col}"
                 ) from None
     if not np.isfinite(table).all():
         i, k = np.argwhere(~np.isfinite(table))[0]
@@ -209,10 +220,15 @@ def load_csv(manifest):
     except OSError as err:
         raise CSVFormatError(f"cannot open {path}: {err}") from err
     with fh:
-        table = _c_table(fh, manifest)
-        if table is None:
-            fh.seek(0)
-            table = _read_rows(fh, manifest)
+        try:
+            table = _c_table(fh, manifest)
+            if table is None:
+                fh.seek(0)
+                table = _read_rows(fh, manifest)
+        except UnicodeDecodeError as err:
+            raise CSVFormatError(
+                f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: {err.reason})"
+            ) from None
     return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
 
 

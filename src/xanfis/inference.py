@@ -3,7 +3,9 @@
 A RuleBase is treated as immutable; every operation returns a new one.
 The trainer owns the single evolving copy.  fit_consequents and predict
 check X (and fit_consequents y) once at entry; the kernels below them,
-ridge_solve included, take those checked arrays.
+ridge_solve included, take those checked arrays.  Given a Workspace, the
+forward writes into its buffers instead of allocating; without one every
+result is a fresh array its caller owns.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,28 +70,80 @@ class FiringMatrices:
     u: np.ndarray           # (F, R, N), standardized distances (x - c) / s
 
 
-def membership_tensor(X, rb):
-    """Standardized distances u = (x - c) / s per feature, rule and sample, (F, R, N)."""
+class Workspace(NamedTuple):
+    """Buffers that a forward and backward on N rows write into, sample axis last.
+
+    u and normalized hold an antecedent state's FiringMatrices.  scratch,
+    a flat buffer of R*(F+1)*N floats, holds the transients in turn:
+    Cauchy's per-feature memberships (F, R, N), the first-order design
+    matrix (R, F+1, N), then the backward's terms.  A field left None is
+    allocated by the kernel that needs it.
+    """
+
+    u: np.ndarray | None = None           # (F, R, N)
+    normalized: np.ndarray | None = None  # (R, N)
+    scratch: np.ndarray | None = None     # (R * (F + 1) * N,)
+
+    @classmethod
+    def allocate(cls, n_rows, n_rules, n_features):
+        """A workspace of three new arrays.
+
+        Not one buffer of their total size: glibc maps a block that large
+        afresh, where three smaller ones can reuse memory the caller freed
+        before (one buffer raised the 20k-row friedman run's peak RSS 5 MiB).
+        """
+        return cls(
+            np.empty((n_features, n_rules, n_rows)),
+            np.empty((n_rules, n_rows)),
+            np.empty(n_rules * (n_features + 1) * n_rows),
+        )
+
+    @classmethod
+    def carve(cls, buf, n_rows, n_rules, n_features):
+        """A workspace of views of the flat float64 array buf, or FRESH if buf is too short."""
+        rn = n_rules * n_rows
+        frn = n_features * rn
+        if buf.size < 2 * (frn + rn):
+            return FRESH
+        return cls(
+            buf[:frn].reshape(n_features, n_rules, n_rows),
+            buf[frn : frn + rn].reshape(n_rules, n_rows),
+            buf[frn + rn : 2 * (frn + rn)],
+        )
+
+
+#: the workspace of a caller that holds none: every kernel allocates its result
+FRESH = Workspace()
+
+
+def membership_tensor(X, rb, out=None):
+    """Standardized distances u = (x - c) / s per feature, rule and sample, (F, R, N).
+
+    Written to out, a C-ordered (F, R, N) array, when given.
+    """
     if X.shape[1] != rb.n_features:
         raise ValueError(
             f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
         )
     xt = np.ascontiguousarray(X.T)[:, None, :]  # (F, 1, N)
-    # an explicit C-ordered buffer: the broadcast operands alone give a strided result
-    u = np.subtract(xt, rb.centers.T[:, :, None], out=np.empty((*rb.centers.T.shape, len(X))))
+    if out is None:
+        # an explicit C-ordered buffer: the broadcast operands alone give a strided result
+        out = np.empty((*rb.centers.T.shape, len(X)))
+    u = np.subtract(xt, rb.centers.T[:, :, None], out=out)
     u /= rb.scales.T[:, :, None]
     return u
 
 
-def firing_strengths(X, rb):
+def firing_strengths(X, rb, ws=FRESH):
     """Product t-norm firing strengths, normalized per sample in place.
 
     normalized[:, t] = raw[:, t] / max(sum(raw[:, t]), EPS_DENOM): live
     samples (sum above the floor) form an exact partition of unity; fully
-    underflowed samples degrade to ~0 instead of dividing by zero.
+    underflowed samples degrade to ~0 instead of dividing by zero.  u and
+    normalized are ws's buffers when it holds them.
     """
-    u = membership_tensor(X, rb)
-    raw = product_firing(rb.mf_kind, u)
+    u = membership_tensor(X, rb, out=ws.u)
+    raw = product_firing(rb.mf_kind, u, out=ws.normalized, scratch=ws.scratch)
     total = raw.sum(axis=0)
     raw /= np.maximum(total, EPS_DENOM)
     return FiringMatrices(normalized=raw, live=total > EPS_DENOM, u=u)
@@ -99,26 +154,31 @@ def _augmented_t(X):
     return np.concatenate([X.T, np.ones((1, X.shape[0]))], axis=0)
 
 
-def design_matrix(fm, X, order):
+def design_matrix(fm, X, order, out=None):
     """Transposed LSE design matrix phi^T for the given consequent order.
 
     Zero-order: the normalized firing matrix itself, (R, N).  First-order:
-    per rule j the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N).
+    per rule j the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N),
+    written to the first R*(F+1)*N floats of the flat buffer out when given.
     """
     if order == Order.ZERO:
         return fm.normalized
     aug = _augmented_t(X)
     n_rules, n = fm.normalized.shape
+    shape = (n_rules, *aug.shape)
     # a C-ordered (R, F+1, N) buffer, so the reshape below is a view and not a copy
-    blocks = np.multiply(fm.normalized[:, None, :], aug, out=np.empty((n_rules, *aug.shape)))
+    blocks = np.empty(shape) if out is None else out[: n_rules * aug.size].reshape(shape)
+    np.multiply(fm.normalized[:, None, :], aug, out=blocks)
     return blocks.reshape(-1, n)
 
 
-def fit_consequents(rb, X, y, lam):
+def fit_consequents(rb, X, y, lam, ws=FRESH):
     """Refit consequents by regularized LSE; antecedents untouched.
 
     Returns (fitted rb, FiringMatrices on X, predictions on X); the
-    predictions equal predict(fitted rb, X) bit for bit.
+    predictions equal predict(fitted rb, X) bit for bit.  With a Workspace
+    sized for X and rb, the firing matrices are its buffers and the design
+    matrix lives in its scratch.
     """
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
@@ -126,27 +186,33 @@ def fit_consequents(rb, X, y, lam):
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] < 1 or rb.n_rules < 1:
         raise ValueError("phi must have at least one row and one column")
-    fm = firing_strengths(X, rb)
-    phi_t = design_matrix(fm, X, rb.order)
+    fm = firing_strengths(X, rb, ws)
+    phi_t = design_matrix(fm, X, rb.order, out=ws.scratch)
     w = ridge_solve(phi_t.T, y, lam)
     return replace(rb, consequents=w), fm, w @ phi_t
 
 
-def rule_outputs(rb, X):
-    """Per-rule consequent values f_j(x_t), shape (R, N); zero-order (R, 1)."""
+def rule_outputs(rb, X, out=None):
+    """Per-rule consequent values f_j(x_t), shape (R, N); zero-order (R, 1).
+
+    First-order values go to out, an (R, N) array, when given.
+    """
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
     if rb.order == Order.ZERO:
         return rb.consequents[:, None]
-    return rb.consequents.reshape(rb.n_rules, -1) @ _augmented_t(X)
+    return np.matmul(rb.consequents.reshape(rb.n_rules, -1), _augmented_t(X), out=out)
 
 
-def predict(rb, X):
-    """Weighted-average model output for each row of X."""
+def predict(rb, X, ws=FRESH):
+    """Weighted-average model output for each row of X, a new array.
+
+    The forward's arrays are ws's buffers when it holds them.
+    """
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
     X = as_matrix(X, "X")
-    phi_t = design_matrix(firing_strengths(X, rb), X, rb.order)
+    phi_t = design_matrix(firing_strengths(X, rb, ws), X, rb.order, out=ws.scratch)
     return rb.consequents @ phi_t
 
 

@@ -27,12 +27,14 @@ class MFKind(str, enum.Enum):
     CAUCHY = "cauchy"
 
 
-def _mu(kind, u):
+def _mu(kind, u, out=None):
     if kind == MFKind.GAUSSIAN:
         with np.errstate(under="ignore"):
             return np.exp(-0.5 * u * u)
     if kind == MFKind.CAUCHY:
-        return 1.0 / (1.0 + u * u)
+        mu = np.multiply(u, u, out=out)
+        mu += 1.0
+        return np.divide(1.0, mu, out=out)
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 
@@ -47,29 +49,39 @@ def membership_values(kind, x, centers, scales):
     return _mu(kind, (x - centers) / scales)
 
 
-def product_firing(kind, u):
+def product_firing(kind, u, out=None, scratch=None):
     """Product over the leading (feature) axis of the memberships at standardized distances u.
 
     u = (x - c) / s.  Gaussian: one exp of -0.5 * sum(u^2), with no
-    per-feature membership; Cauchy: the product of 1 / (1 + u^2).
+    per-feature membership; Cauchy: the product of 1 / (1 + u^2).  The
+    result goes to out when given; Cauchy's per-feature memberships go to
+    the first u.size floats of the flat buffer scratch when given.
     """
     with np.errstate(under="ignore"):
         if kind == MFKind.GAUSSIAN:
-            return np.exp(-0.5 * np.einsum("f...,f...->...", u, u))
-        return np.prod(_mu(kind, u), axis=0)
+            q = np.einsum("f...,f...->...", u, u, out=out)
+            q *= -0.5
+            return np.exp(q, out=q)
+        mu = None if scratch is None else scratch[: u.size].reshape(u.shape)
+        return np.prod(_mu(kind, u, out=mu), axis=0, out=out)
 
 
-def log_grad_factor(kind, u):
+def log_grad_factor(kind, u, out=None):
     """Factor g of the log-membership partials at standardized distances u.
 
     d log mu / d center = g / s and d log mu / d scale = g * u / s; both
-    stay finite where mu underflows.  Gaussian: g = u (the same array);
-    Cauchy: g = 2u / (1 + u^2).
+    stay finite where mu underflows.  Gaussian: g = u (the same array; out
+    is unused); Cauchy: g = 2u / (1 + u^2), written to out when given and
+    computed as 2 * (u / (1 + u^2)), the same bits since doubling is exact.
     """
     if kind == MFKind.GAUSSIAN:
         return u
     if kind == MFKind.CAUCHY:
-        return 2.0 * u / (1.0 + u * u)
+        g = np.multiply(u, u, out=out)
+        g += 1.0
+        g = np.divide(u, g, out=out)
+        g *= 2.0
+        return g
     raise ValueError(f"unknown membership kind: {kind!r}")
 
 

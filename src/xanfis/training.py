@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import write_csv
-from .inference import RuleBase, fit_consequents, predict, rule_outputs
+from .inference import RuleBase, Workspace, fit_consequents, predict, rule_outputs
 from .membership import log_grad_factor, project_bounds_arrays
 from .numerics import SingularMatrixError, as_matrix, as_vector
 
@@ -111,7 +111,7 @@ def mean_distinguishability(rb):
     return float(np.mean(d))
 
 
-def mse_antecedent_gradients(rb, fm, X, y, yhat):
+def mse_antecedent_gradients(rb, fm, X, y, yhat, scratch=None):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
     X and y are checked arrays (train checks them once); fm and yhat are
@@ -125,11 +125,24 @@ def mse_antecedent_gradients(rb, fm, X, y, yhat):
     where d log mu / d c = g / s and d log mu / d s = g u / s for the
     kind's factor g at fm's standardized distances u; these stay finite
     even when mu underflows.  The 1/s is applied after the sum over samples.
+
+    scratch, a flat buffer of at least R*(F+1)*N floats, holds the (R, N)
+    rule-output term and the (F, R, N) w in its front and b behind them;
+    without it they are allocated.
     """
+    n_rules, n = fm.normalized.shape
+    size = fm.u.size
+    if scratch is None:
+        scratch = np.empty(size + n_rules * n)
+    f = scratch[: n_rules * n].reshape(n_rules, n)
+    b = scratch[size : size + n_rules * n].reshape(n_rules, n)
+    w = scratch[:size].reshape(fm.u.shape)
     upstream = (2.0 / X.shape[0]) * (yhat - y)
     with np.errstate(under="ignore"):
-        b = upstream * fm.normalized * (rule_outputs(rb, X) - np.where(fm.live, yhat, 0.0))
-        w = b * log_grad_factor(rb.mf_kind, fm.u)  # (F, R, N)
+        np.multiply(upstream, fm.normalized, out=b)
+        b *= np.subtract(rule_outputs(rb, X, out=f), np.where(fm.live, yhat, 0.0), out=f)
+        # w = b * g; the Cauchy g is built in w itself, over the consumed f
+        np.multiply(b, log_grad_factor(rb.mf_kind, fm.u, out=w), out=w)  # (F, R, N)
     # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
     grad_c = w.sum(axis=-1).T / rb.scales
     grad_s = np.einsum("frt,frt->fr", w, fm.u).T / rb.scales
@@ -162,14 +175,14 @@ def _clipped_step(values, grad, lr, cfg):
     return values - lr * np.clip(grad, cfg.clip_lo, cfg.clip_hi)
 
 
-def backward_pass(rb, fm, X, y, yhat, cfg):
+def backward_pass(rb, fm, X, y, yhat, cfg, scratch=None):
     """One clipped gradient-descent step on MSE over centers and scales.
 
-    fm and yhat are rb's firing matrices and predictions on X.  In MO-ANFIS
-    mode the centers also descend mo_weight times the pair penalty; scales
-    get only the MSE term.
+    fm and yhat are rb's firing matrices and predictions on X; scratch is
+    passed to mse_antecedent_gradients.  In MO-ANFIS mode the centers also
+    descend mo_weight times the pair penalty; scales get only the MSE term.
     """
-    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y, yhat)
+    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y, yhat, scratch)
     if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
         grad_c = grad_c + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
     centers = _clipped_step(rb.centers, grad_c, cfg.lr_backward, cfg)
@@ -220,7 +233,9 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     consequents.  Every epoch ends with the patience check, so a run whose
     patience runs out on its last epoch stops for "patience", not
     "max_epochs".  Every trace carries a snapshot of that epoch's centers
-    and scales.
+    and scales.  The forward, refit and backward of every epoch write into
+    one Workspace sized here, once per run; the validation forward writes
+    into views of its scratch when they fit (at most half as many rows).
     """
     TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
     X_train = as_matrix(X_train, "X_train")
@@ -233,6 +248,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
                 f"X_{part} has {X.shape[0]} rows but y_{part} has {y.shape[0]} entries"
             )
 
+    ws = Workspace.allocate(X_train.shape[0], rb0.n_rules, rb0.n_features)
+    val_ws = Workspace.carve(ws.scratch, X_val.shape[0], rb0.n_rules, rb0.n_features)
     traces = []
     rb = best_rb = rb0  # rb: the last finite model
     best_val = math.inf
@@ -240,16 +257,19 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     for epoch in range(cfg.max_epochs + 1):
         stepped = rb
         if epoch:
-            stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg)
+            stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg, ws.scratch)
             if cfg.mode == Mode.X_ANFIS:
                 stepped = xpass_update(stepped, cfg)
-            del fm  # frees this state's (F, R, N) tensor before the refit builds the next
+        # fm's arrays are ws's buffers: the backward above has consumed the
+        # previous state's fm and yhat, and the refit overwrites them with the
+        # next.  Between the refit's solve and the next backward ws.scratch
+        # is free, and the validation forward uses it.  Traces keep copies.
         try:
-            fitted, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam)
+            fitted, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam, ws)
         except SingularMatrixError:
             return TrainResult(rb, traces, "singular")
         train_mse = _mse(yhat, y_train)
-        val_mse = _mse(predict(fitted, X_val), y_val)
+        val_mse = _mse(predict(fitted, X_val, val_ws), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
             return TrainResult(rb, traces, "non_finite")
         rb = fitted

@@ -552,6 +552,29 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "first_row, shown",
+        [
+            # 1_000 sends the file to the row-by-row read, whose csv.reader has a field limit
+            pytest.param("1_000,0.5," + "n" * 200_000,
+                         "d.csv: row 2: field larger than field limit (131072)", id="long-note"),
+            pytest.param("0.5,0.25,caf\xe9",
+                         "d.csv: not UTF-8 text (byte 0xe9: invalid continuation byte)",
+                         id="latin-1"),
+        ],
+    )
+    def test_unreadable_csv_named_before_out_dir(self, tmp_path, capsys, monkeypatch,
+                                                 first_row, shown):
+        monkeypatch.chdir(tmp_path)
+        rows = ["a,y,note", first_row] + [f"{i / 60},{i * 7 % 60 / 60},x" for i in range(59)]
+        (tmp_path / "d.csv").write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+        doc = {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a"]}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        out = tmp_path / "x"
+        assert main(["train", "--manifest", "m.json", "--seeds", "0", "--out", str(out)]) == 1
+        assert f"error: {shown}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "fields, shown",
         [
             ({"has_header": "false"}, "has_header must be bool, got 'false'"),

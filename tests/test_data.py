@@ -238,9 +238,16 @@ class TestLoadCSV:
             ("", {}, "empty file"),
             ("a,t\n", {}, "no data rows"),
             ("a,t\n1,2\n", {"feature_columns": []}, "manifest needs at least one feature column"),
-            # numpy's parser strips 0x1c-0x1f from a cell's ends, float() does not
-            ("a,t\n1,2\n3\x1c,4\n", {}, "at row 3, column 0"),
-            ("a,t\n1,2\n3,\x1f4\n", {}, "at row 3, column 1"),
+            # numpy's parser and str.strip remove 0x1c-0x1f from a cell's ends, float() does
+            # not; the cell is shown as float() saw it, without only the whitespace it ignores
+            ("a,t\n1,2\n3\x1c,4\n", {}, "cannot parse '3\\x1c' at row 3, column 0"),
+            ("a,t\n1,2\n3,\x1f4\n", {}, "cannot parse '\\x1f4' at row 3, column 1"),
+            ("a,t\n1,2\n \tx\xa0,4\n", {}, "cannot parse 'x' at row 3, column 0"),
+            # csv.reader's errors and undecodable bytes are named too
+            pytest.param("a,t\n1_000,2\n3,4" + "0" * 200_000 + "\n", {},
+                         "row 3: field larger than field limit (131072)", id="long-cell"),
+            pytest.param("a" * 200_000 + ",t\n1,2\n", {"feature_columns": [0]},
+                         "row 1: field larger than field limit (131072)", id="long-header"),
             ("a,t\n1,2\n#3,4\n", {}, "cannot parse '#3' at row 3, column 0"),  # no comments
         ],
     )
@@ -249,6 +256,15 @@ class TestLoadCSV:
         fields = {"target_column": "t", "feature_columns": ["a"], **fields}
         m = DatasetManifest(csv_path=path, **fields)
         with pytest.raises(ValueError, match=f"{re.escape(shown)}$"):
+            load_csv(m)
+
+    @pytest.mark.parametrize("text", [b"a,t\n1,2\n3,\xe9\n", b"a,\xe9t\n1,2\n"])
+    def test_not_utf8_named(self, tmp_path, text):
+        # the bad byte in a data row (numpy's read, then the row-by-row one) or in the header
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        m = DatasetManifest(csv_path=str(path), target_column=1, feature_columns=[0])
+        with pytest.raises(CSVFormatError, match=r"d\.csv: not UTF-8 text \(byte 0xe9: "):
             load_csv(m)
 
     def test_duplicate_header_rejected(self, tmp_path):

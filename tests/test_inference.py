@@ -14,6 +14,7 @@ from xanfis.inference import (
     EPS_DENOM,
     Order,
     RuleBase,
+    Workspace,
     design_matrix,
     firing_strengths,
     fit_consequents,
@@ -23,7 +24,13 @@ from xanfis.inference import (
     rule_outputs,
     save_model,
 )
-from xanfis.membership import SCALE_MIN, MFKind, membership_values, product_firing
+from xanfis.membership import (
+    SCALE_MIN,
+    MFKind,
+    log_grad_factor,
+    membership_values,
+    product_firing,
+)
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -179,6 +186,83 @@ class TestSampleAxisLast:
         assert phi.shape == (16, 40) and phi.flags.c_contiguous
         assert phi.base is not None and phi.base.shape == (4, 4, 40)
         assert np.shares_memory(phi, phi.base)
+
+
+def stale_workspace(n_rows, rb):
+    """A workspace whose buffers hold NaN, so a result that reads their old contents shows."""
+    ws = Workspace.allocate(n_rows, rb.n_rules, rb.n_features)
+    for buf in ws:
+        buf.fill(np.nan)
+    return ws
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("order", list(Order))
+    @pytest.mark.parametrize("kind", list(MFKind))
+    def test_out_equals_fresh_allocation(self, kind, order):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-0.2, 1.2, size=(50, 3))
+        y = rng.uniform(0, 1, size=50)
+        rb = wide_rulebase(rng, kind, order, n_rules=4, n_features=3)
+        ws = stale_workspace(50, rb)
+
+        def same(written, fresh, buf):
+            np.testing.assert_array_equal(written, fresh, strict=True)
+            assert np.shares_memory(written, buf)
+
+        u = membership_tensor(X, rb)
+        same(membership_tensor(X, rb, out=ws.u), u, ws.u)
+        same(product_firing(kind, u, out=ws.normalized, scratch=ws.scratch),
+             product_firing(kind, u), ws.normalized)
+        if kind == MFKind.CAUCHY:
+            same(log_grad_factor(kind, u, out=ws.scratch[: u.size].reshape(u.shape)),
+                 log_grad_factor(kind, u), ws.scratch)
+        fm = firing_strengths(X, rb)
+        fm_ws = firing_strengths(X, rb, stale_workspace(50, rb))
+        for name in ("normalized", "live", "u"):
+            np.testing.assert_array_equal(getattr(fm_ws, name), getattr(fm, name), strict=True)
+        phi = design_matrix(fm, X, order, out=ws.scratch)
+        np.testing.assert_array_equal(phi, design_matrix(fm, X, order), strict=True)
+        assert np.shares_memory(phi, ws.scratch if order == Order.FIRST else fm.normalized)
+
+        fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+        fitted_ws, fm_ws, yhat_ws = fit_consequents(rb, X, y, 1e-4, stale_workspace(50, rb))
+        np.testing.assert_array_equal(fitted_ws.consequents, fitted.consequents, strict=True)
+        np.testing.assert_array_equal(yhat_ws, yhat, strict=True)
+        for name in ("normalized", "live", "u"):
+            np.testing.assert_array_equal(getattr(fm_ws, name), getattr(fm, name), strict=True)
+        np.testing.assert_array_equal(
+            predict(fitted, X, stale_workspace(50, rb)), predict(fitted, X), strict=True
+        )
+        if order == Order.FIRST:
+            f = ws.scratch[: 4 * 50].reshape(4, 50)
+            same(rule_outputs(fitted, X, out=f), rule_outputs(fitted, X), f)
+
+    def test_carve_views_one_buffer_or_allocates(self):
+        buf = np.zeros(2 * 4 * (3 + 1) * 20)
+        ws = Workspace.carve(buf, 20, 4, 3)
+        assert [a.shape for a in ws] == [(3, 4, 20), (4, 20), (4 * 4 * 20,)]
+        assert all(np.shares_memory(a, buf) for a in ws)
+        assert not any(np.shares_memory(a, b) for a, b in ((ws.u, ws.normalized),
+                                                           (ws.u, ws.scratch),
+                                                           (ws.normalized, ws.scratch)))
+        assert Workspace.carve(buf, 21, 4, 3) == Workspace()  # too short: allocate
+
+    @pytest.mark.parametrize("order", list(Order))
+    def test_public_calls_return_arrays_they_own(self, order):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, size=(30, 2))
+        y = rng.uniform(0, 1, size=30)
+        rb = random_rulebase(rng, n_rules=3, n_features=2, order=order)
+        first, second = fit_consequents(rb, X, y, 1e-4), fit_consequents(rb, X, y, 1e-4)
+        arrays = [
+            [fitted.consequents, fm.normalized, fm.live, fm.u, yhat]
+            for fitted, fm, yhat in (first, second)
+        ]
+        for a in arrays[0]:
+            for b in arrays[1]:
+                assert not np.shares_memory(a, b)
+        assert not np.shares_memory(predict(first[0], X), predict(first[0], X))
 
 
 class TestFitConsequents:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import xanfis.inference
 import xanfis.numerics
+import xanfis.training
 from xanfis.inference import (
     EPS_DENOM,
     Order,
@@ -122,6 +123,17 @@ def rel_err(analytic, reference):
 
 
 class TestMSEGradients:
+    @pytest.mark.parametrize("order", list(Order))
+    @pytest.mark.parametrize("kind", list(MFKind))
+    def test_scratch_equals_fresh_allocation(self, kind, order):
+        X, y, rb, fm, yhat = make_problem(np.random.default_rng(4), 4, 3, kind, order=order)
+        scratch = np.full(4 * (3 + 1) * len(X), np.nan)  # stale contents must not show
+        fresh = mse_antecedent_gradients(rb, fm, X, y, yhat)
+        written = mse_antecedent_gradients(rb, fm, X, y, yhat, scratch)
+        for a, b in zip(written, fresh):
+            np.testing.assert_array_equal(a, b, strict=True)
+        assert not np.isnan(scratch).any()  # w and b filled the whole scratch
+
     def test_perfect_fit_zero_gradient(self):
         # single rule, constant target: LSE fit is exact
         rng = np.random.default_rng(0)
@@ -557,15 +569,44 @@ class TestTrainLoop:
         assert epochs == list(range(len(traces)))
         assert all(t.centers_snapshot is not None for t in traces)
 
+    @pytest.mark.parametrize("order", list(Order))
+    def test_epochs_reuse_one_workspace(self, monkeypatch, order):
+        # every epoch's training forward writes u into the same buffer and every
+        # backward works in the same scratch; the validation forward's u lies in it
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        rb0 = RuleBase(rb0.mf_kind, rb0.centers, rb0.scales, order=order)
+        seen = {"train_u": set(), "val_u": set(), "scratch": set()}
+        val_u = []
+        real_tensor = xanfis.inference.membership_tensor
+        real_gradients = xanfis.training.mse_antecedent_gradients
+
+        def tensor(X, rb, out=None):
+            u = real_tensor(X, rb, out=out)
+            seen["train_u" if len(X) == len(X_tr) else "val_u"].add(u.ctypes.data)
+            if len(X) == len(X_val):
+                val_u[:] = [u]
+            return u
+
+        def gradients(rb, fm, X, y, yhat, scratch=None):
+            seen["scratch"].add(scratch.ctypes.data)
+            assert np.shares_memory(scratch, val_u[0])
+            return real_gradients(rb, fm, X, y, yhat, scratch)
+
+        monkeypatch.setattr(xanfis.inference, "membership_tensor", tensor)
+        monkeypatch.setattr(xanfis.training, "mse_antecedent_gradients", gradients)
+        cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=6, patience=6)
+        assert len(train(X_tr, y_tr, X_val, y_val, rb0, cfg).traces) == 7
+        assert [len(v) for v in seen.values()] == [1, 1, 1]
+
     def test_one_train_forward_per_epoch(self, monkeypatch):
         # per epoch: the refit's training forward and the validation predict
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         real = xanfis.inference.membership_tensor
         calls = {"n": 0}
 
-        def counting(X, rb):
+        def counting(*args, **kwargs):
             calls["n"] += 1
-            return real(X, rb)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(xanfis.inference, "membership_tensor", counting)
         for mode in Mode:
