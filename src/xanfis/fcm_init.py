@@ -37,7 +37,7 @@ class FCMConfig:
 @dataclass
 class FCMResult:
     centers: np.ndarray      # (R, F)
-    memberships: np.ndarray  # (R, N) like FiringMatrices.normalized, columns sum to 1
+    memberships: np.ndarray  # (R, N) like Rows.normalized, columns sum to 1
     iterations: int
     final_shift: float
     fuzziness: float = 2.0

@@ -1,11 +1,11 @@
 """Takagi-Sugeno forward pass: firing strengths, design matrix, LSE, predict.
 
 A RuleBase is treated as immutable; every operation returns a new one.
-The trainer owns the single evolving copy.  fit_consequents and predict
-check X (and fit_consequents y) once at entry; the kernels below them,
-ridge_solve included, take those checked arrays.  Given a Workspace, the
-forward writes into its buffers instead of allocating; without one every
-result is a fresh array its caller owns.
+The kernels work on a Rows object, the checked rows of X plus the buffers
+that a forward and backward on them write into, and on the state's
+arrays; the trainer builds its Rows once per run and carries the state
+as arrays.  fit_consequents and predict check their inputs once and build
+fresh Rows per call, so they return arrays their caller owns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class RuleBase:
 
     centers/scales: (rules, features); consequents: length R (zero-order)
     or R*(F+1) (first-order, per-rule blocks of F weights then bias), or
-    None before the first fit.
+    None before the first fit.  The center and scale shapes are checked
+    here; the values and the consequent length by check_rule_base.
     """
 
     mf_kind: MFKind
@@ -51,6 +52,8 @@ class RuleBase:
         # a name such as "first" becomes its member here, and a bad name fails here
         object.__setattr__(self, "mf_kind", MFKind(self.mf_kind))
         object.__setattr__(self, "order", Order(self.order))
+        if np.ndim(self.centers) != 2 or np.shape(self.centers) != np.shape(self.scales):
+            raise ValueError("center/scale shape mismatch")
 
     @property
     def n_rules(self):
@@ -61,124 +64,127 @@ class RuleBase:
         return self.centers.shape[1]
 
 
-@dataclass
-class FiringMatrices:
-    """One antecedent state's forward on X, sample axis last; the backward pass reuses it all."""
+def check_rule_base(rb, what):
+    """Raise ValueError, prefixed by what, unless rb's values are trainable.
 
-    normalized: np.ndarray  # (R, N), raw firing / max(its column sum, EPS_DENOM)
-    live: np.ndarray        # (N,), raw firing column sum > EPS_DENOM
-    u: np.ndarray           # (F, R, N), standardized distances (x - c) / s
-
-
-class Workspace(NamedTuple):
-    """Buffers that a forward and backward on N rows write into, sample axis last.
-
-    u and normalized hold an antecedent state's FiringMatrices.  scratch,
-    a flat buffer of R*(F+1)*N floats, holds the transients in turn:
-    Cauchy's per-feature memberships (F, R, N), the first-order design
-    matrix (R, F+1, N), then the backward's terms.  A field left None is
-    allocated by the kernel that needs it.
+    That is: at least one rule, centers in [0, 1], scales in [SCALE_MIN,
+    SCALE_MAX], and consequents (when fitted) of the order's length and finite.
     """
-
-    u: np.ndarray | None = None           # (F, R, N)
-    normalized: np.ndarray | None = None  # (R, N)
-    scratch: np.ndarray | None = None     # (R * (F + 1) * N,)
-
-    @classmethod
-    def allocate(cls, n_rows, n_rules, n_features):
-        """A workspace of three new arrays.
-
-        Not one buffer of their total size: glibc maps a block that large
-        afresh, where three smaller ones can reuse memory the caller freed
-        before (one buffer raised the 20k-row friedman run's peak RSS 5 MiB).
-        """
-        return cls(
-            np.empty((n_features, n_rules, n_rows)),
-            np.empty((n_rules, n_rows)),
-            np.empty(n_rules * (n_features + 1) * n_rows),
-        )
-
-    @classmethod
-    def carve(cls, buf, n_rows, n_rules, n_features):
-        """A workspace of views of the flat float64 array buf, or FRESH if buf is too short."""
-        rn = n_rules * n_rows
-        frn = n_features * rn
-        if buf.size < 2 * (frn + rn):
-            return FRESH
-        return cls(
-            buf[:frn].reshape(n_features, n_rules, n_rows),
-            buf[frn : frn + rn].reshape(n_rules, n_rows),
-            buf[frn + rn : 2 * (frn + rn)],
-        )
-
-
-#: the workspace of a caller that holds none: every kernel allocates its result
-FRESH = Workspace()
-
-
-def membership_tensor(X, rb, out=None):
-    """Standardized distances u = (x - c) / s per feature, rule and sample, (F, R, N).
-
-    Written to out, a C-ordered (F, R, N) array, when given.
-    """
-    if X.shape[1] != rb.n_features:
+    n_rules, n_features = rb.centers.shape
+    if n_rules < 1:
+        raise ValueError(f"{what}: a rule base needs at least one rule")
+    centers, scales = project_bounds_arrays(rb.centers, rb.scales)
+    # clipping keeps NaN and moves +-inf onto a bound, so both fail array_equal
+    if not np.array_equal(centers, rb.centers):
+        raise ValueError(f"{what}: centers must be finite and in [0, 1]")
+    if not np.array_equal(scales, rb.scales):
+        raise ValueError(f"{what}: scales must be finite and in [{SCALE_MIN}, {SCALE_MAX}]")
+    n_conseq = n_rules if rb.order == Order.ZERO else n_rules * (n_features + 1)
+    if rb.consequents is not None and not (
+        rb.consequents.shape == (n_conseq,) and np.isfinite(rb.consequents).all()
+    ):
         raise ValueError(
-            f"X has {X.shape[1]} feature columns but the rule base has {rb.n_features}"
+            f"{what}: consequents must be {n_conseq} finite values "
+            f"({rb.order.value} order, {n_rules} rules, {n_features} features)"
         )
-    xt = np.ascontiguousarray(X.T)[:, None, :]  # (F, 1, N)
-    if out is None:
-        # an explicit C-ordered buffer: the broadcast operands alone give a strided result
-        out = np.empty((*rb.centers.T.shape, len(X)))
-    u = np.subtract(xt, rb.centers.T[:, :, None], out=out)
-    u /= rb.scales.T[:, :, None]
+
+
+class Rows(NamedTuple):
+    """N checked rows of X and the buffers a forward and backward on them write into.
+
+    The sample axis is last.  aug is the (F+1, N) augmented transpose,
+    (x_1, ..., x_F, 1) per sample, and xt its first F rows as the (F, 1, N)
+    view the membership tensor broadcasts.  u (F, R, N), normalized (R, N)
+    and live (N,) hold the last forward: the standardized distances, the
+    normalized firing and the live-row mask.  scratch, a flat buffer of
+    R*(F+1)*N floats, holds the transients in turn: Cauchy's per-feature
+    memberships (F, R, N), the first-order design matrix (R, F+1, N), then
+    the backward's terms.
+    """
+
+    xt: np.ndarray
+    aug: np.ndarray
+    u: np.ndarray
+    normalized: np.ndarray
+    live: np.ndarray
+    scratch: np.ndarray
+
+    @classmethod
+    def of(cls, X, rb, name="X", buf=None):
+        """Rows of X, a checked (N, F) array, for rb's rule count and feature count.
+
+        The float buffers are views of the flat float64 array buf when it
+        holds them all, else three new arrays made before aug: one buffer
+        of their total size, or aug made first, makes glibc map them afresh
+        where they can otherwise reuse memory the caller freed (either raised
+        the 20k-row friedman run's peak RSS by 4-5 MiB).
+        """
+        (n, f), r = X.shape, rb.n_rules
+        if f != rb.n_features:
+            raise ValueError(f"{name} has {f} feature columns but the rule base has {rb.n_features}")
+        frn, rn = f * r * n, r * n
+        if buf is not None and buf.size >= 2 * (frn + rn):
+            u, normalized, scratch = buf[:frn], buf[frn : frn + rn], buf[frn + rn : 2 * (frn + rn)]
+        else:
+            u, normalized, scratch = np.empty(frn), np.empty(rn), np.empty(rn * (f + 1))
+        aug = np.empty((f + 1, n))
+        aug[:f] = X.T
+        aug[f] = 1.0
+        return cls(aug[:f, None, :], aug, u.reshape(f, r, n), normalized.reshape(r, n),
+                   np.empty(n, dtype=bool), scratch)
+
+
+def membership_tensor(rows, centers, scales):
+    """Standardized distances u = (x - c) / s per feature, rule and sample, in rows.u (F, R, N)."""
+    u = np.subtract(rows.xt, centers.T[:, :, None], out=rows.u)
+    u /= scales.T[:, :, None]
     return u
 
 
-def firing_strengths(X, rb, ws=FRESH):
-    """Product t-norm firing strengths, normalized per sample in place.
+def design_matrix(rows, order):
+    """Transposed LSE design matrix phi^T of rows' last forward.
 
-    normalized[:, t] = raw[:, t] / max(sum(raw[:, t]), EPS_DENOM): live
-    samples (sum above the floor) form an exact partition of unity; fully
-    underflowed samples degrade to ~0 instead of dividing by zero.  u and
-    normalized are ws's buffers when it holds them.
-    """
-    u = membership_tensor(X, rb, out=ws.u)
-    raw = product_firing(rb.mf_kind, u, out=ws.normalized, scratch=ws.scratch)
-    total = raw.sum(axis=0)
-    raw /= np.maximum(total, EPS_DENOM)
-    return FiringMatrices(normalized=raw, live=total > EPS_DENOM, u=u)
-
-
-def _augmented_t(X):
-    """(x_1, ..., x_F, 1) per sample, laid out (F+1, N)."""
-    return np.concatenate([X.T, np.ones((1, X.shape[0]))], axis=0)
-
-
-def design_matrix(fm, X, order, out=None):
-    """Transposed LSE design matrix phi^T for the given consequent order.
-
-    Zero-order: the normalized firing matrix itself, (R, N).  First-order:
-    per rule j the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N),
-    written to the first R*(F+1)*N floats of the flat buffer out when given.
+    Zero-order: rows.normalized itself, (R, N).  First-order: per rule j
+    the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N), written to
+    the front of rows.scratch.
     """
     if order == Order.ZERO:
-        return fm.normalized
-    aug = _augmented_t(X)
-    n_rules, n = fm.normalized.shape
-    shape = (n_rules, *aug.shape)
+        return rows.normalized
+    n_rules, n = rows.normalized.shape
     # a C-ordered (R, F+1, N) buffer, so the reshape below is a view and not a copy
-    blocks = np.empty(shape) if out is None else out[: n_rules * aug.size].reshape(shape)
-    np.multiply(fm.normalized[:, None, :], aug, out=blocks)
+    blocks = rows.scratch[: n_rules * rows.aug.size].reshape(n_rules, *rows.aug.shape)
+    np.multiply(rows.normalized[:, None, :], rows.aug, out=blocks)
     return blocks.reshape(-1, n)
 
 
-def fit_consequents(rb, X, y, lam, ws=FRESH):
+def forward(rows, kind, order, centers, scales):
+    """A state's forward on rows, into its buffers; returns the design matrix phi^T.
+
+    Product t-norm firing strengths, normalized per sample in place:
+    normalized[:, t] = raw[:, t] / max(sum(raw[:, t]), EPS_DENOM), so live
+    samples (sum above the floor) form an exact partition of unity and fully
+    underflowed samples degrade to ~0 instead of dividing by zero.
+    """
+    u = membership_tensor(rows, centers, scales)
+    raw = product_firing(kind, u, out=rows.normalized, scratch=rows.scratch)
+    total = np.add.reduce(raw, axis=0)
+    raw /= np.maximum(total, EPS_DENOM)
+    np.greater(total, EPS_DENOM, out=rows.live)
+    return design_matrix(rows, order)
+
+
+def refit(rows, y, lam, kind, order, centers, scales):
+    """Regularized-LSE consequents of a state on rows, and its predictions there."""
+    phi_t = forward(rows, kind, order, centers, scales)
+    w = ridge_solve(phi_t.T, y, lam)
+    return w, w @ phi_t
+
+
+def fit_consequents(rb, X, y, lam):
     """Refit consequents by regularized LSE; antecedents untouched.
 
-    Returns (fitted rb, FiringMatrices on X, predictions on X); the
-    predictions equal predict(fitted rb, X) bit for bit.  With a Workspace
-    sized for X and rb, the firing matrices are its buffers and the design
-    matrix lives in its scratch.
+    Returns (fitted rb, the Rows of X holding rb's forward, predictions on
+    X); the predictions equal predict(fitted rb, X) bit for bit.
     """
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
@@ -186,34 +192,19 @@ def fit_consequents(rb, X, y, lam, ws=FRESH):
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] < 1 or rb.n_rules < 1:
         raise ValueError("phi must have at least one row and one column")
-    fm = firing_strengths(X, rb, ws)
-    phi_t = design_matrix(fm, X, rb.order, out=ws.scratch)
-    w = ridge_solve(phi_t.T, y, lam)
-    return replace(rb, consequents=w), fm, w @ phi_t
+    rows = Rows.of(X, rb)
+    with np.errstate(under="ignore"):
+        w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    return replace(rb, consequents=w), rows, yhat
 
 
-def rule_outputs(rb, X, out=None):
-    """Per-rule consequent values f_j(x_t), shape (R, N); zero-order (R, 1).
-
-    First-order values go to out, an (R, N) array, when given.
-    """
+def predict(rb, X):
+    """Weighted-average model output for each row of X, a new array."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
-    if rb.order == Order.ZERO:
-        return rb.consequents[:, None]
-    return np.matmul(rb.consequents.reshape(rb.n_rules, -1), _augmented_t(X), out=out)
-
-
-def predict(rb, X, ws=FRESH):
-    """Weighted-average model output for each row of X, a new array.
-
-    The forward's arrays are ws's buffers when it holds them.
-    """
-    if rb.consequents is None:
-        raise ValueError("rule base has no fitted consequents")
-    X = as_matrix(X, "X")
-    phi_t = design_matrix(firing_strengths(X, rb, ws), X, rb.order, out=ws.scratch)
-    return rb.consequents @ phi_t
+    rows = Rows.of(as_matrix(X, "X"), rb)
+    with np.errstate(under="ignore"):
+        return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
 
 
 # --------------------------------------------------------------------
@@ -259,22 +250,5 @@ def load_model(path):
         )
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err
-    if rb.centers.ndim != 2 or rb.centers.shape != rb.scales.shape:
-        raise ValueError(f"corrupt model file {path}: center/scale shape mismatch")
-    n_rules, n_features = rb.centers.shape
-    n_conseq = n_rules if rb.order == Order.ZERO else n_rules * (n_features + 1)
-    centers, scales = project_bounds_arrays(rb.centers, rb.scales)
-    prefix = f"corrupt model file {path}:"
-    # clipping keeps NaN and moves +-inf onto a bound, so both fail array_equal
-    if not np.array_equal(centers, rb.centers):
-        raise ValueError(f"{prefix} centers must be finite and in [0, 1]")
-    if not np.array_equal(scales, rb.scales):
-        raise ValueError(f"{prefix} scales must be finite and in [{SCALE_MIN}, {SCALE_MAX}]")
-    if rb.consequents is not None and not (
-        rb.consequents.shape == (n_conseq,) and np.isfinite(rb.consequents).all()
-    ):
-        raise ValueError(
-            f"{prefix} consequents must be {n_conseq} finite values "
-            f"({rb.order.value} order, {n_rules} rules, {n_features} features)"
-        )
+    check_rule_base(rb, f"corrupt model file {path}")
     return rb, doc.get("scaler")

@@ -55,15 +55,15 @@ def product_firing(kind, u, out=None, scratch=None):
     u = (x - c) / s.  Gaussian: one exp of -0.5 * sum(u^2), with no
     per-feature membership; Cauchy: the product of 1 / (1 + u^2).  The
     result goes to out when given; Cauchy's per-feature memberships go to
-    the first u.size floats of the flat buffer scratch when given.
+    the first u.size floats of the flat buffer scratch when given.  Gaussian
+    memberships may underflow: callers run it under np.errstate(under="ignore").
     """
-    with np.errstate(under="ignore"):
-        if kind == MFKind.GAUSSIAN:
-            q = np.einsum("f...,f...->...", u, u, out=out)
-            q *= -0.5
-            return np.exp(q, out=q)
-        mu = None if scratch is None else scratch[: u.size].reshape(u.shape)
-        return np.prod(_mu(kind, u, out=mu), axis=0, out=out)
+    if kind == MFKind.GAUSSIAN:
+        q = np.einsum("f...,f...->...", u, u, out=out)
+        q *= -0.5
+        return np.exp(q, out=q)
+    mu = None if scratch is None else scratch[: u.size].reshape(u.shape)
+    return np.multiply.reduce(_mu(kind, u, out=mu), axis=0, out=out)
 
 
 def log_grad_factor(kind, u, out=None):
@@ -87,7 +87,8 @@ def log_grad_factor(kind, u, out=None):
 
 def project_bounds_arrays(centers, scales):
     """Clamp centers into [0, 1] and scales into [SCALE_MIN, 1]; returns copies."""
+    # np.clip's values without its Python wrapper (only a -0.0 at the bound 0 comes out +0.0)
     return (
-        np.clip(centers, 0.0, 1.0),
-        np.clip(scales, SCALE_MIN, SCALE_MAX),
+        np.minimum(np.maximum(centers, 0.0), 1.0),
+        np.minimum(np.maximum(scales, SCALE_MIN), SCALE_MAX),
     )

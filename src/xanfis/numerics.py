@@ -49,14 +49,14 @@ def ridge_solve(phi, y, lam):
     accurate.  A system that is not positive definite in float64 (lam = 0
     with dependent columns, or lam below rounding) raises
     SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
-    matching nonzero row counts (fit_consequents checks them).
+    matching nonzero row counts (fit_consequents and train check them).
     """
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
 
     a = phi.T @ phi
-    a[np.diag_indices_from(a)] += lam
+    a.flat[:: a.shape[0] + 1] += lam  # the diagonal
     b = phi.T @ y
     try:
         low = np.linalg.cholesky(a)

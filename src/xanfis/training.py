@@ -6,8 +6,9 @@ X-ANFIS mode — an explainability pass that nudges adjacent-set centers
 toward a target distinguishability while scales stay frozen.  In MO-ANFIS
 mode the backward pass descends the scalarized objective
 MSE + weight * sum over adjacent pairs of 0.5 * (D - D_target)^2 instead.
-The refit's firing matrices and predictions are the only training-set
-forward of each antecedent state.
+The refit's forward and predictions are the only training-set forward of
+each antecedent state, and one adjacency pass per state serves both its
+traced mean D and the next MO-ANFIS step.
 Early stopping watches validation MSE with a patience window; train
 returns the best validation snapshot and the reason the run stopped.
 """
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import write_csv
-from .inference import RuleBase, Workspace, fit_consequents, predict, rule_outputs
+from .inference import Order, RuleBase, Rows, check_rule_base, forward, refit
 from .membership import log_grad_factor, project_bounds_arrays
 from .numerics import SingularMatrixError, as_matrix, as_vector
 
@@ -87,7 +88,7 @@ def adjacency_pairs(centers):
 
     Consecutive entries of a row are that feature's adjacent pairs.
     """
-    return np.argsort(np.asarray(centers, dtype=np.float64).T, axis=1, kind="stable")
+    return np.asarray(centers, dtype=np.float64).T.argsort(axis=1, kind="stable")
 
 
 def _pair_distances(centers, scales, order):
@@ -103,50 +104,68 @@ def _pair_distances(centers, scales, order):
     return dc, np.hypot(dc, s[:, :-1] - s[:, 1:])
 
 
+def _mean(d):
+    """np.mean's value over all of d, without its Python wrapper."""
+    return float(np.add.reduce(d, axis=None)) / d.size
+
+
 def mean_distinguishability(rb):
     """Mean pair distance over all per-feature adjacent pairs; requires at least 2 rules."""
     if rb.n_rules < 2:
         raise ValueError(f"no adjacent pairs with {rb.n_rules} rule(s)")
-    _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
-    return float(np.mean(d))
+    return _mean(_pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))[1])
 
 
-def mse_antecedent_gradients(rb, fm, X, y, yhat, scratch=None):
+def mse_antecedent_gradients(rows, y, yhat, kind, order, scales, consequents):
     """d MSE / d centers and d MSE / d scales with consequents frozen.
 
-    X and y are checked arrays (train checks them once); fm and yhat are
-    rb's firing matrices and predictions on X, as fit_consequents returns
-    them.  Chain rule through the normalized firing strengths, with fm's
-    live-row mask:
+    rows holds the state's forward on the checked training rows and yhat
+    its predictions there, as refit leaves them.  Chain rule through the
+    normalized firing strengths, with the live-row mask:
 
         d yhat_t / d theta_jf = normalized_jt * (f_j(x_t) - live_t * yhat_t)
                                 * d log mu_tjf / d theta,
 
     where d log mu / d c = g / s and d log mu / d s = g u / s for the
-    kind's factor g at fm's standardized distances u; these stay finite
+    kind's factor g at the standardized distances u; these stay finite
     even when mu underflows.  The 1/s is applied after the sum over samples.
-
-    scratch, a flat buffer of at least R*(F+1)*N floats, holds the (R, N)
-    rule-output term and the (F, R, N) w in its front and b behind them;
-    without it they are allocated.
+    rows.scratch holds the (R, N) rule outputs f_j and the (F, R, N) w in
+    its front and b behind them.
     """
-    n_rules, n = fm.normalized.shape
-    size = fm.u.size
-    if scratch is None:
-        scratch = np.empty(size + n_rules * n)
-    f = scratch[: n_rules * n].reshape(n_rules, n)
-    b = scratch[size : size + n_rules * n].reshape(n_rules, n)
-    w = scratch[:size].reshape(fm.u.shape)
-    upstream = (2.0 / X.shape[0]) * (yhat - y)
-    with np.errstate(under="ignore"):
-        np.multiply(upstream, fm.normalized, out=b)
-        b *= np.subtract(rule_outputs(rb, X, out=f), np.where(fm.live, yhat, 0.0), out=f)
-        # w = b * g; the Cauchy g is built in w itself, over the consumed f
-        np.multiply(b, log_grad_factor(rb.mf_kind, fm.u, out=w), out=w)  # (F, R, N)
+    u, normalized = rows.u, rows.normalized
+    n_rules, n = normalized.shape
+    f = rows.scratch[: n_rules * n].reshape(n_rules, n)
+    b = rows.scratch[u.size : u.size + n_rules * n].reshape(n_rules, n)
+    w = rows.scratch[: u.size].reshape(u.shape)
+    upstream = (2.0 / n) * (yhat - y)
+    np.multiply(upstream, normalized, out=b)
+    if order == Order.ZERO:
+        fout = consequents[:, None]
+    else:
+        fout = np.matmul(consequents.reshape(n_rules, -1), rows.aug, out=f)
+    b *= np.subtract(fout, np.where(rows.live, yhat, 0.0), out=f)
+    # w = b * g; the Cauchy g is built in w itself, over the consumed f
+    np.multiply(b, log_grad_factor(kind, u, out=w), out=w)  # (F, R, N)
     # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
-    grad_c = w.sum(axis=-1).T / rb.scales
-    grad_s = np.einsum("frt,frt->fr", w, fm.u).T / rb.scales
+    grad_c = np.add.reduce(w, axis=-1).T / scales
+    grad_s = np.einsum("frt,frt->fr", w, u).T / scales
     return grad_c, grad_s
+
+
+def _pair_gradient(order, dc, d, d_target):
+    """Center gradients of sum over the pairs (order, dc, d) of 0.5*(D - D_target)^2.
+
+    Pairs closer than D_SING are skipped.  On each feature's sorted axis,
+    pair k adds its term at position k and subtracts it at k + 1.
+    """
+    # d >= D_SING divides by d itself; the floor only keeps skipped pairs from dividing by 0
+    t = np.where(d < D_SING, 0.0, (d - d_target) / np.maximum(d, D_SING) * dc)
+    g = np.zeros(order.shape)
+    g[:, :-1] += t
+    g[:, 1:] -= t
+    grad = np.empty(order.shape[::-1])
+    grad.T[np.arange(order.shape[0])[:, None], order] = g
+    return grad
 
 
 def xpass_gradients(centers, scales, d_target):
@@ -154,56 +173,22 @@ def xpass_gradients(centers, scales, d_target):
 
     Scales contribute to each D but receive no gradient (they are frozen
     in the explainability pass, which stops the trivial shrink-all-widths
-    solution).  Pairs closer than D_SING are skipped.  On each feature's
-    sorted axis, pair k adds its term at position k and subtracts it at k + 1.
+    solution).  Pairs closer than D_SING are skipped.
     """
     centers = np.asarray(centers, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
     order = adjacency_pairs(centers)
-    dc, d = _pair_distances(centers, scales, order)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(d < D_SING, 0.0, (d - d_target) / d * dc)
-    g = np.zeros(order.shape)
-    g[:, :-1] += t
-    g[:, 1:] -= t
-    grad = np.empty_like(centers)
-    grad.T[np.arange(order.shape[0])[:, None], order] = g
-    return grad
+    return _pair_gradient(order, *_pair_distances(centers, scales, order), d_target)
 
 
 def _clipped_step(values, grad, lr, cfg):
-    return values - lr * np.clip(grad, cfg.clip_lo, cfg.clip_hi)
-
-
-def backward_pass(rb, fm, X, y, yhat, cfg, scratch=None):
-    """One clipped gradient-descent step on MSE over centers and scales.
-
-    fm and yhat are rb's firing matrices and predictions on X; scratch is
-    passed to mse_antecedent_gradients.  In MO-ANFIS mode the centers also
-    descend mo_weight times the pair penalty; scales get only the MSE term.
-    """
-    grad_c, grad_s = mse_antecedent_gradients(rb, fm, X, y, yhat, scratch)
-    if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
-        grad_c = grad_c + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-    centers = _clipped_step(rb.centers, grad_c, cfg.lr_backward, cfg)
-    scales = _clipped_step(rb.scales, grad_s, cfg.lr_backward, cfg)
-    centers, scales = project_bounds_arrays(centers, scales)
-    return replace(rb, centers=centers, scales=scales)
-
-
-def xpass_update(rb, cfg):
-    """One clipped explainability step on the centers; scales frozen."""
-    if cfg.lr_xpass == 0.0:
-        return rb
-    grad_c = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-    centers = _clipped_step(rb.centers, grad_c, cfg.lr_xpass, cfg)
-    centers, scales = project_bounds_arrays(centers, rb.scales)
-    return replace(rb, centers=centers, scales=scales)
+    # np.clip's values without its Python wrapper
+    return values - lr * np.minimum(np.maximum(grad, cfg.clip_lo), cfg.clip_hi)
 
 
 def _mse(yhat, y):
     diff = yhat - y
-    return float(np.mean(diff * diff))
+    return _mean(diff * diff)
 
 
 #: the stop reasons of a diverged run
@@ -233,11 +218,16 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     consequents.  Every epoch ends with the patience check, so a run whose
     patience runs out on its last epoch stops for "patience", not
     "max_epochs".  Every trace carries a snapshot of that epoch's centers
-    and scales.  The forward, refit and backward of every epoch write into
-    one Workspace sized here, once per run; the validation forward writes
-    into views of its scratch when they fit (at most half as many rows).
+    and scales.
+
+    The config, rb0 and the four arrays are checked once, here; the epochs
+    run the kernels on one Rows per row set and carry the state as arrays.
+    The training Rows' buffers serve every epoch's refit and backward; the
+    validation Rows are views of its scratch when they fit (at most half as
+    many rows).
     """
     TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
+    check_rule_base(rb0, "rb0")
     X_train = as_matrix(X_train, "X_train")
     y_train = as_vector(y_train, "y_train")
     X_val = as_matrix(X_val, "X_val")
@@ -247,49 +237,65 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
             raise ValueError(
                 f"X_{part} has {X.shape[0]} rows but y_{part} has {y.shape[0]} entries"
             )
+        if X.shape[0] == 0:
+            raise ValueError(f"X_{part} has 0 rows")
+    rows = Rows.of(X_train, rb0, "X_train")
+    # the validation forward uses the scratch between the refit's solve and the next backward
+    val_rows = Rows.of(X_val, rb0, "X_val", buf=rows.scratch)
 
-    ws = Workspace.allocate(X_train.shape[0], rb0.n_rules, rb0.n_features)
-    val_ws = Workspace.carve(ws.scratch, X_val.shape[0], rb0.n_rules, rb0.n_features)
+    kind, order, centers, scales = rb0.mf_kind, rb0.order, rb0.centers, rb0.scales
+    paired = rb0.n_rules > 1
+    mo_weight = cfg.mo_weight if cfg.mode == Mode.MO_ANFIS and paired else 0.0
+    xpass = cfg.mode == Mode.X_ANFIS and cfg.lr_xpass != 0.0
     traces = []
-    rb = best_rb = rb0  # rb: the last finite model
+    last = best = None  # (centers, scales, consequents): the last finite and the best state
     best_val = math.inf
     stall = 0
-    for epoch in range(cfg.max_epochs + 1):
-        stepped = rb
-        if epoch:
-            stepped = backward_pass(rb, fm, X_train, y_train, yhat, cfg, ws.scratch)
-            if cfg.mode == Mode.X_ANFIS:
-                stepped = xpass_update(stepped, cfg)
-        # fm's arrays are ws's buffers: the backward above has consumed the
-        # previous state's fm and yhat, and the refit overwrites them with the
-        # next.  Between the refit's solve and the next backward ws.scratch
-        # is free, and the validation forward uses it.  Traces keep copies.
-        try:
-            fitted, fm, yhat = fit_consequents(stepped, X_train, y_train, cfg.lam, ws)
-        except SingularMatrixError:
-            return TrainResult(rb, traces, "singular")
-        train_mse = _mse(yhat, y_train)
-        val_mse = _mse(predict(fitted, X_val, val_ws), y_val)
-        if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-            return TrainResult(rb, traces, "non_finite")
-        rb = fitted
-        traces.append(
-            EpochTrace(
-                epoch=epoch,
-                train_mse=train_mse,
-                val_mse=val_mse,
-                mean_D=mean_distinguishability(rb) if rb.n_rules > 1 else 0.0,
-                centers_snapshot=rb.centers.copy(),
-                scales_snapshot=rb.scales.copy(),
-            )
-        )
-        if val_mse < best_val:
-            best_val, best_rb, stall = val_mse, rb, 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                return TrainResult(best_rb, traces, "patience")
-    return TrainResult(best_rb, traces, "max_epochs")
+
+    def result(state, stop_reason):
+        rb = rb0 if state is None else RuleBase(kind, *state, order=order)
+        return TrainResult(rb, traces, stop_reason)
+
+    with np.errstate(under="ignore"):
+        for epoch in range(cfg.max_epochs + 1):
+            if epoch:
+                grad_c, grad_s = mse_antecedent_gradients(
+                    rows, y_train, yhat, kind, order, scales, consequents
+                )
+                if mo_weight:
+                    grad_c += mo_weight * _pair_gradient(*pairs, cfg.d_target)
+                centers, scales = project_bounds_arrays(
+                    _clipped_step(centers, grad_c, cfg.lr_backward, cfg),
+                    _clipped_step(scales, grad_s, cfg.lr_backward, cfg),
+                )
+                if xpass:  # its own adjacency pass, on the stepped state
+                    grad_c = xpass_gradients(centers, scales, cfg.d_target)
+                    centers, scales = project_bounds_arrays(
+                        _clipped_step(centers, grad_c, cfg.lr_xpass, cfg), scales
+                    )
+            # the refit overwrites rows' forward, which the backward above consumed
+            try:
+                consequents, yhat = refit(rows, y_train, cfg.lam, kind, order, centers, scales)
+            except SingularMatrixError:
+                return result(last, "singular")
+            train_mse = _mse(yhat, y_train)
+            val_mse = _mse(consequents @ forward(val_rows, kind, order, centers, scales), y_val)
+            if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+                return result(last, "non_finite")
+            last = (centers, scales, consequents)
+            mean_d = 0.0
+            if paired:  # this state's one adjacency pass: its mean D and the next MO step
+                ranks = adjacency_pairs(centers)
+                pairs = (ranks, *_pair_distances(centers, scales, ranks))
+                mean_d = _mean(pairs[2])
+            traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
+            if val_mse < best_val:
+                best_val, best, stall = val_mse, last, 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    return result(best, "patience")
+    return result(best, "max_epochs")
 
 
 # --------------------------------------------------------------------

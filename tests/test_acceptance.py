@@ -23,23 +23,23 @@ from xanfis.inference import (
     EPS_DENOM,
     Order,
     RuleBase,
+    Rows,
     design_matrix,
-    firing_strengths,
     fit_consequents,
+    forward,
     membership_tensor,
     predict,
 )
-from xanfis.membership import SCALE_MIN, MFKind, product_firing
+from xanfis.membership import SCALE_MIN, MFKind, product_firing, project_bounds_arrays
 from xanfis.metrics import ParetoPoint, mean_distinguishability, pareto_front, regression_metrics
 from xanfis.training import (
     Mode,
     TrainConfig,
+    _clipped_step,
     adjacency_pairs,
-    backward_pass,
     mse_antecedent_gradients,
     train,
     xpass_gradients,
-    xpass_update,
 )
 
 SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -114,7 +114,9 @@ class TestCriterion1GradientCorrectness:
             scales = rng.uniform(0.05, 0.8, size=(r, f))
             rb, fm, yhat = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
 
-            gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
+            gc, gs = mse_antecedent_gradients(
+                fm, y, yhat, rb.mf_kind, rb.order, rb.scales, rb.consequents
+            )
             fd_c = np.zeros_like(gc)
             fd_s = np.zeros_like(gs)
 
@@ -174,20 +176,18 @@ class TestCriterion2LSEOptimality:
         X, y = acceptance_dataset(seed=0)
         split = split_scale(X, y, seed=0)
         fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=5, seed=0))
-        rb = RuleBase(MFKind.CAUCHY, fcm.centers, derive_scales(split.X_train, fcm))
-        cfg = TrainConfig(mode=Mode.X_ANFIS, lam=1e-4)
+        rb0 = RuleBase(MFKind.CAUCHY, fcm.centers, derive_scales(split.X_train, fcm))
+        cfg = TrainConfig(mode=Mode.X_ANFIS, lam=1e-4, max_epochs=49, patience=50)
+        traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg).traces
         worst = 0.0
-        for _ in range(50):
-            rb, fm, yhat = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
-            phi = design_matrix(
-                firing_strengths(split.X_train, rb), split.X_train, rb.order
-            ).T  # (N, columns)
+        for t in traces:  # each epoch's state, refit as train refits it
+            rb = RuleBase(rb0.mf_kind, t.centers_snapshot, t.scales_snapshot)
+            rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
+            phi = design_matrix(fm, rb.order).T  # (N, columns)
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
-            stepped = backward_pass(rb, fm, split.X_train, split.y_train, yhat, cfg)
-            rb = xpass_update(stepped, cfg)
-        report(2, worst < 1.0, f"50 epochs, worst residual at {worst:.2e} of the bound")
+        report(2, worst < 1.0, f"{len(traces)} epochs, worst residual at {worst:.2e} of the bound")
 
 
 class TestCriterion3InitializationStability:
@@ -299,19 +299,20 @@ class TestCriterion7XPassUnit:
         centers = np.array([[0.4], [0.6]])
         scales = np.array([[0.1], [0.1]])
         grad = xpass_gradients(centers, scales, d_target=0.5)
-        rb = RuleBase(MFKind.CAUCHY, centers, scales)
-        out = xpass_update(rb, TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5))
+        # the training loop's explainability step: clipped, projected, scales frozen
+        cfg = TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5)
+        out, _ = project_bounds_arrays(_clipped_step(centers, grad, cfg.lr_xpass, cfg), scales)
         ok = (
             abs(grad[0, 0] - 0.3) < 1e-14
             and abs(grad[1, 0] + 0.3) < 1e-14
-            and abs(out.centers[0, 0] - 0.37) < 1e-14
-            and abs(out.centers[1, 0] - 0.63) < 1e-14
+            and abs(out[0, 0] - 0.37) < 1e-14
+            and abs(out[1, 0] - 0.63) < 1e-14
         )
         report(
             7,
             ok,
             f"pair (0.4, 0.6) at D=0.2: gradients ({grad[0,0]:+.17g}, {grad[1,0]:+.17g}),"
-            f" centers after one step ({out.centers[0,0]:.17g}, {out.centers[1,0]:.17g})",
+            f" centers after one step ({out[0,0]:.17g}, {out[1,0]:.17g})",
         )
 
 
@@ -377,8 +378,9 @@ class TestCriterion9Invariants:
                 ok &= bool(np.all(c >= 0.0) and np.all(c <= 1.0))
                 ok &= bool(np.all(s >= SCALE_MIN) and np.all(s <= 1.0))
                 rb = RuleBase(run["rb"].mf_kind, c, s)
-                fm = firing_strengths(split.X_train, rb)
-                raw = product_firing(rb.mf_kind, membership_tensor(split.X_train, rb))
+                fm = Rows.of(split.X_train, rb)
+                raw = product_firing(rb.mf_kind, membership_tensor(fm, c, s))
+                forward(fm, rb.mf_kind, rb.order, c, s)
                 live = raw.max(axis=0) > EPS_DENOM
                 if np.any(live):
                     dev = np.max(np.abs(fm.normalized[:, live].sum(axis=0) - 1.0))

@@ -99,7 +99,7 @@ class TestFit:
     def test_membership_columns_sum_to_one(self):
         X, _ = two_blobs(seed=3)
         res = fcm_fit(X, FCMConfig(n_clusters=4, seed=1))
-        # the layout of FiringMatrices.normalized: (R, N), sample axis last
+        # the layout of Rows.normalized: (R, N), sample axis last
         assert res.memberships.shape == (4, len(X))
         assert res.memberships.flags.c_contiguous
         np.testing.assert_allclose(res.memberships.sum(axis=0), 1.0, atol=1e-9)

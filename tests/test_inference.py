@@ -14,14 +14,14 @@ from xanfis.inference import (
     EPS_DENOM,
     Order,
     RuleBase,
-    Workspace,
+    Rows,
     design_matrix,
-    firing_strengths,
     fit_consequents,
+    forward,
     load_model,
     membership_tensor,
     predict,
-    rule_outputs,
+    refit,
     save_model,
 )
 from xanfis.membership import (
@@ -47,9 +47,16 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
     return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
 
 
+def firing(X, rb, buf=None):
+    """Rows of X holding rb's forward: normalized firing, live mask and u."""
+    rows = Rows.of(X, rb, buf=buf)
+    forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    return rows
+
+
 def raw_firing(X, rb):
-    """Unnormalized product firing strengths, (R, N), derived apart from firing_strengths."""
-    return product_firing(rb.mf_kind, membership_tensor(X, rb))
+    """Unnormalized product firing strengths, (R, N), derived apart from the forward's normalization."""
+    return product_firing(rb.mf_kind, membership_tensor(Rows.of(X, rb), rb.centers, rb.scales))
 
 
 def scalar_firing_oracle(X, rb):
@@ -75,21 +82,21 @@ class TestFiringStrengths:
         centers = np.tile([0.5, 0.5], (3, 1))
         rb = RuleBase(MFKind.CAUCHY, centers, np.full((3, 2), 0.2))
         X = np.array([[0.5, 0.5]])
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         np.testing.assert_allclose(raw_firing(X, rb), 1.0)
         np.testing.assert_allclose(fm.normalized, 1.0 / 3.0)
 
     def test_two_identical_rules_split_evenly(self):
         centers = np.tile([0.3, 0.7], (2, 1))
         rb = RuleBase(MFKind.GAUSSIAN, centers, np.full((2, 2), 0.15))
-        fm = firing_strengths(np.array([[0.9, 0.1], [0.2, 0.6]]), rb)
+        fm = firing(np.array([[0.9, 0.1], [0.2, 0.6]]), rb)
         np.testing.assert_allclose(fm.normalized, 0.5)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(31)
         X = rng.uniform(0, 1, size=(10, 3))
         rb = random_rulebase(rng, n_rules=4, n_features=3)
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         raw_ref, norm_ref = scalar_firing_oracle(X, rb)
         np.testing.assert_allclose(raw_firing(X, rb), raw_ref, atol=1e-12)
         np.testing.assert_allclose(fm.normalized, norm_ref, atol=1e-12)
@@ -99,7 +106,7 @@ class TestFiringStrengths:
         for kind in (MFKind.CAUCHY, MFKind.GAUSSIAN):
             X = rng.uniform(-0.3, 1.3, size=(50, 2))
             rb = random_rulebase(rng, n_rules=6, n_features=2, kind=kind)
-            fm = firing_strengths(X, rb)
+            fm = firing(X, rb)
             live = raw_firing(X, rb).max(axis=0) > EPS_DENOM
             np.testing.assert_allclose(fm.normalized[:, live].sum(axis=0), 1.0, atol=1e-9)
 
@@ -115,7 +122,7 @@ class TestFiringStrengths:
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
         rb = wide_rulebase(rng, kind, Order.ZERO, n_rules, n_features)
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         raw = raw_firing(X, rb)
         total = raw.sum(axis=0)
         np.testing.assert_array_equal(fm.live, total > EPS_DENOM)
@@ -129,7 +136,7 @@ class TestFiringStrengths:
         # Gaussian memberships underflow far from the centers
         rb = RuleBase(MFKind.GAUSSIAN, np.zeros((2, 2)), np.full((2, 2), 1e-3))
         X = np.array([[1.0, 1.0]])
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         assert np.all(np.isfinite(fm.normalized))
         np.testing.assert_array_equal(raw_firing(X, rb), 0.0)
 
@@ -139,14 +146,14 @@ class TestDesignMatrix:
         rng = np.random.default_rng(1)
         X = rng.uniform(0, 1, size=(6, 2))
         rb = random_rulebase(rng, n_rules=3, n_features=2)
-        fm = firing_strengths(X, rb)
-        assert design_matrix(fm, X, Order.ZERO) is fm.normalized
+        fm = firing(X, rb)
+        assert design_matrix(fm, Order.ZERO) is fm.normalized
 
     def test_first_order_single_row(self):
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.3]]), np.array([[0.2]]), order=Order.FIRST)
         X = np.array([[0.3]])
-        fm = firing_strengths(X, rb)  # single rule: normalized == 1
-        phi = design_matrix(fm, X, Order.FIRST)
+        fm = firing(X, rb)  # single rule: normalized == 1
+        phi = design_matrix(fm, Order.FIRST)
         np.testing.assert_allclose(phi, [[0.3], [1.0]], atol=1e-15)
 
     def test_first_order_prediction_matches_rulewise_oracle(self):
@@ -158,7 +165,7 @@ class TestDesignMatrix:
         yhat = predict(rb, X)
         # oracle: weighted average of per-rule affine outputs
         coeffs = rb.consequents.reshape(3, 3)  # per rule: w1, w2, bias
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         for t in range(X.shape[0]):
             total = 0.0
             for j in range(3):
@@ -170,83 +177,78 @@ class TestDesignMatrix:
 class TestSampleAxisLast:
     def test_forward_buffers_contiguous_and_design_is_a_view(self):
         # every per-epoch kernel runs over contiguous rows of N; a design
-        # matrix that no longer views its (R, F+1, N) block buffer means the
-        # reshape copies the whole matrix on every forward
+        # matrix that no longer views its (R, F+1, N) blocks in the scratch
+        # means the reshape copies the whole matrix on every forward
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(40, 3))
         rb = random_rulebase(rng, n_rules=4, n_features=3, order=Order.FIRST)
-        fm = firing_strengths(X, rb)
+        fm = firing(X, rb)
         assert fm.u.shape == (3, 4, 40) and fm.u.flags.c_contiguous
         raw = raw_firing(X, rb)
         for a in (raw, fm.normalized):
             assert a.shape == (4, 40) and a.flags.c_contiguous
         den = np.maximum(raw.sum(axis=0), EPS_DENOM)
         assert den.shape == fm.live.shape == (40,)
-        phi = design_matrix(fm, X, Order.FIRST)
+        phi = design_matrix(fm, Order.FIRST)
         assert phi.shape == (16, 40) and phi.flags.c_contiguous
-        assert phi.base is not None and phi.base.shape == (4, 4, 40)
-        assert np.shares_memory(phi, phi.base)
+        assert np.shares_memory(phi, fm.scratch)  # the (R, F+1, N) blocks in the scratch
 
 
-def stale_workspace(n_rows, rb):
-    """A workspace whose buffers hold NaN, so a result that reads their old contents shows."""
-    ws = Workspace.allocate(n_rows, rb.n_rules, rb.n_features)
-    for buf in ws:
-        buf.fill(np.nan)
-    return ws
+def stale_buffer(size):
+    """A flat buffer of NaN, so a result that reads its old contents shows."""
+    return np.full(size, np.nan)
 
 
-class TestWorkspace:
+class TestRows:
+    def test_augmented_transpose_and_broadcast_view(self):
+        X = np.arange(6.0).reshape(3, 2)
+        rows = Rows.of(X, random_rulebase(np.random.default_rng(0), n_rules=4, n_features=2))
+        np.testing.assert_array_equal(rows.aug, [[0.0, 2.0, 4.0], [1.0, 3.0, 5.0], [1.0, 1.0, 1.0]])
+        assert rows.xt.shape == (2, 1, 3) and np.shares_memory(rows.xt, rows.aug)
+        assert [a.shape for a in (rows.u, rows.normalized, rows.live, rows.scratch)] == [
+            (2, 4, 3), (4, 3), (3,), (4 * 3 * 3,)
+        ]
+
+    def test_wrong_feature_count_named(self):
+        rb = random_rulebase(np.random.default_rng(0), n_rules=2, n_features=3)
+        with pytest.raises(ValueError, match="X_val has 2 feature columns but the rule base has 3"):
+            Rows.of(np.zeros((4, 2)), rb, "X_val")
+
     @pytest.mark.parametrize("order", list(Order))
     @pytest.mark.parametrize("kind", list(MFKind))
-    def test_out_equals_fresh_allocation(self, kind, order):
+    def test_stale_buffers_do_not_show(self, kind, order):
+        # rows whose buffers are views of a NaN-filled array give the bits of fresh rows
         rng = np.random.default_rng(11)
         X = rng.uniform(-0.2, 1.2, size=(50, 3))
         y = rng.uniform(0, 1, size=50)
         rb = wide_rulebase(rng, kind, order, n_rules=4, n_features=3)
-        ws = stale_workspace(50, rb)
+        buf = stale_buffer(2 * 4 * (3 + 1) * 50)
+        fresh, stale = firing(X, rb), firing(X, rb, buf)
+        for name in ("u", "normalized", "live"):
+            np.testing.assert_array_equal(getattr(stale, name), getattr(fresh, name), strict=True)
+            assert name == "live" or np.shares_memory(getattr(stale, name), buf)
+        phi = design_matrix(stale, order)
+        np.testing.assert_array_equal(phi, design_matrix(fresh, order), strict=True)
+        assert np.shares_memory(phi, stale.scratch if order == Order.FIRST else stale.normalized)
+        g = log_grad_factor(kind, fresh.u, out=stale.scratch[: fresh.u.size].reshape(fresh.u.shape))
+        np.testing.assert_array_equal(g, log_grad_factor(kind, fresh.u), strict=True)
+        fitted, _, yhat = fit_consequents(rb, X, y, 1e-4)
+        w, yhat_stale = refit(stale, y, 1e-4, kind, order, rb.centers, rb.scales)
+        np.testing.assert_array_equal(w, fitted.consequents, strict=True)
+        np.testing.assert_array_equal(yhat_stale, yhat, strict=True)
 
-        def same(written, fresh, buf):
-            np.testing.assert_array_equal(written, fresh, strict=True)
-            assert np.shares_memory(written, buf)
-
-        u = membership_tensor(X, rb)
-        same(membership_tensor(X, rb, out=ws.u), u, ws.u)
-        same(product_firing(kind, u, out=ws.normalized, scratch=ws.scratch),
-             product_firing(kind, u), ws.normalized)
-        if kind == MFKind.CAUCHY:
-            same(log_grad_factor(kind, u, out=ws.scratch[: u.size].reshape(u.shape)),
-                 log_grad_factor(kind, u), ws.scratch)
-        fm = firing_strengths(X, rb)
-        fm_ws = firing_strengths(X, rb, stale_workspace(50, rb))
-        for name in ("normalized", "live", "u"):
-            np.testing.assert_array_equal(getattr(fm_ws, name), getattr(fm, name), strict=True)
-        phi = design_matrix(fm, X, order, out=ws.scratch)
-        np.testing.assert_array_equal(phi, design_matrix(fm, X, order), strict=True)
-        assert np.shares_memory(phi, ws.scratch if order == Order.FIRST else fm.normalized)
-
-        fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
-        fitted_ws, fm_ws, yhat_ws = fit_consequents(rb, X, y, 1e-4, stale_workspace(50, rb))
-        np.testing.assert_array_equal(fitted_ws.consequents, fitted.consequents, strict=True)
-        np.testing.assert_array_equal(yhat_ws, yhat, strict=True)
-        for name in ("normalized", "live", "u"):
-            np.testing.assert_array_equal(getattr(fm_ws, name), getattr(fm, name), strict=True)
-        np.testing.assert_array_equal(
-            predict(fitted, X, stale_workspace(50, rb)), predict(fitted, X), strict=True
-        )
-        if order == Order.FIRST:
-            f = ws.scratch[: 4 * 50].reshape(4, 50)
-            same(rule_outputs(fitted, X, out=f), rule_outputs(fitted, X), f)
-
-    def test_carve_views_one_buffer_or_allocates(self):
+    def test_views_of_one_buffer_or_new_arrays(self):
+        rb = random_rulebase(np.random.default_rng(0), n_rules=4, n_features=3)
         buf = np.zeros(2 * 4 * (3 + 1) * 20)
-        ws = Workspace.carve(buf, 20, 4, 3)
-        assert [a.shape for a in ws] == [(3, 4, 20), (4, 20), (4 * 4 * 20,)]
-        assert all(np.shares_memory(a, buf) for a in ws)
-        assert not any(np.shares_memory(a, b) for a, b in ((ws.u, ws.normalized),
-                                                           (ws.u, ws.scratch),
-                                                           (ws.normalized, ws.scratch)))
-        assert Workspace.carve(buf, 21, 4, 3) == Workspace()  # too short: allocate
+        rows = Rows.of(np.zeros((20, 3)), rb, buf=buf)
+        views = (rows.u, rows.normalized, rows.scratch)
+        assert [a.shape for a in views] == [(3, 4, 20), (4, 20), (4 * 4 * 20,)]
+        assert all(np.shares_memory(a, buf) for a in views)
+        assert not any(np.shares_memory(a, b) for a, b in ((rows.u, rows.normalized),
+                                                           (rows.u, rows.scratch),
+                                                           (rows.normalized, rows.scratch)))
+        rows = Rows.of(np.zeros((21, 3)), rb, buf=buf)  # too short: new arrays
+        assert not any(np.shares_memory(a, buf) for a in (rows.u, rows.normalized, rows.scratch))
 
     @pytest.mark.parametrize("order", list(Order))
     def test_public_calls_return_arrays_they_own(self, order):
@@ -287,7 +289,7 @@ class TestFitConsequents:
         rb = random_rulebase(rng, n_rules=5, n_features=3)
         lam = 1e-4
         rb, _, _ = fit_consequents(rb, X, y, lam)
-        phi = design_matrix(firing_strengths(X, rb), X, rb.order).T  # (N, columns)
+        phi = design_matrix(firing(X, rb), rb.order).T  # (N, columns)
         resid = phi.T @ (phi @ rb.consequents - y) + lam * rb.consequents
         assert np.max(np.abs(resid)) < 1e-8 * (1 + np.max(np.abs(phi.T @ y)))
 
@@ -312,14 +314,14 @@ class TestFitConsequents:
         self, kind, order, n_rules, n_features, n_samples, seed
     ):
         # the trainer records train MSE from these predictions: they must be
-        # predict's bits, and the firing matrices firing_strengths' bits
+        # predict's bits, and the firing matrices the forward's bits
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
         y = rng.uniform(0, 1, size=n_samples)
         rb = wide_rulebase(rng, kind, order, n_rules, n_features)
         fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
         np.testing.assert_array_equal(yhat, predict(fitted, X))
-        ref = firing_strengths(X, rb)
+        ref = firing(X, rb)
         raw = raw_firing(X, rb)
         np.testing.assert_array_equal(fm.normalized, raw / np.maximum(raw.sum(axis=0), EPS_DENOM))
         np.testing.assert_array_equal(fm.live, raw.sum(axis=0) > EPS_DENOM)
@@ -348,7 +350,7 @@ class TestFitConsequents:
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=4, n_features=2)
         rb, _, _ = fit_consequents(rb, X, y, 0.0)
-        phi = design_matrix(firing_strengths(X, rb), X, rb.order).T  # (N, columns)
+        phi = design_matrix(firing(X, rb), rb.order).T  # (N, columns)
         best = np.mean((phi @ rb.consequents - y) ** 2)
         for _ in range(100):
             other = rng.normal(size=rb.consequents.shape)
@@ -405,8 +407,6 @@ class TestPredict:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             predict(random_rulebase(rng), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="no fitted consequents"):
-            rule_outputs(random_rulebase(rng), np.zeros((2, 3)))
 
 
 class TestModelArtifact:

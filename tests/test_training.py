@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,19 @@ from xanfis.inference import (
     EPS_DENOM,
     Order,
     RuleBase,
-    firing_strengths,
+    Rows,
     fit_consequents,
+    forward,
     membership_tensor,
     predict,
-    rule_outputs,
 )
-from xanfis.membership import SCALE_MIN, MFKind, log_grad_factor, product_firing
+from xanfis.membership import (
+    SCALE_MIN,
+    MFKind,
+    log_grad_factor,
+    product_firing,
+    project_bounds_arrays,
+)
 from xanfis.training import (
     D_SING,
     EpochTrace,
@@ -31,14 +38,12 @@ from xanfis.training import (
     _clipped_step,
     _pair_distances,
     adjacency_pairs,
-    backward_pass,
     mean_distinguishability,
     mse_antecedent_gradients,
     train,
     traces_to_csv,
     trajectory_to_csv,
     xpass_gradients,
-    xpass_update,
 )
 
 
@@ -52,9 +57,21 @@ def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO)
     return X, y, rb, fm, yhat
 
 
+def firing(X, rb):
+    """Rows of X holding rb's forward: normalized firing, live mask and u."""
+    rows = Rows.of(X, rb)
+    forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    return rows
+
+
+def gradients(rb, fm, y, yhat):
+    """mse_antecedent_gradients of fitted rb, with fm and yhat its forward and predictions."""
+    return mse_antecedent_gradients(fm, y, yhat, rb.mf_kind, rb.order, rb.scales, rb.consequents)
+
+
 def raw_firing(X, rb):
-    """Unnormalized product firing strengths, (R, N), derived apart from firing_strengths."""
-    return product_firing(rb.mf_kind, membership_tensor(X, rb))
+    """Unnormalized product firing strengths, (R, N), derived apart from the forward's normalization."""
+    return product_firing(rb.mf_kind, membership_tensor(Rows.of(X, rb), rb.centers, rb.scales))
 
 
 def reference_chain_rule(rb, X, y):
@@ -63,11 +80,15 @@ def reference_chain_rule(rb, X, y):
     d yhat_t / d raw_jt = (f_j(x_t) - live_t * yhat_t) / den_t, times
     raw_jt * d log mu / d theta, with yhat re-summed from the rule outputs.
     """
-    u = membership_tensor(X, rb)
+    rows = Rows.of(X, rb)
+    u = membership_tensor(rows, rb.centers, rb.scales)
     raw = product_firing(rb.mf_kind, u)
     total = raw.sum(axis=0)
     den = np.maximum(total, EPS_DENOM)
-    fout = rule_outputs(rb, X)
+    if rb.order == Order.ZERO:
+        fout = rb.consequents[:, None]
+    else:
+        fout = rb.consequents.reshape(rb.n_rules, -1) @ rows.aug
     yhat = (raw / den * fout).sum(axis=0)
     upstream = (2.0 / X.shape[0]) * (yhat - y)
     coef = (fout - np.where(total > EPS_DENOM, yhat, 0.0)) / den
@@ -125,14 +146,13 @@ def rel_err(analytic, reference):
 class TestMSEGradients:
     @pytest.mark.parametrize("order", list(Order))
     @pytest.mark.parametrize("kind", list(MFKind))
-    def test_scratch_equals_fresh_allocation(self, kind, order):
+    def test_stale_scratch_does_not_show(self, kind, order):
         X, y, rb, fm, yhat = make_problem(np.random.default_rng(4), 4, 3, kind, order=order)
-        scratch = np.full(4 * (3 + 1) * len(X), np.nan)  # stale contents must not show
-        fresh = mse_antecedent_gradients(rb, fm, X, y, yhat)
-        written = mse_antecedent_gradients(rb, fm, X, y, yhat, scratch)
-        for a, b in zip(written, fresh):
+        fresh = gradients(rb, fm, y, yhat)
+        fm.scratch.fill(np.nan)  # stale contents must not show
+        for a, b in zip(gradients(rb, fm, y, yhat), fresh):
             np.testing.assert_array_equal(a, b, strict=True)
-        assert not np.isnan(scratch).any()  # w and b filled the whole scratch
+        assert not np.isnan(fm.scratch).any()  # w and b filled the whole scratch
 
     def test_perfect_fit_zero_gradient(self):
         # single rule, constant target: LSE fit is exact
@@ -141,7 +161,7 @@ class TestMSEGradients:
         y = np.full(20, 0.4)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.5, 0.5]]), np.array([[0.3, 0.3]]))
         rb, fm, yhat = fit_consequents(rb, X, y, 0.0)
-        gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
+        gc, gs = gradients(rb, fm, y, yhat)
         np.testing.assert_allclose(gc, 0.0, atol=1e-12)
         np.testing.assert_allclose(gs, 0.0, atol=1e-12)
 
@@ -151,7 +171,7 @@ class TestMSEGradients:
         rng = np.random.default_rng(42)
         for _ in range(10):
             X, y, rb, fm, yhat = make_problem(rng, 3, 2, kind, order=order)
-            gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
+            gc, gs = gradients(rb, fm, y, yhat)
             fd_c, fd_s = fd_mse_gradients(rb, X, y)
             assert rel_err(gc, fd_c) < 1e-4
             assert rel_err(gs, fd_s) < 1e-4
@@ -171,7 +191,7 @@ class TestMSEGradients:
                 dead_row_problem(rng, kind, order),
             ):
                 for grad, ref in zip(
-                    mse_antecedent_gradients(rb, fm, X, y, yhat), reference_chain_rule(rb, X, y)
+                    gradients(rb, fm, y, yhat), reference_chain_rule(rb, X, y)
                 ):
                     np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
             assert 0 < fm.live.sum() < len(X)  # the dead-row problem, checked last
@@ -185,14 +205,13 @@ class TestMSEGradients:
         stepped = _clipped_step(centers, grad, cfg.lr_backward, cfg)
         assert stepped[0, 0] == pytest.approx(0.5 - 0.1 * 1.0, abs=0)
 
-    def test_backward_pass_projects_bounds(self):
+    def test_backward_step_projects_bounds(self):
         rng = np.random.default_rng(7)
-        X, y, rb, fm, yhat = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        X, y, rb, _, _ = make_problem(rng, 4, 2, MFKind.CAUCHY)
         cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10)
-        out = backward_pass(rb, fm, X, y, yhat, cfg)
-        assert np.all(out.centers >= 0.0) and np.all(out.centers <= 1.0)
-        assert np.all(out.scales >= SCALE_MIN) and np.all(out.scales <= 1.0)
-
+        centers, scales = one_epoch(rb, X, y, cfg)
+        assert np.all(centers >= 0.0) and np.all(centers <= 1.0)
+        assert np.all(scales >= SCALE_MIN) and np.all(scales <= 1.0)
 
     def test_dead_rows_contribute_nothing(self):
         # Gaussian sets at SCALE_MIN: rows near the centers fire, rows far
@@ -207,12 +226,10 @@ class TestMSEGradients:
         rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
         live = fm.live
         assert live.sum() == 12 and np.all(raw_firing(X, rb)[:, ~live] == 0.0)
-        gc, gs = mse_antecedent_gradients(rb, fm, X, y, yhat)
+        gc, gs = gradients(rb, fm, y, yhat)
         assert np.all(np.isfinite(gc)) and np.all(np.isfinite(gs))
         assert np.all(gc != 0.0) and np.all(gs != 0.0)
-        gc_live, gs_live = mse_antecedent_gradients(
-            rb, firing_strengths(X[live], rb), X[live], y[live], yhat[live]
-        )
+        gc_live, gs_live = gradients(rb, firing(X[live], rb), y[live], yhat[live])
         np.testing.assert_allclose(20 * gc, 12 * gc_live, rtol=1e-12)
         np.testing.assert_allclose(20 * gs, 12 * gs_live, rtol=1e-12)
 
@@ -234,18 +251,26 @@ class TestMSEGradients:
         scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
         scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
         rb = RuleBase(kind, centers, scales, order=order)
-        cfg = TrainConfig(mode=mode, lr_backward=lr, lr_xpass=lr, clip_lo=-10.0, clip_hi=10.0)
+        cfg = TrainConfig(
+            mode=mode, lr_backward=lr, lr_xpass=lr, clip_lo=-10.0, clip_hi=10.0,
+            max_epochs=3, patience=4,
+        )
+        for t in train(X[:20], y[:20], X[20:], y[20:], rb, cfg).traces:
+            assert np.all((t.centers_snapshot >= 0.0) & (t.centers_snapshot <= 1.0))
+            assert np.all((t.scales_snapshot >= SCALE_MIN) & (t.scales_snapshot <= 1.0))
 
-        def assert_in_bounds(state):
-            assert np.all((state.centers >= 0.0) & (state.centers <= 1.0))
-            assert np.all((state.scales >= SCALE_MIN) & (state.scales <= 1.0))
 
-        for _ in range(3):
-            rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
-            rb = backward_pass(rb, fm, X, y, yhat, cfg)
-            assert_in_bounds(rb)
-            rb = xpass_update(rb, cfg)
-            assert_in_bounds(rb)
+def one_epoch(rb0, X, y, cfg):
+    """The (centers, scales) that train's epoch 1 steps to from rb0, on X for training and validation."""
+    cfg = replace(cfg, max_epochs=1, patience=2)
+    t = train(X, y, X, y, rb0, cfg).traces[1]
+    return t.centers_snapshot, t.scales_snapshot
+
+
+def xpass_step(rb, cfg):
+    """(centers, scales) after the loop's explainability step on rb: clipped, projected, scales frozen."""
+    grad = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
+    return project_bounds_arrays(_clipped_step(rb.centers, grad, cfg.lr_xpass, cfg), rb.scales)
 
 
 def clip_via_step(grad):
@@ -384,8 +409,8 @@ class TestXPass:
         grad = xpass_gradients(centers, scales, d_target=0.5)
         np.testing.assert_array_equal(grad, 0.0)
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
-        out = xpass_update(rb, TrainConfig(mode=Mode.X_ANFIS, d_target=0.5))
-        np.testing.assert_array_equal(out.centers, centers)
+        out_centers, _ = xpass_step(rb, TrainConfig(mode=Mode.X_ANFIS, d_target=0.5))
+        np.testing.assert_array_equal(out_centers, centers)
 
     def test_worked_pair(self):
         # pair at D=0.2 with target 0.5: gradients +-0.3, one step with
@@ -396,25 +421,25 @@ class TestXPass:
         assert grad[0, 0] == pytest.approx(0.3, abs=1e-14)
         assert grad[1, 0] == pytest.approx(-0.3, abs=1e-14)
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
-        out = xpass_update(rb, TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5))
-        assert out.centers[0, 0] == pytest.approx(0.37, abs=1e-14)
-        assert out.centers[1, 0] == pytest.approx(0.63, abs=1e-14)
+        out_centers, _ = xpass_step(rb, TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5))
+        assert out_centers[0, 0] == pytest.approx(0.37, abs=1e-14)
+        assert out_centers[1, 0] == pytest.approx(0.63, abs=1e-14)
 
     def test_scales_never_updated(self):
         rng = np.random.default_rng(3)
         centers = rng.uniform(0, 1, size=(5, 2))
         scales = rng.uniform(0.05, 0.5, size=(5, 2))
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
-        out = xpass_update(rb, TrainConfig(mode=Mode.X_ANFIS))
-        np.testing.assert_array_equal(out.scales, scales)
+        _, out_scales = xpass_step(rb, TrainConfig(mode=Mode.X_ANFIS))
+        np.testing.assert_array_equal(out_scales, scales)
 
     def test_direction_for_isolated_pair(self):
         for d0, expect_wider in ((0.2, True), (0.8, False)):
             centers = np.array([[0.5 - d0 / 2], [0.5 + d0 / 2]])
             scales = np.full((2, 1), 0.2)
             rb = RuleBase(MFKind.CAUCHY, centers, scales)
-            out = xpass_update(rb, TrainConfig(mode=Mode.X_ANFIS, d_target=0.5))
-            gap = out.centers[1, 0] - out.centers[0, 0]
+            out_centers, _ = xpass_step(rb, TrainConfig(mode=Mode.X_ANFIS, d_target=0.5))
+            gap = out_centers[1, 0] - out_centers[0, 0]
             assert (gap > d0) == expect_wider
 
     def test_coincident_pair_skipped(self):
@@ -456,15 +481,15 @@ class TestXPass:
 
 
 class TestMOPass:
+    # each test reads the state train's MO-ANFIS epoch 1 steps to
+
     def test_weight_zero_equals_backward(self):
         rng = np.random.default_rng(21)
-        X, y, rb, fm, yhat = make_problem(rng, 4, 2, MFKind.CAUCHY)
-        out_mo = backward_pass(
-            rb, fm, X, y, yhat, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0)
-        )
-        out_bw = backward_pass(rb, fm, X, y, yhat, TrainConfig(mode=Mode.ANFIS))
-        np.testing.assert_array_equal(out_mo.centers, out_bw.centers)
-        np.testing.assert_array_equal(out_mo.scales, out_bw.scales)
+        X, y, rb, _, _ = make_problem(rng, 4, 2, MFKind.CAUCHY)
+        out_mo = one_epoch(rb, X, y, TrainConfig(mode=Mode.MO_ANFIS, mo_weight=0.0))
+        out_bw = one_epoch(rb, X, y, TrainConfig(mode=Mode.ANFIS))
+        for a, b in zip(out_mo, out_bw):
+            np.testing.assert_array_equal(a, b)
 
     def test_no_update_at_joint_optimum(self):
         # perfect fit and every adjacent pair exactly at target; at unit
@@ -472,11 +497,12 @@ class TestMOPass:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.full(3, 0.25)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.array([[0.2], [0.2]]))
-        rb, fm, yhat = fit_consequents(rb, X, y, 0.0)
-        cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, d_target=0.5, lr_backward=1.0)
-        out = backward_pass(rb, fm, X, y, yhat, cfg)
-        np.testing.assert_allclose(rb.centers - out.centers, 0.0, atol=1e-12)
-        np.testing.assert_allclose(rb.scales - out.scales, 0.0, atol=1e-12)
+        cfg = TrainConfig(
+            mode=Mode.MO_ANFIS, mo_weight=1.0, d_target=0.5, lr_backward=1.0, lam=0.0
+        )
+        centers, scales = one_epoch(rb, X, y, cfg)
+        np.testing.assert_allclose(rb.centers - centers, 0.0, atol=1e-12)
+        np.testing.assert_allclose(rb.scales - scales, 0.0, atol=1e-12)
 
     def test_gradient_additivity(self):
         # centers step on MSE + weight * pair penalty, scales on MSE alone;
@@ -488,11 +514,11 @@ class TestMOPass:
             cfg = TrainConfig(
                 mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3, clip_lo=-1e6, clip_hi=1e6
             )
-            out = backward_pass(rb, fm, X, y, yhat, cfg)
-            gc_mse, gs_mse = mse_antecedent_gradients(rb, fm, X, y, yhat)
+            centers, scales = one_epoch(rb, X, y, cfg)
+            gc_mse, gs_mse = gradients(rb, fm, y, yhat)
             gx = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-            np.testing.assert_array_equal(out.centers, rb.centers - 1e-3 * (gc_mse + 1.0 * gx))
-            np.testing.assert_array_equal(out.scales, rb.scales - 1e-3 * gs_mse)
+            np.testing.assert_array_equal(centers, rb.centers - 1e-3 * (gc_mse + 1.0 * gx))
+            np.testing.assert_array_equal(scales, rb.scales - 1e-3 * gs_mse)
 
 
 def small_problem(seed=0, n=60):
@@ -580,17 +606,17 @@ class TestTrainLoop:
         real_tensor = xanfis.inference.membership_tensor
         real_gradients = xanfis.training.mse_antecedent_gradients
 
-        def tensor(X, rb, out=None):
-            u = real_tensor(X, rb, out=out)
-            seen["train_u" if len(X) == len(X_tr) else "val_u"].add(u.ctypes.data)
-            if len(X) == len(X_val):
+        def tensor(rows, centers, scales):
+            u = real_tensor(rows, centers, scales)
+            seen["train_u" if u.shape[-1] == len(X_tr) else "val_u"].add(u.ctypes.data)
+            if u.shape[-1] == len(X_val):
                 val_u[:] = [u]
             return u
 
-        def gradients(rb, fm, X, y, yhat, scratch=None):
-            seen["scratch"].add(scratch.ctypes.data)
-            assert np.shares_memory(scratch, val_u[0])
-            return real_gradients(rb, fm, X, y, yhat, scratch)
+        def gradients(rows, *args):
+            seen["scratch"].add(rows.scratch.ctypes.data)
+            assert np.shares_memory(rows.scratch, val_u[0])
+            return real_gradients(rows, *args)
 
         monkeypatch.setattr(xanfis.inference, "membership_tensor", tensor)
         monkeypatch.setattr(xanfis.training, "mse_antecedent_gradients", gradients)
@@ -617,9 +643,9 @@ class TestTrainLoop:
             assert calls["n"] == 2 * 6 + 2
 
     @pytest.mark.parametrize("order", list(Order))
-    def test_three_validation_scans_per_epoch(self, monkeypatch, order):
-        # per epoch: X and y in fit_consequents, X_val in predict; the kernels
-        # below the entry points, ridge_solve included, re-check nothing
+    def test_inputs_checked_once_per_run(self, monkeypatch, order):
+        # the four arrays once, at train's entry; no epoch re-checks anything,
+        # ridge_solve and the other kernels included
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         rb0 = RuleBase(rb0.mf_kind, rb0.centers, rb0.scales, order=order)
         calls = {"n": 0}
@@ -647,7 +673,7 @@ class TestTrainLoop:
             return calls["n"]
 
         for mode in Mode:
-            assert scans(mode, 6) - scans(mode, 0) == 3 * 6
+            assert scans(mode, 6) == scans(mode, 0) == 4
 
     @pytest.mark.parametrize("part", ["train", "val"])
     def test_row_count_mismatch_rejected_before_epoch_0(self, monkeypatch, part):
@@ -704,6 +730,126 @@ class TestTrainLoop:
         assert not np.array_equal(traces[0].centers_snapshot, traces[1].centers_snapshot)
         np.testing.assert_array_equal(rb.centers, traces[1].centers_snapshot)
         np.testing.assert_array_equal(rb.scales, traces[1].scales_snapshot)
+
+
+def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
+    """The alternating loop written from the public kernels, a RuleBase per step and numpy's wrappers.
+
+    Returns one (epoch, train_mse, val_mse, mean_D, centers, scales) per
+    epoch and each epoch's fitted RuleBase; no early stop.
+    """
+    rb, records, models = rb0, [], []
+    for epoch in range(cfg.max_epochs + 1):
+        if epoch:
+            gc, gs = gradients(rb, fm, y_tr, yhat)
+            if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
+                gc = gc + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
+            step = cfg.lr_backward
+            centers = np.clip(rb.centers - step * np.clip(gc, cfg.clip_lo, cfg.clip_hi), 0.0, 1.0)
+            scales = np.clip(rb.scales - step * np.clip(gs, cfg.clip_lo, cfg.clip_hi), SCALE_MIN, 1.0)
+            if cfg.mode == Mode.X_ANFIS:
+                gx = np.clip(xpass_gradients(centers, scales, cfg.d_target), cfg.clip_lo, cfg.clip_hi)
+                centers = np.clip(centers - cfg.lr_xpass * gx, 0.0, 1.0)
+            rb = RuleBase(rb.mf_kind, centers, scales, order=rb.order)
+        rb, fm, yhat = fit_consequents(rb, X_tr, y_tr, cfg.lam)
+        _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
+        records.append((
+            epoch,
+            float(np.mean((yhat - y_tr) ** 2)),
+            float(np.mean((predict(rb, X_val) - y_val) ** 2)),
+            float(np.mean(d)),
+            rb.centers,
+            rb.scales,
+        ))
+        models.append(rb)
+    return records, models
+
+
+class TestTrainMatchesPublicKernels:
+    # the trainer runs the kernels on per-run arrays; a loop over the public
+    # API, one RuleBase per step, must give the same bits
+    @pytest.mark.parametrize("order", list(Order))
+    @pytest.mark.parametrize("kind", list(MFKind))
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_traces_and_model_bit_identical(self, mode, kind, order):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=3)
+        rb0 = RuleBase(kind, rb0.centers, rb0.scales, order=order)
+        cfg = TrainConfig(mode=mode, max_epochs=5, patience=6)
+        rb, traces, stop_reason = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        records, models = reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg)
+        assert stop_reason == "max_epochs" and len(traces) == len(records) == 6
+        for t, (epoch, train_mse, val_mse, mean_d, centers, scales) in zip(traces, records):
+            assert (t.epoch, t.train_mse, t.val_mse, t.mean_D) == (epoch, train_mse, val_mse, mean_d)
+            np.testing.assert_array_equal(t.centers_snapshot, centers, strict=True)
+            np.testing.assert_array_equal(t.scales_snapshot, scales, strict=True)
+        best = models[min(range(6), key=lambda k: records[k][2])]
+        for name in ("centers", "scales", "consequents"):
+            np.testing.assert_array_equal(getattr(rb, name), getattr(best, name), strict=True)
+        assert (rb.mf_kind, rb.order) == (kind, order)
+
+    def test_one_adjacency_pass_per_state_in_mo_anfis(self, monkeypatch):
+        # the traced mean D of state k and the pair gradient of epoch k+1 share
+        # one sort; X-ANFIS sorts once more, for the stepped state
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        real = xanfis.training.adjacency_pairs
+        calls = {"n": 0}
+
+        def counting(centers):
+            calls["n"] += 1
+            return real(centers)
+
+        monkeypatch.setattr(xanfis.training, "adjacency_pairs", counting)
+        for mode, per_epoch in ((Mode.ANFIS, 1), (Mode.MO_ANFIS, 1), (Mode.X_ANFIS, 2)):
+            calls["n"] = 0
+            train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=mode, max_epochs=6, patience=7))
+            assert calls["n"] == 1 + per_epoch * 6, mode
+
+
+class TestTrainRejectsBadInput:
+    # each input below used to reach the epochs: a broadcast, an IndexError,
+    # a RuntimeWarning, a non_finite stop or a run on out-of-range centers
+    @pytest.mark.parametrize(
+        "centers, scales",
+        [(np.full((3, 2), 0.5), np.full((3, 1), 0.2)), (np.full(3, 0.5), np.full(3, 0.2))],
+    )
+    def test_center_scale_shape_mismatch(self, centers, scales):
+        with pytest.raises(ValueError, match="center/scale shape mismatch"):
+            RuleBase(MFKind.CAUCHY, centers, scales)
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("scales", 0.0, "rb0: scales must be finite and in [0.001, 1.0]"),
+            ("centers", np.nan, "rb0: centers must be finite and in [0, 1]"),
+            ("centers", 5.0, "rb0: centers must be finite and in [0, 1]"),
+        ],
+    )
+    def test_rule_base_values_checked_once(self, monkeypatch, field, value, shown):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        arrays = {"centers": rb0.centers.copy(), "scales": rb0.scales.copy()}
+        arrays[field][1, 0] = value
+        rb0 = RuleBase(MFKind.CAUCHY, arrays["centers"], arrays["scales"])
+        monkeypatch.setattr(xanfis.inference, "membership_tensor", None)  # no forward runs
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(max_epochs=3))
+
+    def test_no_rules_rejected(self):
+        X_tr, y_tr, X_val, y_val, _ = small_problem()
+        rb0 = RuleBase(MFKind.CAUCHY, np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="rb0: a rule base needs at least one rule"):
+            train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(max_epochs=3))
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_empty_rows_rejected(self, part):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        arrays = {"train": (X_tr[:0], y_tr[:0], X_val, y_val), "val": (X_tr, y_tr, X_val[:0], y_val[:0])}
+        with pytest.raises(ValueError, match=f"X_{part} has 0 rows"):
+            train(*arrays[part], rb0, TrainConfig(max_epochs=3))
+
+    def test_feature_count_mismatch_named(self):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        with pytest.raises(ValueError, match="X_val has 1 feature columns but the rule base has 2"):
+            train(X_tr, y_tr, X_val[:, :1], y_val, rb0, TrainConfig(max_epochs=3))
 
 
 class TestModeDegeneracy:
