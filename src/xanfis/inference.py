@@ -6,6 +6,12 @@ that a forward and backward on them write into, and on the state's
 arrays; the trainer builds its Rows once per run and carries the state
 as arrays.  fit_consequents and predict check their inputs once and build
 fresh Rows per call, so they return arrays their caller owns.
+
+Gaussian memberships underflow to 0.0 at small scales by design, and the
+forward tolerates it (EPS_DENOM).  The kernels, and the trainer that
+calls them, run under numpy's default floating-point settings, in which
+underflow is ignored; a caller that makes underflow raise with
+np.seterr must restore the default around them.
 """
 
 from __future__ import annotations
@@ -93,8 +99,8 @@ class Rows(NamedTuple):
     """N checked rows of X and the buffers a forward and backward on them write into.
 
     The sample axis is last.  aug is the (F+1, N) augmented transpose,
-    (x_1, ..., x_F, 1) per sample, and xt its first F rows as the (F, 1, N)
-    view the membership tensor broadcasts.  u (F, R, N), normalized (R, N)
+    (x_1, ..., x_F, 1) per sample, whose first F rows the membership tensor
+    broadcasts as an (F, 1, N) view.  u (F, R, N), normalized (R, N)
     and live (N,) hold the last forward: the standardized distances, the
     normalized firing and the live-row mask.  scratch, a flat buffer of
     R*(F+1)*N floats, holds the transients in turn: Cauchy's per-feature
@@ -102,7 +108,6 @@ class Rows(NamedTuple):
     the backward's terms.
     """
 
-    xt: np.ndarray
     aug: np.ndarray
     u: np.ndarray
     normalized: np.ndarray
@@ -130,13 +135,12 @@ class Rows(NamedTuple):
         aug = np.empty((f + 1, n))
         aug[:f] = X.T
         aug[f] = 1.0
-        return cls(aug[:f, None, :], aug, u.reshape(f, r, n), normalized.reshape(r, n),
-                   np.empty(n, dtype=bool), scratch)
+        return cls(aug, u.reshape(f, r, n), normalized.reshape(r, n), np.empty(n, dtype=bool), scratch)
 
 
 def membership_tensor(rows, centers, scales):
     """Standardized distances u = (x - c) / s per feature, rule and sample, in rows.u (F, R, N)."""
-    u = np.subtract(rows.xt, centers.T[:, :, None], out=rows.u)
+    u = np.subtract(rows.aug[:-1, None, :], centers.T[:, :, None], out=rows.u)
     u /= scales.T[:, :, None]
     return u
 
@@ -193,8 +197,7 @@ def fit_consequents(rb, X, y, lam):
     if X.shape[0] < 1 or rb.n_rules < 1:
         raise ValueError("phi must have at least one row and one column")
     rows = Rows.of(X, rb)
-    with np.errstate(under="ignore"):
-        w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
     return replace(rb, consequents=w), rows, yhat
 
 
@@ -203,8 +206,7 @@ def predict(rb, X):
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
     rows = Rows.of(as_matrix(X, "X"), rb)
-    with np.errstate(under="ignore"):
-        return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
 
 
 # --------------------------------------------------------------------

@@ -56,7 +56,7 @@ def product_firing(kind, u, out=None, scratch=None):
     per-feature membership; Cauchy: the product of 1 / (1 + u^2).  The
     result goes to out when given; Cauchy's per-feature memberships go to
     the first u.size floats of the flat buffer scratch when given.  Gaussian
-    memberships may underflow: callers run it under np.errstate(under="ignore").
+    memberships may underflow to 0.0 (see xanfis.inference).
     """
     if kind == MFKind.GAUSSIAN:
         q = np.einsum("f...,f...->...", u, u, out=out)

@@ -256,45 +256,44 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         rb = rb0 if state is None else RuleBase(kind, *state, order=order)
         return TrainResult(rb, traces, stop_reason)
 
-    with np.errstate(under="ignore"):
-        for epoch in range(cfg.max_epochs + 1):
-            if epoch:
-                grad_c, grad_s = mse_antecedent_gradients(
-                    rows, y_train, yhat, kind, order, scales, consequents
-                )
-                if mo_weight:
-                    grad_c += mo_weight * _pair_gradient(*pairs, cfg.d_target)
+    for epoch in range(cfg.max_epochs + 1):
+        if epoch:
+            grad_c, grad_s = mse_antecedent_gradients(
+                rows, y_train, yhat, kind, order, scales, consequents
+            )
+            if mo_weight:
+                grad_c += mo_weight * _pair_gradient(*pairs, cfg.d_target)
+            centers, scales = project_bounds_arrays(
+                _clipped_step(centers, grad_c, cfg.lr_backward, cfg),
+                _clipped_step(scales, grad_s, cfg.lr_backward, cfg),
+            )
+            if xpass:  # its own adjacency pass, on the stepped state
+                grad_c = xpass_gradients(centers, scales, cfg.d_target)
                 centers, scales = project_bounds_arrays(
-                    _clipped_step(centers, grad_c, cfg.lr_backward, cfg),
-                    _clipped_step(scales, grad_s, cfg.lr_backward, cfg),
+                    _clipped_step(centers, grad_c, cfg.lr_xpass, cfg), scales
                 )
-                if xpass:  # its own adjacency pass, on the stepped state
-                    grad_c = xpass_gradients(centers, scales, cfg.d_target)
-                    centers, scales = project_bounds_arrays(
-                        _clipped_step(centers, grad_c, cfg.lr_xpass, cfg), scales
-                    )
-            # the refit overwrites rows' forward, which the backward above consumed
-            try:
-                consequents, yhat = refit(rows, y_train, cfg.lam, kind, order, centers, scales)
-            except SingularMatrixError:
-                return result(last, "singular")
-            train_mse = _mse(yhat, y_train)
-            val_mse = _mse(consequents @ forward(val_rows, kind, order, centers, scales), y_val)
-            if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-                return result(last, "non_finite")
-            last = (centers, scales, consequents)
-            mean_d = 0.0
-            if paired:  # this state's one adjacency pass: its mean D and the next MO step
-                ranks = adjacency_pairs(centers)
-                pairs = (ranks, *_pair_distances(centers, scales, ranks))
-                mean_d = _mean(pairs[2])
-            traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
-            if val_mse < best_val:
-                best_val, best, stall = val_mse, last, 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
-                    return result(best, "patience")
+        # the refit overwrites rows' forward, which the backward above consumed
+        try:
+            consequents, yhat = refit(rows, y_train, cfg.lam, kind, order, centers, scales)
+        except SingularMatrixError:
+            return result(last, "singular")
+        train_mse = _mse(yhat, y_train)
+        val_mse = _mse(consequents @ forward(val_rows, kind, order, centers, scales), y_val)
+        if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
+            return result(last, "non_finite")
+        last = (centers, scales, consequents)
+        mean_d = 0.0
+        if paired:  # this state's one adjacency pass: its mean D and the next MO step
+            ranks = adjacency_pairs(centers)
+            pairs = (ranks, *_pair_distances(centers, scales, ranks))
+            mean_d = _mean(pairs[2])
+        traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
+        if val_mse < best_val:
+            best_val, best, stall = val_mse, last, 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                return result(best, "patience")
     return result(best, "max_epochs")
 
 

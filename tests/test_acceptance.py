@@ -187,7 +187,12 @@ class TestCriterion2LSEOptimality:
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
-        report(2, worst < 1.0, f"{len(traces)} epochs, worst residual at {worst:.2e} of the bound")
+        # a run that stops early (singular refit, non-finite loss) checks fewer states and fails
+        report(
+            2,
+            worst < 1.0 and len(traces) == cfg.max_epochs + 1,
+            f"{len(traces)} epochs, worst residual at {worst:.2e} of the bound",
+        )
 
 
 class TestCriterion3InitializationStability:
