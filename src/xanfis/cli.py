@@ -26,9 +26,9 @@ from .data import (
     SYNTH_DATASETS, check_fields, check_synth, has_type, load_csv, load_manifest, read_json,
     split_scale, synth_regression, write_csv,
 )
-from .fcm_init import FCMConfig, check_init_scale, derive_scales, fcm_fit
+from .fcm_init import FCMConfig, derive_scales, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
-from .membership import MFKind, membership_values
+from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
 from .metrics import (
     EvalReport,
     ParetoPoint,
@@ -147,20 +147,22 @@ class RunRecord(Run):
 
 
 def prepare_seed(run, data):
-    """Split and FCM fit of run.seed on data, the command's (X, y) or None for a synthetic set."""
+    """(split, FCM centers, dispersion scales) of run.seed on data, (X, y) or None if synthetic."""
     cfg = run.cfg
     if data is None:
         data = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
     split = split_scale(*data, seed=run.seed)
-    return split, fcm_fit(split.X_train, cfg.fcm_config(run.seed))
+    fcm = fcm_fit(split.X_train, cfg.fcm_config(run.seed))
+    return split, fcm.centers, derive_scales(split.X_train, fcm)
 
 
 def run_experiment(run, prepared):
-    """Train and evaluate one run on its seed's (split, fcm) pair from prepare_seed."""
-    split, fcm = prepared
+    """Train and evaluate one run on its seed's (split, centers, scales) from prepare_seed."""
+    split, centers, scales = prepared
     cfg = run.cfg
-    scales = derive_scales(split.X_train, fcm, override_scale=run.init_scale)
-    rb0 = RuleBase(mf_kind=cfg.mf, centers=fcm.centers, scales=scales, order=cfg.order)
+    if run.init_scale is not None:
+        scales = np.full(centers.shape, run.init_scale)
+    rb0 = RuleBase(mf_kind=cfg.mf, centers=centers, scales=scales, order=cfg.order)
     rb, traces, stop_reason = train(
         split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg
     )
@@ -179,11 +181,12 @@ def run_experiment(run, prepared):
 def _run_all(runs, cfg):
     """Run every run of a command; sorted by run_id.
 
-    The manifest and its CSV are read once and each distinct seed is
-    split and FCM-fitted once, all before cfg.out is made, so a bad input
-    or a degenerate split leaves nothing behind.  Preparation and the runs
-    go through the same map (a process pool of at most one worker per run
-    when cfg.workers > 1), so the seeds are prepared in parallel too.
+    The manifest and its CSV are read once and each distinct seed's split,
+    FCM fit and dispersion scales are computed once, all before cfg.out is
+    made, so a bad input or a degenerate split leaves nothing behind.
+    Preparation and the runs go through the same map (a process pool of
+    at most one worker per run when cfg.workers > 1), so the seeds are
+    prepared in parallel too.
     """
     data = load_csv(load_manifest(cfg.manifest)) if cfg.manifest else None
     first_run = {}
@@ -306,8 +309,9 @@ def cmd_init_study(cfg):
     clashes = sorted({stem for stem in stems if stems.count(stem) > 1})
     if clashes:
         raise ValueError(f"init scales share output file names: {', '.join(clashes)}")
-    for scale in cfg.scales:
-        check_init_scale(scale)
+    for scale in map(float, cfg.scales):
+        if not SCALE_MIN <= scale <= SCALE_MAX:  # NaN fails too
+            raise ValueError(f"init scale {scale:g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
     runs = [
         Run(
             f"{kind.value}_s{idx:02d}", cfg.seeds[0],

@@ -43,12 +43,6 @@ class FCMResult:
     fuzziness: float = 2.0
 
 
-def check_init_scale(scale):
-    """Reject an initialization scale outside [SCALE_MIN, SCALE_MAX]; NaN fails too."""
-    if not SCALE_MIN <= float(scale) <= SCALE_MAX:
-        raise ValueError(f"init scale {float(scale):g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
-
-
 def _squared_differences(XT, centers):
     """Yield (x_k - c_k)^2 for each feature k as an (R, N) array, sample axis last.
 
@@ -123,16 +117,12 @@ def fcm_fit(X, cfg):
     )
 
 
-def derive_scales(X, res, override_scale=None):
-    """Per-rule per-feature scales from the FCM fit.
+def derive_scales(X, res):
+    """Per-rule per-feature scales from the FCM fit of X.
 
-    override_scale (initialization-study mode, range-checked) fills the whole
-    matrix with one value; otherwise scales are the fuzzy within-cluster dispersion
-    sqrt(sum_t u^m (x - c)^2 / sum_t u^m), clipped to [SCALE_MIN, SCALE_MAX].
+    The fuzzy within-cluster dispersion sqrt(sum_t u^m (x - c)^2 / sum_t u^m),
+    clipped to [SCALE_MIN, SCALE_MAX].
     """
-    if override_scale is not None:
-        check_init_scale(override_scale)
-        return np.full(res.centers.shape, float(override_scale))
     X = as_matrix(X, "X")
     um = res.memberships**res.fuzziness  # (R, N)
     sq = _squared_differences(np.ascontiguousarray(X.T), res.centers)

@@ -190,11 +190,12 @@ def fit_consequents(rb, X, y, lam):
     Returns (fitted rb, the Rows of X holding rb's forward, predictions on
     X); the predictions equal predict(fitted rb, X) bit for bit.
     """
+    check_rule_base(rb, "rb")
     X = as_matrix(X, "X")
     y = as_vector(y, "y")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    if X.shape[0] < 1 or rb.n_rules < 1:
+    if X.shape[0] < 1:
         raise ValueError("phi must have at least one row and one column")
     rows = Rows.of(X, rb)
     w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
@@ -205,6 +206,7 @@ def predict(rb, X):
     """Weighted-average model output for each row of X, a new array."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
+    check_rule_base(rb, "rb")
     rows = Rows.of(as_matrix(X, "X"), rb)
     return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
 

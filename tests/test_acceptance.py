@@ -66,7 +66,10 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     X, y = acceptance_dataset(seed)
     split = split_scale(X, y, seed=seed)
     fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=rules, seed=seed))
-    scales = derive_scales(split.X_train, fcm, override_scale=init_scale)
+    if init_scale is None:
+        scales = derive_scales(split.X_train, fcm)
+    else:
+        scales = np.full(fcm.centers.shape, init_scale)
     rb0 = RuleBase(mf_kind=mf, centers=fcm.centers, scales=scales)
     cfg = TrainConfig(mode=mode, max_epochs=max_epochs, patience=patience)
     rb, traces, _ = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg)

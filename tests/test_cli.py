@@ -209,6 +209,14 @@ class TestParetoSweepCommand:
         assert [r["r2"] for r in read_rows(out / "points.csv")] == ["nan"] * 5
         assert read_rows(out / "front.csv") == []
 
+    def test_scales_derived_once_per_seed(self, tmp_path, monkeypatch):
+        calls = []
+        derive = xanfis.cli.derive_scales
+        monkeypatch.setattr(xanfis.cli, "derive_scales", lambda *a: calls.append(a) or derive(*a))
+        cfg = fast_cfg(tmp_path / "sweep", seeds=[0], max_epochs=2, weights_count=4)
+        records, _ = cmd_pareto_sweep(cfg)
+        assert len(records) == 6 and len(calls) == 1
+
     def test_front_matches_brute_force(self, tmp_path):
         out = tmp_path / "sweep"
         cfg = fast_cfg(out, seeds=[1], weights_count=6, weights_lo=0.01, weights_hi=10.0)

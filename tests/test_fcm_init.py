@@ -14,7 +14,7 @@ from xanfis.fcm_init import (
     derive_scales,
     fcm_fit,
 )
-from xanfis.membership import SCALE_MIN
+from xanfis.membership import SCALE_MAX, SCALE_MIN
 from xanfis.numerics import InsufficientDataError, RandomStream, as_matrix
 
 
@@ -219,29 +219,6 @@ class TestFit:
 
 
 class TestDeriveScales:
-    @pytest.mark.parametrize("scale", [0.03125, SCALE_MIN, 1.0])
-    def test_override_fills_matrix(self, scale):
-        res = FCMResult(
-            centers=np.zeros((4, 3)),
-            memberships=np.ones((4, 10)) / 4,
-            iterations=1,
-            final_shift=0.0,
-        )
-        scales = derive_scales(np.zeros((10, 3)), res, override_scale=scale)
-        assert scales.shape == (4, 3)
-        assert np.all(scales == scale)
-
-    @pytest.mark.parametrize("scale, shown", [(0.0, "0"), (5.0, "5"), (float("nan"), "nan")])
-    def test_override_outside_bounds_rejected(self, scale, shown):
-        res = FCMResult(
-            centers=np.zeros((4, 3)),
-            memberships=np.ones((4, 10)) / 4,
-            iterations=1,
-            final_shift=0.0,
-        )
-        with pytest.raises(ValueError, match=rf"init scale {shown} is outside \[0.001, 1\]"):
-            derive_scales(np.zeros((10, 3)), res, override_scale=scale)
-
     def test_single_point_cluster_floored(self):
         # crisp memberships: cluster 0 owns one point, zero dispersion
         X = np.array([[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.15, 0.85]])
@@ -263,14 +240,16 @@ class TestDeriveScales:
             assert np.all(np.abs(fitted[j] - ref) / ref < 0.2)
 
     def test_scales_capped_at_one(self):
+        # every feature at 0 or 4 under uniform memberships: a dispersion of sqrt(8)
         res = FCMResult(
             centers=np.zeros((2, 2)),
             memberships=np.ones((2, 10)) / 2,
             iterations=1,
             final_shift=0.0,
         )
-        scales = derive_scales(np.zeros((10, 2)), res, override_scale=1.0)
-        assert np.all(scales == 1.0)
+        X = np.repeat([[0.0, 0.0], [4.0, 4.0]], 5, axis=0)
+        scales = derive_scales(X, res)
+        assert np.all(scales == SCALE_MAX)
 
     def test_peak_memory_below_one_sample_rule_feature_tensor(self):
         # one feature's (R, N) squared differences at a time: no (N, R, F) tensor

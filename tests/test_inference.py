@@ -4,6 +4,8 @@ import json
 import os
 import re
 import tempfile
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,7 +337,7 @@ class TestFitConsequents:
             (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
             (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
             (np.zeros((0, 2)), np.zeros(0), 2, "phi must have at least one row and one column"),
-            (np.eye(2), np.ones(2), 0, "phi must have at least one row and one column"),
+            (np.eye(2), np.ones(2), 0, "rb: a rule base needs at least one rule"),
         ],
     )
     def test_malformed_input_named(self, X, y, n_rules, shown):
@@ -406,6 +408,33 @@ class TestPredict:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             predict(random_rulebase(rng), np.zeros((2, 3)))
+
+
+class TestRuleBaseChecked:
+    @pytest.mark.parametrize(
+        "call, changes, shown",
+        [
+            ("predict", {"consequents": np.ones((1, 2))}, "consequents must be 2 finite values"),
+            ("predict", {"consequents": np.ones(3)}, "consequents must be 2 finite values"),
+            ("predict", {"scales": np.array([[0.0], [0.3]])}, "scales must be finite"),
+            ("predict", {"centers": np.array([[np.nan], [0.75]])}, "centers must be finite"),
+            ("fit", {"centers": np.array([[np.nan], [0.75]])}, "centers must be finite"),
+            ("fit", {"scales": np.array([[5.0], [0.3]])}, "scales must be finite"),
+        ],
+    )
+    def test_malformed_rule_base_rejected(self, call, changes, shown):
+        X = np.linspace(0.0, 1.0, 20)[:, None]
+        rb = RuleBase(
+            MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.full((2, 1), 0.3), np.array([0.0, 1.0])
+        )
+        rb = replace(rb, **changes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^rb: {shown}"):
+                if call == "predict":
+                    predict(rb, X)
+                else:
+                    fit_consequents(rb, X, X[:, 0], 0.1)
 
 
 class TestModelArtifact:
