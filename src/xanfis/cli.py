@@ -473,16 +473,13 @@ def build_config(args):
     unknown = set(doc) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    explicit = set(doc)
     for name in _CONFIG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
             doc[name] = value
-            explicit.add(name)
     if getattr(args, "weights_range", None) is not None:
         doc["weights_lo"], doc["weights_hi"] = args.weights_range
-        explicit.update(("weights_lo", "weights_hi"))
-    return ExperimentConfig(**doc), explicit
+    return ExperimentConfig(**doc), set(doc)
 
 
 def main(argv=None):
@@ -501,9 +498,8 @@ def main(argv=None):
         if "lr_xpass" in explicit and not (train_x or args.command == "pareto-sweep"):
             print("warning: lr_xpass is ignored: no run is in x_anfis mode", file=sys.stderr)
         if args.command == "train":
-            records = cmd_train(cfg)
-            if any(r.diverged for r in records):
-                bad = [r.run_id for r in records if r.diverged]
+            bad = [r.run_id for r in cmd_train(cfg) if r.diverged]
+            if bad:
                 print(f"error: diverged runs: {', '.join(bad)}", file=sys.stderr)
                 return 1
             return 0

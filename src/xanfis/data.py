@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .numerics import RandomStream, as_matrix, as_vector
+from .numerics import RandomStream, as_rows
 
 
 class CSVFormatError(ValueError):
@@ -293,11 +293,8 @@ def split_scale(X, y, seed=0):
     Partition sizes are floor(0.7 N), floor(0.1 N) and the remainder.  A
     target constant on the test rows is rejected: r2 is undefined there.
     """
-    X = as_matrix(X, "X")
-    y = as_vector(y, "y")
+    X, y = as_rows(X, y)
     n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"X has {n} rows but y has {y.shape[0]} entries")
     if n < 10:
         raise ValueError(f"need at least 10 rows to split, got {n}")
 

@@ -121,9 +121,12 @@ def derive_scales(X, res):
     """Per-rule per-feature scales from the FCM fit of X.
 
     The fuzzy within-cluster dispersion sqrt(sum_t u^m (x - c)^2 / sum_t u^m),
-    clipped to [SCALE_MIN, SCALE_MAX].
+    clipped to [SCALE_MIN, SCALE_MAX].  X must be the (N, F) rows res was fitted on.
     """
     X = as_matrix(X, "X")
+    fitted = (res.memberships.shape[1], res.centers.shape[1])
+    if X.shape != fitted:
+        raise ValueError(f"X has shape {X.shape} but res was fitted on rows of shape {fitted}")
     um = res.memberships**res.fuzziness  # (R, N)
     sq = _squared_differences(np.ascontiguousarray(X.T), res.centers)
     weighted = np.stack([np.einsum("rt,rt->r", um, diff) for diff in sq], axis=1)  # (R, F)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import read_json
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_matrix, as_vector, ridge_solve
+from .numerics import as_matrix, as_rows, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -44,8 +44,9 @@ class RuleBase:
 
     centers/scales: (rules, features); consequents: length R (zero-order)
     or R*(F+1) (first-order, per-rule blocks of F weights then bias), or
-    None before the first fit.  The center and scale shapes are checked
-    here; the values and the consequent length by check_rule_base.
+    None before the first fit.  All three are stored as float64 arrays (a
+    float64 array is kept, not copied) and the center and scale shapes are
+    checked here; the values and the consequent length by check_rule_base.
     """
 
     mf_kind: MFKind
@@ -58,7 +59,11 @@ class RuleBase:
         # a name such as "first" becomes its member here, and a bad name fails here
         object.__setattr__(self, "mf_kind", MFKind(self.mf_kind))
         object.__setattr__(self, "order", Order(self.order))
-        if np.ndim(self.centers) != 2 or np.shape(self.centers) != np.shape(self.scales):
+        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
+        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
+        if self.consequents is not None:
+            object.__setattr__(self, "consequents", np.asarray(self.consequents, dtype=np.float64))
+        if self.centers.ndim != 2 or self.centers.shape != self.scales.shape:
             raise ValueError("center/scale shape mismatch")
 
     @property
@@ -191,12 +196,7 @@ def fit_consequents(rb, X, y, lam):
     X); the predictions equal predict(fitted rb, X) bit for bit.
     """
     check_rule_base(rb, "rb")
-    X = as_matrix(X, "X")
-    y = as_vector(y, "y")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-    if X.shape[0] < 1:
-        raise ValueError("phi must have at least one row and one column")
+    X, y = as_rows(X, y)
     rows = Rows.of(X, rb)
     w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
     return replace(rb, consequents=w), rows, yhat
@@ -244,14 +244,7 @@ def load_model(path):
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     try:
-        consequents = doc["consequents"]
-        rb = RuleBase(
-            mf_kind=doc["mf_kind"],
-            centers=np.asarray(doc["centers"], dtype=np.float64),
-            scales=np.asarray(doc["scales"], dtype=np.float64),
-            consequents=None if consequents is None else np.asarray(consequents, dtype=np.float64),
-            order=doc["order"],
-        )
+        rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err
     check_rule_base(rb, f"corrupt model file {path}")

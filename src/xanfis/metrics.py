@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import predict
-from .numerics import as_vector
+from .numerics import as_rows, as_vector
 from .training import mean_distinguishability  # re-exported: defined with the trainer
 
 
@@ -72,5 +72,6 @@ def pareto_front(points):
 
 def evaluate_model(rb, X, y):
     """Predict and bundle regression metrics with distinguishability."""
+    X, y = as_rows(X, y)
     mse, rmse, mae, r2 = regression_metrics(y, predict(rb, X))
     return EvalReport(mse=mse, rmse=rmse, mae=mae, r2=r2, mean_D=mean_distinguishability(rb))

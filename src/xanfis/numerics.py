@@ -1,7 +1,7 @@
 """Shared numeric kernels: ridge solver, CI statistics, seeded RNG.
 
 All matrices and vectors are float64 numpy arrays.  Public entry points
-check shape/finiteness once with as_matrix/as_vector, so the kernels
+check shape/finiteness once with as_matrix/as_vector/as_rows, so the kernels
 below them can assume clean inputs.
 """
 
@@ -40,6 +40,17 @@ def as_vector(v, name="vector"):
     return a
 
 
+def as_rows(X, y, x_name="X", y_name="y"):
+    """(X, y) as a checked matrix and vector of the same, nonzero row count."""
+    X = as_matrix(X, x_name)
+    y = as_vector(y, y_name)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"{x_name} has {X.shape[0]} rows but {y_name} has {y.shape[0]} entries")
+    if X.shape[0] == 0:
+        raise ValueError(f"{x_name} has 0 rows")
+    return X, y
+
+
 def ridge_solve(phi, y, lam):
     """Minimize ||phi @ w - y||^2 + lam * ||w||^2 over w.
 
@@ -49,7 +60,7 @@ def ridge_solve(phi, y, lam):
     accurate.  A system that is not positive definite in float64 (lam = 0
     with dependent columns, or lam below rounding) raises
     SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
-    matching nonzero row counts (fit_consequents and train check them).
+    matching nonzero row counts (as_rows checks them for every caller).
     """
     lam = float(lam)
     if lam < 0:

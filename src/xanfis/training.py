@@ -25,7 +25,7 @@ import numpy as np
 from .data import write_csv
 from .inference import Order, RuleBase, Rows, check_rule_base, forward, refit
 from .membership import log_grad_factor, project_bounds_arrays
-from .numerics import SingularMatrixError, as_matrix, as_vector
+from .numerics import SingularMatrixError, as_rows
 
 #: adjacent pairs closer than this get no explainability gradient; the
 #: pair distance divides the update, so coincident sets must be skipped
@@ -83,25 +83,20 @@ class EpochTrace:
     scales_snapshot: np.ndarray
 
 
-def adjacency_pairs(centers):
-    """Rule order of each feature's centers, shape (F, R); ties by rule index.
+def adjacency_pairs(centers, scales):
+    """Each feature's adjacent pairs of float64 (R, F) antecedents: (order, dc, D).
 
-    Consecutive entries of a row are that feature's adjacent pairs.
+    order (F, R) is the rule order of each feature's centers, ties by rule
+    index; consecutive entries of a row are that feature's adjacent pairs.
+    For the lower- and higher-ranked set of each pair, dc = c_lo - c_hi and
+    D = hypot(dc, s_lo - s_hi), both (F, R - 1).
     """
-    return np.asarray(centers, dtype=np.float64).T.argsort(axis=1, kind="stable")
-
-
-def _pair_distances(centers, scales, order):
-    """(dc, D) of each feature's adjacent pairs in order, both (F, R - 1).
-
-    For the lower- and higher-ranked set of a pair, dc = c_lo - c_hi and
-    D = hypot(dc, s_lo - s_hi).
-    """
+    order = centers.T.argsort(axis=1, kind="stable")
     rows = np.arange(order.shape[0])[:, None]
     c = centers.T[rows, order]
     s = scales.T[rows, order]
     dc = c[:, :-1] - c[:, 1:]
-    return dc, np.hypot(dc, s[:, :-1] - s[:, 1:])
+    return order, dc, np.hypot(dc, s[:, :-1] - s[:, 1:])
 
 
 def _mean(d):
@@ -113,7 +108,7 @@ def mean_distinguishability(rb):
     """Mean pair distance over all per-feature adjacent pairs; requires at least 2 rules."""
     if rb.n_rules < 2:
         raise ValueError(f"no adjacent pairs with {rb.n_rules} rule(s)")
-    return _mean(_pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))[1])
+    return _mean(adjacency_pairs(rb.centers, rb.scales)[2])
 
 
 def mse_antecedent_gradients(rows, y, yhat, kind, order, scales, consequents):
@@ -177,8 +172,7 @@ def xpass_gradients(centers, scales, d_target):
     """
     centers = np.asarray(centers, dtype=np.float64)
     scales = np.asarray(scales, dtype=np.float64)
-    order = adjacency_pairs(centers)
-    return _pair_gradient(order, *_pair_distances(centers, scales, order), d_target)
+    return _pair_gradient(*adjacency_pairs(centers, scales), d_target)
 
 
 def _clipped_step(values, grad, lr, cfg):
@@ -228,17 +222,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     """
     TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
     check_rule_base(rb0, "rb0")
-    X_train = as_matrix(X_train, "X_train")
-    y_train = as_vector(y_train, "y_train")
-    X_val = as_matrix(X_val, "X_val")
-    y_val = as_vector(y_val, "y_val")
-    for part, X, y in (("train", X_train, y_train), ("val", X_val, y_val)):
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"X_{part} has {X.shape[0]} rows but y_{part} has {y.shape[0]} entries"
-            )
-        if X.shape[0] == 0:
-            raise ValueError(f"X_{part} has 0 rows")
+    X_train, y_train = as_rows(X_train, y_train, "X_train", "y_train")
+    X_val, y_val = as_rows(X_val, y_val, "X_val", "y_val")
     rows = Rows.of(X_train, rb0, "X_train")
     # the validation forward uses the scratch between the refit's solve and the next backward
     val_rows = Rows.of(X_val, rb0, "X_val", buf=rows.scratch)
@@ -284,8 +269,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         last = (centers, scales, consequents)
         mean_d = 0.0
         if paired:  # this state's one adjacency pass: its mean D and the next MO step
-            ranks = adjacency_pairs(centers)
-            pairs = (ranks, *_pair_distances(centers, scales, ranks))
+            pairs = adjacency_pairs(centers, scales)
             mean_d = _mean(pairs[2])
         traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
         if val_mse < best_val:

@@ -144,7 +144,7 @@ class TestCriterion1GradientCorrectness:
 
             # pairs frozen at the unperturbed centers: consecutive entries
             # of each feature's row of the (F, R) rule order
-            order = adjacency_pairs(centers)
+            order, _, _ = adjacency_pairs(centers, scales)
             gx = xpass_gradients(centers, scales, 0.5)
 
             def xpass_loss(c):

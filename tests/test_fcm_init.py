@@ -1,6 +1,7 @@
 """Fuzzy c-means fitting and antecedent scale derivation."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -250,6 +251,15 @@ class TestDeriveScales:
         X = np.repeat([[0.0, 0.0], [4.0, 4.0]], 5, axis=0)
         scales = derive_scales(X, res)
         assert np.all(scales == SCALE_MAX)
+
+    @pytest.mark.parametrize("shape", [(50, 3), (1, 2), (40, 2)])
+    def test_rows_other_than_the_fit_rejected(self, shape):
+        # before the check: scales from the first two features, a broadcast, an einsum error
+        X = np.random.default_rng(2).uniform(size=(50, 2))
+        res = fcm_fit(X, FCMConfig(n_clusters=3, seed=2))
+        shown = f"X has shape {shape} but res was fitted on rows of shape (50, 2)"
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            derive_scales(np.full(shape, 0.5), res)
 
     def test_peak_memory_below_one_sample_rule_feature_tensor(self):
         # one feature's (R, N) squared differences at a time: no (N, R, F) tensor

@@ -336,7 +336,7 @@ class TestFitConsequents:
             (np.eye(2), np.ones((2, 1)), 2, "y must be 1-D, got ndim=2"),
             (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
             (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
-            (np.zeros((0, 2)), np.zeros(0), 2, "phi must have at least one row and one column"),
+            (np.zeros((0, 2)), np.zeros(0), 2, "X has 0 rows"),
             (np.eye(2), np.ones(2), 0, "rb: a rule base needs at least one rule"),
         ],
     )
@@ -435,6 +435,30 @@ class TestRuleBaseChecked:
                     predict(rb, X)
                 else:
                     fit_consequents(rb, X, X[:, 0], 0.1)
+
+
+class TestRuleBaseCoerced:
+    @pytest.mark.parametrize(
+        "convert", [np.ndarray.tolist, lambda a: a.astype(np.int64)], ids=["lists", "ints"]
+    )
+    def test_lists_and_ints_become_float64(self, convert):
+        # integer-valued parameters, so the int64 copies hold the same values
+        centers, scales = np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2))
+        consequents = np.array([1.0, 2.0])
+        X = np.random.default_rng(4).uniform(size=(10, 2))
+        y = X.sum(axis=1)
+        rb = RuleBase(MFKind.CAUCHY, convert(centers), convert(scales), convert(consequents))
+        assert rb.centers.dtype == rb.scales.dtype == rb.consequents.dtype == np.float64
+        ref = RuleBase(MFKind.CAUCHY, centers, scales, consequents)
+        np.testing.assert_array_equal(predict(rb, X), predict(ref, X))
+        fitted, _, yhat = fit_consequents(replace(rb, consequents=None), X, y, 1e-4)
+        np.testing.assert_array_equal(yhat, fit_consequents(ref, X, y, 1e-4)[2])
+        assert fitted.centers.dtype == np.float64
+
+    def test_float64_arrays_kept_not_copied(self):
+        rb = random_rulebase(np.random.default_rng(0))
+        again = replace(rb, consequents=np.ones(rb.n_rules))
+        assert again.centers is rb.centers and again.scales is rb.scales
 
 
 class TestModelArtifact:
@@ -570,6 +594,9 @@ class TestModelArtifact:
             ({"centers": "x"}, "could not convert string to float"),
             ({"centers": [[0.2, 0.4]]}, "center/scale shape mismatch"),
             ({"centers": [0.2, 0.4], "scales": [0.3, 0.3]}, "center/scale shape mismatch"),
+            ({"centers": [[0.2], [0.4, 0.5]]}, "corrupt model file"),
+            ({"consequents": {"w": 1.0}}, "corrupt model file"),
+            ({"scales": None}, "corrupt model file"),
         ],
     )
     def test_malformed_artifact_named(self, tmp_path, fields, shown):

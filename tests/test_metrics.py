@@ -11,7 +11,7 @@ from xanfis.metrics import (
     pareto_front,
     regression_metrics,
 )
-from xanfis.training import _pair_distances, adjacency_pairs
+from xanfis.training import adjacency_pairs
 
 
 class TestRegressionMetrics:
@@ -60,7 +60,7 @@ def rulebase(centers, scales):
 
 def per_feature_means(rb):
     """Mean D of each feature's adjacent pairs."""
-    return _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))[1].mean(axis=1)
+    return adjacency_pairs(rb.centers, rb.scales)[2].mean(axis=1)
 
 
 class TestMeanDistinguishability:

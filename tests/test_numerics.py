@@ -1,17 +1,63 @@
-"""Ridge solver, CI statistics and the seeded stream."""
+"""Row checks, ridge solver, CI statistics and the seeded stream."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from xanfis.data import split_scale
+from xanfis.inference import RuleBase, fit_consequents
+from xanfis.membership import MFKind
+from xanfis.metrics import evaluate_model
 from xanfis.numerics import (
     InsufficientDataError,
     RandomStream,
     SingularMatrixError,
+    as_rows,
     mean_ci95,
     ridge_solve,
 )
+from xanfis.training import TrainConfig, train
+
+_RNG = np.random.default_rng(0)
+_X, _Y = _RNG.uniform(size=(20, 2)), _RNG.uniform(size=20)
+_RB0 = RuleBase(MFKind.CAUCHY, [[0.2, 0.3], [0.5, 0.8], [0.9, 0.4]], np.full((3, 2), 0.3))
+_RB, _, _ = fit_consequents(_RB0, _X, _Y, 1e-4)
+_CFG = TrainConfig(max_epochs=1)
+
+#: every entry point that takes rows and targets: (call on X and y, X's name, y's name)
+ROW_ENTRIES = {
+    "as_rows": (as_rows, "X", "y"),
+    "split_scale": (split_scale, "X", "y"),
+    "fit_consequents": (lambda X, y: fit_consequents(_RB, X, y, 1e-4), "X", "y"),
+    "train": (lambda X, y: train(X, y, _X, _Y, _RB0, _CFG), "X_train", "y_train"),
+    "train_val": (lambda X, y: train(_X, _Y, X, y, _RB0, _CFG), "X_val", "y_val"),
+    "evaluate_model": (lambda X, y: evaluate_model(_RB, X, y), "X", "y"),
+}
+
+#: one fault of the rows or targets each: (X, y, message with {x} and {y} for the names)
+ROW_FAULTS = {
+    "row_mismatch": (_X, _Y[:15], "{x} has 20 rows but {y} has 15 entries"),
+    "zero_rows": (_X[:0], _Y[:0], "{x} has 0 rows"),
+    "one_d_X": (_X[:, 0], _Y, "{x} must be 2-D, got ndim=1"),
+    "non_finite_y": (_X, np.where(_Y > 0.5, np.nan, _Y), "{y} contains non-finite entries"),
+}
+
+
+class TestAsRows:
+    def test_returns_checked_float_arrays(self):
+        X, y = as_rows([[1, 2], [3, 4]], [5, 6])
+        assert X.dtype == y.dtype == np.float64
+        assert X.shape == (2, 2) and y.tolist() == [5.0, 6.0]
+
+    @pytest.mark.parametrize("fault", ROW_FAULTS)
+    @pytest.mark.parametrize("entry", ROW_ENTRIES)
+    def test_every_entry_names_the_fault(self, entry, fault):
+        call, x_name, y_name = ROW_ENTRIES[entry]
+        X, y, shown = ROW_FAULTS[fault]
+        with pytest.raises(ValueError, match=re.escape(shown.format(x=x_name, y=y_name))):
+            call(X, y)
 
 
 class TestRidgeSolve:

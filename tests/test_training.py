@@ -36,7 +36,6 @@ from xanfis.training import (
     Mode,
     TrainConfig,
     _clipped_step,
-    _pair_distances,
     adjacency_pairs,
     mean_distinguishability,
     mse_antecedent_gradients,
@@ -309,16 +308,18 @@ class TestTrainConfig:
 class TestAdjacency:
     def test_single_feature_sorting(self):
         # pairs (1, 2) and (2, 0)
-        order = adjacency_pairs(np.array([[0.7], [0.1], [0.4]]))
+        order, dc, d = adjacency_pairs(np.array([[0.7], [0.1], [0.4]]), np.full((3, 1), 0.2))
         np.testing.assert_array_equal(order, [[1, 2, 0]])
+        np.testing.assert_allclose(dc, [[-0.3, -0.3]])
+        np.testing.assert_allclose(d, [[0.3, 0.3]])
 
     def test_pair_count(self):
         # one row of R = 2 rules per feature: one pair per feature
-        order = adjacency_pairs(np.zeros((2, 3)))
-        assert order.shape == (3, 2)
+        order, dc, d = adjacency_pairs(np.zeros((2, 3)), np.ones((2, 3)))
+        assert order.shape == (3, 2) and dc.shape == d.shape == (3, 1)
 
     def test_tie_break_by_rule_index(self):
-        order = adjacency_pairs(np.array([[0.5], [0.5], [0.2]]))
+        order, _, _ = adjacency_pairs(np.array([[0.5], [0.5], [0.2]]), np.full((3, 1), 0.2))
         np.testing.assert_array_equal(order, [[2, 0, 1]])
 
 
@@ -378,7 +379,7 @@ class TestSortedAxisMatchesLoops:
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
         ref_mean, ref_per_feature = loop_distinguishability(centers, scales)
         assert mean_distinguishability(rb) == ref_mean
-        _, d = _pair_distances(centers, scales, adjacency_pairs(centers))
+        _, _, d = adjacency_pairs(centers, scales)
         assert d.mean(axis=1).tolist() == ref_per_feature
         np.testing.assert_array_equal(
             xpass_gradients(centers, scales, d_target),
@@ -389,7 +390,7 @@ class TestSortedAxisMatchesLoops:
 def two_rule_distinguishability(centers, scales):
     rb = RuleBase(MFKind.CAUCHY, np.array(centers), np.array(scales))
     mean_d = mean_distinguishability(rb)
-    _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
+    _, _, d = adjacency_pairs(rb.centers, rb.scales)
     assert d.mean(axis=1).tolist() == [mean_d]
     return mean_d
 
@@ -461,7 +462,7 @@ class TestXPass:
             d_target = 0.5
             # pairs frozen at the unperturbed centers: consecutive entries
             # of each feature's row of the (F, R) rule order
-            order = adjacency_pairs(centers)
+            order, _, _ = adjacency_pairs(centers, scales)
 
             def loss(c):
                 total = 0.0
@@ -755,7 +756,7 @@ def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
                 centers = np.clip(centers - cfg.lr_xpass * gx, 0.0, 1.0)
             rb = RuleBase(rb.mf_kind, centers, scales, order=rb.order)
         rb, fm, yhat = fit_consequents(rb, X_tr, y_tr, cfg.lam)
-        _, d = _pair_distances(rb.centers, rb.scales, adjacency_pairs(rb.centers))
+        _, _, d = adjacency_pairs(rb.centers, rb.scales)
         records.append((
             epoch,
             float(np.mean((yhat - y_tr) ** 2)),
@@ -797,9 +798,9 @@ class TestTrainMatchesPublicKernels:
         real = xanfis.training.adjacency_pairs
         calls = {"n": 0}
 
-        def counting(centers):
+        def counting(centers, scales):
             calls["n"] += 1
-            return real(centers)
+            return real(centers, scales)
 
         monkeypatch.setattr(xanfis.training, "adjacency_pairs", counting)
         for mode, per_epoch in ((Mode.ANFIS, 1), (Mode.MO_ANFIS, 1), (Mode.X_ANFIS, 2)):
