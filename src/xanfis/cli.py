@@ -118,32 +118,28 @@ def weight_grid(count, lo, hi):
 
 @dataclass(frozen=True)
 class Run:
-    """One run of a command; cfg already carries the run's mode, mf and mo_weight."""
+    """One run of a command; cfg already carries the run's mode, mf, mo_weight and trajectory."""
 
     run_id: str
     seed: int
     cfg: ExperimentConfig
     weight: float | None = None  # the scalarization weight of a sweep point
     init_scale: float | None = None  # the init-study override of every scale
+    stem: str | None = None  # the run writes <kind>_<stem>.* files; None writes none
+    model: bool = False  # also write model_<stem>.json
 
 
 @dataclass(frozen=True, kw_only=True)
 class RunRecord(Run):
-    """A run and its results."""
+    """A run and its table cells."""
 
     report: EvalReport
-    rb: RuleBase
-    traces: list
-    scaler: object
     stop_reason: str  # a training.TrainResult stop reason
+    epochs_run: int
 
     @property
     def diverged(self):
         return self.stop_reason in DIVERGED
-
-    @property
-    def epochs_run(self):
-        return max(len(self.traces) - 1, 0)
 
 
 def prepare_seed(run, data):
@@ -157,7 +153,7 @@ def prepare_seed(run, data):
 
 
 def run_experiment(run, prepared):
-    """Train and evaluate one run on its seed's (split, centers, scales) from prepare_seed."""
+    """Train, evaluate and write the files of one run on its seed's prepare_seed result."""
     split, centers, scales = prepared
     cfg = run.cfg
     if run.init_scale is not None:
@@ -172,9 +168,15 @@ def run_experiment(run, prepared):
         report = EvalReport(nan, nan, nan, nan, mean_distinguishability(rb))
     else:
         report = evaluate_model(rb, split.X_test, split.y_test)
+    if run.stem is not None:
+        if run.model:
+            model_path = os.path.join(cfg.out, f"model_{run.stem}.json")
+            save_model(model_path, rb, scaler_meta=split.scaler.to_dict())
+        traces_to_csv(traces, os.path.join(cfg.out, f"trace_{run.stem}.csv"))
+        if cfg.trajectory:
+            trajectory_to_csv(traces, os.path.join(cfg.out, f"trajectory_{run.stem}.csv"))
     return RunRecord(
-        **vars(run), report=report, rb=rb, traces=traces, scaler=split.scaler,
-        stop_reason=stop_reason,
+        **vars(run), report=report, stop_reason=stop_reason, epochs_run=max(len(traces) - 1, 0)
     )
 
 
@@ -186,7 +188,7 @@ def _run_all(runs, cfg):
     made, so a bad input or a degenerate split leaves nothing behind.
     Preparation and the runs go through the same map (a process pool of
     at most one worker per run when cfg.workers > 1), so the seeds are
-    prepared in parallel too.
+    prepared in parallel too; each run writes its own files as it ends.
     """
     data = load_csv(load_manifest(cfg.manifest)) if cfg.manifest else None
     first_run = {}
@@ -272,18 +274,8 @@ def _aggregate_row(name, values):
 def cmd_train(cfg):
     """One model per seed; writes models, traces, metrics and aggregates."""
     cfg.validate()
-    records = _run_all([Run(f"seed{seed:04d}", seed, cfg) for seed in cfg.seeds], cfg)
-    for rec in records:
-        save_model(
-            os.path.join(cfg.out, f"model_{rec.run_id}.json"),
-            rec.rb,
-            scaler_meta=rec.scaler.to_dict(),
-        )
-        traces_to_csv(rec.traces, os.path.join(cfg.out, f"trace_{rec.run_id}.csv"))
-        if cfg.trajectory:
-            trajectory_to_csv(
-                rec.traces, os.path.join(cfg.out, f"trajectory_{rec.run_id}.csv")
-            )
+    runs = [Run(f"seed{s:04d}", s, cfg, stem=f"seed{s:04d}", model=True) for s in cfg.seeds]
+    records = _run_all(runs, cfg)
     _write_table(os.path.join(cfg.out, "metrics.csv"), _CELLS, records)
     write_csv(
         os.path.join(cfg.out, "aggregate.csv"),
@@ -315,16 +307,13 @@ def cmd_init_study(cfg):
     runs = [
         Run(
             f"{kind.value}_s{idx:02d}", cfg.seeds[0],
-            replace(cfg, mode=Mode.ANFIS.value, mf=kind.value), init_scale=float(scale),
+            replace(cfg, mode=Mode.ANFIS.value, mf=kind.value, trajectory=True),
+            init_scale=float(scale), stem=f"{kind.value}_{stem}",
         )
         for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY)
-        for idx, scale in enumerate(cfg.scales)
+        for idx, (scale, stem) in enumerate(zip(cfg.scales, stems))
     ]
     records = _run_all(runs, cfg)
-    for rec in records:
-        stem = f"{rec.cfg.mf}_{rec.init_scale:g}"
-        traces_to_csv(rec.traces, os.path.join(cfg.out, f"trace_{stem}.csv"))
-        trajectory_to_csv(rec.traces, os.path.join(cfg.out, f"trajectory_{stem}.csv"))
     _write_table(
         os.path.join(cfg.out, "summary.csv"),
         ["mf", "init_scale", "mse", "rmse", "mae", "r2", "mean_D", "epochs_run", "diverged"],

@@ -49,6 +49,11 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def dir_bytes(path):
+    """Every file of an output directory, by name."""
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
 class TestWeightGrid:
     def test_log_spaced_with_exact_endpoints(self):
         grid = weight_grid(20, 0.01, 10.0)
@@ -104,14 +109,15 @@ class TestTrainCommand:
             cmd_train(fast_cfg(blocked / "runs"))
 
     def test_workers_two_matches_serial(self, tmp_path):
-        serial = cmd_train(fast_cfg(tmp_path / "a", workers=1))
-        parallel = cmd_train(fast_cfg(tmp_path / "b", workers=2))
+        # per-run files are written by the process that ran the run
+        serial = cmd_train(fast_cfg(tmp_path / "a", workers=1, trajectory=True))
+        parallel = cmd_train(fast_cfg(tmp_path / "b", workers=2, trajectory=True))
         for r1, r2 in zip(serial, parallel):
             assert r1.run_id == r2.run_id
             assert r1.report.r2 == r2.report.r2
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() == (
-            tmp_path / "b" / "metrics.csv"
-        ).read_bytes()
+        files = dir_bytes(tmp_path / "a")
+        assert len(files) == 2 + 3 * 3  # metrics, aggregate; model, trace, trajectory per seed
+        assert files == dir_bytes(tmp_path / "b")
 
     def test_pool_capped_at_run_count(self, tmp_path, monkeypatch):
         # a process pool starts all its workers up front: one run needs none
@@ -163,6 +169,14 @@ class TestInitStudyCommand:
         out = tmp_path / "study"
         cmd_init_study(fast_cfg(out, seeds=[0], max_epochs=2, scales=[SCALE_MIN, SCALE_MAX]))
         assert {r["init_scale"] for r in read_rows(out / "summary.csv")} == {"0.001", "1.0"}
+
+    def test_workers_two_matches_serial(self, tmp_path):
+        for name, workers in (("a", 1), ("b", 2)):
+            cfg = fast_cfg(tmp_path / name, seeds=[0], scales=[0.5, 0.125], workers=workers)
+            cmd_init_study(cfg)
+        files = dir_bytes(tmp_path / "a")
+        assert len(files) == 1 + 2 * 2 * 2  # summary; trace and trajectory per kind x scale
+        assert files == dir_bytes(tmp_path / "b")
 
     def test_colliding_file_stems_rejected(self, tmp_path):
         # both scales print as 0.1 under %g, so their trace files would collide
@@ -410,10 +424,15 @@ class TestMainEntry:
         args = [
             "train", "--synth", "sinc2d", "--synth-n", "50", "--rules", "20",
             "--order", "first", "--lambda", "0", "--seeds", "0", "--epochs", "5",
-            "--out", str(out),
+            "--trajectory", "--out", str(out),
         ]
         assert main(args) == 1
         assert "diverged runs: seed0000" in capsys.readouterr().err
+        # no epoch was recorded: the per-run CSVs hold only their header row
+        assert (out / "trace_seed0000.csv").read_bytes() == b"epoch,train_mse,val_mse,mean_D\r\n"
+        assert (out / "trajectory_seed0000.csv").read_bytes() == (
+            b"epoch,rule,feature,center,scale\r\n"
+        )
         (row,) = read_rows(out / "metrics.csv")
         assert (row["diverged"], row["epochs_run"]) == ("1", "0")
         assert all(row[k] == "nan" for k in ("mse", "rmse", "mae", "r2"))
