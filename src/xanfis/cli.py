@@ -118,15 +118,13 @@ def weight_grid(count, lo, hi):
 
 @dataclass(frozen=True)
 class Run:
-    """One run of a command; cfg already carries the run's mode, mf, mo_weight and trajectory."""
+    """One run of a command; cfg carries its mode, mf, mo_weight and trajectory, run_id its files."""
 
     run_id: str
     seed: int
     cfg: ExperimentConfig
     weight: float | None = None  # the scalarization weight of a sweep point
     init_scale: float | None = None  # the init-study override of every scale
-    stem: str | None = None  # the run writes <kind>_<stem>.* files; None writes none
-    model: bool = False  # also write model_<stem>.json
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -168,20 +166,17 @@ def run_experiment(run, prepared):
         report = EvalReport(nan, nan, nan, nan, mean_distinguishability(rb))
     else:
         report = evaluate_model(rb, split.X_test, split.y_test)
-    if run.stem is not None:
-        if run.model:
-            model_path = os.path.join(cfg.out, f"model_{run.stem}.json")
-            save_model(model_path, rb, scaler_meta=split.scaler.to_dict())
-        traces_to_csv(traces, os.path.join(cfg.out, f"trace_{run.stem}.csv"))
-        if cfg.trajectory:
-            trajectory_to_csv(traces, os.path.join(cfg.out, f"trajectory_{run.stem}.csv"))
+    save_model(os.path.join(cfg.out, f"model_{run.run_id}.json"), rb, split.scaler.to_dict())
+    traces_to_csv(traces, os.path.join(cfg.out, f"trace_{run.run_id}.csv"))
+    if cfg.trajectory:
+        trajectory_to_csv(traces, os.path.join(cfg.out, f"trajectory_{run.run_id}.csv"))
     return RunRecord(
         **vars(run), report=report, stop_reason=stop_reason, epochs_run=max(len(traces) - 1, 0)
     )
 
 
 def _run_all(runs, cfg):
-    """Run every run of a command; sorted by run_id.
+    """Run every run of a command; the records are in the order of runs.
 
     The manifest and its CSV are read once and each distinct seed's split,
     FCM fit and dispersion scales are computed once, all before cfg.out is
@@ -207,8 +202,7 @@ def _run_all(runs, cfg):
         prepared = dict(zip(first_run, prepared))
         del data  # every seed is split: the raw rows are not kept through training
         _check_out_dir(cfg.out)
-        results = list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
-    return sorted(results, key=lambda r: r.run_id)
+        return list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
 
 
 def _check_out_dir(out):
@@ -274,7 +268,7 @@ def _aggregate_row(name, values):
 def cmd_train(cfg):
     """One model per seed; writes models, traces, metrics and aggregates."""
     cfg.validate()
-    runs = [Run(f"seed{s:04d}", s, cfg, stem=f"seed{s:04d}", model=True) for s in cfg.seeds]
+    runs = [Run(f"seed{s:04d}", s, cfg) for s in sorted(cfg.seeds)]
     records = _run_all(runs, cfg)
     _write_table(os.path.join(cfg.out, "metrics.csv"), _CELLS, records)
     write_csv(
@@ -306,12 +300,12 @@ def cmd_init_study(cfg):
             raise ValueError(f"init scale {scale:g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
     runs = [
         Run(
-            f"{kind.value}_s{idx:02d}", cfg.seeds[0],
+            f"{kind.value}_{stem}", cfg.seeds[0],
             replace(cfg, mode=Mode.ANFIS.value, mf=kind.value, trajectory=True),
-            init_scale=float(scale), stem=f"{kind.value}_{stem}",
+            init_scale=float(scale),
         )
-        for kind in (MFKind.GAUSSIAN, MFKind.CAUCHY)
-        for idx, (scale, stem) in enumerate(zip(cfg.scales, stems))
+        for kind in (MFKind.CAUCHY, MFKind.GAUSSIAN)
+        for scale, stem in zip(cfg.scales, stems)
     ]
     records = _run_all(runs, cfg)
     _write_table(
@@ -337,7 +331,6 @@ def cmd_pareto_sweep(cfg):
     ]
     runs.append(Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)))
     runs.append(Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)))
-    # sorted by run_id: the mo_w sweep points, then the two references
     records = _run_all(runs, cfg)
     sweep = [r for r in records if r.weight is not None]
     points = [

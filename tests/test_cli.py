@@ -140,6 +140,30 @@ class TestTrainCommand:
         cmd_train(fast_cfg(tmp_path / "three", seeds=[0, 1, 2], workers=8))
         assert sizes == [3]
 
+    def test_metrics_rows_in_numeric_seed_order(self, tmp_path):
+        # as strings, seed10000 sorts before seed9999
+        out = tmp_path / "runs"
+        cmd_train(fast_cfg(out, seeds=[10000, 9999], max_epochs=2))
+        assert [r["run_id"] for r in read_rows(out / "metrics.csv")] == ["seed9999", "seed10000"]
+
+    def test_error_leaves_files_of_finished_runs(self, tmp_path, monkeypatch):
+        write_trace = xanfis.cli.traces_to_csv
+        calls = []
+
+        def fail_second(traces, path):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_trace(traces, path)
+
+        monkeypatch.setattr(xanfis.cli, "traces_to_csv", fail_second)
+        out = tmp_path / "runs"
+        with pytest.raises(OSError, match="disk full"):
+            cmd_train(fast_cfg(out, seeds=[0, 1], workers=1, max_epochs=2))
+        assert (out / "model_seed0000.json").exists()
+        assert (out / "trace_seed0000.csv").exists()
+        assert not (out / "metrics.csv").exists()
+
 
 class TestInitStudyCommand:
     def test_kind_by_scale_grid(self, tmp_path):
@@ -147,9 +171,9 @@ class TestInitStudyCommand:
         records = cmd_init_study(fast_cfg(out, seeds=[0], scales=[0.5, 0.25, 0.125]))
         assert len(records) == 6  # two kinds x three scales
         rows = read_rows(out / "summary.csv")
-        assert len(rows) == 6
-        assert {r["mf"] for r in rows} == {"gaussian", "cauchy"}
-        assert {r["init_scale"] for r in rows} == {"0.5", "0.25", "0.125"}
+        assert [(r["mf"], r["init_scale"]) for r in rows] == [
+            (kind, scale) for kind in ("cauchy", "gaussian") for scale in ("0.5", "0.25", "0.125")
+        ]
         for scale in ("0.5", "0.25", "0.125"):
             assert (out / f"trajectory_gaussian_{scale}.csv").exists()
             assert (out / f"trajectory_cauchy_{scale}.csv").exists()
@@ -175,7 +199,7 @@ class TestInitStudyCommand:
             cfg = fast_cfg(tmp_path / name, seeds=[0], scales=[0.5, 0.125], workers=workers)
             cmd_init_study(cfg)
         files = dir_bytes(tmp_path / "a")
-        assert len(files) == 1 + 2 * 2 * 2  # summary; trace and trajectory per kind x scale
+        assert len(files) == 1 + 3 * 2 * 2  # summary; model, trace, trajectory per kind x scale
         assert files == dir_bytes(tmp_path / "b")
 
     def test_colliding_file_stems_rejected(self, tmp_path):
@@ -230,6 +254,22 @@ class TestParetoSweepCommand:
         cfg = fast_cfg(tmp_path / "sweep", seeds=[0], max_epochs=2, weights_count=4)
         records, _ = cmd_pareto_sweep(cfg)
         assert len(records) == 6 and len(calls) == 1
+
+    def test_workers_two_matches_serial(self, tmp_path):
+        for name, workers in (("a", 1), ("b", 2)):
+            cfg = fast_cfg(tmp_path / name, seeds=[0], max_epochs=3, weights_count=3,
+                           workers=workers, trajectory=True)
+            cmd_pareto_sweep(cfg)
+        files = dir_bytes(tmp_path / "a")
+        assert files == dir_bytes(tmp_path / "b")
+        points = {r["run_id"]: r for r in read_rows(tmp_path / "a" / "points.csv")}
+        per_run = {
+            f"{kind}_{run_id}.{ext}" for run_id in points
+            for kind, ext in (("model", "json"), ("trace", "csv"), ("trajectory", "csv"))
+        }
+        assert set(files) == per_run | {"points.csv", "front.csv"}
+        rb, _ = load_model(tmp_path / "a" / "model_ref_x_anfis.json")
+        assert repr(mean_distinguishability(rb)) == points["ref_x_anfis"]["mean_D"]
 
     def test_front_matches_brute_force(self, tmp_path):
         out = tmp_path / "sweep"
