@@ -14,7 +14,7 @@ from .data import (
     split_scale,
     synth_regression,
 )
-from .fcm_init import FCMConfig, FCMResult, derive_scales, fcm_fit
+from .fcm_init import FCMConfig, FCMResult, fcm_fit
 from .inference import Order, RuleBase, fit_consequents, load_model, predict, save_model
 from .membership import SCALE_MIN, MFKind
 from .metrics import (
@@ -49,7 +49,6 @@ __all__ = [
     "SingularMatrixError",
     "TrainConfig",
     "TrainResult",
-    "derive_scales",
     "evaluate_model",
     "fcm_fit",
     "fit_consequents",

@@ -26,7 +26,7 @@ from .data import (
     SYNTH_DATASETS, check_fields, check_synth, has_type, load_csv, load_manifest, read_json,
     split_scale, synth_regression, write_csv,
 )
-from .fcm_init import FCMConfig, derive_scales, fcm_fit
+from .fcm_init import FCMConfig, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
 from .metrics import (
@@ -88,7 +88,12 @@ class ExperimentConfig(TrainConfig):
             raise ValueError("config must name exactly one data source (manifest or synth)")
         if self.synth:
             check_synth(self.synth, self.synth_n)
-        self.fcm_config(seed=0).validate()
+        if self.rules < 2:
+            raise ValueError(f"rules must be >= 2, got {self.rules}")
+        try:
+            self.fcm_config(seed=0).validate()
+        except ValueError as err:  # FCMConfig names fuzziness, tol and max_iter
+            raise ValueError(f"fcm_{err}") from None
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -107,7 +112,7 @@ def weight_grid(count, lo, hi):
     if count < 1:
         raise ValueError(f"weight count must be >= 1, got {count}")
     if not (0 < lo <= hi):
-        raise ValueError(f"weight range must be positive, got [{lo}, {hi}]")
+        raise ValueError(f"weight range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     if count == 1:
         return np.array([lo])
     grid = np.logspace(np.log10(lo), np.log10(hi), count)
@@ -141,22 +146,20 @@ class RunRecord(Run):
 
 
 def prepare_seed(run, data):
-    """(split, FCM centers, dispersion scales) of run.seed on data, (X, y) or None if synthetic."""
+    """(split, FCM fit) of run.seed on data, (X, y) or None if synthetic."""
     cfg = run.cfg
     if data is None:
         data = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
     split = split_scale(*data, seed=run.seed)
-    fcm = fcm_fit(split.X_train, cfg.fcm_config(run.seed))
-    return split, fcm.centers, derive_scales(split.X_train, fcm)
+    return split, fcm_fit(split.X_train, cfg.fcm_config(run.seed))
 
 
 def run_experiment(run, prepared):
     """Train, evaluate and write the files of one run on its seed's prepare_seed result."""
-    split, centers, scales = prepared
+    split, fcm = prepared
     cfg = run.cfg
-    if run.init_scale is not None:
-        scales = np.full(centers.shape, run.init_scale)
-    rb0 = RuleBase(mf_kind=cfg.mf, centers=centers, scales=scales, order=cfg.order)
+    scales = fcm.scales if run.init_scale is None else np.full(fcm.scales.shape, run.init_scale)
+    rb0 = RuleBase(mf_kind=cfg.mf, centers=fcm.centers, scales=scales, order=cfg.order)
     rb, traces, stop_reason = train(
         split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg
     )
@@ -178,8 +181,8 @@ def run_experiment(run, prepared):
 def _run_all(runs, cfg):
     """Run every run of a command; the records are in the order of runs.
 
-    The manifest and its CSV are read once and each distinct seed's split,
-    FCM fit and dispersion scales are computed once, all before cfg.out is
+    The manifest and its CSV are read once and each distinct seed's split
+    and FCM fit (centers and scales) are computed once, all before cfg.out is
     made, so a bad input or a degenerate split leaves nothing behind.
     Preparation and the runs go through the same map (a process pool of
     at most one worker per run when cfg.workers > 1), so the seeds are

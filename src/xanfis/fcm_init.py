@@ -36,11 +36,10 @@ class FCMConfig:
 
 @dataclass
 class FCMResult:
-    centers: np.ndarray      # (R, F)
-    memberships: np.ndarray  # (R, N) like Rows.normalized, columns sum to 1
+    centers: np.ndarray  # (R, F)
+    scales: np.ndarray   # (R, F) fuzzy within-cluster dispersion, clipped to the scale bounds
     iterations: int
     final_shift: float
-    fuzziness: float = 2.0
 
 
 def _squared_differences(XT, centers):
@@ -79,11 +78,13 @@ def _memberships_from_distances(d2, exponent):
 
 
 def fcm_fit(X, cfg):
-    """Standard fuzzy c-means on min-max scaled inputs.
+    """Standard fuzzy c-means on min-max scaled inputs, returning the rule antecedents.
 
     Memberships are initialized from the seeded stream and normalized over
     clusters; iteration alternates center and membership updates until the
     largest center shift drops below cfg.tol or cfg.max_iter is reached.
+    The scales are the final fit's fuzzy within-cluster dispersion
+    sqrt(sum_t u^m (x - c)^2 / sum_t u^m), clipped to [SCALE_MIN, SCALE_MAX].
     """
     cfg.validate()
     X = as_matrix(X, "X")
@@ -112,23 +113,8 @@ def fcm_fit(X, cfg):
         if shift < cfg.tol:
             break
 
-    return FCMResult(
-        centers=centers, memberships=u, iterations=iterations, final_shift=shift, fuzziness=m
-    )
-
-
-def derive_scales(X, res):
-    """Per-rule per-feature scales from the FCM fit of X.
-
-    The fuzzy within-cluster dispersion sqrt(sum_t u^m (x - c)^2 / sum_t u^m),
-    clipped to [SCALE_MIN, SCALE_MAX].  X must be the (N, F) rows res was fitted on.
-    """
-    X = as_matrix(X, "X")
-    fitted = (res.memberships.shape[1], res.centers.shape[1])
-    if X.shape != fitted:
-        raise ValueError(f"X has shape {X.shape} but res was fitted on rows of shape {fitted}")
-    um = res.memberships**res.fuzziness  # (R, N)
-    sq = _squared_differences(np.ascontiguousarray(X.T), res.centers)
+    um = u**m
+    sq = _squared_differences(XT, centers)
     weighted = np.stack([np.einsum("rt,rt->r", um, diff) for diff in sq], axis=1)  # (R, F)
-    scales = np.sqrt(weighted / um.sum(axis=1)[:, None])
-    return np.clip(scales, SCALE_MIN, SCALE_MAX)
+    scales = np.clip(np.sqrt(weighted / um.sum(axis=1)[:, None]), SCALE_MIN, SCALE_MAX)
+    return FCMResult(centers=centers, scales=scales, iterations=iterations, final_shift=shift)

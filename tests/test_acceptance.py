@@ -18,7 +18,7 @@ import pytest
 
 from xanfis.cli import main
 from xanfis.data import DatasetManifest, load_csv, split_scale, synth_regression
-from xanfis.fcm_init import FCMConfig, derive_scales, fcm_fit
+from xanfis.fcm_init import FCMConfig, fcm_fit
 from xanfis.inference import (
     EPS_DENOM,
     Order,
@@ -67,7 +67,7 @@ def run_one(mode, mf, rules, seed, init_scale=None, max_epochs=500, patience=20)
     split = split_scale(X, y, seed=seed)
     fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=rules, seed=seed))
     if init_scale is None:
-        scales = derive_scales(split.X_train, fcm)
+        scales = fcm.scales
     else:
         scales = np.full(fcm.centers.shape, init_scale)
     rb0 = RuleBase(mf_kind=mf, centers=fcm.centers, scales=scales)
@@ -179,7 +179,7 @@ class TestCriterion2LSEOptimality:
         X, y = acceptance_dataset(seed=0)
         split = split_scale(X, y, seed=0)
         fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=5, seed=0))
-        rb0 = RuleBase(MFKind.CAUCHY, fcm.centers, derive_scales(split.X_train, fcm))
+        rb0 = RuleBase(MFKind.CAUCHY, fcm.centers, fcm.scales)
         cfg = TrainConfig(mode=Mode.X_ANFIS, lam=1e-4, max_epochs=49, patience=50)
         traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg).traces
         worst = 0.0
@@ -255,7 +255,7 @@ class TestCriterion5ModeDegeneracy:
         X, y = acceptance_dataset(seed=0)
         split = split_scale(X, y, seed=0)
         fcm = fcm_fit(split.X_train, FCMConfig(n_clusters=5, seed=0))
-        rb0 = RuleBase(MFKind.CAUCHY, fcm.centers, derive_scales(split.X_train, fcm))
+        rb0 = RuleBase(MFKind.CAUCHY, fcm.centers, fcm.scales)
         base = dict(max_epochs=30, patience=31)
         runs = {
             "anfis": TrainConfig(mode=Mode.ANFIS, **base),

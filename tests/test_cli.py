@@ -249,8 +249,8 @@ class TestParetoSweepCommand:
 
     def test_scales_derived_once_per_seed(self, tmp_path, monkeypatch):
         calls = []
-        derive = xanfis.cli.derive_scales
-        monkeypatch.setattr(xanfis.cli, "derive_scales", lambda *a: calls.append(a) or derive(*a))
+        fit = xanfis.cli.fcm_fit
+        monkeypatch.setattr(xanfis.cli, "fcm_fit", lambda *a: calls.append(a) or fit(*a))
         cfg = fast_cfg(tmp_path / "sweep", seeds=[0], max_epochs=2, weights_count=4)
         records, _ = cmd_pareto_sweep(cfg)
         assert len(records) == 6 and len(calls) == 1
@@ -528,7 +528,7 @@ class TestConfigValidation:
         "args, doc, shown",
         [
             (["--lr", "-1"], {}, "lr_backward must be positive, got -1.0"),
-            (["--rules", "1"], {}, "n_clusters must be >= 2, got 1"),
+            (["--rules", "1"], {}, "rules must be >= 2, got 1"),
             (["--d-target", "2"], {}, "d_target must be in (0, 1], got 2.0"),
             (["--patience", "0"], {}, "patience must be >= 1, got 0"),
             (["--workers", "0"], {}, "workers must be >= 1, got 0"),
@@ -540,7 +540,8 @@ class TestConfigValidation:
             ([], {"seeds": "0"}, "seeds must be list, got '0'"),
             ([], {"trajectory": "no"}, "trajectory must be bool, got 'no'"),
             ([], {"max_epochs": True}, "max_epochs must be int, got True"),
-            ([], {"fcm_max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ([], {"fcm_max_iter": 0}, "fcm_max_iter must be >= 1, got 0"),
+            ([], {"fcm_fuzziness": 1.0}, "fcm_fuzziness must be > 1, got 1.0"),
             ([], {"synth_n": 300.5}, "synth_n must be int, got 300.5"),
             ([], {"synth_n": 10}, "need n >= 50, got 10"),
             ([], {"synth": "sinc"}, "unknown synthetic dataset 'sinc'"),
@@ -560,7 +561,10 @@ class TestConfigValidation:
              "manifest str_features.json: feature_columns must be list, got 'ab'"),
             (["--manifest", "target_feature.json"], {"synth": None},
              "manifest target_feature.json: target column 'y' is also listed as a feature"),
-            ([], {"fcm_tol": 0.0}, "tol must be positive, got 0.0"),
+            ([], {"fcm_tol": 0.0}, "fcm_tol must be positive, got 0.0"),
+            ([], {"weights_lo": 5.0, "weights_hi": 1.0},
+             "weight range must satisfy 0 < lo <= hi, got [5.0, 1.0]"),
+            ([], {"weights_lo": 0.0}, "weight range must satisfy 0 < lo <= hi, got [0.0, 10.0]"),
             (["--lr-xpass", "-1"], {}, "lr_xpass must be nonnegative, got -1.0"),
             (["--lambda", "-1"], {}, "lambda must be nonnegative, got -1.0"),
             (["--epochs", "-1"], {}, "max_epochs must be nonnegative, got -1"),

@@ -1,7 +1,7 @@
 """Fuzzy c-means fitting and antecedent scale derivation."""
 
+import dataclasses
 import math
-import re
 import tracemalloc
 import warnings
 
@@ -12,23 +12,45 @@ from xanfis.fcm_init import (
     FCMConfig,
     FCMResult,
     _memberships_from_distances,
-    derive_scales,
     fcm_fit,
 )
 from xanfis.membership import SCALE_MAX, SCALE_MIN
 from xanfis.numerics import InsufficientDataError, RandomStream, as_matrix
 
 
-def fcm_objective(X, res):
+def squared_distances(X, centers):
+    """(R, N) squared distances of every row of X to every center."""
+    diff = X.T[:, None, :] - centers.T[:, :, None]  # (F, R, N)
+    return np.einsum("frt,frt->rt", diff, diff)
+
+
+def final_memberships(X, res, m=2.0):
+    """The (R, N) memberships of a fit's final state, recomputed from its centers."""
+    return _memberships_from_distances(squared_distances(X, res.centers), 1.0 / (m - 1.0))
+
+
+def fcm_objective(X, res, m=2.0):
     """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
     X = as_matrix(X, "X")
-    diff = X.T[:, None, :] - res.centers.T[:, :, None]  # (F, R, N)
-    d2 = np.einsum("frt,frt->rt", diff, diff)
-    return float(np.sum(res.memberships**res.fuzziness * d2))
+    return float(np.sum(final_memberships(X, res, m) ** m * squared_distances(X, res.centers)))
+
+
+def loop_dispersion(X, centers, u, m=2.0):
+    """Unclipped sqrt(sum_t u^m (x - c)^2 / sum_t u^m), one rule and feature at a time."""
+    r, f = centers.shape
+    out = np.empty((r, f))
+    for j in range(r):
+        for k in range(f):
+            num = sum(u[j, t] ** m * (X[t, k] - centers[j, k]) ** 2 for t in range(len(X)))
+            out[j, k] = math.sqrt(num / sum(u[j, t] ** m for t in range(len(X))))
+    return out
 
 
 def einsum_fcm_oracle(X, cfg):
-    """FCM with (F, R, N) difference tensors and masked membership columns."""
+    """FCM with (F, R, N) difference tensors and masked membership columns.
+
+    Returns the centers, the final memberships and the clipped dispersion scales.
+    """
     n, f = X.shape
     r = cfg.n_clusters
     u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r).T
@@ -50,7 +72,10 @@ def einsum_fcm_oracle(X, cfg):
         centers = new_centers
         if shift < cfg.tol:
             break
-    return centers, u
+    um = u**m
+    weighted = np.stack([np.einsum("rt,rt->r", um, dk * dk) for dk in diff], axis=1)
+    scales = np.clip(np.sqrt(weighted / um.sum(axis=1)[:, None]), SCALE_MIN, SCALE_MAX)
+    return centers, u, scales
 
 
 #: the cloud centers of two_blobs
@@ -97,15 +122,24 @@ class TestFit:
         assert np.linalg.norm(res.centers[0] - mean_a) < 0.02
         assert np.linalg.norm(res.centers[1] - mean_b) < 0.02
 
+    def test_result_holds_the_antecedents(self):
+        X, _ = two_blobs(seed=3)
+        res = fcm_fit(X, FCMConfig(n_clusters=4, seed=1))
+        assert [f.name for f in dataclasses.fields(FCMResult)] == [
+            "centers", "scales", "iterations", "final_shift"
+        ]
+        assert res.centers.shape == res.scales.shape == (4, 2)
+        assert 1 <= res.iterations <= 300 and res.final_shift < 1e-5
+
     def test_membership_columns_sum_to_one(self):
         X, _ = two_blobs(seed=3)
         res = fcm_fit(X, FCMConfig(n_clusters=4, seed=1))
+        u = final_memberships(X, res)
         # the layout of Rows.normalized: (R, N), sample axis last
-        assert res.memberships.shape == (4, len(X))
-        assert res.memberships.flags.c_contiguous
-        np.testing.assert_allclose(res.memberships.sum(axis=0), 1.0, atol=1e-9)
-        assert np.all(res.memberships >= 0.0)
-        assert np.all(res.memberships <= 1.0)
+        assert u.shape == (4, len(X))
+        np.testing.assert_allclose(u.sum(axis=0), 1.0, atol=1e-9)
+        assert np.all(u >= 0.0)
+        assert np.all(u <= 1.0)
 
     def test_identical_rows_degenerate_fixed_point(self):
         X = np.tile([0.3, 0.7], (25, 1))
@@ -113,7 +147,9 @@ class TestFit:
         np.testing.assert_allclose(res.centers[0], [0.3, 0.7], atol=1e-12)
         np.testing.assert_allclose(res.centers[1], [0.3, 0.7], atol=1e-12)
         # coincident clusters share each point equally
-        np.testing.assert_allclose(res.memberships, 0.5, atol=1e-12)
+        np.testing.assert_allclose(final_memberships(X, res), 0.5, atol=1e-12)
+        # every row on both centers: zero dispersion, floored
+        assert np.all(res.scales == SCALE_MIN)
 
     def test_same_seed_bitwise_identical(self):
         X, _ = two_blobs(seed=5)
@@ -121,7 +157,7 @@ class TestFit:
         a = fcm_fit(X, cfg)
         b = fcm_fit(X, FCMConfig(n_clusters=3, seed=9))
         np.testing.assert_array_equal(a.centers, b.centers)
-        np.testing.assert_array_equal(a.memberships, b.memberships)
+        np.testing.assert_array_equal(a.scales, b.scales)
         assert a.iterations == b.iterations
         assert a.final_shift == b.final_shift
 
@@ -150,14 +186,16 @@ class TestFit:
         X[7] = X[3]  # a repeated row
         cfg = FCMConfig(n_clusters=6, fuzziness=m, tol=1e-300, max_iter=20, seed=f)
         res = fcm_fit(X, cfg)
-        centers, u = einsum_fcm_oracle(X, cfg)
+        centers, u, scales = einsum_fcm_oracle(X, cfg)
         assert res.iterations == 20
         if f <= 2:
             np.testing.assert_array_equal(res.centers, centers)
-            np.testing.assert_array_equal(res.memberships, u)
+            np.testing.assert_array_equal(final_memberships(X, res, m), u)
+            np.testing.assert_array_equal(res.scales, scales)
         else:
             np.testing.assert_allclose(res.centers, centers, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(res.memberships, u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(final_memberships(X, res, m), u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.scales, scales, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
     def test_memberships_patch_only_zero_distance_columns(self, exponent):
@@ -219,55 +257,38 @@ class TestFit:
             fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, max_iter=0, seed=0))
 
 
-class TestDeriveScales:
-    def test_single_point_cluster_floored(self):
-        # crisp memberships: cluster 0 owns one point, zero dispersion
-        X = np.array([[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.15, 0.85]])
-        u = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]).T  # (R, N)
-        centers = np.array([[0.5, 0.5], [0.15, 0.85]])
-        res = FCMResult(centers=centers, memberships=u, iterations=1, final_shift=0.0)
-        scales = derive_scales(X, res)
-        assert np.all(scales[0] == SCALE_MIN)
-        assert np.all(scales[1] > SCALE_MIN)
+class TestScales:
+    def test_scales_match_loop_oracle(self):
+        X = np.random.default_rng(4).uniform(size=(60, 3))
+        res = fcm_fit(X, FCMConfig(n_clusters=3, seed=4))
+        u = final_memberships(X, res)
+        ref = loop_dispersion(X, res.centers, u)
+        assert np.all((ref > SCALE_MIN) & (ref < SCALE_MAX))  # no bound reached
+        np.testing.assert_allclose(res.scales, ref, rtol=1e-12, atol=0)
 
     def test_two_blob_scales_match_cloud_dispersion(self):
         X, labels = two_blobs(n=400, radius=0.05, seed=7)
         res = fcm_fit(X, FCMConfig(n_clusters=2, seed=7))
-        fitted = derive_scales(X, res)
         # oracle: per-cloud per-feature standard deviation
         for j in range(2):
             cloud = X[labels == (np.linalg.norm(res.centers[j] - [0.8, 0.8]) < 0.3)]
             ref = cloud.std(axis=0)
-            assert np.all(np.abs(fitted[j] - ref) / ref < 0.2)
+            assert np.all(np.abs(res.scales[j] - ref) / ref < 0.2)
 
     def test_scales_capped_at_one(self):
-        # every feature at 0 or 4 under uniform memberships: a dispersion of sqrt(8)
-        res = FCMResult(
-            centers=np.zeros((2, 2)),
-            memberships=np.ones((2, 10)) / 2,
-            iterations=1,
-            final_shift=0.0,
-        )
-        X = np.repeat([[0.0, 0.0], [4.0, 4.0]], 5, axis=0)
-        scales = derive_scales(X, res)
-        assert np.all(scales == SCALE_MAX)
-
-    @pytest.mark.parametrize("shape", [(50, 3), (1, 2), (40, 2)])
-    def test_rows_other_than_the_fit_rejected(self, shape):
-        # before the check: scales from the first two features, a broadcast, an einsum error
-        X = np.random.default_rng(2).uniform(size=(50, 2))
-        res = fcm_fit(X, FCMConfig(n_clusters=3, seed=2))
-        shown = f"X has shape {shape} but res was fitted on rows of shape (50, 2)"
-        with pytest.raises(ValueError, match=re.escape(shown)):
-            derive_scales(np.full(shape, 0.5), res)
+        # rows spread over [0, 10]^2: every cluster's dispersion exceeds 1
+        X = np.random.default_rng(3).uniform(0.0, 10.0, size=(200, 2))
+        res = fcm_fit(X, FCMConfig(n_clusters=2, seed=3))
+        assert np.all(loop_dispersion(X, res.centers, final_memberships(X, res)) > 1.0)
+        assert np.all(res.scales == SCALE_MAX)
 
     def test_peak_memory_below_one_sample_rule_feature_tensor(self):
         # one feature's (R, N) squared differences at a time: no (N, R, F) tensor
         X = np.random.default_rng(0).uniform(size=(5000, 8))
-        res = fcm_fit(X, FCMConfig(n_clusters=10, max_iter=3, seed=0))
+        cfg = FCMConfig(n_clusters=10, max_iter=3, seed=0)
         tracemalloc.start()
         try:
-            derive_scales(X, res)
+            fcm_fit(X, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
