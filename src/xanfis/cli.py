@@ -384,18 +384,25 @@ def cmd_export_partition(model_path, samples_per_curve, out):
 # Argument parsing
 # --------------------------------------------------------------------
 
-def _parse_seeds(text):
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+def _parse_list(kind, what):
+    """An argparse type: a comma-separated list of kind; a bad item is a usage error."""
 
+    def parse(text):
+        try:
+            return [kind(s) for s in text.split(",") if s.strip() != ""]
+        except ValueError:
+            expected = f"expected comma-separated {what}, got {text!r}"
+            raise argparse.ArgumentTypeError(expected) from None
 
-def _parse_scales(text):
-    return [float(s) for s in text.split(",") if s.strip() != ""]
+    return parse
 
 
 def _parse_range(text):
-    sep = ":" if ":" in text else ","
-    lo, hi = text.split(sep)
-    return float(lo), float(hi)
+    try:
+        lo, hi = map(float, text.split(":" if ":" in text else ","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    return lo, hi
 
 
 def _add_common_flags(p):
@@ -408,7 +415,7 @@ def _add_common_flags(p):
     p.add_argument("--mf", choices=[k.value for k in MFKind])
     p.add_argument("--rules", type=int)
     p.add_argument("--order", choices=[o.value for o in Order])
-    p.add_argument("--seeds", type=_parse_seeds, help="comma-separated seed list")
+    p.add_argument("--seeds", type=_parse_list(int, "integers"), help="comma-separated seed list")
     p.add_argument("--lr", type=float, dest="lr_backward")
     p.add_argument("--lr-xpass", type=float, dest="lr_xpass")
     p.add_argument("--lambda", type=float, dest="lam")
@@ -433,7 +440,9 @@ def build_parser():
 
     p_init = sub.add_parser("init-study", help="MF kind x init-scale stability grid")
     _add_common_flags(p_init)
-    p_init.add_argument("--scales", type=_parse_scales, help="comma-separated init scales")
+    p_init.add_argument(
+        "--scales", type=_parse_list(float, "numbers"), help="comma-separated init scales"
+    )
 
     p_sweep = sub.add_parser("pareto-sweep", help="scalarization weight sweep")
     _add_common_flags(p_sweep)
@@ -478,10 +487,16 @@ def main(argv=None):
         # a seeds value that is not a list is rejected by the command's validate
         if one_seed and "seeds" in explicit and isinstance(cfg.seeds, list) and len(cfg.seeds) > 1:
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
-        # lr_xpass reaches x_anfis runs only: pareto-sweep always has one, init-study none
-        train_x = args.command == "train" and cfg.mode == Mode.X_ANFIS
-        if "lr_xpass" in explicit and not (train_x or args.command == "pareto-sweep"):
-            print("warning: lr_xpass is ignored: no run is in x_anfis mode", file=sys.stderr)
+        # an explicit knob no run reads is named: one the command sets for each run, or
+        # lr_xpass / mo_weight with no run in their mode (init-study runs anfis only)
+        per_run = {"init-study": ("mode", "mf"), "pareto-sweep": ("mode", "mo_weight")}
+        modes = {"train": [cfg.mode], "init-study": [Mode.ANFIS]}.get(args.command, list(Mode))
+        ignored = {k: f"{args.command} sets each run's {k}" for k in per_run.get(args.command, ())}
+        for key, mode in (("mo_weight", Mode.MO_ANFIS), ("lr_xpass", Mode.X_ANFIS)):
+            if mode not in modes:
+                ignored[key] = f"no run is in {mode.value} mode"
+        for key in sorted(ignored.keys() & explicit):
+            print(f"warning: {key} is ignored: {ignored[key]}", file=sys.stderr)
         if args.command == "train":
             bad = [r.run_id for r in cmd_train(cfg) if r.diverged]
             if bad:

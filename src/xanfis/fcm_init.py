@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .membership import SCALE_MAX, SCALE_MIN
-from .numerics import InsufficientDataError, RandomStream, as_matrix
+from .membership import project_bounds_arrays
+from .numerics import InsufficientDataError, RandomStream, as_array
 
 
 @dataclass
@@ -36,8 +36,8 @@ class FCMConfig:
 
 @dataclass
 class FCMResult:
-    centers: np.ndarray  # (R, F)
-    scales: np.ndarray   # (R, F) fuzzy within-cluster dispersion, clipped to the scale bounds
+    centers: np.ndarray  # (R, F) in [0, 1]
+    scales: np.ndarray   # (R, F) fuzzy within-cluster dispersion, in the scale bounds
     iterations: int
     final_shift: float
 
@@ -84,10 +84,11 @@ def fcm_fit(X, cfg):
     clusters; iteration alternates center and membership updates until the
     largest center shift drops below cfg.tol or cfg.max_iter is reached.
     The scales are the final fit's fuzzy within-cluster dispersion
-    sqrt(sum_t u^m (x - c)^2 / sum_t u^m), clipped to [SCALE_MIN, SCALE_MAX].
+    sqrt(sum_t u^m (x - c)^2 / sum_t u^m); both are projected onto their
+    bounds.  A cluster with no u^m mass raises InsufficientDataError.
     """
     cfg.validate()
-    X = as_matrix(X, "X")
+    X = as_array(X, 2, "X")
     n, f = X.shape
     r = cfg.n_clusters
     if n < r:
@@ -101,20 +102,25 @@ def fcm_fit(X, cfg):
     exponent = 1.0 / (m - 1.0)
     centers = np.full((r, f), np.inf)  # the first shift is infinite
     XT = np.ascontiguousarray(X.T)
-    for iterations in range(1, cfg.max_iter + 1):
+    shift = np.inf  # no pass stops before the first update
+    for iterations in range(cfg.max_iter + 1):  # pass k weighs the memberships after k updates
         um = u**m
-        new_centers = (um @ X) / um.sum(axis=1)[:, None]
+        mass = um.sum(axis=1)
+        if not mass.all():
+            raise InsufficientDataError(
+                f"one of {r} FCM clusters is empty: likely fewer distinct training rows than rules"
+            )
+        if shift < cfg.tol or iterations == cfg.max_iter:
+            break
+        new_centers = (um @ X) / mass[:, None]
         d2 = np.zeros((r, n))
         for diff in _squared_differences(XT, new_centers):
             d2 += diff
         u = _memberships_from_distances(d2, exponent)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
-        if shift < cfg.tol:
-            break
 
-    um = u**m
     sq = _squared_differences(XT, centers)
     weighted = np.stack([np.einsum("rt,rt->r", um, diff) for diff in sq], axis=1)  # (R, F)
-    scales = np.clip(np.sqrt(weighted / um.sum(axis=1)[:, None]), SCALE_MIN, SCALE_MAX)
-    return FCMResult(centers=centers, scales=scales, iterations=iterations, final_shift=shift)
+    scales = np.sqrt(weighted / mass[:, None])
+    return FCMResult(*project_bounds_arrays(centers, scales), iterations, shift)

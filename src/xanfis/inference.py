@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import read_json
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_matrix, as_rows, ridge_solve
+from .numerics import as_array, as_rows, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -207,7 +207,7 @@ def predict(rb, X):
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
     check_rule_base(rb, "rb")
-    rows = Rows.of(as_matrix(X, "X"), rb)
+    rows = Rows.of(as_array(X, 2, "X"), rb)
     return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inference import predict
-from .numerics import as_rows, as_vector
+from .numerics import as_array, as_rows
 from .training import mean_distinguishability  # re-exported: defined with the trainer
 
 
@@ -35,8 +35,8 @@ class ParetoPoint:
 
 def regression_metrics(y, yhat):
     """(mse, rmse, mae, r2); r2 is 1 - SSE/SST about the mean of y."""
-    y = as_vector(y, "y")
-    yhat = as_vector(yhat, "yhat")
+    y = as_array(y, 1, "y")
+    yhat = as_array(yhat, 1, "yhat")
     if y.shape[0] != yhat.shape[0]:
         raise ValueError(f"length mismatch: {y.shape[0]} vs {yhat.shape[0]}")
     if y.shape[0] < 2:

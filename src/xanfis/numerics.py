@@ -1,7 +1,7 @@
 """Shared numeric kernels: ridge solver, CI statistics, seeded RNG.
 
 All matrices and vectors are float64 numpy arrays.  Public entry points
-check shape/finiteness once with as_matrix/as_vector/as_rows, so the kernels
+check shape/finiteness once with as_array/as_rows, so the kernels
 below them can assume clean inputs.
 """
 
@@ -20,30 +20,20 @@ class InsufficientDataError(ValueError):
     """Too few samples for the requested statistic or fit."""
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
+def as_array(a, ndim, name):
+    """Coerce to an ndim-D (1 or 2) float64 array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
-def as_vector(v, name="vector"):
-    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 def as_rows(X, y, x_name="X", y_name="y"):
     """(X, y) as a checked matrix and vector of the same, nonzero row count."""
-    X = as_matrix(X, x_name)
-    y = as_vector(y, y_name)
+    X = as_array(X, 2, x_name)
+    y = as_array(y, 1, y_name)
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{x_name} has {X.shape[0]} rows but {y_name} has {y.shape[0]} entries")
     if X.shape[0] == 0:
@@ -89,7 +79,7 @@ def mean_ci95(samples):
     Returns (mean, lo, hi) with half-width Z95 * sd / sqrt(n), sd the
     sample standard deviation (ddof=1).
     """
-    a = as_vector(samples, "samples")
+    a = as_array(samples, 1, "samples")
     n = a.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {n}")

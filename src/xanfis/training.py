@@ -100,14 +100,12 @@ def adjacency_pairs(centers, scales):
 
 
 def _mean(d):
-    """np.mean's value over all of d, without its Python wrapper."""
-    return float(np.add.reduce(d, axis=None)) / d.size
+    """np.mean's value over all of d, without its Python wrapper; 0.0 when d is empty."""
+    return float(np.add.reduce(d, axis=None)) / max(d.size, 1)
 
 
 def mean_distinguishability(rb):
-    """Mean pair distance over all per-feature adjacent pairs; requires at least 2 rules."""
-    if rb.n_rules < 2:
-        raise ValueError(f"no adjacent pairs with {rb.n_rules} rule(s)")
+    """Mean pair distance over all per-feature adjacent pairs; 0.0 for one rule (no pairs)."""
     return _mean(adjacency_pairs(rb.centers, rb.scales)[2])
 
 
@@ -229,8 +227,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     val_rows = Rows.of(X_val, rb0, "X_val", buf=rows.scratch)
 
     kind, order, centers, scales = rb0.mf_kind, rb0.order, rb0.centers, rb0.scales
-    paired = rb0.n_rules > 1
-    mo_weight = cfg.mo_weight if cfg.mode == Mode.MO_ANFIS and paired else 0.0
+    mo_weight = cfg.mo_weight if cfg.mode == Mode.MO_ANFIS else 0.0
     xpass = cfg.mode == Mode.X_ANFIS and cfg.lr_xpass != 0.0
     traces = []
     last = best = None  # (centers, scales, consequents): the last finite and the best state
@@ -267,10 +264,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
             return result(last, "non_finite")
         last = (centers, scales, consequents)
-        mean_d = 0.0
-        if paired:  # this state's one adjacency pass: its mean D and the next MO step
-            pairs = adjacency_pairs(centers, scales)
-            mean_d = _mean(pairs[2])
+        pairs = adjacency_pairs(centers, scales)  # this state's one pass: mean D, next MO step
+        mean_d = _mean(pairs[2])
         traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
         if val_mse < best_val:
             best_val, best, stall = val_mse, last, 0

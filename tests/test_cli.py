@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -370,26 +371,61 @@ class TestMainEntry:
         assert not (tmp_path / "from_config").exists()
 
     @pytest.mark.parametrize(
-        "command, extra, warns",
+        "command, extra, config, warned",
         [
-            ("train", ["--mode", "anfis"], True),
-            ("train", ["--mode", "mo_anfis"], True),
-            ("train", ["--mode", "x_anfis"], False),
-            ("init-study", ["--mode", "x_anfis", "--scales", "0.5"], True),
-            ("pareto-sweep", ["--weights-count", "2"], False),
+            ("train", ["--mode", "anfis", "--lr-xpass", "0.2"], {}, ["lr_xpass"]),
+            ("train", ["--mode", "mo_anfis", "--lr-xpass", "0.2"], {}, ["lr_xpass"]),
+            ("train", ["--mode", "x_anfis", "--lr-xpass", "0.2"], {}, []),
+            ("train", ["--mo-weight", "3"], {}, ["mo_weight"]),
+            ("train", ["--mode", "x_anfis"], {"mo_weight": 3.0}, ["mo_weight"]),
+            ("train", ["--mode", "mo_anfis", "--mo-weight", "3"], {}, []),
+            ("train", ["--mode", "anfis"], {}, []),
+            ("init-study", ["--mode", "x_anfis", "--scales", "0.5", "--lr-xpass", "0.2"], {},
+             ["lr_xpass", "mode"]),
+            ("init-study", ["--mf", "gaussian", "--mode", "x_anfis", "--mo-weight", "5",
+                            "--scales", "0.5"], {}, ["mf", "mo_weight", "mode"]),
+            ("init-study", ["--scales", "0.5"], {"mf": "gaussian"}, ["mf"]),
+            ("init-study", ["--scales", "0.5", "--lr", "0.2"], {}, []),
+            ("pareto-sweep", ["--weights-count", "2", "--lr-xpass", "0.2"], {}, []),
+            ("pareto-sweep", ["--weights-count", "2", "--mode", "x_anfis", "--mo-weight", "5"],
+             {}, ["mo_weight", "mode"]),
+            ("pareto-sweep", ["--weights-count", "2", "--mf", "gaussian"], {}, []),
         ],
     )
-    def test_explicit_lr_xpass_warns_when_no_run_uses_it(
-        self, tmp_path, capsys, command, extra, warns
+    def test_explicit_knob_warns_when_no_run_uses_it(
+        self, tmp_path, capsys, command, extra, config, warned
     ):
-        # init-study runs only anfis; pareto-sweep's ref_x_anfis run takes the value
+        # a flag or a config key counts; init-study runs only anfis, in both kinds; pareto-sweep
+        # sets each run's mode and weight, and its ref_x_anfis run takes lr_xpass
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
         args = [
-            command, "--synth", "sinc2d", "--synth-n", "300", "--rules", "3",
-            "--seeds", "0", "--epochs", "5", *extra,
-            "--lr-xpass", "0.2", "--out", str(tmp_path / "w"),
+            command, "--config", str(cfg_path), "--synth", "sinc2d", "--synth-n", "300",
+            "--rules", "3", "--seeds", "0", "--epochs", "5", *extra, "--out", str(tmp_path / "w"),
         ]
         assert main(args) == 0
-        assert ("lr_xpass is ignored" in capsys.readouterr().err) == warns
+        err = capsys.readouterr().err
+        assert re.findall(r"^warning: (\w+) is ignored: ", err, re.MULTILINE) == warned
+        if "lr_xpass" in warned:
+            assert "warning: lr_xpass is ignored: no run is in x_anfis mode\n" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, shown",
+        [
+            ("train", "--seeds", "a,b", "expected comma-separated integers, got 'a,b'"),
+            ("init-study", "--scales", "1,abc", "expected comma-separated numbers, got '1,abc'"),
+            ("pareto-sweep", "--weights-range", "5", "expected LO:HI, got '5'"),
+        ],
+    )
+    def test_malformed_flag_value_is_a_usage_error(
+        self, tmp_path, capsys, command, flag, value, shown
+    ):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--synth", "sinc2d", flag, value, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {shown}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_fails(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -508,6 +544,14 @@ class TestMainEntry:
         cfg, explicit = build_config(args)
         assert cfg.weights_lo == 0.01 and cfg.weights_hi == 10.0
         assert cfg.seeds == [0, 1]
+
+
+def write_manifest(X, y):
+    """d.csv with columns a, b, y and the manifest m.json naming it, in the working directory."""
+    np.savetxt("d.csv", np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
+    doc = {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "b"]}
+    with open("m.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
 
 
 #: manifest files the config-validation cases name (relative to the test's directory)
@@ -705,6 +749,10 @@ class TestConfigValidation:
             ("few_rows", "need at least 10 rows to split, got 9"),
             ("many_rules", "28 samples cannot support 29 clusters"),
             ("constant_test_target", "target column is constant on the test rows"),
+            # 4 distinct rows leave an FCM cluster empty; numpy's divide warning, which
+            # tier-1 turns into an error, must not show either
+            ("few_distinct_rows",
+             "one of 6 FCM clusters is empty: likely fewer distinct training rows than rules"),
         ],
     )
     def test_bad_data_rejected_before_out_dir(
@@ -723,17 +771,33 @@ class TestConfigValidation:
             X, y = X[:9], y[:9]
         elif case == "many_rules":
             rules = "29"
+        elif case == "few_distinct_rows":
+            X, y, rules = np.round(X), X[:, 0] - X[:, 1], "6"
         else:
             y[RandomStream(0).permutation(40)[32:]] = 1.0  # the test rows of seed 0
-        np.savetxt("d.csv", np.column_stack([X, y]), delimiter=",", header="a,b,y", comments="")
-        doc = {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "b"]}
-        (tmp_path / "m.json").write_text(json.dumps(doc))
+        write_manifest(X, y)
         out = tmp_path / "x"
         args = ["train", "--manifest", "m.json", "--seeds", "0,1", "--rules", rules,
                 "--epochs", "2", "--workers", str(workers), "--out", str(out)]
         assert main(args) == 1
         assert f"error: {shown}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_few_valued_columns_train(self, tmp_path, monkeypatch):
+        # a binary and a three-valued column: FCM's weighted mean of the binary column
+        # rounds to 1 + 2.2e-16 here, which train rejects unless fcm_fit projects it
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(6)
+        n, rules = int(rng.integers(50, 300)), int(rng.integers(2, 11))
+        X = np.column_stack([(rng.random(n) < 0.5).astype(float), rng.integers(0, 3, n) / 2.0])
+        y = X[:, 0] + X[:, 1] + rng.standard_normal(n)
+        assert (n, rules) == (161, 6)
+        write_manifest(X, y)
+        args = ["train", "--manifest", "m.json", "--seeds", "0", "--rules", "6",
+                "--epochs", "5", "--out", "o"]
+        assert main(args) == 0
+        (row,) = read_rows(tmp_path / "o" / "metrics.csv")
+        assert row["diverged"] == "0"
 
     @pytest.mark.parametrize(
         "target, features, shown",

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from xanfis.data import split_scale
 from xanfis.fcm_init import (
     FCMConfig,
     FCMResult,
@@ -15,7 +16,7 @@ from xanfis.fcm_init import (
     fcm_fit,
 )
 from xanfis.membership import SCALE_MAX, SCALE_MIN
-from xanfis.numerics import InsufficientDataError, RandomStream, as_matrix
+from xanfis.numerics import InsufficientDataError, RandomStream, as_array
 
 
 def squared_distances(X, centers):
@@ -31,7 +32,7 @@ def final_memberships(X, res, m=2.0):
 
 def fcm_objective(X, res, m=2.0):
     """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
-    X = as_matrix(X, "X")
+    X = as_array(X, 2, "X")
     return float(np.sum(final_memberships(X, res, m) ** m * squared_distances(X, res.centers)))
 
 
@@ -242,6 +243,25 @@ class TestFit:
             u = _memberships_from_distances(d2, 2.0)
         np.testing.assert_array_equal(u[:, 0], [1.0, 0.0])
         np.testing.assert_array_equal(u[:, 1], [0.8, 0.2])
+
+    def test_centers_projected_on_few_valued_columns(self):
+        # a binary and a three-valued column: the binary column's weighted mean
+        # rounds above 1 in one cluster; the returned centers are projected
+        rng = np.random.default_rng(6)
+        n = int(rng.integers(50, 300))
+        rng.integers(2, 11)  # the rule count the stream drew next (6)
+        X = np.column_stack([(rng.random(n) < 0.5).astype(float), rng.integers(0, 3, n) / 2.0])
+        y = X[:, 0] + X[:, 1] + rng.standard_normal(n)
+        res = fcm_fit(split_scale(X, y, seed=0).X_train, FCMConfig(n_clusters=6, seed=0))
+        assert np.all((res.centers >= 0.0) & (res.centers <= 1.0))
+        assert np.all((res.scales >= SCALE_MIN) & (res.scales <= SCALE_MAX))
+
+    def test_empty_cluster_raises(self):
+        # 4 distinct rows cannot hold 6 clusters: one is left with no members
+        X = (np.random.default_rng(0).random((300, 2)) < 0.5).astype(float)
+        shown = "one of 6 FCM clusters is empty: likely fewer distinct training rows than rules"
+        with pytest.raises(InsufficientDataError, match=shown):
+            fcm_fit(X, FCMConfig(n_clusters=6, seed=0))
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):

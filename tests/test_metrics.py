@@ -7,11 +7,12 @@ from xanfis.inference import RuleBase
 from xanfis.membership import MFKind
 from xanfis.metrics import (
     ParetoPoint,
+    evaluate_model,
     mean_distinguishability,
     pareto_front,
     regression_metrics,
 )
-from xanfis.training import adjacency_pairs
+from xanfis.training import Mode, TrainConfig, adjacency_pairs, train
 
 
 class TestRegressionMetrics:
@@ -106,9 +107,20 @@ class TestMeanDistinguishability:
         b = mean_distinguishability(rulebase(centers[perm], scales[perm]))
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_single_rule_rejected(self):
-        with pytest.raises(ValueError):
-            mean_distinguishability(rulebase([[0.5]], [[0.2]]))
+    def test_single_rule_is_zero(self):
+        # one rule has no adjacent pairs; its mean D is 0.0, the value train traces
+        assert mean_distinguishability(rulebase([[0.5, 0.3]], [[0.2, 0.4]])) == 0.0
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_single_rule_model_reports_the_trace_mean_d(self, mode):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(60, 2))
+        y = X.sum(axis=1)
+        rb0 = rulebase([[0.5, 0.3]], [[0.2, 0.4]])
+        rb, traces, _ = train(X[:40], y[:40], X[40:50], y[40:50], rb0,
+                              TrainConfig(mode=mode, max_epochs=3))
+        assert len(traces) == 4
+        assert evaluate_model(rb, X[50:], y[50:]).mean_D == traces[-1].mean_D == 0.0
 
 
 def brute_force_front(points):

@@ -41,6 +41,7 @@ ROW_FAULTS = {
     "row_mismatch": (_X, _Y[:15], "{x} has 20 rows but {y} has 15 entries"),
     "zero_rows": (_X[:0], _Y[:0], "{x} has 0 rows"),
     "one_d_X": (_X[:, 0], _Y, "{x} must be 2-D, got ndim=1"),
+    "two_d_y": (_X, _Y[:, None], "{y} must be 1-D, got ndim=2"),
     "non_finite_y": (_X, np.where(_Y > 0.5, np.nan, _Y), "{y} contains non-finite entries"),
 }
 

@@ -661,13 +661,13 @@ class TestTrainLoop:
 
             return wrapped
 
-        for real in (xanfis.numerics.as_matrix, xanfis.numerics.as_vector):
-            for name, mod in list(sys.modules.items()):
-                if name.split(".")[0] != "xanfis":
-                    continue
-                for attr, obj in list(vars(mod).items()):
-                    if obj is real:
-                        monkeypatch.setattr(mod, attr, counting(real))
+        real = xanfis.numerics.as_array
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] != "xanfis":
+                continue
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, counting(real))
 
         def scans(mode, epochs):
             calls["n"] = 0
