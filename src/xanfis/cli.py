@@ -54,7 +54,6 @@ class ExperimentConfig(TrainConfig):
     rules: int = 5
     order: str = "zero"
     # clustering
-    fcm_fuzziness: float = FCMConfig.fuzziness
     fcm_tol: float = FCMConfig.tol
     fcm_max_iter: int = FCMConfig.max_iter
     # experiment
@@ -72,8 +71,7 @@ class ExperimentConfig(TrainConfig):
     def fcm_config(self, seed):
         """The FCM settings of this config's rules and fcm_* fields, seeded."""
         return FCMConfig(
-            n_clusters=self.rules, fuzziness=self.fcm_fuzziness, tol=self.fcm_tol,
-            max_iter=self.fcm_max_iter, seed=seed,
+            n_clusters=self.rules, tol=self.fcm_tol, max_iter=self.fcm_max_iter, seed=seed
         )
 
     def validate(self):
@@ -92,7 +90,7 @@ class ExperimentConfig(TrainConfig):
             raise ValueError(f"rules must be >= 2, got {self.rules}")
         try:
             self.fcm_config(seed=0).validate()
-        except ValueError as err:  # FCMConfig names fuzziness, tol and max_iter
+        except ValueError as err:  # FCMConfig names tol and max_iter
             raise ValueError(f"fcm_{err}") from None
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
         if self.workers < 1:
@@ -489,7 +487,9 @@ def main(argv=None):
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
         # an explicit knob no run reads is named: one the command sets for each run, or
         # lr_xpass / mo_weight with no run in their mode (init-study runs anfis only)
-        per_run = {"init-study": ("mode", "mf"), "pareto-sweep": ("mode", "mo_weight")}
+        per_run = {
+            "init-study": ("mode", "mf", "trajectory"), "pareto-sweep": ("mode", "mo_weight"),
+        }
         modes = {"train": [cfg.mode], "init-study": [Mode.ANFIS]}.get(args.command, list(Mode))
         ignored = {k: f"{args.command} sets each run's {k}" for k in per_run.get(args.command, ())}
         for key, mode in (("mo_weight", Mode.MO_ANFIS), ("lr_xpass", Mode.X_ANFIS)):

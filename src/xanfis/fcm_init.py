@@ -14,11 +14,13 @@ import numpy as np
 from .membership import project_bounds_arrays
 from .numerics import InsufficientDataError, RandomStream, as_array
 
+#: the fuzzifier m of every fit (Bezdek's usual value)
+FUZZINESS = 2.0
+
 
 @dataclass
 class FCMConfig:
     n_clusters: int
-    fuzziness: float = 2.0
     tol: float = 1e-5
     max_iter: int = 300
     seed: int = 0
@@ -26,8 +28,6 @@ class FCMConfig:
     def validate(self):
         if self.n_clusters < 2:
             raise ValueError(f"n_clusters must be >= 2, got {self.n_clusters}")
-        if not self.fuzziness > 1.0:
-            raise ValueError(f"fuzziness must be > 1, got {self.fuzziness}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -51,8 +51,8 @@ def _squared_differences(XT, centers):
         yield (xk - ck[:, None]) ** 2
 
 
-def _memberships_from_distances(d2, exponent):
-    """Membership update u_jt = d_jt^(-1/(m-1)) normalized over clusters (axis 0).
+def _memberships_from_distances(d2):
+    """Membership update u_jt = d_jt^(-1/(m-1)) normalized over clusters (axis 0), m = FUZZINESS.
 
     Columns with one or more exact-zero distances give those clusters equal
     full membership (coincident-point degeneracy).  A column whose powers
@@ -60,6 +60,7 @@ def _memberships_from_distances(d2, exponent):
     recomputed from its distances divided by their minimum: the same
     ratios on a representable scale.
     """
+    exponent = 1.0 / (FUZZINESS - 1.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         inv = d2 ** (-exponent)
         total = inv.sum(axis=0)
@@ -98,8 +99,7 @@ def fcm_fit(X, cfg):
     u = stream.uniforms(n * r).reshape(n, r).T
     u /= u.sum(axis=0)
 
-    m = float(cfg.fuzziness)
-    exponent = 1.0 / (m - 1.0)
+    m = FUZZINESS
     centers = np.full((r, f), np.inf)  # the first shift is infinite
     XT = np.ascontiguousarray(X.T)
     shift = np.inf  # no pass stops before the first update
@@ -116,7 +116,7 @@ def fcm_fit(X, cfg):
         d2 = np.zeros((r, n))
         for diff in _squared_differences(XT, new_centers):
             d2 += diff
-        u = _memberships_from_distances(d2, exponent)
+        u = _memberships_from_distances(d2)
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
 

@@ -31,6 +31,9 @@ from .numerics import SingularMatrixError, as_rows
 #: pair distance divides the update, so coincident sets must be skipped
 D_SING = 1e-9
 
+#: every gradient step clips each gradient entry to [-CLIP, CLIP]
+CLIP = 1.0
+
 
 class Mode(str, enum.Enum):
     ANFIS = "anfis"
@@ -48,15 +51,11 @@ class TrainConfig:
     mo_weight: float = 1.0
     max_epochs: int = 500
     patience: int = 20
-    clip_lo: float = -1.0
-    clip_hi: float = 1.0
 
     def validate(self):
         names = [m.value for m in Mode]
         if self.mode not in names:
             raise ValueError(f"mode must be one of {names}, got {self.mode!r}")
-        if self.clip_lo >= self.clip_hi:
-            raise ValueError(f"clip_lo={self.clip_lo} must be < clip_hi={self.clip_hi}")
         if not 0.0 < self.d_target <= 1.0:
             raise ValueError(f"d_target must be in (0, 1], got {self.d_target}")
         if self.patience < 1:
@@ -173,9 +172,9 @@ def xpass_gradients(centers, scales, d_target):
     return _pair_gradient(*adjacency_pairs(centers, scales), d_target)
 
 
-def _clipped_step(values, grad, lr, cfg):
+def _clipped_step(values, grad, lr):
     # np.clip's values without its Python wrapper
-    return values - lr * np.minimum(np.maximum(grad, cfg.clip_lo), cfg.clip_hi)
+    return values - lr * np.minimum(np.maximum(grad, -CLIP), CLIP)
 
 
 def _mse(yhat, y):
@@ -246,13 +245,13 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
             if mo_weight:
                 grad_c += mo_weight * _pair_gradient(*pairs, cfg.d_target)
             centers, scales = project_bounds_arrays(
-                _clipped_step(centers, grad_c, cfg.lr_backward, cfg),
-                _clipped_step(scales, grad_s, cfg.lr_backward, cfg),
+                _clipped_step(centers, grad_c, cfg.lr_backward),
+                _clipped_step(scales, grad_s, cfg.lr_backward),
             )
             if xpass:  # its own adjacency pass, on the stepped state
                 grad_c = xpass_gradients(centers, scales, cfg.d_target)
                 centers, scales = project_bounds_arrays(
-                    _clipped_step(centers, grad_c, cfg.lr_xpass, cfg), scales
+                    _clipped_step(centers, grad_c, cfg.lr_xpass), scales
                 )
         # the refit overwrites rows' forward, which the backward above consumed
         try:

@@ -309,7 +309,7 @@ class TestCriterion7XPassUnit:
         grad = xpass_gradients(centers, scales, d_target=0.5)
         # the training loop's explainability step: clipped, projected, scales frozen
         cfg = TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5)
-        out, _ = project_bounds_arrays(_clipped_step(centers, grad, cfg.lr_xpass, cfg), scales)
+        out, _ = project_bounds_arrays(_clipped_step(centers, grad, cfg.lr_xpass), scales)
         ok = (
             abs(grad[0, 0] - 0.3) < 1e-14
             and abs(grad[1, 0] + 0.3) < 1e-14

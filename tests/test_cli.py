@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -386,6 +387,8 @@ class TestMainEntry:
                             "--scales", "0.5"], {}, ["mf", "mo_weight", "mode"]),
             ("init-study", ["--scales", "0.5"], {"mf": "gaussian"}, ["mf"]),
             ("init-study", ["--scales", "0.5", "--lr", "0.2"], {}, []),
+            ("init-study", ["--scales", "0.5", "--trajectory"], {}, ["trajectory"]),
+            ("init-study", ["--scales", "0.5"], {"trajectory": False}, ["trajectory"]),
             ("pareto-sweep", ["--weights-count", "2", "--lr-xpass", "0.2"], {}, []),
             ("pareto-sweep", ["--weights-count", "2", "--mode", "x_anfis", "--mo-weight", "5"],
              {}, ["mo_weight", "mode"]),
@@ -408,6 +411,39 @@ class TestMainEntry:
         assert re.findall(r"^warning: (\w+) is ignored: ", err, re.MULTILINE) == warned
         if "lr_xpass" in warned:
             assert "warning: lr_xpass is ignored: no run is in x_anfis mode\n" in err
+        if "trajectory" in warned:
+            shown = "warning: trajectory is ignored: init-study sets each run's trajectory\n"
+            assert shown in err
+
+    @pytest.mark.parametrize(
+        "command, extra", [("train", []), ("init-study", ["--scales", "0.5"]), ("pareto-sweep", [])]
+    )
+    def test_every_field_the_runs_override_is_warned(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        # every field given explicitly at its default: a field that each run the command
+        # builds holds at another value is ignored, and a warning must name it
+        class Built(Exception):
+            pass
+
+        built = []
+
+        def capture(runs, cfg):
+            built.extend(runs)
+            raise Built
+
+        monkeypatch.setattr(xanfis.cli, "_run_all", capture)
+        defaults, skipped = ExperimentConfig(), {"manifest", "synth", "out", "seeds", "scales"}
+        doc = {f.name: getattr(defaults, f.name) for f in fields(ExperimentConfig)}
+        doc = {name: value for name, value in doc.items() if name not in skipped}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        args = ["--config", str(cfg_path), "--synth", "sinc2d", "--seeds", "0", *extra]
+        with pytest.raises(Built):
+            main([command, *args, "--out", str(tmp_path / "w")])
+        warned = re.findall(r"^warning: (\w+) is ignored: ", capsys.readouterr().err, re.MULTILINE)
+        overridden = [k for k in doc if all(getattr(run.cfg, k) != doc[k] for run in built)]
+        assert built and set(overridden) <= set(warned), overridden
 
     @pytest.mark.parametrize(
         "command, flag, value, shown",
@@ -585,7 +621,9 @@ class TestConfigValidation:
             ([], {"trajectory": "no"}, "trajectory must be bool, got 'no'"),
             ([], {"max_epochs": True}, "max_epochs must be int, got True"),
             ([], {"fcm_max_iter": 0}, "fcm_max_iter must be >= 1, got 0"),
-            ([], {"fcm_fuzziness": 1.0}, "fcm_fuzziness must be > 1, got 1.0"),
+            ([], {"clip_lo": -10.0}, "unknown config keys: ['clip_lo']"),
+            ([], {"clip_hi": 10.0}, "unknown config keys: ['clip_hi']"),
+            ([], {"fcm_fuzziness": 500.0}, "unknown config keys: ['fcm_fuzziness']"),
             ([], {"synth_n": 300.5}, "synth_n must be int, got 300.5"),
             ([], {"synth_n": 10}, "need n >= 50, got 10"),
             ([], {"synth": "sinc"}, "unknown synthetic dataset 'sinc'"),

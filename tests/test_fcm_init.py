@@ -10,6 +10,7 @@ import pytest
 
 from xanfis.data import split_scale
 from xanfis.fcm_init import (
+    FUZZINESS,
     FCMConfig,
     FCMResult,
     _memberships_from_distances,
@@ -25,18 +26,18 @@ def squared_distances(X, centers):
     return np.einsum("frt,frt->rt", diff, diff)
 
 
-def final_memberships(X, res, m=2.0):
+def final_memberships(X, res):
     """The (R, N) memberships of a fit's final state, recomputed from its centers."""
-    return _memberships_from_distances(squared_distances(X, res.centers), 1.0 / (m - 1.0))
+    return _memberships_from_distances(squared_distances(X, res.centers))
 
 
-def fcm_objective(X, res, m=2.0):
+def fcm_objective(X, res, m=FUZZINESS):
     """Weighted within-cluster scatter sum u^m d^2 at a fitted state."""
     X = as_array(X, 2, "X")
-    return float(np.sum(final_memberships(X, res, m) ** m * squared_distances(X, res.centers)))
+    return float(np.sum(final_memberships(X, res) ** m * squared_distances(X, res.centers)))
 
 
-def loop_dispersion(X, centers, u, m=2.0):
+def loop_dispersion(X, centers, u, m=FUZZINESS):
     """Unclipped sqrt(sum_t u^m (x - c)^2 / sum_t u^m), one rule and feature at a time."""
     r, f = centers.shape
     out = np.empty((r, f))
@@ -56,7 +57,7 @@ def einsum_fcm_oracle(X, cfg):
     r = cfg.n_clusters
     u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r).T
     u /= u.sum(axis=0)
-    m = float(cfg.fuzziness)
+    m = FUZZINESS
     centers = np.zeros((r, f))
     for it in range(1, cfg.max_iter + 1):
         um = u**m
@@ -179,27 +180,25 @@ class TestFit:
         assert np.all(res.centers <= X.max(axis=0) + 1e-12)
 
     @pytest.mark.parametrize("f", range(1, 9))
-    @pytest.mark.parametrize("m", [2.0, 1.7])
-    def test_matches_einsum_oracle(self, f, m):
+    def test_matches_einsum_oracle(self, f):
         # per-feature distance sums: bit-identical while a row sums at most
         # two features, reordered (rounding-level) beyond that
         X = np.random.default_rng(f).uniform(size=(240, f))
         X[7] = X[3]  # a repeated row
-        cfg = FCMConfig(n_clusters=6, fuzziness=m, tol=1e-300, max_iter=20, seed=f)
+        cfg = FCMConfig(n_clusters=6, tol=1e-300, max_iter=20, seed=f)
         res = fcm_fit(X, cfg)
         centers, u, scales = einsum_fcm_oracle(X, cfg)
         assert res.iterations == 20
         if f <= 2:
             np.testing.assert_array_equal(res.centers, centers)
-            np.testing.assert_array_equal(final_memberships(X, res, m), u)
+            np.testing.assert_array_equal(final_memberships(X, res), u)
             np.testing.assert_array_equal(res.scales, scales)
         else:
             np.testing.assert_allclose(res.centers, centers, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(final_memberships(X, res, m), u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(final_memberships(X, res), u, rtol=0, atol=1e-12)
             np.testing.assert_allclose(res.scales, scales, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
-    def test_memberships_patch_only_zero_distance_columns(self, exponent):
+    def test_memberships_patch_only_zero_distance_columns(self):
         d2 = np.array([
             [0.04, 0.25, 1.0],
             [0.0, 0.3, 0.1],
@@ -214,35 +213,35 @@ class TestFit:
                 hits = col == 0.0
                 expected[:, t] = hits / hits.sum()
             else:
-                inv = col ** (-exponent)
+                inv = col ** (-1.0 / (FUZZINESS - 1.0))
                 expected[:, t] = inv / inv.sum()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero columns' inf/nan stay silent
-            u = _memberships_from_distances(d2, exponent)
+            u = _memberships_from_distances(d2)
         np.testing.assert_array_equal(u, expected)
 
-    @pytest.mark.parametrize("exponent", [1.0, 1 / 0.7])
-    def test_memberships_tiny_distance_column_is_full_membership(self, exponent):
-        # d2 ** -exponent overflows for the 1e-300 entry; the limit is [1, 0, 0]
-        d2 = np.array([[1e-300, 2.0, 3.0], [0.04, 0.25, 1.0]]).T
+    def test_memberships_tiny_distance_column_is_full_membership(self):
+        # d2 ** -1 overflows for the 1e-310 entry; the limit is [1, 0, 0]
+        d2 = np.array([[1e-310, 2.0, 3.0], [0.04, 0.25, 1.0]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = _memberships_from_distances(d2, exponent)
+            u = _memberships_from_distances(d2)
         assert np.all(np.isfinite(u))
         np.testing.assert_allclose(u.sum(axis=0), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(u[:, 0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
-        inv = d2[:, 1] ** (-exponent)
+        inv = d2[:, 1] ** (-1.0 / (FUZZINESS - 1.0))
         np.testing.assert_array_equal(u[:, 1], inv / inv.sum())
 
     def test_memberships_tiny_distance_columns_rescaled_by_own_minimum(self):
-        # both columns overflow d2 ** -2; divided by the first column's minimum,
-        # the second's ratios (~1e163) would underflow to 0 ** -2 and give nan
-        d2 = np.array([[5e-324, 1.0], [1e-160, 2e-160]]).T
+        # both columns overflow d2 ** -1; divided by the first column's minimum,
+        # the second's ratios 1e-15 / 5e-324 would overflow and drop its 1e-295 memberships
+        d2 = np.array([[5e-324, 1.0, 1.0], [1e-310, 1e-15, 1e-15]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = _memberships_from_distances(d2, 2.0)
-        np.testing.assert_array_equal(u[:, 0], [1.0, 0.0])
-        np.testing.assert_array_equal(u[:, 1], [0.8, 0.2])
+            u = _memberships_from_distances(d2)
+        np.testing.assert_array_equal(u[:, 0], [1.0, 0.0, 0.0])
+        assert u[0, 1] == 1.0
+        np.testing.assert_allclose(u[1:, 1], 1e-295, rtol=1e-12, atol=0)
 
     def test_centers_projected_on_few_valued_columns(self):
         # a binary and a three-valued column: the binary column's weighted mean
@@ -270,8 +269,6 @@ class TestFit:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=1, seed=0))
-        with pytest.raises(ValueError):
-            fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, fuzziness=1.0, seed=0))
         # zero iterations would return the all-zero initial centers
         with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
             fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, max_iter=0, seed=0))

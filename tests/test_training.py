@@ -201,13 +201,14 @@ class TestMSEGradients:
         cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=0.1)
         centers = np.array([[0.5]])
         grad = np.array([[10.0]])
-        stepped = _clipped_step(centers, grad, cfg.lr_backward, cfg)
+        stepped = _clipped_step(centers, grad, cfg.lr_backward)
         assert stepped[0, 0] == pytest.approx(0.5 - 0.1 * 1.0, abs=0)
 
-    def test_backward_step_projects_bounds(self):
+    def test_backward_step_projects_bounds(self, monkeypatch):
         rng = np.random.default_rng(7)
         X, y, rb, _, _ = make_problem(rng, 4, 2, MFKind.CAUCHY)
-        cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=5.0, clip_lo=-10, clip_hi=10)
+        monkeypatch.setattr(xanfis.training, "CLIP", 10.0)
+        cfg = TrainConfig(mode=Mode.ANFIS, lr_backward=5.0)
         centers, scales = one_epoch(rb, X, y, cfg)
         assert np.all(centers >= 0.0) and np.all(centers <= 1.0)
         assert np.all(scales >= SCALE_MIN) and np.all(scales <= 1.0)
@@ -250,11 +251,10 @@ class TestMSEGradients:
         scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
         scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
         rb = RuleBase(kind, centers, scales, order=order)
-        cfg = TrainConfig(
-            mode=mode, lr_backward=lr, lr_xpass=lr, clip_lo=-10.0, clip_hi=10.0,
-            max_epochs=3, patience=4,
-        )
-        result = train(X[:20], y[:20], X[20:], y[20:], rb, cfg)
+        cfg = TrainConfig(mode=mode, lr_backward=lr, lr_xpass=lr, max_epochs=3, patience=4)
+        with pytest.MonkeyPatch.context() as mp:  # a fixture would span every example
+            mp.setattr(xanfis.training, "CLIP", 10.0)
+            result = train(X[:20], y[:20], X[20:], y[20:], rb, cfg)
         # a NaN step or a singular refit would end the run early with fewer snapshots
         assert result.stop_reason == "max_epochs" and len(result.traces) == cfg.max_epochs + 1
         for t in result.traces:
@@ -272,13 +272,13 @@ def one_epoch(rb0, X, y, cfg):
 def xpass_step(rb, cfg):
     """(centers, scales) after the loop's explainability step on rb: clipped, projected, scales frozen."""
     grad = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-    return project_bounds_arrays(_clipped_step(rb.centers, grad, cfg.lr_xpass, cfg), rb.scales)
+    return project_bounds_arrays(_clipped_step(rb.centers, grad, cfg.lr_xpass), rb.scales)
 
 
 def clip_via_step(grad):
     """The clipped gradient that one unit-rate step from zero applies."""
     grad = np.asarray(grad, dtype=np.float64)
-    return -_clipped_step(np.zeros_like(grad), grad, 1.0, TrainConfig())
+    return -_clipped_step(np.zeros_like(grad), grad, 1.0)
 
 
 class TestClippedStep:
@@ -294,11 +294,6 @@ class TestClippedStep:
 
 
 class TestTrainConfig:
-    def test_clip_bounds_out_of_order(self):
-        for lo, hi in ((1.0, -1.0), (0.5, 0.5)):
-            with pytest.raises(ValueError, match="clip_lo"):
-                TrainConfig(clip_lo=lo, clip_hi=hi).validate()
-
     def test_unknown_mode_rejected(self):
         shown = "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'xanfis'"
         with pytest.raises(ValueError, match=re.escape(shown)):
@@ -508,16 +503,15 @@ class TestMOPass:
         np.testing.assert_allclose(rb.centers - centers, 0.0, atol=1e-12)
         np.testing.assert_allclose(rb.scales - scales, 0.0, atol=1e-12)
 
-    def test_gradient_additivity(self):
+    def test_gradient_additivity(self, monkeypatch):
         # centers step on MSE + weight * pair penalty, scales on MSE alone;
         # a small rate inside a wide clip range leaves clipping and
         # projection inactive, so the step is exactly -lr * gradient
+        monkeypatch.setattr(xanfis.training, "CLIP", 1e6)
         rng = np.random.default_rng(22)
         for _ in range(10):
             X, y, rb, fm, yhat = make_problem(rng, 4, 3, MFKind.CAUCHY)
-            cfg = TrainConfig(
-                mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3, clip_lo=-1e6, clip_hi=1e6
-            )
+            cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3)
             centers, scales = one_epoch(rb, X, y, cfg)
             gc_mse, gs_mse = gradients(rb, fm, y, yhat)
             gx = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
@@ -748,11 +742,11 @@ def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
             gc, gs = gradients(rb, fm, y_tr, yhat)
             if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
                 gc = gc + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
-            step = cfg.lr_backward
-            centers = np.clip(rb.centers - step * np.clip(gc, cfg.clip_lo, cfg.clip_hi), 0.0, 1.0)
-            scales = np.clip(rb.scales - step * np.clip(gs, cfg.clip_lo, cfg.clip_hi), SCALE_MIN, 1.0)
+            step, clip = cfg.lr_backward, xanfis.training.CLIP
+            centers = np.clip(rb.centers - step * np.clip(gc, -clip, clip), 0.0, 1.0)
+            scales = np.clip(rb.scales - step * np.clip(gs, -clip, clip), SCALE_MIN, 1.0)
             if cfg.mode == Mode.X_ANFIS:
-                gx = np.clip(xpass_gradients(centers, scales, cfg.d_target), cfg.clip_lo, cfg.clip_hi)
+                gx = np.clip(xpass_gradients(centers, scales, cfg.d_target), -clip, clip)
                 centers = np.clip(centers - cfg.lr_xpass * gx, 0.0, 1.0)
             rb = RuleBase(rb.mf_kind, centers, scales, order=rb.order)
         rb, fm, yhat = fit_consequents(rb, X_tr, y_tr, cfg.lam)
