@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import xanfis.fcm_init
 from xanfis.data import split_scale
 from xanfis.fcm_init import (
     FUZZINESS,
@@ -48,8 +49,8 @@ def loop_dispersion(X, centers, u, m=FUZZINESS):
     return out
 
 
-def einsum_fcm_oracle(X, cfg):
-    """FCM with (F, R, N) difference tensors and masked membership columns.
+def einsum_fcm_oracle(X, cfg, m=FUZZINESS):
+    """FCM at fuzziness m with (F, R, N) difference tensors and masked membership columns.
 
     Returns the centers, the final memberships and the clipped dispersion scales.
     """
@@ -57,7 +58,6 @@ def einsum_fcm_oracle(X, cfg):
     r = cfg.n_clusters
     u = RandomStream(cfg.seed).uniforms(n * r).reshape(n, r).T
     u /= u.sum(axis=0)
-    m = FUZZINESS
     centers = np.zeros((r, f))
     for it in range(1, cfg.max_iter + 1):
         um = u**m
@@ -180,14 +180,17 @@ class TestFit:
         assert np.all(res.centers <= X.max(axis=0) + 1e-12)
 
     @pytest.mark.parametrize("f", range(1, 9))
-    def test_matches_einsum_oracle(self, f):
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    def test_matches_einsum_oracle(self, monkeypatch, f, m):
         # per-feature distance sums: bit-identical while a row sums at most
-        # two features, reordered (rounding-level) beyond that
+        # two features, reordered (rounding-level) beyond that; the fit's
+        # arithmetic holds for any fuzziness, so the constant is patched
+        monkeypatch.setattr(xanfis.fcm_init, "FUZZINESS", m)
         X = np.random.default_rng(f).uniform(size=(240, f))
         X[7] = X[3]  # a repeated row
         cfg = FCMConfig(n_clusters=6, tol=1e-300, max_iter=20, seed=f)
         res = fcm_fit(X, cfg)
-        centers, u, scales = einsum_fcm_oracle(X, cfg)
+        centers, u, scales = einsum_fcm_oracle(X, cfg, m)
         assert res.iterations == 20
         if f <= 2:
             np.testing.assert_array_equal(res.centers, centers)
@@ -198,7 +201,9 @@ class TestFit:
             np.testing.assert_allclose(final_memberships(X, res), u, rtol=0, atol=1e-12)
             np.testing.assert_allclose(res.scales, scales, rtol=0, atol=1e-12)
 
-    def test_memberships_patch_only_zero_distance_columns(self):
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    def test_memberships_patch_only_zero_distance_columns(self, monkeypatch, m):
+        monkeypatch.setattr(xanfis.fcm_init, "FUZZINESS", m)
         d2 = np.array([
             [0.04, 0.25, 1.0],
             [0.0, 0.3, 0.1],
@@ -213,15 +218,17 @@ class TestFit:
                 hits = col == 0.0
                 expected[:, t] = hits / hits.sum()
             else:
-                inv = col ** (-1.0 / (FUZZINESS - 1.0))
+                inv = col ** (-1.0 / (m - 1.0))
                 expected[:, t] = inv / inv.sum()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the zero columns' inf/nan stay silent
             u = _memberships_from_distances(d2)
         np.testing.assert_array_equal(u, expected)
 
-    def test_memberships_tiny_distance_column_is_full_membership(self):
-        # d2 ** -1 overflows for the 1e-310 entry; the limit is [1, 0, 0]
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    def test_memberships_tiny_distance_column_is_full_membership(self, monkeypatch, m):
+        # d2 ** -1/(m-1) overflows for the 1e-310 entry; the limit is [1, 0, 0]
+        monkeypatch.setattr(xanfis.fcm_init, "FUZZINESS", m)
         d2 = np.array([[1e-310, 2.0, 3.0], [0.04, 0.25, 1.0]]).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -229,7 +236,7 @@ class TestFit:
         assert np.all(np.isfinite(u))
         np.testing.assert_allclose(u.sum(axis=0), 1.0, rtol=0, atol=1e-15)
         np.testing.assert_allclose(u[:, 0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
-        inv = d2[:, 1] ** (-1.0 / (FUZZINESS - 1.0))
+        inv = d2[:, 1] ** (-1.0 / (m - 1.0))
         np.testing.assert_array_equal(u[:, 1], inv / inv.sum())
 
     def test_memberships_tiny_distance_columns_rescaled_by_own_minimum(self):
