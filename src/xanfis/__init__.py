@@ -19,7 +19,6 @@ from .inference import Order, RuleBase, fit_consequents, load_model, predict, sa
 from .membership import SCALE_MIN, MFKind
 from .metrics import (
     EvalReport,
-    ParetoPoint,
     evaluate_model,
     mean_distinguishability,
     pareto_front,
@@ -41,7 +40,6 @@ __all__ = [
     "MFKind",
     "Mode",
     "Order",
-    "ParetoPoint",
     "RandomStream",
     "RuleBase",
     "SCALE_MIN",

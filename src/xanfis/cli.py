@@ -29,13 +29,7 @@ from .data import (
 from .fcm_init import FCMConfig, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
-from .metrics import (
-    EvalReport,
-    ParetoPoint,
-    evaluate_model,
-    mean_distinguishability,
-    pareto_front,
-)
+from .metrics import EvalReport, evaluate_model, mean_distinguishability, pareto_front
 from .numerics import mean_ci95
 from .training import DIVERGED, Mode, TrainConfig, traces_to_csv, train, trajectory_to_csv
 
@@ -333,17 +327,12 @@ def cmd_pareto_sweep(cfg):
     runs.append(Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)))
     runs.append(Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)))
     records = _run_all(runs, cfg)
-    sweep = [r for r in records if r.weight is not None]
-    points = [
-        ParetoPoint(run_id=r.run_id, r2=r.report.r2, mean_D=r.report.mean_D)
-        for r in sweep
-        if np.isfinite(r.report.r2)  # a run that failed before its first fit has no r2
-    ]
-    front = pareto_front(points)
+    # a sweep run that failed before its first fit has no r2
+    sweep = [r for r in records if r.weight is not None and np.isfinite(r.report.r2)]
+    front = pareto_front(sweep, key=lambda r: (r.report.r2, r.report.mean_D))
     columns = ["run_id", "mode", "weight", "seed", "r2", "mean_D"]
     _write_table(os.path.join(cfg.out, "points.csv"), columns, records)
-    by_id = {rec.run_id: rec for rec in sweep}
-    _write_table(os.path.join(cfg.out, "front.csv"), columns, (by_id[p.run_id] for p in front))
+    _write_table(os.path.join(cfg.out, "front.csv"), columns, front)
     return records, front
 
 
@@ -475,26 +464,39 @@ def build_config(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "export-partition":
             cmd_export_partition(args.model, args.samples, args.out)
             return 0
         cfg, explicit = build_config(args)
+        cfg.validate()  # a value the command rejects is named by its error, not a warning
         one_seed = args.command in ("init-study", "pareto-sweep")
         # a seeds value that is not a list is rejected by the command's validate
         if one_seed and "seeds" in explicit and isinstance(cfg.seeds, list) and len(cfg.seeds) > 1:
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
-        # an explicit knob no run reads is named: one the command sets for each run, or
-        # lr_xpass / mo_weight with no run in their mode (init-study runs anfis only)
+        # an explicit knob no run reads is named: one the command sets for each run, one with
+        # no run in a mode that reads it (init-study runs anfis only), one that only another
+        # command has a flag for (weights_range sets weights_*), or synth_* with a manifest
         per_run = {
             "init-study": ("mode", "mf", "trajectory"), "pareto-sweep": ("mode", "mo_weight"),
         }
         modes = {"train": [cfg.mode], "init-study": [Mode.ANFIS]}.get(args.command, list(Mode))
         ignored = {k: f"{args.command} sets each run's {k}" for k in per_run.get(args.command, ())}
-        for key, mode in (("mo_weight", Mode.MO_ANFIS), ("lr_xpass", Mode.X_ANFIS)):
-            if mode not in modes:
-                ignored[key] = f"no run is in {mode.value} mode"
+        for key, *readers in (
+            ("mo_weight", Mode.MO_ANFIS), ("lr_xpass", Mode.X_ANFIS),
+            ("d_target", Mode.MO_ANFIS, Mode.X_ANFIS),
+        ):
+            if not any(mode in modes for mode in readers):
+                ignored[key] = f"no run is in {' or '.join(m.value for m in readers)} mode"
+        flags = [vars(parser.parse_args([c])) for c in ("train", "init-study", "pareto-sweep")]
+        for flag in set().union(*flags) - vars(args).keys():
+            for key in ("weights_lo", "weights_hi") if flag == "weights_range" else [flag]:
+                ignored[key] = f"{args.command} has no flag for it"
+        if cfg.manifest:
+            for key in ("synth_n", "synth_noise"):
+                ignored[key] = "the data come from a manifest"
         for key in sorted(ignored.keys() & explicit):
             print(f"warning: {key} is ignored: {ignored[key]}", file=sys.stderr)
         if args.command == "train":

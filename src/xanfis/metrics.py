@@ -26,13 +26,6 @@ class EvalReport:
     mean_D: float
 
 
-@dataclass
-class ParetoPoint:
-    run_id: str
-    r2: float
-    mean_D: float
-
-
 def regression_metrics(y, yhat):
     """(mse, rmse, mae, r2); r2 is 1 - SSE/SST about the mean of y."""
     y = as_array(y, 1, "y")
@@ -52,21 +45,21 @@ def regression_metrics(y, yhat):
     return mse, rmse, mae, r2
 
 
-def pareto_front(points):
-    """Non-dominated subset maximizing (r2, mean_D), sorted by r2 descending.
+def pareto_front(items, key):
+    """Non-dominated subset of items maximizing key(item) = (r2, mean_D), sorted by r2 descending.
 
-    Points tied in both coordinates are all kept (neither dominates).
-    A point whose r2 or mean_D is not finite is rejected by run_id.
+    Items tied in both coordinates are all kept (neither dominates).  An
+    item whose r2 or mean_D is not finite is rejected by its run_id.
     """
-    bad = [p.run_id for p in points if not (math.isfinite(p.r2) and math.isfinite(p.mean_D))]
+    bad = [item.run_id for item in items if not all(map(math.isfinite, key(item)))]
     if bad:
         raise ValueError(f"non-finite r2 or mean_D in point(s): {', '.join(bad)}")
     front = []
-    for p in sorted(points, key=lambda p: (-p.r2, -p.mean_D)):
-        # the last kept point has the largest mean_D of every point before p
-        last = front[-1] if front else None
-        if last is None or p.mean_D > last.mean_D or (p.r2, p.mean_D) == (last.r2, last.mean_D):
-            front.append(p)
+    for item in sorted(items, key=lambda item: [-v for v in key(item)]):
+        # the last kept item has the largest mean_D of every item before this one
+        last = key(front[-1]) if front else None
+        if last is None or key(item)[1] > last[1] or key(item) == last:
+            front.append(item)
     return front
 
 

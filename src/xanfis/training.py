@@ -144,12 +144,16 @@ def mse_antecedent_gradients(rows, y, yhat, kind, order, scales, consequents):
     return grad_c, grad_s
 
 
-def _pair_gradient(order, dc, d, d_target):
-    """Center gradients of sum over the pairs (order, dc, d) of 0.5*(D - D_target)^2.
+def pair_gradient(pairs, d_target):
+    """Center gradients of sum over adjacent pairs of 0.5*(D - D_target)^2.
 
+    pairs is adjacency_pairs' (order, dc, D) of the antecedents.  Scales
+    contribute to each D but receive no gradient (the explainability pass
+    freezes them, which stops the trivial shrink-all-widths solution).
     Pairs closer than D_SING are skipped.  On each feature's sorted axis,
     pair k adds its term at position k and subtracts it at k + 1.
     """
+    order, dc, d = pairs
     # d >= D_SING divides by d itself; the floor only keeps skipped pairs from dividing by 0
     t = np.where(d < D_SING, 0.0, (d - d_target) / np.maximum(d, D_SING) * dc)
     g = np.zeros(order.shape)
@@ -158,18 +162,6 @@ def _pair_gradient(order, dc, d, d_target):
     grad = np.empty(order.shape[::-1])
     grad.T[np.arange(order.shape[0])[:, None], order] = g
     return grad
-
-
-def xpass_gradients(centers, scales, d_target):
-    """Center gradients of sum over adjacent pairs of 0.5*(D - D_target)^2.
-
-    Scales contribute to each D but receive no gradient (they are frozen
-    in the explainability pass, which stops the trivial shrink-all-widths
-    solution).  Pairs closer than D_SING are skipped.
-    """
-    centers = np.asarray(centers, dtype=np.float64)
-    scales = np.asarray(scales, dtype=np.float64)
-    return _pair_gradient(*adjacency_pairs(centers, scales), d_target)
 
 
 def _clipped_step(values, grad, lr):
@@ -243,13 +235,13 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
                 rows, y_train, yhat, kind, order, scales, consequents
             )
             if mo_weight:
-                grad_c += mo_weight * _pair_gradient(*pairs, cfg.d_target)
+                grad_c += mo_weight * pair_gradient(pairs, cfg.d_target)
             centers, scales = project_bounds_arrays(
                 _clipped_step(centers, grad_c, cfg.lr_backward),
                 _clipped_step(scales, grad_s, cfg.lr_backward),
             )
             if xpass:  # its own adjacency pass, on the stepped state
-                grad_c = xpass_gradients(centers, scales, cfg.d_target)
+                grad_c = pair_gradient(adjacency_pairs(centers, scales), cfg.d_target)
                 centers, scales = project_bounds_arrays(
                     _clipped_step(centers, grad_c, cfg.lr_xpass), scales
                 )

@@ -12,6 +12,7 @@ on the 2-feature fallback; see notes in the assertions and README.
 import math
 import os
 import time
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -31,15 +32,15 @@ from xanfis.inference import (
     predict,
 )
 from xanfis.membership import SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from xanfis.metrics import ParetoPoint, mean_distinguishability, pareto_front, regression_metrics
+from xanfis.metrics import mean_distinguishability, pareto_front, regression_metrics
 from xanfis.training import (
     Mode,
     TrainConfig,
     _clipped_step,
     adjacency_pairs,
     mse_antecedent_gradients,
+    pair_gradient,
     train,
-    xpass_gradients,
 )
 
 SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
@@ -145,7 +146,7 @@ class TestCriterion1GradientCorrectness:
             # pairs frozen at the unperturbed centers: consecutive entries
             # of each feature's row of the (F, R) rule order
             order, _, _ = adjacency_pairs(centers, scales)
-            gx = xpass_gradients(centers, scales, 0.5)
+            gx = pair_gradient(adjacency_pairs(centers, scales), 0.5)
 
             def xpass_loss(c):
                 total = 0.0
@@ -283,14 +284,15 @@ class TestCriterion5ModeDegeneracy:
 
 class TestCriterion6ParetoOracle:
     def test_front_equals_brute_force_on_500_points(self):
+        Point = namedtuple("Point", "run_id r2 mean_D")
         rng = np.random.default_rng(77)
         pts = [
-            ParetoPoint(f"p{i:03d}", float(rng.uniform(-1, 1)), float(rng.uniform(0, 0.6)))
+            Point(f"p{i:03d}", float(rng.uniform(-1, 1)), float(rng.uniform(0, 0.6)))
             for i in range(500)
         ]
         for i in range(0, 500, 97):  # exact duplicates and ties
-            pts[i + 1] = ParetoPoint(f"p{i + 1:03d}", pts[i].r2, pts[i].mean_D)
-        fast = sorted(p.run_id for p in pareto_front(pts))
+            pts[i + 1] = Point(f"p{i + 1:03d}", pts[i].r2, pts[i].mean_D)
+        fast = sorted(p.run_id for p in pareto_front(pts, key=lambda p: (p.r2, p.mean_D)))
         slow = []
         for p in pts:
             dominated = any(
@@ -306,7 +308,7 @@ class TestCriterion7XPassUnit:
     def test_worked_pair(self):
         centers = np.array([[0.4], [0.6]])
         scales = np.array([[0.1], [0.1]])
-        grad = xpass_gradients(centers, scales, d_target=0.5)
+        grad = pair_gradient(adjacency_pairs(centers, scales), 0.5)
         # the training loop's explainability step: clipped, projected, scales frozen
         cfg = TrainConfig(mode=Mode.X_ANFIS, lr_xpass=0.1, d_target=0.5)
         out, _ = project_bounds_arrays(_clipped_step(centers, grad, cfg.lr_xpass), scales)

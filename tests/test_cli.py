@@ -393,17 +393,36 @@ class TestMainEntry:
             ("pareto-sweep", ["--weights-count", "2", "--mode", "x_anfis", "--mo-weight", "5"],
              {}, ["mo_weight", "mode"]),
             ("pareto-sweep", ["--weights-count", "2", "--mf", "gaussian"], {}, []),
+            ("train", ["--mode", "anfis", "--d-target", "0.3"], {}, ["d_target"]),
+            ("train", ["--mode", "mo_anfis", "--d-target", "0.3"], {}, []),
+            ("train", ["--mode", "x_anfis", "--d-target", "0.3"], {}, []),
+            ("init-study", ["--scales", "0.5", "--d-target", "0.3"], {}, ["d_target"]),
+            ("pareto-sweep", ["--weights-count", "2", "--d-target", "0.3"], {}, []),
+            ("train", [], {"weights_count": 5, "scales": [0.5]}, ["scales", "weights_count"]),
+            ("pareto-sweep", ["--weights-count", "2"], {"scales": [0.5]}, ["scales"]),
+            ("init-study", ["--scales", "0.5"], {"weights_count": 3, "weights_lo": 0.1},
+             ["weights_count", "weights_lo"]),
+            ("train", ["--manifest", "m.json", "--synth-n", "300", "--synth-noise", "0.1"], {},
+             ["synth_n", "synth_noise"]),
+            ("train", ["--synth-noise", "0.1"], {}, []),
         ],
     )
     def test_explicit_knob_warns_when_no_run_uses_it(
-        self, tmp_path, capsys, command, extra, config, warned
+        self, tmp_path, capsys, monkeypatch, command, extra, config, warned
     ):
         # a flag or a config key counts; init-study runs only anfis, in both kinds; pareto-sweep
-        # sets each run's mode and weight, and its ref_x_anfis run takes lr_xpass
+        # sets each run's mode and weight, and its ref_x_anfis run takes lr_xpass; d_target is
+        # read in mo_anfis and x_anfis; a key only another command has a flag for is ignored;
+        # every row but the manifest one gives --synth-n with --synth
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
+        data = ["--synth", "sinc2d", "--synth-n", "300"]
+        if "--manifest" in extra:
+            monkeypatch.chdir(tmp_path)
+            write_manifest(*synth_regression("sinc2d", 300, 0.05, seed=0))
+            data = []
         args = [
-            command, "--config", str(cfg_path), "--synth", "sinc2d", "--synth-n", "300",
+            command, "--config", str(cfg_path), *data,
             "--rules", "3", "--seeds", "0", "--epochs", "5", *extra, "--out", str(tmp_path / "w"),
         ]
         assert main(args) == 0
@@ -414,6 +433,30 @@ class TestMainEntry:
         if "trajectory" in warned:
             shown = "warning: trajectory is ignored: init-study sets each run's trajectory\n"
             assert shown in err
+        if "d_target" in warned:
+            assert "warning: d_target is ignored: no run is in mo_anfis or x_anfis mode\n" in err
+        if "scales" in warned:
+            assert f"warning: scales is ignored: {command} has no flag for it\n" in err
+        if "synth_n" in warned:
+            assert "warning: synth_n is ignored: the data come from a manifest\n" in err
+
+    @pytest.mark.parametrize(
+        "extra, config, shown",
+        [
+            (["--d-target", "2"], {}, "d_target must be in (0, 1], got 2.0"),
+            ([], {"weights_count": 0}, "weight count must be >= 1, got 0"),
+            ([], {"scales": ["0.5"]}, "scales must be numbers, got ['0.5']"),
+        ],
+    )
+    def test_rejected_knob_is_not_called_ignored(self, tmp_path, capsys, extra, config, shown):
+        # train reads none of these, but a value no command accepts is an error, and only that
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "w"
+        args = ["train", "--config", str(cfg_path), "--synth", "sinc2d", *extra, "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, extra", [("train", []), ("init-study", ["--scales", "0.5"]), ("pareto-sweep", [])]

@@ -1,12 +1,13 @@
 """Regression metrics, distinguishability, Pareto front."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from xanfis.inference import RuleBase
 from xanfis.membership import MFKind
 from xanfis.metrics import (
-    ParetoPoint,
     evaluate_model,
     mean_distinguishability,
     pareto_front,
@@ -123,6 +124,14 @@ class TestMeanDistinguishability:
         assert evaluate_model(rb, X[50:], y[50:]).mean_D == traces[-1].mean_D == 0.0
 
 
+#: a sweep point as pareto_front ranks it: a run id and its (r2, mean_D) key
+Point = namedtuple("Point", "run_id r2 mean_D")
+
+
+def sweep_front(points):
+    return pareto_front(points, key=lambda p: (p.r2, p.mean_D))
+
+
 def brute_force_front(points):
     """O(n^2) domination filter."""
     front = []
@@ -144,60 +153,60 @@ def brute_force_front(points):
 class TestParetoFront:
     def test_worked_example(self):
         pts = [
-            ParetoPoint("a", 1.0, 1.0),
-            ParetoPoint("b", 2.0, 0.5),
-            ParetoPoint("c", 0.5, 2.0),
-            ParetoPoint("d", 0.9, 0.9),
+            Point("a", 1.0, 1.0),
+            Point("b", 2.0, 0.5),
+            Point("c", 0.5, 2.0),
+            Point("d", 0.9, 0.9),
         ]
-        front = pareto_front(pts)
+        front = sweep_front(pts)
         assert [p.run_id for p in front] == ["b", "a", "c"]
 
     def test_single_point(self):
-        pts = [ParetoPoint("only", 0.3, 0.3)]
-        assert pareto_front(pts) == pts
+        pts = [Point("only", 0.3, 0.3)]
+        assert sweep_front(pts) == pts
 
     def test_duplicates_kept(self):
-        pts = [ParetoPoint("a", 1.0, 1.0), ParetoPoint("b", 1.0, 1.0)]
-        front = pareto_front(pts)
+        pts = [Point("a", 1.0, 1.0), Point("b", 1.0, 1.0)]
+        front = sweep_front(pts)
         assert {p.run_id for p in front} == {"a", "b"}
 
     def test_matches_brute_force_on_random_points(self):
         rng = np.random.default_rng(17)
         pts = [
-            ParetoPoint(f"p{i}", float(rng.uniform(-1, 1)), float(rng.uniform(0, 1)))
+            Point(f"p{i}", float(rng.uniform(-1, 1)), float(rng.uniform(0, 1)))
             for i in range(200)
         ]
         # inject exact ties
-        pts[50] = ParetoPoint("p50", pts[10].r2, pts[10].mean_D)
-        pts[60] = ParetoPoint("p60", pts[10].r2, 0.0)
+        pts[50] = Point("p50", pts[10].r2, pts[10].mean_D)
+        pts[60] = Point("p60", pts[10].r2, 0.0)
         # tie-heavy: shared r2 with a different mean_D, shared mean_D with a different r2
         grid = [0.1, 0.2, 0.3, 0.5]
         ties = [
-            ParetoPoint(f"t{i}", float(rng.choice(grid)), float(rng.choice(grid)))
+            Point(f"t{i}", float(rng.choice(grid)), float(rng.choice(grid)))
             for i in range(40)
         ]
         for case in (pts, ties):
-            fast = {p.run_id for p in pareto_front(case)}
+            fast = {p.run_id for p in sweep_front(case)}
             slow = {p.run_id for p in brute_force_front(case)}
             assert fast == slow
 
     def test_output_sorted_by_r2_descending(self):
         rng = np.random.default_rng(18)
         pts = [
-            ParetoPoint(f"p{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+            Point(f"p{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             for i in range(100)
         ]
-        front = pareto_front(pts)
+        front = sweep_front(pts)
         r2s = [p.r2 for p in front]
         assert r2s == sorted(r2s, reverse=True)
 
     def test_no_dominated_pair_in_output(self):
         rng = np.random.default_rng(19)
         pts = [
-            ParetoPoint(f"p{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+            Point(f"p{i}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             for i in range(150)
         ]
-        front = pareto_front(pts)
+        front = sweep_front(pts)
         for p in front:
             for q in front:
                 dominates = (
@@ -208,14 +217,14 @@ class TestParetoFront:
                 assert not dominates
 
     def test_nan_r2_rejected_by_run_id(self):
-        pts = [ParetoPoint("ok", 0.5, 0.1), ParetoPoint("no-model", float("nan"), 0.2)]
+        pts = [Point("ok", 0.5, 0.1), Point("no-model", float("nan"), 0.2)]
         with pytest.raises(ValueError, match="no-model"):
-            pareto_front(pts)
+            sweep_front(pts)
 
     def test_non_finite_mean_d_rejected_by_run_id(self):
         # a NaN mean_D compares false against every bound, so unchecked it
         # would silently drop the point instead of rejecting it
         for bad_d in (float("nan"), float("inf")):
-            pts = [ParetoPoint("a", 0.6, bad_d), ParetoPoint("b", 0.5, 0.1)]
+            pts = [Point("a", 0.6, bad_d), Point("b", 0.5, 0.1)]
             with pytest.raises(ValueError, match="point\\(s\\): a$"):
-                pareto_front(pts)
+                sweep_front(pts)

@@ -39,10 +39,10 @@ from xanfis.training import (
     adjacency_pairs,
     mean_distinguishability,
     mse_antecedent_gradients,
+    pair_gradient,
     train,
     traces_to_csv,
     trajectory_to_csv,
-    xpass_gradients,
 )
 
 
@@ -271,7 +271,7 @@ def one_epoch(rb0, X, y, cfg):
 
 def xpass_step(rb, cfg):
     """(centers, scales) after the loop's explainability step on rb: clipped, projected, scales frozen."""
-    grad = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
+    grad = pair_gradient(adjacency_pairs(rb.centers, rb.scales), cfg.d_target)
     return project_bounds_arrays(_clipped_step(rb.centers, grad, cfg.lr_xpass), rb.scales)
 
 
@@ -377,7 +377,7 @@ class TestSortedAxisMatchesLoops:
         _, _, d = adjacency_pairs(centers, scales)
         assert d.mean(axis=1).tolist() == ref_per_feature
         np.testing.assert_array_equal(
-            xpass_gradients(centers, scales, d_target),
+            pair_gradient(adjacency_pairs(centers, scales), d_target),
             loop_xpass_gradients(centers, scales, d_target),
         )
 
@@ -405,7 +405,7 @@ class TestXPass:
     def test_at_target_no_update(self):
         centers = np.array([[0.25], [0.75]])
         scales = np.array([[0.1], [0.1]])
-        grad = xpass_gradients(centers, scales, d_target=0.5)
+        grad = pair_gradient(adjacency_pairs(centers, scales), 0.5)
         np.testing.assert_array_equal(grad, 0.0)
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
         out_centers, _ = xpass_step(rb, TrainConfig(mode=Mode.X_ANFIS, d_target=0.5))
@@ -416,7 +416,7 @@ class TestXPass:
         # lr 0.1 moves the centers to 0.37 and 0.63
         centers = np.array([[0.4], [0.6]])
         scales = np.array([[0.1], [0.1]])
-        grad = xpass_gradients(centers, scales, d_target=0.5)
+        grad = pair_gradient(adjacency_pairs(centers, scales), 0.5)
         assert grad[0, 0] == pytest.approx(0.3, abs=1e-14)
         assert grad[1, 0] == pytest.approx(-0.3, abs=1e-14)
         rb = RuleBase(MFKind.CAUCHY, centers, scales)
@@ -444,7 +444,7 @@ class TestXPass:
     def test_coincident_pair_skipped(self):
         centers = np.array([[0.5], [0.5]])
         scales = np.array([[0.2], [0.2]])
-        grad = xpass_gradients(centers, scales, d_target=0.5)
+        grad = pair_gradient(adjacency_pairs(centers, scales), 0.5)
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_matches_finite_differences_with_frozen_pairing(self):
@@ -467,7 +467,7 @@ class TestXPass:
                         total += 0.5 * (d - d_target) ** 2
                 return total
 
-            grad = xpass_gradients(centers, scales, d_target)
+            grad = pair_gradient(adjacency_pairs(centers, scales), d_target)
             fd = np.zeros_like(centers)
             for j in range(r):
                 for k in range(f):
@@ -514,7 +514,7 @@ class TestMOPass:
             cfg = TrainConfig(mode=Mode.MO_ANFIS, mo_weight=1.0, lr_backward=1e-3)
             centers, scales = one_epoch(rb, X, y, cfg)
             gc_mse, gs_mse = gradients(rb, fm, y, yhat)
-            gx = xpass_gradients(rb.centers, rb.scales, cfg.d_target)
+            gx = pair_gradient(adjacency_pairs(rb.centers, rb.scales), cfg.d_target)
             np.testing.assert_array_equal(centers, rb.centers - 1e-3 * (gc_mse + 1.0 * gx))
             np.testing.assert_array_equal(scales, rb.scales - 1e-3 * gs_mse)
 
@@ -741,12 +741,14 @@ def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
         if epoch:
             gc, gs = gradients(rb, fm, y_tr, yhat)
             if cfg.mode == Mode.MO_ANFIS and cfg.mo_weight != 0.0:
-                gc = gc + cfg.mo_weight * xpass_gradients(rb.centers, rb.scales, cfg.d_target)
+                pairs = adjacency_pairs(rb.centers, rb.scales)
+                gc = gc + cfg.mo_weight * pair_gradient(pairs, cfg.d_target)
             step, clip = cfg.lr_backward, xanfis.training.CLIP
             centers = np.clip(rb.centers - step * np.clip(gc, -clip, clip), 0.0, 1.0)
             scales = np.clip(rb.scales - step * np.clip(gs, -clip, clip), SCALE_MIN, 1.0)
             if cfg.mode == Mode.X_ANFIS:
-                gx = np.clip(xpass_gradients(centers, scales, cfg.d_target), -clip, clip)
+                gx = pair_gradient(adjacency_pairs(centers, scales), cfg.d_target)
+                gx = np.clip(gx, -clip, clip)
                 centers = np.clip(centers - cfg.lr_xpass * gx, 0.0, 1.0)
             rb = RuleBase(rb.mf_kind, centers, scales, order=rb.order)
         rb, fm, yhat = fit_consequents(rb, X_tr, y_tr, cfg.lam)
@@ -801,6 +803,23 @@ class TestTrainMatchesPublicKernels:
             calls["n"] = 0
             train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=mode, max_epochs=6, patience=7))
             assert calls["n"] == 1 + per_epoch * 6, mode
+
+    def test_one_pair_gradient_per_penalty_pass(self, monkeypatch):
+        # both antecedent passes reach the penalty gradient through pair_gradient:
+        # MO-ANFIS in its backward step, X-ANFIS in its explainability pass
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        real = xanfis.training.pair_gradient
+        calls = {"n": 0}
+
+        def counting(pairs, d_target):
+            calls["n"] += 1
+            return real(pairs, d_target)
+
+        monkeypatch.setattr(xanfis.training, "pair_gradient", counting)
+        for mode, per_epoch in ((Mode.ANFIS, 0), (Mode.MO_ANFIS, 1), (Mode.X_ANFIS, 1)):
+            calls["n"] = 0
+            train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(mode=mode, max_epochs=3, patience=4))
+            assert calls["n"] == per_epoch * 3, mode
 
 
 class TestTrainRejectsBadInput:
