@@ -211,7 +211,7 @@ def _check_out_dir(out):
         raise ValueError(f"output directory {out!r} is not writable: {err}") from err
 
 
-#: the cell of each run-table column, in metrics.csv order; floats at full
+#: the cell of each column of every command's run table; floats at full
 #: precision, an unset run input empty; mode and mf may be enum members
 _CELLS = {
     "run_id": lambda r: r.run_id,
@@ -236,9 +236,9 @@ _CELLS = {
 }
 
 
-def _write_table(path, columns, records):
-    """One CSV row per run record, one _CELLS cell per column."""
-    write_csv(path, list(columns), ([_CELLS[c](rec) for c in columns] for rec in records))
+def _write_table(path, records):
+    """One CSV row per run record, one cell per _CELLS column."""
+    write_csv(path, list(_CELLS), ([cell(rec) for cell in _CELLS.values()] for rec in records))
 
 
 def _aggregate_row(name, values):
@@ -260,29 +260,14 @@ def _aggregate_row(name, values):
 # Subcommands (library-level; the argparse layer wires flags to these)
 # --------------------------------------------------------------------
 
-def cmd_train(cfg):
-    """One model per seed; writes models, traces, metrics and aggregates."""
+def train_runs(cfg):
+    """train's runs of valid cfg: one per seed, in ascending seed order."""
     cfg.validate()
-    runs = [Run(f"seed{s:04d}", s, cfg) for s in sorted(cfg.seeds)]
-    records = _run_all(runs, cfg)
-    _write_table(os.path.join(cfg.out, "metrics.csv"), _CELLS, records)
-    write_csv(
-        os.path.join(cfg.out, "aggregate.csv"),
-        ["metric", "mean", "ci_lo", "ci_hi", "n"],
-        [
-            _aggregate_row("r2", [r.report.r2 for r in records]),
-            _aggregate_row("mean_D", [r.report.mean_D for r in records]),
-        ],
-    )
-    return records
+    return [Run(f"seed{s:04d}", s, cfg) for s in sorted(cfg.seeds)]
 
 
-def cmd_init_study(cfg):
-    """Both MF kinds across the initialization scales cfg.scales (one seed).
-
-    Every run's parameter trajectory is written; diverged runs keep their
-    last finite metrics instead of aborting the study.
-    """
+def init_study_runs(cfg):
+    """init-study's runs of valid cfg: ANFIS in both MF kinds across cfg.scales, first seed."""
     cfg.validate()
     if not cfg.scales:
         raise ValueError("init-study needs a nonempty list of initialization scales")
@@ -293,46 +278,53 @@ def cmd_init_study(cfg):
     for scale in map(float, cfg.scales):
         if not SCALE_MIN <= scale <= SCALE_MAX:  # NaN fails too
             raise ValueError(f"init scale {scale:g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
-    runs = [
-        Run(
-            f"{kind.value}_{stem}", cfg.seeds[0],
-            replace(cfg, mode=Mode.ANFIS.value, mf=kind.value, trajectory=True),
-            init_scale=float(scale),
-        )
+    anfis = replace(cfg, mode=Mode.ANFIS.value, trajectory=True)
+    return [
+        Run(f"{kind.value}_{stem}", cfg.seeds[0], replace(anfis, mf=kind.value), init_scale=scale)
         for kind in (MFKind.CAUCHY, MFKind.GAUSSIAN)
-        for scale, stem in zip(cfg.scales, stems)
+        for scale, stem in zip(map(float, cfg.scales), stems)
     ]
-    records = _run_all(runs, cfg)
-    _write_table(
-        os.path.join(cfg.out, "summary.csv"),
-        ["mf", "init_scale", "mse", "rmse", "mae", "r2", "mean_D", "epochs_run", "diverged"],
-        records,
+
+
+def pareto_sweep_runs(cfg):
+    """pareto-sweep's runs of valid cfg, first seed: MO-ANFIS per weight, then two references."""
+    cfg.validate()
+    seed = cfg.seeds[0]
+    weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi).tolist()
+    return [
+        *(Run(f"mo_w{i:04d}", seed, replace(cfg, mode=Mode.MO_ANFIS.value, mo_weight=w), weight=w)
+          for i, w in enumerate(weights)),
+        Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)),
+        Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)),
+    ]
+
+
+def cmd_train(cfg):
+    """One model per seed; writes models, traces, metrics and aggregates."""
+    records = _run_all(train_runs(cfg), cfg)
+    _write_table(os.path.join(cfg.out, "metrics.csv"), records)
+    write_csv(
+        os.path.join(cfg.out, "aggregate.csv"), ["metric", "mean", "ci_lo", "ci_hi", "n"],
+        [_aggregate_row(m, [getattr(r.report, m) for r in records]) for m in ("r2", "mean_D")],
     )
     return records
 
 
-def cmd_pareto_sweep(cfg):
-    """Scalarization-weight sweep over cfg.weights_* plus single ANFIS / X-ANFIS references.
+def cmd_init_study(cfg):
+    """The MF-kind x init-scale grid with trajectories; a diverged run keeps its last metrics."""
+    records = _run_all(init_study_runs(cfg), cfg)
+    _write_table(os.path.join(cfg.out, "summary.csv"), records)
+    return records
 
-    Writes points.csv (sweep points then reference rows) and front.csv
-    (non-dominated subset of the sweep points, sorted by r2 descending).
-    """
-    cfg.validate()
-    seed = cfg.seeds[0]
-    weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi).tolist()
-    runs = [
-        Run(f"mo_w{idx:04d}", seed, replace(cfg, mode=Mode.MO_ANFIS.value, mo_weight=w), weight=w)
-        for idx, w in enumerate(weights)
-    ]
-    runs.append(Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)))
-    runs.append(Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)))
-    records = _run_all(runs, cfg)
+
+def cmd_pareto_sweep(cfg):
+    """The weight sweep; front.csv holds its non-dominated points, by r2 descending."""
+    records = _run_all(pareto_sweep_runs(cfg), cfg)
     # a sweep run that failed before its first fit has no r2
     sweep = [r for r in records if r.weight is not None and np.isfinite(r.report.r2)]
     front = pareto_front(sweep, key=lambda r: (r.report.r2, r.report.mean_D))
-    columns = ["run_id", "mode", "weight", "seed", "r2", "mean_D"]
-    _write_table(os.path.join(cfg.out, "points.csv"), columns, records)
-    _write_table(os.path.join(cfg.out, "front.csv"), columns, front)
+    _write_table(os.path.join(cfg.out, "points.csv"), records)
+    _write_table(os.path.join(cfg.out, "front.csv"), front)
     return records, front
 
 
@@ -386,7 +378,7 @@ def _parse_list(kind, what):
 
 def _parse_range(text):
     try:
-        lo, hi = map(float, text.split(":" if ":" in text else ","))
+        lo, hi = map(float, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
     return lo, hi
@@ -463,6 +455,20 @@ def build_config(args):
     return ExperimentConfig(**doc), set(doc)
 
 
+def _fail_diverged(records):
+    if any(r.diverged for r in records):
+        raise ValueError(f"diverged runs: {', '.join(r.run_id for r in records if r.diverged)}")
+
+
+#: per training command: its function (called by module name, so a rebound name is seen),
+#: the pure run builder that function runs, and the fields the builder sets on every run
+COMMANDS = {
+    "train": (lambda cfg: _fail_diverged(cmd_train(cfg)), train_runs, ()),
+    "init-study": (lambda cfg: cmd_init_study(cfg), init_study_runs, ("mode", "mf", "trajectory")),
+    "pareto-sweep": (lambda cfg: cmd_pareto_sweep(cfg), pareto_sweep_runs, ("mode", "mo_weight")),
+}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -470,27 +476,17 @@ def main(argv=None):
         if args.command == "export-partition":
             cmd_export_partition(args.model, args.samples, args.out)
             return 0
+        run_command, build_runs, per_run = COMMANDS[args.command]
         cfg, explicit = build_config(args)
-        cfg.validate()  # a value the command rejects is named by its error, not a warning
-        one_seed = args.command in ("init-study", "pareto-sweep")
-        # a seeds value that is not a list is rejected by the command's validate
-        if one_seed and "seeds" in explicit and isinstance(cfg.seeds, list) and len(cfg.seeds) > 1:
+        runs = build_runs(cfg)  # a value the command rejects is named by its error, not a warning
+        if "seeds" in explicit and len({run.seed for run in runs}) < len(cfg.seeds):
             raise ValueError(f"{args.command} runs one seed, got seeds {cfg.seeds}")
-        # an explicit knob no run reads is named: one the command sets for each run, one with
-        # no run in a mode that reads it (init-study runs anfis only), one that only another
-        # command has a flag for (weights_range sets weights_*), or synth_* with a manifest
-        per_run = {
-            "init-study": ("mode", "mf", "trajectory"), "pareto-sweep": ("mode", "mo_weight"),
-        }
-        modes = {"train": [cfg.mode], "init-study": [Mode.ANFIS]}.get(args.command, list(Mode))
-        ignored = {k: f"{args.command} sets each run's {k}" for k in per_run.get(args.command, ())}
-        for key, *readers in (
-            ("mo_weight", Mode.MO_ANFIS), ("lr_xpass", Mode.X_ANFIS),
-            ("d_target", Mode.MO_ANFIS, Mode.X_ANFIS),
-        ):
-            if not any(mode in modes for mode in readers):
-                ignored[key] = f"no run is in {' or '.join(m.value for m in readers)} mode"
-        flags = [vars(parser.parse_args([c])) for c in ("train", "init-study", "pareto-sweep")]
+        # an explicit key no run reads is named: one set on every run, a mode knob every run
+        # leaves unread, one only another command has a flag for, or synth_* with a manifest
+        ignored = {k: f"{args.command} sets each run's {k}" for k in per_run}
+        unread = [run.cfg.unread_knobs() for run in runs]
+        ignored.update((k, unread[0][k]) for k in set(unread[0]).intersection(*unread))
+        flags = [vars(parser.parse_args([c])) for c in COMMANDS]
         for flag in set().union(*flags) - vars(args).keys():
             for key in ("weights_lo", "weights_hi") if flag == "weights_range" else [flag]:
                 ignored[key] = f"{args.command} has no flag for it"
@@ -499,16 +495,7 @@ def main(argv=None):
                 ignored[key] = "the data come from a manifest"
         for key in sorted(ignored.keys() & explicit):
             print(f"warning: {key} is ignored: {ignored[key]}", file=sys.stderr)
-        if args.command == "train":
-            bad = [r.run_id for r in cmd_train(cfg) if r.diverged]
-            if bad:
-                print(f"error: diverged runs: {', '.join(bad)}", file=sys.stderr)
-                return 1
-            return 0
-        if args.command == "init-study":
-            cmd_init_study(cfg)
-        else:
-            cmd_pareto_sweep(cfg)
+        run_command(cfg)
         return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -71,6 +71,17 @@ class TrainConfig:
         if self.mo_weight < 0:
             raise ValueError(f"mo_weight must be nonnegative, got {self.mo_weight}")
 
+    def unread_knobs(self):
+        """{knob: reason} of the mode knobs (mo_weight, lr_xpass, d_target) a run does not read."""
+        switches = {"mo_weight": Mode.MO_ANFIS, "lr_xpass": Mode.X_ANFIS}
+        switch = next((knob for knob, mode in switches.items() if mode == self.mode), None)
+        unread = {k: f"no run is in {m.value} mode" for k, m in switches.items() if k != switch}
+        if switch is None:
+            unread["d_target"] = "no run is in mo_anfis or x_anfis mode"
+        elif getattr(self, switch) == 0:
+            unread["d_target"] = f"{switch} is 0"
+        return unread
+
 
 @dataclass
 class EpochTrace:
@@ -218,8 +229,9 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     val_rows = Rows.of(X_val, rb0, "X_val", buf=rows.scratch)
 
     kind, order, centers, scales = rb0.mf_kind, rb0.order, rb0.centers, rb0.scales
-    mo_weight = cfg.mo_weight if cfg.mode == Mode.MO_ANFIS else 0.0
-    xpass = cfg.mode == Mode.X_ANFIS and cfg.lr_xpass != 0.0
+    unread = cfg.unread_knobs().keys()  # what the CLI's ignored-knob warnings read too
+    mo_weight = 0.0 if {"mo_weight", "d_target"} & unread else cfg.mo_weight
+    xpass = not {"lr_xpass", "d_target"} & unread
     traces = []
     last = best = None  # (centers, scales, consequents): the last finite and the best state
     best_val = math.inf

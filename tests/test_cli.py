@@ -1,5 +1,6 @@
 """Command harness: file contracts, grids, determinism, error paths."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -14,6 +15,7 @@ import pytest
 
 import xanfis.cli
 from xanfis.cli import (
+    COMMANDS,
     ExperimentConfig,
     build_config,
     build_parser,
@@ -405,6 +407,12 @@ class TestMainEntry:
             ("train", ["--manifest", "m.json", "--synth-n", "300", "--synth-noise", "0.1"], {},
              ["synth_n", "synth_noise"]),
             ("train", ["--synth-noise", "0.1"], {}, []),
+            ("train", ["--mode", "x_anfis", "--lr-xpass", "0", "--d-target", "0.3"], {},
+             ["d_target"]),
+            ("train", ["--mode", "mo_anfis", "--mo-weight", "0", "--d-target", "0.3"], {},
+             ["d_target"]),
+            ("pareto-sweep", ["--weights-count", "2", "--lr-xpass", "0", "--d-target", "0.3"], {},
+             []),
         ],
     )
     def test_explicit_knob_warns_when_no_run_uses_it(
@@ -412,8 +420,9 @@ class TestMainEntry:
     ):
         # a flag or a config key counts; init-study runs only anfis, in both kinds; pareto-sweep
         # sets each run's mode and weight, and its ref_x_anfis run takes lr_xpass; d_target is
-        # read in mo_anfis and x_anfis; a key only another command has a flag for is ignored;
-        # every row but the manifest one gives --synth-n with --synth
+        # read in mo_anfis and x_anfis while the mode's switch (mo_weight, lr_xpass) is above 0;
+        # a key only another command has a flag for is ignored; every row but the manifest one
+        # gives --synth-n with --synth
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         data = ["--synth", "sinc2d", "--synth-n", "300"]
@@ -433,27 +442,37 @@ class TestMainEntry:
         if "trajectory" in warned:
             shown = "warning: trajectory is ignored: init-study sets each run's trajectory\n"
             assert shown in err
-        if "d_target" in warned:
+        if "d_target" in warned and "0" not in extra:
             assert "warning: d_target is ignored: no run is in mo_anfis or x_anfis mode\n" in err
+        if "d_target" in warned and "0" in extra:  # the mode's switch is given as 0
+            switch = extra[extra.index("0") - 1].removeprefix("--").replace("-", "_")
+            assert f"warning: d_target is ignored: {switch} is 0\n" in err
         if "scales" in warned:
             assert f"warning: scales is ignored: {command} has no flag for it\n" in err
         if "synth_n" in warned:
             assert "warning: synth_n is ignored: the data come from a manifest\n" in err
 
     @pytest.mark.parametrize(
-        "extra, config, shown",
+        "command, extra, config, shown",
         [
-            (["--d-target", "2"], {}, "d_target must be in (0, 1], got 2.0"),
-            ([], {"weights_count": 0}, "weight count must be >= 1, got 0"),
-            ([], {"scales": ["0.5"]}, "scales must be numbers, got ['0.5']"),
+            ("train", ["--d-target", "2"], {}, "d_target must be in (0, 1], got 2.0"),
+            ("train", [], {"weights_count": 0}, "weight count must be >= 1, got 0"),
+            ("train", [], {"scales": ["0.5"]}, "scales must be numbers, got ['0.5']"),
+            ("init-study", ["--scales", "5", "--mo-weight", "3"], {},
+             "init scale 5 is outside [0.001, 1]"),
+            ("init-study", ["--scales", "0.5,0.50", "--d-target", "0.3"], {},
+             "init scales share output file names: 0.5"),
         ],
     )
-    def test_rejected_knob_is_not_called_ignored(self, tmp_path, capsys, extra, config, shown):
-        # train reads none of these, but a value no command accepts is an error, and only that
+    def test_rejected_knob_is_not_called_ignored(
+        self, tmp_path, capsys, command, extra, config, shown
+    ):
+        # no run reads these knobs, but a value the command rejects, in its config or in the
+        # runs it would build, is an error, and only that
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "w"
-        args = ["train", "--config", str(cfg_path), "--synth", "sinc2d", *extra, "--out", str(out)]
+        args = [command, "--config", str(cfg_path), "--synth", "sinc2d", *extra, "--out", str(out)]
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {shown}\n"
         assert not out.exists()
@@ -494,6 +513,7 @@ class TestMainEntry:
             ("train", "--seeds", "a,b", "expected comma-separated integers, got 'a,b'"),
             ("init-study", "--scales", "1,abc", "expected comma-separated numbers, got '1,abc'"),
             ("pareto-sweep", "--weights-range", "5", "expected LO:HI, got '5'"),
+            ("pareto-sweep", "--weights-range", "0.1,1", "expected LO:HI, got '0.1,1'"),
         ],
     )
     def test_malformed_flag_value_is_a_usage_error(
@@ -505,6 +525,18 @@ class TestMainEntry:
         assert exit_info.value.code == 2
         assert f"argument {flag}: {shown}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_commands_table_matches_the_parser(self):
+        # every subcommand that trains has a row, and each field a row sets per run is a
+        # config field: a misspelt one would silently drop its "sets each run's" warning
+        (subcommands,) = [
+            action.choices for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(COMMANDS) == set(subcommands) - {"export-partition"}
+        config_fields = {f.name for f in fields(ExperimentConfig)}
+        for name, (_, _, per_run) in COMMANDS.items():
+            assert set(per_run) <= config_fields, name
 
     def test_unknown_config_key_fails(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

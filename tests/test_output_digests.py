@@ -31,7 +31,7 @@ DIGESTS = {
     "study/model_cauchy_0.5.json": "196b2cbd4b9c007e8be9dd27420a83c6467d3adf397c073fd589ebf5301890c6",
     "study/model_gaussian_0.0625.json": "3b5b6e057e7f2d867a13a4c857ffca115a86b9fbbd2c8d01e189e83eb7ea6760",
     "study/model_gaussian_0.5.json": "80b656ebb26e4851c16dd9446383683dfae4d87c565dac413f72371b2a368a96",
-    "study/summary.csv": "c094a655d6e8651ea0a5e9861c40b0191f4e8c561169b438ece226146fc29ead",
+    "study/summary.csv": "245a2674c61a7ef29be6ad85f30931b07e2b6604cfb411583f444cfa96fac689",
     "study/trace_cauchy_0.0625.csv": "cbd9da4dcfadcd6f9a24bdd998749908f2f02e5888a3188bb1dddcd907019b3b",
     "study/trace_cauchy_0.5.csv": "557f8aff8356761dbd500b4cdbb57b297003bf1b923015cf8bd0c2de749bf3e6",
     "study/trace_gaussian_0.0625.csv": "16eb6a9e9fdf00bb13fbe44f7ce81cc3f6de40e8a254e628d9236dbe3f77a409",
@@ -40,14 +40,14 @@ DIGESTS = {
     "study/trajectory_cauchy_0.5.csv": "f361a0cf3fd1003f670fa74c3c58284eb94431ff512adfde605a3d842660ba9b",
     "study/trajectory_gaussian_0.0625.csv": "135d2c1d3bffd25f69dfdfcd72f8e91268c1e57a8b20dc36d509312a26fb216d",
     "study/trajectory_gaussian_0.5.csv": "012c3dd3b8f175d8120bc2a699f5cd59f22235428df5ea6f77eaebf3ae936753",
-    "sweep/front.csv": "6a0019247857721dacc51421cf905ac0393da4c9b7a1b7445930aaa5537d1d47",
+    "sweep/front.csv": "972ca4e1a87d1ebab4dc1854ab6160276b94825c489f59e6f0f93decacc755ca",
     "sweep/model_mo_w0000.json": "faad0438010a15b1d4b0225ac3ad0b8366adccf93dfa158dd01fa0936c329d0d",
     "sweep/model_mo_w0001.json": "57a8b1ae6455a0811992141daacf1df6c634301aaeb3bd7ffa08aff9924d69df",
     "sweep/model_mo_w0002.json": "19e555cb4d6ca74f60685625846a6a91c474f30fbe4e2749d96a4dcad377e687",
     "sweep/model_mo_w0003.json": "3a02015fe9d73a8aea783ab581c6602e7fb3240e97212b2b5e9f621eaec5e1b6",
     "sweep/model_ref_anfis.json": "1de657aa813e1bf69f45ecac3eaeabd0a45fc92a1af12e58399c1d3c2665dead",
     "sweep/model_ref_x_anfis.json": "9f481ed7c23e88d0bfc7dcefefdf28442e01745b4529311a9ccf191b630516c0",
-    "sweep/points.csv": "949e1bcdc0356f8b2eb1798b03a11c47195832b080500e335f27828a05793398",
+    "sweep/points.csv": "ee7cc299d6ebb7a1d504c6114e577548ac531b34b4a3552f58aa517a4cb53138",
     "sweep/trace_mo_w0000.csv": "72c68e0f2e4fd59ac9fdb5181fdd6d5998ca7aa0d492b52a6d3eada323bd6a66",
     "sweep/trace_mo_w0001.csv": "3a9b6339d5ed2027df95fa056bd4bff689478e4e5a9ee89d4701af757a1dbde5",
     "sweep/trace_mo_w0002.csv": "9f1ff1f1856f6eeb0f7b6d77077a55c231c67e87bf0a06cd00159442496f534f",

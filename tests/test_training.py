@@ -869,6 +869,36 @@ class TestTrainRejectsBadInput:
             train(X_tr, y_tr, X_val[:, :1], y_val, rb0, TrainConfig(max_epochs=3))
 
 
+def trace_bits(traces):
+    return [
+        (t.epoch, t.train_mse, t.val_mse, t.mean_D,
+         t.centers_snapshot.tobytes(), t.scales_snapshot.tobytes())
+        for t in traces
+    ]
+
+
+class TestUnreadKnobs:
+    # changing one mode knob leaves the trace bit-identical exactly when the
+    # predicate the CLI warns from says a run does not read that knob
+    @pytest.mark.parametrize(
+        "knob, values",
+        [("d_target", (0.3, 0.7)), ("mo_weight", (1.0, 2.0)), ("lr_xpass", (0.1, 0.2))],
+    )
+    @pytest.mark.parametrize("switch_on", [False, True])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_trainer_reads_what_the_predicate_says(self, mode, switch_on, knob, values):
+        X_tr, y_tr, X_val, y_val, rb0 = small_problem()
+        base = TrainConfig(
+            mode=mode, mo_weight=1.0 * switch_on, lr_xpass=0.1 * switch_on, max_epochs=3, patience=4
+        )
+        cfgs = [replace(base, **{knob: value}) for value in values]
+        unread = {knob in cfg.unread_knobs() for cfg in cfgs}
+        assert len(unread) == 1
+        traces = [trace_bits(train(X_tr, y_tr, X_val, y_val, rb0, cfg).traces) for cfg in cfgs]
+        assert len(traces[0]) == 4
+        assert (traces[0] == traces[1]) == unread.pop()
+
+
 class TestModeDegeneracy:
     def test_xanfis_with_zero_lr_equals_anfis(self):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem(seed=9)
