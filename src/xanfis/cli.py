@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (
-    SYNTH_DATASETS, check_fields, check_synth, has_type, load_csv, load_manifest, read_json,
+    SYNTH_DATASETS, check_synth, has_type, load_csv, load_manifest, read_json,
     split_scale, synth_regression, write_csv,
 )
 from .fcm_init import FCMConfig, fcm_fit
@@ -70,7 +71,6 @@ class ExperimentConfig(TrainConfig):
 
     def validate(self):
         """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
-        check_fields(self)
         super().validate()
         for name, kind in (("mf", MFKind), ("order", Order)):
             value, names = getattr(self, name), [member.value for member in kind]
@@ -134,7 +134,7 @@ class RunRecord(Run):
 
     @property
     def diverged(self):
-        return self.stop_reason in DIVERGED
+        return int(self.stop_reason in DIVERGED)
 
 
 def prepare_seed(run, data):
@@ -211,34 +211,30 @@ def _check_out_dir(out):
         raise ValueError(f"output directory {out!r} is not writable: {err}") from err
 
 
-#: the cell of each column of every command's run table; floats at full
-#: precision, an unset run input empty; mode and mf may be enum members
+#: the record attribute of each column of every command's run table
 _CELLS = {
-    "run_id": lambda r: r.run_id,
-    "mode": lambda r: Mode(r.cfg.mode).value,
-    "mf": lambda r: MFKind(r.cfg.mf).value,
-    "order": lambda r: r.cfg.order,
-    "rules": lambda r: r.cfg.rules,
-    "seed": lambda r: r.seed,
-    "lr_backward": lambda r: repr(r.cfg.lr_backward),
-    "lr_xpass": lambda r: repr(r.cfg.lr_xpass),
-    "lambda": lambda r: repr(r.cfg.lam),
-    "d_target": lambda r: repr(r.cfg.d_target),
-    "mo_weight": lambda r: repr(r.cfg.mo_weight),
-    "weight": lambda r: "" if r.weight is None else repr(r.weight),
-    "init_scale": lambda r: "" if r.init_scale is None else repr(r.init_scale),
-    "epochs_run": lambda r: r.epochs_run,
-    "diverged": lambda r: int(r.diverged),
-    **{
-        m: lambda r, m=m: repr(getattr(r.report, m))
-        for m in ("mse", "rmse", "mae", "r2", "mean_D")
-    },
+    "run_id": "run_id",
+    "mode": "cfg.mode",
+    "mf": "cfg.mf",
+    "order": "cfg.order",
+    "rules": "cfg.rules",
+    "seed": "seed",
+    "lr_backward": "cfg.lr_backward",
+    "lr_xpass": "cfg.lr_xpass",
+    "lambda": "cfg.lam",
+    "d_target": "cfg.d_target",
+    "mo_weight": "cfg.mo_weight",
+    "weight": "weight",
+    "init_scale": "init_scale",
+    "epochs_run": "epochs_run",
+    "diverged": "diverged",
+    **{m: f"report.{m}" for m in ("mse", "rmse", "mae", "r2", "mean_D")},
 }
 
 
 def _write_table(path, records):
     """One CSV row per run record, one cell per _CELLS column."""
-    write_csv(path, list(_CELLS), ([cell(rec) for cell in _CELLS.values()] for rec in records))
+    write_csv(path, list(_CELLS), map(operator.attrgetter(*_CELLS.values()), records))
 
 
 def _aggregate_row(name, values):
@@ -249,11 +245,10 @@ def _aggregate_row(name, values):
     """
     values = [v for v in values if np.isfinite(v)]
     if len(values) >= 2:
-        mean, lo, hi = mean_ci95(values)
-        return [name, repr(mean), repr(lo), repr(hi), len(values)]
+        return [name, *mean_ci95(values), len(values)]
     if values:
-        return [name, repr(float(values[0])), "", "", 1]
-    return [name, "", "", "", 0]
+        return [name, values[0], None, None, 1]
+    return [name, None, None, None, 0]
 
 
 # --------------------------------------------------------------------
@@ -339,11 +334,7 @@ def cmd_export_partition(model_path, samples_per_curve, out):
     write_csv(
         centers_path,
         ["rule", "feature", "center", "scale"],
-        (
-            [j, k, repr(float(rb.centers[j, k])), repr(float(rb.scales[j, k]))]
-            for j in range(r)
-            for k in range(f)
-        ),
+        ([j, k, rb.centers[j, k], rb.scales[j, k]] for j in range(r) for k in range(f)),
     )
     xs = np.linspace(0.0, 1.0, int(samples_per_curve))
 
@@ -352,7 +343,7 @@ def cmd_export_partition(model_path, samples_per_curve, out):
             for j in range(r):
                 mu = membership_values(rb.mf_kind, xs, rb.centers[j, k], rb.scales[j, k])
                 for x, m in zip(xs, mu):
-                    yield [k, j, repr(float(x)), repr(float(m))]
+                    yield [k, j, x, m]
 
     curves_path = os.path.join(out, "curves.csv")
     write_csv(curves_path, ["feature", "rule", "x", "membership"], curve_rows())

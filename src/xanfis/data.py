@@ -30,7 +30,7 @@ class ScalerError(ValueError):
 
 
 #: accepted types of each field annotation of a JSON-read dataclass; a JSON
-#: integer is a valid float and is kept as given, so the repr() of every output is unchanged
+#: integer is a valid float and is kept as given, so every output cell is unchanged
 _FIELD_TYPES = {
     "Mode": str, "str": str, "str | None": (str, type(None)), "str | int": (str, int),
     "int": int, "float": (int, float), "bool": bool, "list": list,
@@ -233,7 +233,11 @@ def load_csv(manifest):
 
 
 def write_csv(path, header, rows):
-    """Write a UTF-8 CSV: the header row, then every row of an iterable."""
+    """Write a UTF-8 CSV: the header row, then every row of an iterable of raw cells.
+
+    csv formats each cell: a float or numpy float64 at full round-trip precision
+    (as Python prints it), None as an empty cell, a str enum member as its value.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

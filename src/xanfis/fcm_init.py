@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_fields
 from .membership import project_bounds_arrays
 from .numerics import InsufficientDataError, RandomStream, as_array
 
@@ -26,6 +27,7 @@ class FCMConfig:
     seed: int = 0
 
     def validate(self):
+        check_fields(self)
         if self.n_clusters < 2:
             raise ValueError(f"n_clusters must be >= 2, got {self.n_clusters}")
         if not self.tol > 0.0:

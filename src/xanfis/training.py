@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import write_csv
+from .data import check_fields, write_csv
 from .inference import Order, RuleBase, Rows, check_rule_base, forward, refit
 from .membership import log_grad_factor, project_bounds_arrays
 from .numerics import SingularMatrixError, as_rows
@@ -53,6 +54,7 @@ class TrainConfig:
     patience: int = 20
 
     def validate(self):
+        check_fields(self)
         names = [m.value for m in Mode]
         if self.mode not in names:
             raise ValueError(f"mode must be one of {names}, got {self.mode!r}")
@@ -283,13 +285,13 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
 # Trace export
 # --------------------------------------------------------------------
 
+#: the EpochTrace field of each column of trace_*.csv
+TRACE_COLUMNS = ("epoch", "train_mse", "val_mse", "mean_D")
+
+
 def traces_to_csv(traces, path):
-    """One row per epoch: epoch, train_mse, val_mse, mean_D."""
-    write_csv(
-        path,
-        ["epoch", "train_mse", "val_mse", "mean_D"],
-        ([t.epoch, repr(t.train_mse), repr(t.val_mse), repr(t.mean_D)] for t in traces),
-    )
+    """One row per epoch, one cell per TRACE_COLUMNS field."""
+    write_csv(path, TRACE_COLUMNS, map(operator.attrgetter(*TRACE_COLUMNS), traces))
 
 
 def trajectory_to_csv(traces, path):
@@ -300,6 +302,6 @@ def trajectory_to_csv(traces, path):
             centers, scales = t.centers_snapshot.tolist(), t.scales_snapshot.tolist()
             for j, (cs, ss) in enumerate(zip(centers, scales)):
                 for k, (c, s) in enumerate(zip(cs, ss)):
-                    yield [t.epoch, j, k, repr(c), repr(s)]
+                    yield [t.epoch, j, k, c, s]
 
     write_csv(path, ["epoch", "rule", "feature", "center", "scale"], rows())

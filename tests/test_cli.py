@@ -78,9 +78,14 @@ class TestWeightGrid:
 
 
 class TestTrainCommand:
-    def test_file_contract(self, tmp_path):
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"lr_backward": np.float64(0.1), "d_target": np.float64(0.5)}],
+        ids=["defaults", "numpy_scalars"],
+    )
+    def test_file_contract(self, tmp_path, knobs):
         out = tmp_path / "runs"
-        records = cmd_train(fast_cfg(out, mode="x_anfis"))
+        records = cmd_train(fast_cfg(out, mode="x_anfis", **knobs))
         assert len(records) == 3
         for seed in (0, 1, 2):
             assert (out / f"model_seed{seed:04d}.json").exists()
@@ -88,6 +93,8 @@ class TestTrainCommand:
         rows = read_rows(out / "metrics.csv")
         assert len(rows) == 3
         assert rows[0]["mode"] == "x_anfis"
+        # a numpy float knob is written as the float it holds
+        assert {(r["lr_backward"], r["d_target"]) for r in rows} == {("0.1", "0.5")}
         agg = read_rows(out / "aggregate.csv")
         assert [r["metric"] for r in agg] == ["r2", "mean_D"]
         assert all(r["ci_lo"] != "" for r in agg)

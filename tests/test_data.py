@@ -311,6 +311,22 @@ class TestLoadCSV:
         assert X.shape == (2, 2)
 
 
+class TestWriteCSV:
+    def test_cells_formatted_by_csv(self, tmp_path):
+        # every writer passes raw cells: a Python float and a numpy float64 must both
+        # read back as the float's round-trip repr, and None as an empty cell
+        edge = [0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan, 1e16, 1e-5, 0.1]
+        bits = np.random.default_rng(0).integers(0, 2**64, 20000, dtype=np.uint64)
+        values = edge + bits.view(np.float64).tolist()
+        path = tmp_path / "cells.csv"
+        rows = ([v, np.float64(v), None] for v in values)
+        data.write_csv(path, ["float", "float64", "unset"], rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [
+                ["float", "float64", "unset"], *([repr(v), repr(v), ""] for v in values)
+            ]
+
+
 class TestSplitScale:
     def test_split_sizes(self):
         rng = np.random.default_rng(0)

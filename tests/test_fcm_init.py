@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -273,12 +274,22 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fcm_fit(np.zeros((3, 2)), FCMConfig(n_clusters=4, seed=0))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=1, seed=0))
-        # zero iterations would return the all-zero initial centers
-        with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
-            fcm_fit(np.zeros((10, 2)), FCMConfig(n_clusters=2, max_iter=0, seed=0))
+    @pytest.mark.parametrize(
+        "knobs, shown",
+        [
+            ({"n_clusters": 1}, "n_clusters must be >= 2, got 1"),
+            # zero iterations would return the all-zero initial centers
+            ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+            ({"seed": 1.5}, "seed must be int, got 1.5"),
+            ({"seed": True}, "seed must be int, got True"),
+            ({"max_iter": 2.5}, "max_iter must be int, got 2.5"),
+            ({"n_clusters": 3.0}, "n_clusters must be int, got 3.0"),
+        ],
+    )
+    def test_config_validation(self, knobs, shown):
+        X = np.random.default_rng(0).random((10, 2))
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            fcm_fit(X, FCMConfig(**{"n_clusters": 2, "seed": 0, **knobs}))
 
 
 class TestScales:

@@ -294,10 +294,22 @@ class TestClippedStep:
 
 
 class TestTrainConfig:
-    def test_unknown_mode_rejected(self):
-        shown = "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'xanfis'"
+    @pytest.mark.parametrize(
+        "knobs, shown",
+        [
+            ({"mode": "xanfis"}, "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'xanfis'"),
+            ({"lr_backward": math.nan}, "lr_backward must be finite, got nan"),
+            ({"lam": math.nan}, "lam must be finite, got nan"),
+            ({"max_epochs": 3.0}, "max_epochs must be int, got 3.0"),
+            ({"patience": 2.5}, "patience must be int, got 2.5"),
+            ({"lr_xpass": math.inf}, "lr_xpass must be finite, got inf"),
+            ({"d_target": True}, "d_target must be float, got True"),
+        ],
+    )
+    def test_bad_value_rejected_by_train(self, knobs, shown):
+        cfg = TrainConfig(**{"mode": Mode.X_ANFIS, "max_epochs": 3, **knobs})
         with pytest.raises(ValueError, match=re.escape(shown)):
-            TrainConfig(mode="xanfis").validate()
+            train(*small_problem(), cfg)
 
 
 class TestAdjacency:
