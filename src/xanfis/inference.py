@@ -108,9 +108,9 @@ class Rows(NamedTuple):
     broadcasts as an (F, 1, N) view.  u (F, R, N), normalized (R, N)
     and live (N,) hold the last forward: the standardized distances, the
     normalized firing and the live-row mask.  scratch, a flat buffer of
-    R*(F+1)*N floats, holds the transients in turn: Cauchy's per-feature
-    memberships (F, R, N), the first-order design matrix (R, F+1, N), then
-    the backward's terms.
+    R*(F+1)*N floats, holds the transients in turn through views that alias
+    it: work (F, R, N) at its front and b (R, N) behind it, for Cauchy's
+    memberships and the backward's terms, and design (R, F+1, N) over all of it.
     """
 
     aug: np.ndarray
@@ -118,6 +118,9 @@ class Rows(NamedTuple):
     normalized: np.ndarray
     live: np.ndarray
     scratch: np.ndarray
+    work: np.ndarray
+    design: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def of(cls, X, rb, name="X", buf=None):
@@ -140,7 +143,10 @@ class Rows(NamedTuple):
         aug = np.empty((f + 1, n))
         aug[:f] = X.T
         aug[f] = 1.0
-        return cls(aug, u.reshape(f, r, n), normalized.reshape(r, n), np.empty(n, dtype=bool), scratch)
+        return cls(
+            aug, u.reshape(f, r, n), normalized.reshape(r, n), np.empty(n, dtype=bool), scratch,
+            scratch[:frn].reshape(f, r, n), scratch.reshape(r, f + 1, n), scratch[frn:].reshape(r, n),
+        )
 
 
 def membership_tensor(rows, centers, scales):
@@ -155,15 +161,12 @@ def design_matrix(rows, order):
 
     Zero-order: rows.normalized itself, (R, N).  First-order: per rule j
     the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N), written to
-    the front of rows.scratch.
+    rows.design, whose reshape is a view.
     """
     if order == Order.ZERO:
         return rows.normalized
-    n_rules, n = rows.normalized.shape
-    # a C-ordered (R, F+1, N) buffer, so the reshape below is a view and not a copy
-    blocks = rows.scratch[: n_rules * rows.aug.size].reshape(n_rules, *rows.aug.shape)
-    np.multiply(rows.normalized[:, None, :], rows.aug, out=blocks)
-    return blocks.reshape(-1, n)
+    np.multiply(rows.normalized[:, None, :], rows.aug, out=rows.design)
+    return rows.design.reshape(-1, rows.aug.shape[1])
 
 
 def forward(rows, kind, order, centers, scales):
@@ -175,7 +178,7 @@ def forward(rows, kind, order, centers, scales):
     underflowed samples degrade to ~0 instead of dividing by zero.
     """
     u = membership_tensor(rows, centers, scales)
-    raw = product_firing(kind, u, out=rows.normalized, scratch=rows.scratch)
+    raw = product_firing(kind, u, out=rows.normalized, mu=rows.work)
     total = np.add.reduce(raw, axis=0)
     raw /= np.maximum(total, EPS_DENOM)
     np.greater(total, EPS_DENOM, out=rows.live)

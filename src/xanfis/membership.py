@@ -49,20 +49,19 @@ def membership_values(kind, x, centers, scales):
     return _mu(kind, (x - centers) / scales)
 
 
-def product_firing(kind, u, out=None, scratch=None):
+def product_firing(kind, u, out=None, mu=None):
     """Product over the leading (feature) axis of the memberships at standardized distances u.
 
     u = (x - c) / s.  Gaussian: one exp of -0.5 * sum(u^2), with no
     per-feature membership; Cauchy: the product of 1 / (1 + u^2).  The
     result goes to out when given; Cauchy's per-feature memberships go to
-    the first u.size floats of the flat buffer scratch when given.  Gaussian
-    memberships may underflow to 0.0 (see xanfis.inference).
+    mu, an array of u's shape, when given.  Gaussian memberships may
+    underflow to 0.0 (see xanfis.inference).
     """
     if kind == MFKind.GAUSSIAN:
         q = np.einsum("f...,f...->...", u, u, out=out)
         q *= -0.5
         return np.exp(q, out=q)
-    mu = None if scratch is None else scratch[: u.size].reshape(u.shape)
     return np.multiply.reduce(_mu(kind, u, out=mu), axis=0, out=out)
 
 

@@ -134,14 +134,11 @@ def mse_antecedent_gradients(rows, y, yhat, kind, order, scales, consequents):
     where d log mu / d c = g / s and d log mu / d s = g u / s for the
     kind's factor g at the standardized distances u; these stay finite
     even when mu underflows.  The 1/s is applied after the sum over samples.
-    rows.scratch holds the (R, N) rule outputs f_j and the (F, R, N) w in
-    its front and b behind them.
+    The (R, N) rule outputs f_j go to rows.work[0], b to rows.b, and the
+    (F, R, N) w to rows.work, over the consumed f.
     """
-    u, normalized = rows.u, rows.normalized
+    u, normalized, f, b, w = rows.u, rows.normalized, rows.work[0], rows.b, rows.work
     n_rules, n = normalized.shape
-    f = rows.scratch[: n_rules * n].reshape(n_rules, n)
-    b = rows.scratch[u.size : u.size + n_rules * n].reshape(n_rules, n)
-    w = rows.scratch[: u.size].reshape(u.shape)
     upstream = (2.0 / n) * (yhat - y)
     np.multiply(upstream, normalized, out=b)
     if order == Order.ZERO:
