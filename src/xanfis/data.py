@@ -357,6 +357,8 @@ def friedman_target(X):
 
 def check_synth(name, n):
     """Reject a synthetic dataset of fewer than 50 rows or not in SYNTH_DATASETS."""
+    if not has_type(n, "int"):
+        raise ValueError(f"n must be int, got {n!r}")
     if n < 50:
         raise ValueError(f"need n >= 50, got {n}")
     if name not in SYNTH_DATASETS:
@@ -365,8 +367,9 @@ def check_synth(name, n):
 
 def synth_regression(name, n, noise, seed):
     """Deterministic synthetic datasets: sinc2d or friedman."""
-    n = int(n)
     check_synth(name, n)
+    if not (has_type(noise, "float") and math.isfinite(noise)):
+        raise ValueError(f"noise must be a finite float, got {noise!r}")
     stream = RandomStream(seed)
     if name == "sinc2d":
         lo, hi = SINC2D_RANGE

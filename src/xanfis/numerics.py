@@ -52,6 +52,8 @@ def ridge_solve(phi, y, lam):
     SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
     matching nonzero row counts (as_rows checks them for every caller).
     """
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not math.isfinite(lam):
+        raise ValueError(f"lambda must be a finite number, got {lam!r}")
     lam = float(lam)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
@@ -115,7 +117,9 @@ class RandomStream:
     """
 
     def __init__(self, seed):
-        self.seed = int(seed) & _MASK64
+        if isinstance(seed, bool) or not isinstance(seed, int):  # as data.has_type(seed, "int")
+            raise ValueError(f"seed must be int, got {seed!r}")
+        self.seed = seed & _MASK64
         self._count = 0
 
     def uint64s(self, n):

@@ -225,6 +225,30 @@ class TestCriterion3InitializationStability:
         )
 
 
+class TestCauchyStabilityOnFriedman:
+    """The Gaussian collapse that 3b's 2-feature fallback cannot show, on the built-in 5-feature set.
+
+    Not a criterion: 3b keeps its gate and fixture.  At scale 0.03125 the
+    Gaussian run ends with one rule holding the whole firing mass and a
+    constant model; the Cauchy run from the same centers trains.
+    """
+
+    def test_gaussian_collapses_where_cauchy_trains(self):
+        split = split_scale(*synth_regression("friedman", 2000, 0.05, seed=0), seed=0)
+        centers = fcm_fit(split.X_train, FCMConfig(n_clusters=10, seed=0)).centers
+        cfg = TrainConfig(max_epochs=60)
+        r2, share = {}, {}
+        for mf in MFKind:
+            rb0 = RuleBase(mf, centers, np.full(centers.shape, 0.03125))
+            rb = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg).rb
+            r2[mf] = regression_metrics(split.y_test, predict(rb, split.X_test))[3]
+            normalized = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)[1].normalized
+            share[mf] = float(np.max(normalized.sum(axis=1))) / normalized.shape[1]
+        detail = f"r2 {r2}, top-rule share {share}"
+        assert r2[MFKind.GAUSSIAN] < 0.1 and share[MFKind.GAUSSIAN] > 0.99, detail
+        assert r2[MFKind.CAUCHY] > 0.5, detail
+
+
 class TestCriterion4TradeOff:
     def test_xanfis_distinguishability(self, tradeoff_runs):
         x_d = float(np.mean([r["mean_D"] for r in tradeoff_runs["x_anfis"]]))

@@ -131,8 +131,9 @@ class TestTrainCommand:
         assert files == dir_bytes(tmp_path / "b")
 
     def test_pool_capped_at_run_count(self, tmp_path, monkeypatch):
-        # a process pool starts all its workers up front: one run needs none
-        sizes = []
+        # a process pool starts all its workers up front: one run needs none; the
+        # seeds' splits and FCM fits go through the pool, then the runs
+        sizes, mapped = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -144,12 +145,16 @@ class TestTrainCommand:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            @staticmethod
+            def map(fn, *iterables):
+                mapped.append(fn)
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cmd_train(fast_cfg(tmp_path / "one", seeds=[0], workers=8))
         cmd_train(fast_cfg(tmp_path / "three", seeds=[0, 1, 2], workers=8))
         assert sizes == [3]
+        assert mapped == [xanfis.cli.prepare_seed, xanfis.cli.run_experiment]
 
     def test_metrics_rows_in_numeric_seed_order(self, tmp_path):
         # as strings, seed10000 sorts before seed9999

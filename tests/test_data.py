@@ -328,6 +328,12 @@ class TestWriteCSV:
 
 
 class TestSplitScale:
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_non_int_seed_rejected(self, seed):
+        X, y = np.arange(40.0).reshape(20, 2), np.arange(20.0)
+        with pytest.raises(ValueError, match=re.escape(f"seed must be int, got {seed!r}")):
+            split_scale(X, y, seed=seed)
+
     def test_split_sizes(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 10, size=(100, 2))
@@ -486,3 +492,18 @@ class TestSynthetic:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             synth_regression("sinc2d", 10, 0.0, seed=0)
+
+    @pytest.mark.parametrize("n, noise, seed, shown", [
+        (300.9, 0.1, 0, "n must be int, got 300.9"),
+        ("300", 0.1, 0, "n must be int, got '300'"),
+        (300, float("nan"), 0, "noise must be a finite float, got nan"),
+        (300, float("inf"), 0, "noise must be a finite float, got inf"),
+        (300, "0.1", 0, "noise must be a finite float, got '0.1'"),
+        (300, 0.1, 1.5, "seed must be int, got 1.5"),
+        (300, 0.1, "1", "seed must be int, got '1'"),
+        (300, 0.1, True, "seed must be int, got True"),
+    ])
+    def test_bad_argument_rejected(self, n, noise, seed, shown):
+        # coerced, these would run seed 1, draw 300 rows or give non-finite targets
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            synth_regression("sinc2d", n, noise, seed=seed)

@@ -196,6 +196,13 @@ class TestSampleAxisLast:
         assert np.shares_memory(phi, fm.scratch)  # the (R, F+1, N) blocks in the scratch
 
 
+def span(view, base):
+    """(first, end) float offsets of the C-contiguous view in the flat array base."""
+    assert view.flags.c_contiguous
+    first = (view.ctypes.data - base.ctypes.data) // base.itemsize
+    return first, first + view.size
+
+
 def stale_buffer(size):
     """A flat buffer of NaN, so a result that reads its old contents shows."""
     return np.full(size, np.nan)
@@ -209,6 +216,11 @@ class TestRows:
         assert [a.shape for a in (rows.u, rows.normalized, rows.live, rows.scratch)] == [
             (2, 4, 3), (4, 3), (3,), (4 * 3 * 3,)
         ]
+        # work (F, R, N) and b (R, N) tile the scratch; design (R, F+1, N) spans all of it
+        views = (rows.work, rows.b, rows.design)
+        assert [a.shape for a in views] == [(2, 4, 3), (4, 3), (4, 3, 3)]
+        assert all(np.shares_memory(a, rows.scratch) for a in views)
+        assert [span(a, rows.scratch) for a in views] == [(0, 24), (24, 36), (0, 36)]
 
     def test_wrong_feature_count_named(self):
         rb = random_rulebase(np.random.default_rng(0), n_rules=2, n_features=3)
@@ -231,7 +243,7 @@ class TestRows:
         phi = design_matrix(stale, order)
         np.testing.assert_array_equal(phi, design_matrix(fresh, order), strict=True)
         assert np.shares_memory(phi, stale.scratch if order == Order.FIRST else stale.normalized)
-        g = log_grad_factor(kind, fresh.u, out=stale.scratch[: fresh.u.size].reshape(fresh.u.shape))
+        g = log_grad_factor(kind, fresh.u, out=stale.work)
         np.testing.assert_array_equal(g, log_grad_factor(kind, fresh.u), strict=True)
         fitted, _, yhat = fit_consequents(rb, X, y, 1e-4)
         w, yhat_stale = refit(stale, y, 1e-4, kind, order, rb.centers, rb.scales)
@@ -248,6 +260,10 @@ class TestRows:
         assert not any(np.shares_memory(a, b) for a, b in ((rows.u, rows.normalized),
                                                            (rows.u, rows.scratch),
                                                            (rows.normalized, rows.scratch)))
+        # the scratch's views stay inside it, so inside buf
+        assert [span(a, buf) for a in (rows.scratch, rows.work, rows.b, rows.design)] == [
+            (320, 640), (320, 560), (560, 640), (320, 640)
+        ]
         rows = Rows.of(np.zeros((21, 3)), rb, buf=buf)  # too short: new arrays
         assert not any(np.shares_memory(a, buf) for a in (rows.u, rows.normalized, rows.scratch))
 

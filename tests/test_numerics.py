@@ -123,6 +123,13 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, True, "0.1"])
+    def test_lambda_not_a_finite_number_raises(self, lam):
+        # unchecked, NaN gives NaN consequents and inf all-zero ones; True and "0.1" are coerced
+        shown = f"lambda must be a finite number, got {lam!r}"
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            ridge_solve(np.eye(2), np.ones(2), lam)
+
 
 class TestMeanCI95:
     def test_zero_variance(self):
@@ -153,6 +160,16 @@ class TestMeanCI95:
 
 
 class TestRandomStream:
+    @pytest.mark.parametrize("seed", [1.5, True, "1", np.int64(1)])
+    def test_non_int_seed_rejected(self, seed):
+        # int() would run each as seed 1; a bool is not an int, as in the config fields
+        with pytest.raises(ValueError, match=re.escape(f"seed must be int, got {seed!r}")):
+            RandomStream(seed)
+
+    def test_negative_seed_wraps(self):
+        a, b = RandomStream(-1).uniforms(4), RandomStream(2**64 - 1).uniforms(4)
+        np.testing.assert_array_equal(a, b)
+
     def test_equal_seeds_equal_draws(self):
         a = RandomStream(123456789).uniforms(10_000)
         b = RandomStream(123456789).uniforms(10_000)
