@@ -24,14 +24,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .data import (
-    SYNTH_DATASETS, check_synth, has_type, load_csv, load_manifest, read_json,
+    SYNTH_DATASETS, check_synth, load_csv, load_manifest, read_json,
     split_scale, synth_regression, write_csv,
 )
 from .fcm_init import FCMConfig, fcm_fit
 from .inference import Order, RuleBase, load_model, save_model
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
 from .metrics import EvalReport, evaluate_model, mean_distinguishability, pareto_front
-from .numerics import mean_ci95
+from .numerics import check_value, has_type, mean_ci95
 from .training import DIVERGED, Mode, TrainConfig, traces_to_csv, train, trajectory_to_csv
 
 
@@ -72,10 +72,8 @@ class ExperimentConfig(TrainConfig):
     def validate(self):
         """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
         super().validate()
-        for name, kind in (("mf", MFKind), ("order", Order)):
-            value, names = getattr(self, name), [member.value for member in kind]
-            if value not in names:
-                raise ValueError(f"{name} must be one of {names}, got {value!r}")
+        check_value(self.mf, MFKind, "mf")
+        check_value(self.order, Order, "order")
         if bool(self.manifest) == bool(self.synth):
             raise ValueError("config must name exactly one data source (manifest or synth)")
         if self.synth:
@@ -101,7 +99,7 @@ class ExperimentConfig(TrainConfig):
 
 def weight_grid(count, lo, hi):
     """count log-spaced scalarization weights from lo to hi, endpoints exact."""
-    if count < 1:
+    if check_value(count, "int", "weight count") < 1:
         raise ValueError(f"weight count must be >= 1, got {count}")
     if not (0 < lo <= hi):
         raise ValueError(f"weight range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
@@ -326,7 +324,7 @@ def cmd_pareto_sweep(cfg):
 def cmd_export_partition(model_path, samples_per_curve, out):
     """Dump a saved model's centers and sampled membership curves."""
     rb, _scaler = load_model(model_path)
-    if samples_per_curve < 1:
+    if check_value(samples_per_curve, "int", "samples") < 1:
         raise ValueError(f"samples must be >= 1, got {samples_per_curve}")
     _check_out_dir(out)
     r, f = rb.centers.shape
@@ -336,7 +334,7 @@ def cmd_export_partition(model_path, samples_per_curve, out):
         ["rule", "feature", "center", "scale"],
         ([j, k, rb.centers[j, k], rb.scales[j, k]] for j in range(r) for k in range(f)),
     )
-    xs = np.linspace(0.0, 1.0, int(samples_per_curve))
+    xs = np.linspace(0.0, 1.0, samples_per_curve)
 
     def curve_rows():
         for k in range(f):

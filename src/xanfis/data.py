@@ -14,11 +14,11 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RandomStream, as_rows
+from .numerics import RandomStream, as_rows, check_fields, check_value, has_type
 
 
 class CSVFormatError(ValueError):
@@ -27,29 +27,6 @@ class CSVFormatError(ValueError):
 
 class ScalerError(ValueError):
     """A selected column cannot be min-max scaled (constant on train rows)."""
-
-
-#: accepted types of each field annotation of a JSON-read dataclass; a JSON
-#: integer is a valid float and is kept as given, so every output cell is unchanged
-_FIELD_TYPES = {
-    "Mode": str, "str": str, "str | None": (str, type(None)), "str | int": (str, int),
-    "int": int, "float": (int, float), "bool": bool, "list": list,
-}
-
-
-def has_type(value, kind):
-    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
-    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
-
-
-def check_fields(obj):
-    """Reject, naming it, a dataclass field not of its declared type or a non-finite float."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not has_type(value, f.type):
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        if f.type == "float" and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def read_json(path, what):
@@ -357,9 +334,7 @@ def friedman_target(X):
 
 def check_synth(name, n):
     """Reject a synthetic dataset of fewer than 50 rows or not in SYNTH_DATASETS."""
-    if not has_type(n, "int"):
-        raise ValueError(f"n must be int, got {n!r}")
-    if n < 50:
+    if check_value(n, "int", "n") < 50:
         raise ValueError(f"need n >= 50, got {n}")
     if name not in SYNTH_DATASETS:
         raise ValueError(f"unknown synthetic dataset {name!r}")
@@ -368,8 +343,7 @@ def check_synth(name, n):
 def synth_regression(name, n, noise, seed):
     """Deterministic synthetic datasets: sinc2d or friedman."""
     check_synth(name, n)
-    if not (has_type(noise, "float") and math.isfinite(noise)):
-        raise ValueError(f"noise must be a finite float, got {noise!r}")
+    check_value(noise, "float", "noise")
     stream = RandomStream(seed)
     if name == "sinc2d":
         lo, hi = SINC2D_RANGE

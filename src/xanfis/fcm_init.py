@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_fields
 from .membership import project_bounds_arrays
-from .numerics import InsufficientDataError, RandomStream, as_array
+from .numerics import InsufficientDataError, RandomStream, as_array, check_fields
 
 #: the fuzzifier m of every fit (Bezdek's usual value)
 FUZZINESS = 2.0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import read_json
 from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_array, as_rows, ridge_solve
+from .numerics import as_array, as_rows, check_value, has_type, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -244,9 +244,12 @@ def load_model(path):
     doc = read_json(path, "model")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} artifact")
-    if doc.get("version") != MODEL_VERSION:
+    if not has_type(doc.get("version"), "int") or doc["version"] != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     try:
+        for name in ("centers", "scales", "consequents"):  # np.asarray reads "0.25" and true
+            for value in np.asarray(doc[name] or [], dtype=object).flat:
+                check_value(value, "float", name)
         rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err

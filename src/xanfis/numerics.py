@@ -1,13 +1,14 @@
-"""Shared numeric kernels: ridge solver, CI statistics, seeded RNG.
+"""Shared numeric kernels: value checks, ridge solver, CI statistics, seeded RNG.
 
 All matrices and vectors are float64 numpy arrays.  Public entry points
-check shape/finiteness once with as_array/as_rows, so the kernels
-below them can assume clean inputs.
+check arrays once with as_array/as_rows and scalars with check_value, so
+the kernels below them can assume clean inputs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,6 +19,38 @@ class SingularMatrixError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few samples for the requested statistic or fit."""
+
+
+#: accepted types of each field annotation of a JSON-read dataclass; a JSON
+#: integer is a valid float and is kept as given, so every output cell is unchanged
+_FIELD_TYPES = {
+    "Mode": str, "str": str, "str | None": (str, type(None)), "str | int": (str, int),
+    "int": int, "float": (int, float), "bool": bool, "list": list,
+}
+
+
+def has_type(value, kind):
+    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
+    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
+def check_value(value, kind, name):
+    """value, if of kind (a _FIELD_TYPES key, or an enum it names) and finite; else ValueError."""
+    if not isinstance(kind, str):
+        names = [member.value for member in kind]
+        if value not in names:
+            raise ValueError(f"{name} must be one of {names}, got {value!r}")
+    elif not has_type(value, kind):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    elif kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_fields(obj):
+    """check_value on every field of the dataclass obj, against its declared type."""
+    for f in fields(obj):
+        check_value(getattr(obj, f.name), f.type, f.name)
 
 
 def as_array(a, ndim, name):
@@ -52,9 +85,7 @@ def ridge_solve(phi, y, lam):
     SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
     matching nonzero row counts (as_rows checks them for every caller).
     """
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)) or not math.isfinite(lam):
-        raise ValueError(f"lambda must be a finite number, got {lam!r}")
-    lam = float(lam)
+    lam = float(check_value(lam, "float", "lambda"))
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
 
@@ -117,13 +148,12 @@ class RandomStream:
     """
 
     def __init__(self, seed):
-        if isinstance(seed, bool) or not isinstance(seed, int):  # as data.has_type(seed, "int")
-            raise ValueError(f"seed must be int, got {seed!r}")
-        self.seed = seed & _MASK64
+        self.seed = check_value(seed, "int", "seed") & _MASK64
         self._count = 0
 
     def uint64s(self, n):
-        n = int(n)
+        if check_value(n, "int", "n") < 0:  # every draw passes here
+            raise ValueError(f"n must be >= 0, got {n}")
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         return _mix64_array((np.uint64(self.seed) + idx * np.uint64(_GAMMA)).astype(np.uint64))
@@ -133,19 +163,15 @@ class RandomStream:
 
     def normals(self, n):
         """Standard normals via Box-Muller (two uniforms per draw)."""
-        n = int(n)
         u1 = self.uniforms(n)
         u2 = self.uniforms(n)
         return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)
 
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n)."""
-        n = int(n)
-        if n < 2:
-            return np.arange(n)
-        perm = list(range(n))
-        # raw draw k swaps position i = n-1-k (Python ints: exact 128-bit product)
-        for i, raw in zip(range(n - 1, 0, -1), self.uint64s(n - 1).tolist()):
+        perm = list(range(check_value(n, "int", "n")))
+        # n - 1 raw draws, none at n = 0; draw k swaps i = n-1-k (exact 128-bit Python ints)
+        for i, raw in zip(range(n - 1, 0, -1), self.uint64s(n - (n > 0)).tolist()):
             j = (raw * (i + 1)) >> 64
             perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm)
+        return np.array(perm, dtype=int)

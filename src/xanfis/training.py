@@ -23,10 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_fields, write_csv
+from .data import write_csv
 from .inference import Order, RuleBase, Rows, check_rule_base, forward, refit
 from .membership import log_grad_factor, project_bounds_arrays
-from .numerics import SingularMatrixError, as_rows
+from .numerics import SingularMatrixError, as_rows, check_fields, check_value
 
 #: adjacent pairs closer than this get no explainability gradient; the
 #: pair distance divides the update, so coincident sets must be skipped
@@ -55,9 +55,7 @@ class TrainConfig:
 
     def validate(self):
         check_fields(self)
-        names = [m.value for m in Mode]
-        if self.mode not in names:
-            raise ValueError(f"mode must be one of {names}, got {self.mode!r}")
+        check_value(self.mode, Mode, "mode")
         if not 0.0 < self.d_target <= 1.0:
             raise ValueError(f"d_target must be in (0, 1], got {self.d_target}")
         if self.patience < 1:

@@ -75,6 +75,8 @@ class TestWeightGrid:
             weight_grid(0, 0.01, 10)
         with pytest.raises(ValueError):
             weight_grid(5, -1.0, 10)
+        with pytest.raises(ValueError, match=re.escape("weight count must be int, got 2.0")):
+            weight_grid(2.0, 0.1, 1.0)
 
 
 class TestTrainCommand:
@@ -339,6 +341,15 @@ class TestExportPartitionCommand:
         assert main(["export-partition", "--model", str(bad), "--out", str(out)]) == 1
         assert "centers must be finite" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
+        assert not out.exists()
+
+    def test_non_int_samples_rejected_before_writing(self, tmp_path):
+        # int() wrote 2 samples per curve
+        runs = tmp_path / "runs"
+        cmd_train(fast_cfg(runs, seeds=[0], max_epochs=2))
+        out = tmp_path / "export"
+        with pytest.raises(ValueError, match=re.escape("samples must be int, got 2.5")):
+            cmd_export_partition(runs / "model_seed0000.json", 2.5, out)
         assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -496,9 +496,9 @@ class TestSynthetic:
     @pytest.mark.parametrize("n, noise, seed, shown", [
         (300.9, 0.1, 0, "n must be int, got 300.9"),
         ("300", 0.1, 0, "n must be int, got '300'"),
-        (300, float("nan"), 0, "noise must be a finite float, got nan"),
-        (300, float("inf"), 0, "noise must be a finite float, got inf"),
-        (300, "0.1", 0, "noise must be a finite float, got '0.1'"),
+        (300, float("nan"), 0, "noise must be finite, got nan"),
+        (300, float("inf"), 0, "noise must be finite, got inf"),
+        (300, "0.1", 0, "noise must be float, got '0.1'"),
         (300, 0.1, 1.5, "seed must be int, got 1.5"),
         (300, 0.1, "1", "seed must be int, got '1'"),
         (300, 0.1, True, "seed must be int, got True"),

@@ -607,12 +607,20 @@ class TestModelArtifact:
         [
             ({"version": 2}, "unsupported model version 2"),
             ({"mf_kind": "triangle"}, "'triangle' is not a valid MFKind"),
-            ({"centers": "x"}, "could not convert string to float"),
+            ({"centers": "x"}, "model.json: centers must be float, got 'x'"),
             ({"centers": [[0.2, 0.4]]}, "center/scale shape mismatch"),
             ({"centers": [0.2, 0.4], "scales": [0.3, 0.3]}, "center/scale shape mismatch"),
             ({"centers": [[0.2], [0.4, 0.5]]}, "corrupt model file"),
             ({"consequents": {"w": 1.0}}, "corrupt model file"),
             ({"scales": None}, "corrupt model file"),
+            ({"version": True}, "unsupported model version True"),
+            ({"version": 1.0}, "unsupported model version 1.0"),
+            ({"centers": [[0.2, 0.4], [True, 0.6]]}, "model.json: centers must be float, got True"),
+            ({"scales": [[0.3, "0.3"], [0.2, 0.5]]}, "model.json: scales must be float, got '0.3'"),
+            ({"consequents": [0.1, 0.2, "1", 0.4, 0.5, 0.6]},
+             "model.json: consequents must be float, got '1'"),
+            ({"order": "zero", "consequents": [0.5, False]},
+             "model.json: consequents must be float, got False"),
         ],
     )
     def test_malformed_artifact_named(self, tmp_path, fields, shown):

@@ -123,10 +123,14 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones(2), -1.0)
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, True, "0.1"])
-    def test_lambda_not_a_finite_number_raises(self, lam):
+    @pytest.mark.parametrize("lam, shown", [
+        (math.nan, "lambda must be finite, got nan"),
+        (math.inf, "lambda must be finite, got inf"),
+        (True, "lambda must be float, got True"),
+        ("0.1", "lambda must be float, got '0.1'"),
+    ], ids=["nan", "inf", "True", "0.1"])
+    def test_lambda_not_a_finite_number_raises(self, lam, shown):
         # unchecked, NaN gives NaN consequents and inf all-zero ones; True and "0.1" are coerced
-        shown = f"lambda must be a finite number, got {lam!r}"
         with pytest.raises(ValueError, match=re.escape(shown)):
             ridge_solve(np.eye(2), np.ones(2), lam)
 
@@ -165,6 +169,21 @@ class TestRandomStream:
         # int() would run each as seed 1; a bool is not an int, as in the config fields
         with pytest.raises(ValueError, match=re.escape(f"seed must be int, got {seed!r}")):
             RandomStream(seed)
+
+    @pytest.mark.parametrize("draw, n, shown", [
+        ("uniforms", 2.7, "n must be int, got 2.7"),
+        ("permutation", 3.9, "n must be int, got 3.9"),
+        ("normals", True, "n must be int, got True"),
+        ("uint64s", np.int64(2), "n must be int, got np.int64(2)"),
+        ("uniforms", -1, "n must be >= 0, got -1"),
+        ("permutation", -1, "n must be >= 0, got -1"),
+    ])
+    def test_bad_count_rejected_without_drawing(self, draw, n, shown):
+        # int() truncated 2.7 and 3.9 and read True as 1; -1 rewound the draw counter
+        stream = RandomStream(3)
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            getattr(stream, draw)(n)
+        np.testing.assert_array_equal(stream.uniforms(3), RandomStream(3).uniforms(3))
 
     def test_negative_seed_wraps(self):
         a, b = RandomStream(-1).uniforms(4), RandomStream(2**64 - 1).uniforms(4)
