@@ -101,6 +101,7 @@ def weight_grid(count, lo, hi):
     """count log-spaced scalarization weights from lo to hi, endpoints exact."""
     if check_value(count, "int", "weight count") < 1:
         raise ValueError(f"weight count must be >= 1, got {count}")
+    lo, hi = check_value(lo, "float", "weights_lo"), check_value(hi, "float", "weights_hi")
     if not (0 < lo <= hi):
         raise ValueError(f"weight range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     if count == 1:

@@ -31,7 +31,7 @@ class ScalerError(ValueError):
 
 def read_json(path, what):
     """The JSON object in the file at path; what names the document in each error."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as err:
@@ -193,7 +193,7 @@ def load_csv(manifest):
     manifest.validate()
     path = manifest.csv_path
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as err:
         raise CSVFormatError(f"cannot open {path}: {err}") from err
     with fh:

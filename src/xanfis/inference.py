@@ -1,6 +1,6 @@
 """Takagi-Sugeno forward pass: firing strengths, design matrix, LSE, predict.
 
-A RuleBase is treated as immutable; every operation returns a new one.
+A RuleBase is immutable, its arrays read-only; every operation returns a new one.
 The kernels work on a Rows object, the checked rows of X plus the buffers
 that a forward and backward on them write into, and on the state's
 arrays; the trainer builds its Rows once per run and carries the state
@@ -40,13 +40,14 @@ class Order(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RuleBase:
-    """Full parameterization of a T-S fuzzy model.
+    """Full parameterization of a T-S fuzzy model, checked when built.
 
-    centers/scales: (rules, features); consequents: length R (zero-order)
-    or R*(F+1) (first-order, per-rule blocks of F weights then bias), or
-    None before the first fit.  All three are stored as float64 arrays (a
-    float64 array is kept, not copied) and the center and scale shapes are
-    checked here; the values and the consequent length by check_rule_base.
+    centers/scales: (rules, features) in [0, 1] and [SCALE_MIN, SCALE_MAX];
+    consequents: R finite values (zero-order) or R*(F+1) (first-order,
+    per-rule blocks of F weights then bias), or None before the first fit.
+    All three are stored as read-only float64 arrays: one that already is
+    such an array and owns its data is kept (so replace() shares the
+    unchanged ones), any other value is copied.
     """
 
     mf_kind: MFKind
@@ -59,12 +60,34 @@ class RuleBase:
         # a name such as "first" becomes its member here, and a bad name fails here
         object.__setattr__(self, "mf_kind", MFKind(self.mf_kind))
         object.__setattr__(self, "order", Order(self.order))
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
-        object.__setattr__(self, "scales", np.asarray(self.scales, dtype=np.float64))
-        if self.consequents is not None:
-            object.__setattr__(self, "consequents", np.asarray(self.consequents, dtype=np.float64))
+        for name in ("centers", "scales", "consequents"):
+            a = getattr(self, name)
+            if a is None and name == "consequents":  # not fitted yet
+                continue
+            if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
+                    and not a.flags.writeable):
+                a = np.array(a, dtype=np.float64)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
         if self.centers.ndim != 2 or self.centers.shape != self.scales.shape:
             raise ValueError("center/scale shape mismatch")
+        n_rules, n_features = self.centers.shape
+        if n_rules < 1:
+            raise ValueError("a rule base needs at least one rule")
+        centers, scales = project_bounds_arrays(self.centers, self.scales)
+        # clipping keeps NaN and moves +-inf onto a bound, so both fail array_equal
+        if not np.array_equal(centers, self.centers):
+            raise ValueError("centers must be finite and in [0, 1]")
+        if not np.array_equal(scales, self.scales):
+            raise ValueError(f"scales must be finite and in [{SCALE_MIN}, {SCALE_MAX}]")
+        n_conseq = n_rules if self.order == Order.ZERO else n_rules * (n_features + 1)
+        if self.consequents is not None and not (
+            self.consequents.shape == (n_conseq,) and np.isfinite(self.consequents).all()
+        ):
+            raise ValueError(
+                f"consequents must be {n_conseq} finite values "
+                f"({self.order.value} order, {n_rules} rules, {n_features} features)"
+            )
 
     @property
     def n_rules(self):
@@ -73,31 +96,6 @@ class RuleBase:
     @property
     def n_features(self):
         return self.centers.shape[1]
-
-
-def check_rule_base(rb, what):
-    """Raise ValueError, prefixed by what, unless rb's values are trainable.
-
-    That is: at least one rule, centers in [0, 1], scales in [SCALE_MIN,
-    SCALE_MAX], and consequents (when fitted) of the order's length and finite.
-    """
-    n_rules, n_features = rb.centers.shape
-    if n_rules < 1:
-        raise ValueError(f"{what}: a rule base needs at least one rule")
-    centers, scales = project_bounds_arrays(rb.centers, rb.scales)
-    # clipping keeps NaN and moves +-inf onto a bound, so both fail array_equal
-    if not np.array_equal(centers, rb.centers):
-        raise ValueError(f"{what}: centers must be finite and in [0, 1]")
-    if not np.array_equal(scales, rb.scales):
-        raise ValueError(f"{what}: scales must be finite and in [{SCALE_MIN}, {SCALE_MAX}]")
-    n_conseq = n_rules if rb.order == Order.ZERO else n_rules * (n_features + 1)
-    if rb.consequents is not None and not (
-        rb.consequents.shape == (n_conseq,) and np.isfinite(rb.consequents).all()
-    ):
-        raise ValueError(
-            f"{what}: consequents must be {n_conseq} finite values "
-            f"({rb.order.value} order, {n_rules} rules, {n_features} features)"
-        )
 
 
 class Rows(NamedTuple):
@@ -198,7 +196,6 @@ def fit_consequents(rb, X, y, lam):
     Returns (fitted rb, the Rows of X holding rb's forward, predictions on
     X); the predictions equal predict(fitted rb, X) bit for bit.
     """
-    check_rule_base(rb, "rb")
     X, y = as_rows(X, y)
     rows = Rows.of(X, rb)
     w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
@@ -209,7 +206,6 @@ def predict(rb, X):
     """Weighted-average model output for each row of X, a new array."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
-    check_rule_base(rb, "rb")
     rows = Rows.of(as_array(X, 2, "X"), rb)
     return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
 
@@ -253,5 +249,4 @@ def load_model(path):
         rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err
-    check_rule_base(rb, f"corrupt model file {path}")
     return rb, doc.get("scaler")

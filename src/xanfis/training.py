@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import write_csv
-from .inference import Order, RuleBase, Rows, check_rule_base, forward, refit
+from .inference import Order, RuleBase, Rows, forward, refit
 from .membership import log_grad_factor, project_bounds_arrays
 from .numerics import SingularMatrixError, as_rows, check_fields, check_value
 
@@ -211,14 +211,14 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     "max_epochs".  Every trace carries a snapshot of that epoch's centers
     and scales.
 
-    The config, rb0 and the four arrays are checked once, here; the epochs
-    run the kernels on one Rows per row set and carry the state as arrays.
+    The config and the four arrays are checked once, here, and rb0 when it
+    was built; the epochs run the kernels on one Rows per row set and carry
+    the state as arrays.
     The training Rows' buffers serve every epoch's refit and backward; the
     validation Rows are views of its scratch when they fit (at most half as
     many rows).
     """
     TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
-    check_rule_base(rb0, "rb0")
     X_train, y_train = as_rows(X_train, y_train, "X_train", "y_train")
     X_val, y_val = as_rows(X_val, y_val, "X_val", "y_val")
     rows = Rows.of(X_train, rb0, "X_train")

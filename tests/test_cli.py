@@ -77,6 +77,12 @@ class TestWeightGrid:
             weight_grid(5, -1.0, 10)
         with pytest.raises(ValueError, match=re.escape("weight count must be int, got 2.0")):
             weight_grid(2.0, 0.1, 1.0)
+        with pytest.raises(ValueError, match=re.escape("weights_lo must be float, got '0.1'")):
+            weight_grid(5, "0.1", 10.0)
+        with pytest.raises(ValueError, match=re.escape("weights_hi must be finite, got inf")):
+            weight_grid(5, 0.1, float("inf"))
+        with pytest.raises(ValueError, match=re.escape("weights_lo must be float, got True")):
+            weight_grid(5, True, 10.0)
 
 
 class TestTrainCommand:
@@ -651,6 +657,13 @@ class TestMainEntry:
         assert float(row["mean_D"]) == mean_distinguishability(rb)
         agg = {r["metric"]: r for r in read_rows(out / "aggregate.csv")}
         assert (agg["r2"]["mean"], agg["r2"]["n"]) == ("", "0")
+        # an unfitted model still exports its partition: 20 rules x 2 features
+        export = tmp_path / "export"
+        args = ["export-partition", "--model", str(out / "model_seed0000.json"),
+                "--samples", "5", "--out", str(export)]
+        assert main(args) == 0
+        assert len((export / "centers.csv").read_bytes().splitlines()) == 1 + 40
+        assert len((export / "curves.csv").read_bytes().splitlines()) == 1 + 40 * 5
 
     def test_missing_data_source_fails(self, tmp_path):
         code = main(["train", "--seeds", "0", "--out", str(tmp_path / "x")])

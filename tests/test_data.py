@@ -310,6 +310,25 @@ class TestLoadCSV:
         X, y = load_csv(m)
         assert X.shape == (2, 2)
 
+    @pytest.mark.parametrize("has_header", [True, False], ids=["header", "headerless"])
+    @pytest.mark.parametrize("cell", ["30", "3_0"], ids=["numpy", "row_by_row"])
+    def test_utf8_byte_order_mark_skipped(self, tmp_path, has_header, cell):
+        # Excel's "CSV UTF-8" starts the file with a BOM (EF BB BF); "3_0" only float() reads
+        text = ("a,t\n" if has_header else "") + f"1,2\n{cell},4\n"
+        columns = {"target_column": "t", "feature_columns": ["a"]} if has_header else {
+            "target_column": 1, "feature_columns": [0], "has_header": False}
+        path = write_csv(tmp_path / "d.csv", "\ufeff" + text)
+        X, y = load_csv(DatasetManifest(csv_path=path, **columns))
+        np.testing.assert_array_equal(X, [[1.0], [30.0]])
+        np.testing.assert_array_equal(y, [2.0, 4.0])
+
+    def test_manifest_with_byte_order_mark(self, tmp_path):
+        csv_path = write_csv(tmp_path / "d.csv", "a,t\n1,2\n")
+        mpath = tmp_path / "m.json"
+        doc = {"csv_path": csv_path, "target_column": "t", "feature_columns": ["a"]}
+        mpath.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        assert load_manifest(mpath) == DatasetManifest(**doc)
+
 
 class TestWriteCSV:
     def test_cells_formatted_by_csv(self, tmp_path):

@@ -353,12 +353,12 @@ class TestFitConsequents:
             (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
             (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
             (np.zeros((0, 2)), np.zeros(0), 2, "X has 0 rows"),
-            (np.eye(2), np.ones(2), 0, "rb: a rule base needs at least one rule"),
+            (np.eye(2), np.ones(2), 0, "a rule base needs at least one rule"),
         ],
     )
     def test_malformed_input_named(self, X, y, n_rules, shown):
-        rb = random_rulebase(np.random.default_rng(0), n_rules=n_rules, n_features=2)
-        with pytest.raises(ValueError, match=shown):
+        with pytest.raises(ValueError, match=shown):  # a rule base with no rule fails where built
+            rb = random_rulebase(np.random.default_rng(0), n_rules=n_rules, n_features=2)
             fit_consequents(rb, X, y, 0.1)
 
     def test_lse_beats_random_consequents(self):
@@ -443,14 +443,34 @@ class TestRuleBaseChecked:
         rb = RuleBase(
             MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.full((2, 1), 0.3), np.array([0.0, 1.0])
         )
-        rb = replace(rb, **changes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^rb: {shown}"):
+            with pytest.raises(ValueError, match=f"^{shown}"):  # raised by replace, before the call
+                rb = replace(rb, **changes)
                 if call == "predict":
                     predict(rb, X)
                 else:
                     fit_consequents(rb, X, X[:, 0], 0.1)
+
+    def test_out_of_range_center_fails_where_built(self):
+        with pytest.raises(ValueError, match=r"^centers must be finite and in \[0, 1\]"):
+            RuleBase(MFKind.CAUCHY, [[2.0]], [[0.1]])
+
+
+class TestRuleBaseReadOnly:
+    def test_caller_array_changed_later_leaves_rule_base_unchanged(self):
+        centers, scales, consequents = np.array([[0.25], [0.75]]), np.full((2, 1), 0.3), np.ones(2)
+        rb = RuleBase(MFKind.CAUCHY, centers, scales, consequents)
+        centers[0, 0], scales[0, 0], consequents[0] = 5.0, 0.0, np.nan
+        assert (rb.centers[0, 0], rb.scales[0, 0], rb.consequents[0]) == (0.25, 0.3, 1.0)
+
+    @pytest.mark.parametrize("name", ["centers", "scales", "consequents"])
+    def test_arrays_cannot_be_written(self, name):
+        rng = np.random.default_rng(1)
+        X = rng.uniform(size=(10, 3))
+        rb, _, _ = fit_consequents(random_rulebase(rng), X, X.sum(axis=1), 1e-4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(rb, name)[0] = 0.5
 
 
 class TestRuleBaseCoerced:

@@ -848,24 +848,24 @@ class TestTrainRejectsBadInput:
     @pytest.mark.parametrize(
         "field, value, shown",
         [
-            ("scales", 0.0, "rb0: scales must be finite and in [0.001, 1.0]"),
-            ("centers", np.nan, "rb0: centers must be finite and in [0, 1]"),
-            ("centers", 5.0, "rb0: centers must be finite and in [0, 1]"),
+            ("scales", 0.0, "scales must be finite and in [0.001, 1.0]"),
+            ("centers", np.nan, "centers must be finite and in [0, 1]"),
+            ("centers", 5.0, "centers must be finite and in [0, 1]"),
         ],
     )
     def test_rule_base_values_checked_once(self, monkeypatch, field, value, shown):
         X_tr, y_tr, X_val, y_val, rb0 = small_problem()
         arrays = {"centers": rb0.centers.copy(), "scales": rb0.scales.copy()}
         arrays[field][1, 0] = value
-        rb0 = RuleBase(MFKind.CAUCHY, arrays["centers"], arrays["scales"])
         monkeypatch.setattr(xanfis.inference, "membership_tensor", None)  # no forward runs
-        with pytest.raises(ValueError, match=re.escape(shown)):
+        with pytest.raises(ValueError, match=re.escape(shown)):  # where the rule base is built
+            rb0 = RuleBase(MFKind.CAUCHY, arrays["centers"], arrays["scales"])
             train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(max_epochs=3))
 
     def test_no_rules_rejected(self):
         X_tr, y_tr, X_val, y_val, _ = small_problem()
-        rb0 = RuleBase(MFKind.CAUCHY, np.zeros((0, 2)), np.zeros((0, 2)))
-        with pytest.raises(ValueError, match="rb0: a rule base needs at least one rule"):
+        with pytest.raises(ValueError, match="a rule base needs at least one rule"):
+            rb0 = RuleBase(MFKind.CAUCHY, np.zeros((0, 2)), np.zeros((0, 2)))
             train(X_tr, y_tr, X_val, y_val, rb0, TrainConfig(max_epochs=3))
 
     @pytest.mark.parametrize("part", ["train", "val"])
