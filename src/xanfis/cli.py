@@ -35,7 +35,7 @@ from .numerics import check_value, has_type, mean_ci95
 from .training import DIVERGED, Mode, TrainConfig, traces_to_csv, train, trajectory_to_csv
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig(TrainConfig):
     """Every knob of a command: the TrainConfig fields plus data, model and experiment."""
 
@@ -69,11 +69,11 @@ class ExperimentConfig(TrainConfig):
             n_clusters=self.rules, tol=self.fcm_tol, max_iter=self.fcm_max_iter, seed=seed
         )
 
-    def validate(self):
+    def __post_init__(self):
         """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
-        super().validate()
-        check_value(self.mf, MFKind, "mf")
-        check_value(self.order, Order, "order")
+        super().__post_init__()
+        object.__setattr__(self, "mf", MFKind(check_value(self.mf, MFKind, "mf")))
+        object.__setattr__(self, "order", Order(check_value(self.order, Order, "order")))
         if bool(self.manifest) == bool(self.synth):
             raise ValueError("config must name exactly one data source (manifest or synth)")
         if self.synth:
@@ -81,7 +81,7 @@ class ExperimentConfig(TrainConfig):
         if self.rules < 2:
             raise ValueError(f"rules must be >= 2, got {self.rules}")
         try:
-            self.fcm_config(seed=0).validate()
+            self.fcm_config(seed=0)
         except ValueError as err:  # FCMConfig names tol and max_iter
             raise ValueError(f"fcm_{err}") from None
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
@@ -255,14 +255,12 @@ def _aggregate_row(name, values):
 # --------------------------------------------------------------------
 
 def train_runs(cfg):
-    """train's runs of valid cfg: one per seed, in ascending seed order."""
-    cfg.validate()
+    """train's runs of cfg: one per seed, in ascending seed order."""
     return [Run(f"seed{s:04d}", s, cfg) for s in sorted(cfg.seeds)]
 
 
 def init_study_runs(cfg):
-    """init-study's runs of valid cfg: ANFIS in both MF kinds across cfg.scales, first seed."""
-    cfg.validate()
+    """init-study's runs of cfg: ANFIS in both MF kinds across cfg.scales, first seed."""
     if not cfg.scales:
         raise ValueError("init-study needs a nonempty list of initialization scales")
     stems = [f"{float(scale):g}" for scale in cfg.scales]
@@ -272,24 +270,23 @@ def init_study_runs(cfg):
     for scale in map(float, cfg.scales):
         if not SCALE_MIN <= scale <= SCALE_MAX:  # NaN fails too
             raise ValueError(f"init scale {scale:g} is outside [{SCALE_MIN:g}, {SCALE_MAX:g}]")
-    anfis = replace(cfg, mode=Mode.ANFIS.value, trajectory=True)
+    anfis = replace(cfg, mode=Mode.ANFIS, trajectory=True)
     return [
-        Run(f"{kind.value}_{stem}", cfg.seeds[0], replace(anfis, mf=kind.value), init_scale=scale)
+        Run(f"{kind.value}_{stem}", cfg.seeds[0], replace(anfis, mf=kind), init_scale=scale)
         for kind in (MFKind.CAUCHY, MFKind.GAUSSIAN)
         for scale, stem in zip(map(float, cfg.scales), stems)
     ]
 
 
 def pareto_sweep_runs(cfg):
-    """pareto-sweep's runs of valid cfg, first seed: MO-ANFIS per weight, then two references."""
-    cfg.validate()
+    """pareto-sweep's runs of cfg, first seed: MO-ANFIS per weight, then two references."""
     seed = cfg.seeds[0]
     weights = weight_grid(cfg.weights_count, cfg.weights_lo, cfg.weights_hi).tolist()
     return [
-        *(Run(f"mo_w{i:04d}", seed, replace(cfg, mode=Mode.MO_ANFIS.value, mo_weight=w), weight=w)
+        *(Run(f"mo_w{i:04d}", seed, replace(cfg, mode=Mode.MO_ANFIS, mo_weight=w), weight=w)
           for i, w in enumerate(weights)),
-        Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS.value)),
-        Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS.value)),
+        Run("ref_anfis", seed, replace(cfg, mode=Mode.ANFIS)),
+        Run("ref_x_anfis", seed, replace(cfg, mode=Mode.X_ANFIS)),
     ]
 
 

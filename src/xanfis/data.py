@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import RandomStream, as_rows, check_fields, check_value, has_type
+from .numerics import RandomStream, as_array, as_rows, check_fields, check_value, has_type
 
 
 class CSVFormatError(ValueError):
@@ -41,7 +41,7 @@ def read_json(path, what):
     return doc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
     csv_path: str
     target_column: str | int
@@ -49,7 +49,7 @@ class DatasetManifest:
     has_header: bool = True
     delimiter: str = ","
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self)
         if not self.feature_columns:
             raise ValueError("manifest needs at least one feature column")
@@ -68,11 +68,9 @@ def load_manifest(path):
     """Read a JSON manifest file with the DatasetManifest fields; each fault names the file."""
     doc = read_json(path, "manifest")
     try:
-        manifest = DatasetManifest(**doc)
-        manifest.validate()
+        return DatasetManifest(**doc)
     except (TypeError, ValueError) as err:
         raise ValueError(f"manifest {path}: {err}") from err
-    return manifest
 
 
 def _resolve_column(col, header, path):
@@ -190,7 +188,6 @@ def load_csv(manifest):
     numpy's C parser reads a clean file; any other file is read by
     _read_rows, which names the first fault.  Both give the same values.
     """
-    manifest.validate()
     path = manifest.csv_path
     try:
         fh = open(path, encoding="utf-8-sig", newline="")
@@ -353,8 +350,10 @@ def synth_regression(name, n, noise, seed):
         x1 = blob_xy[comp, 0] + SINC2D_BLOB_STD * span * stream.normals(n)
         x2 = blob_xy[comp, 1] + SINC2D_BLOB_STD * span * stream.normals(n)
         X = np.column_stack([x1, x2])
-        y = sinc2d_target(X) + noise * stream.normals(n)
-        return X, y
-    X = stream.uniforms(5 * n).reshape(n, 5)  # friedman
-    y = friedman_target(X) + noise * stream.normals(n)
-    return X, y
+        y = sinc2d_target(X)
+    else:
+        X = stream.uniforms(5 * n).reshape(n, 5)  # friedman
+        y = friedman_target(X)
+    with np.errstate(over="ignore"):  # a noise that overflows is named by as_array
+        y = y + noise * stream.normals(n)
+    return X, as_array(y, 1, "y")

@@ -18,14 +18,14 @@ from .numerics import InsufficientDataError, RandomStream, as_array, check_field
 FUZZINESS = 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FCMConfig:
     n_clusters: int
     tol: float = 1e-5
     max_iter: int = 300
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self)
         if self.n_clusters < 2:
             raise ValueError(f"n_clusters must be >= 2, got {self.n_clusters}")
@@ -89,7 +89,6 @@ def fcm_fit(X, cfg):
     sqrt(sum_t u^m (x - c)^2 / sum_t u^m); both are projected onto their
     bounds.  A cluster with no u^m mass raises InsufficientDataError.
     """
-    cfg.validate()
     X = as_array(X, 2, "X")
     n, f = X.shape
     r = cfg.n_clusters

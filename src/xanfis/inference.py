@@ -89,6 +89,9 @@ class RuleBase:
                 f"({self.order.value} order, {n_rules} rules, {n_features} features)"
             )
 
+    def __reduce__(self):  # pickle and deepcopy rebuild through the checks above
+        return RuleBase, (self.mf_kind, self.centers, self.scales, self.consequents, self.order)
+
     @property
     def n_rules(self):
         return self.centers.shape[0]

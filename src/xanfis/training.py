@@ -42,7 +42,7 @@ class Mode(str, enum.Enum):
     X_ANFIS = "x_anfis"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     mode: Mode = Mode.ANFIS
     lr_backward: float = 0.1
@@ -53,9 +53,9 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 20
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self)
-        check_value(self.mode, Mode, "mode")
+        object.__setattr__(self, "mode", Mode(check_value(self.mode, Mode, "mode")))
         if not 0.0 < self.d_target <= 1.0:
             raise ValueError(f"d_target must be in (0, 1], got {self.d_target}")
         if self.patience < 1:
@@ -211,14 +211,13 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     "max_epochs".  Every trace carries a snapshot of that epoch's centers
     and scales.
 
-    The config and the four arrays are checked once, here, and rb0 when it
-    was built; the epochs run the kernels on one Rows per row set and carry
+    The four arrays are checked once, here, and cfg and rb0 when they were
+    built; the epochs run the kernels on one Rows per row set and carry
     the state as arrays.
     The training Rows' buffers serve every epoch's refit and backward; the
     validation Rows are views of its scratch when they fit (at most half as
     many rows).
     """
-    TrainConfig.validate(cfg)  # a subclass checks its own fields at its boundary
     X_train, y_train = as_rows(X_train, y_train, "X_train", "y_train")
     X_val, y_val = as_rows(X_val, y_val, "X_val", "y_val")
     rows = Rows.of(X_train, rb0, "X_train")

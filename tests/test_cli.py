@@ -5,10 +5,12 @@ import concurrent.futures
 import csv
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -24,13 +26,16 @@ from xanfis.cli import (
     cmd_pareto_sweep,
     cmd_train,
     main,
+    pareto_sweep_runs,
     weight_grid,
 )
-from xanfis.data import synth_regression
-from xanfis.inference import load_model
-from xanfis.membership import SCALE_MAX, SCALE_MIN, membership_values
+from xanfis.data import DatasetManifest, synth_regression
+from xanfis.fcm_init import FCMConfig
+from xanfis.inference import Order, load_model
+from xanfis.membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
 from xanfis.metrics import mean_distinguishability
 from xanfis.numerics import RandomStream
+from xanfis.training import Mode, TrainConfig
 
 
 def fast_cfg(out, **kw):
@@ -524,7 +529,8 @@ class TestMainEntry:
             raise Built
 
         monkeypatch.setattr(xanfis.cli, "_run_all", capture)
-        defaults, skipped = ExperimentConfig(), {"manifest", "synth", "out", "seeds", "scales"}
+        defaults = ExperimentConfig(synth="sinc2d")
+        skipped = {"manifest", "synth", "out", "seeds", "scales"}
         doc = {f.name: getattr(defaults, f.name) for f in fields(ExperimentConfig)}
         doc = {name: value for name, value in doc.items() if name not in skipped}
         cfg_path = tmp_path / "cfg.json"
@@ -679,7 +685,7 @@ class TestMainEntry:
         parser = build_parser()
         args = parser.parse_args(
             [
-                "pareto-sweep", "--mode", "mo_anfis",
+                "pareto-sweep", "--synth", "sinc2d", "--mode", "mo_anfis",
                 "--rules", "5", "--seeds", "0,1", "--weights-count", "9",
                 "--weights-range", "0.01:10", "--mf", "cauchy",
                 "--out", "o", "--workers", "2", "--trajectory",
@@ -978,6 +984,35 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             command(fast_cfg(out, seeds=[0], scales=[0.5], workers=0))
         assert not out.exists()
+
+
+class TestConfigValue:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ExperimentConfig(synth="sinc2d"),
+            TrainConfig(),
+            FCMConfig(n_clusters=3),
+            DatasetManifest(csv_path="d.csv", target_column="t", feature_columns=["a"]),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_fields_cannot_be_assigned(self, value):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+    def test_names_become_members(self):
+        cfg = ExperimentConfig(synth="sinc2d", mode="x_anfis", mf="gaussian", order="first")
+        assert (cfg.mode, cfg.mf, cfg.order) == (Mode.X_ANFIS, MFKind.GAUSSIAN, Order.FIRST)
+        assert [type(v) for v in (cfg.mode, cfg.mf, cfg.order)] == [Mode, MFKind, Order]
+
+    def test_sweep_run_survives_the_pool_pickle(self, tmp_path):
+        for run in pareto_sweep_runs(fast_cfg(tmp_path, weights_count=2)):
+            again = pickle.loads(ForkingPickler.dumps(run))
+            assert again == run
+            members = (again.cfg.mode, again.cfg.mf, again.cfg.order)
+            assert [type(v) for v in members] == [Mode, MFKind, Order]
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -254,9 +254,8 @@ class TestLoadCSV:
     def test_bad_input_named(self, tmp_path, text, fields, shown):
         path = write_csv(tmp_path / "d.csv", text)
         fields = {"target_column": "t", "feature_columns": ["a"], **fields}
-        m = DatasetManifest(csv_path=path, **fields)
         with pytest.raises(ValueError, match=f"{re.escape(shown)}$"):
-            load_csv(m)
+            load_csv(DatasetManifest(csv_path=path, **fields))
 
     @pytest.mark.parametrize("text", [b"a,t\n1,2\n3,\xe9\n", b"a,\xe9t\n1,2\n"])
     def test_not_utf8_named(self, tmp_path, text):
@@ -287,9 +286,8 @@ class TestLoadCSV:
             load_csv(m)
 
     def test_target_among_features_rejected(self, tmp_path):
-        m = DatasetManifest(csv_path="x.csv", target_column="t", feature_columns=["t"])
-        with pytest.raises(ValueError):
-            m.validate()
+        with pytest.raises(ValueError, match="target column 't' is also listed as a feature"):
+            DatasetManifest(csv_path="x.csv", target_column="t", feature_columns=["t"])
 
     def test_quoted_cells(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", 'a,t\n"1.5",2\n"2.5",3\n')
@@ -521,6 +519,7 @@ class TestSynthetic:
         (300, 0.1, 1.5, "seed must be int, got 1.5"),
         (300, 0.1, "1", "seed must be int, got '1'"),
         (300, 0.1, True, "seed must be int, got True"),
+        (300, 1e308, 0, "y contains non-finite entries"),  # the noise overflows
     ])
     def test_bad_argument_rejected(self, n, noise, seed, shown):
         # coerced, these would run seed 1, draw 300 rows or give non-finite targets

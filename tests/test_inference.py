@@ -1,7 +1,9 @@
 """Forward pass against scalar-loop oracles, LSE fit, prediction, artifacts."""
 
+import copy
 import json
 import os
+import pickle
 import re
 import tempfile
 import warnings
@@ -471,6 +473,28 @@ class TestRuleBaseReadOnly:
         rb, _, _ = fit_consequents(random_rulebase(rng), X, X.sum(axis=1), 1e-4)
         with pytest.raises(ValueError, match="read-only"):
             getattr(rb, name)[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "clone", [lambda rb: pickle.loads(pickle.dumps(rb)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_rebuilt_read_only(self, clone):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(size=(10, 3))
+        rb, _, _ = fit_consequents(random_rulebase(rng, order=Order.FIRST), X, X.sum(axis=1), 1e-4)
+        again = clone(rb)
+        assert (again.mf_kind, again.order) == (rb.mf_kind, rb.order)
+        for name in ("centers", "scales", "consequents"):
+            assert not getattr(again, name).flags.writeable
+            np.testing.assert_array_equal(getattr(again, name), getattr(rb, name))
+
+    def test_tampered_state_fails_where_rebuilt(self):
+        rb = RuleBase(MFKind.CAUCHY, [[0.25], [0.75]], [[0.3], [0.3]])
+        build, (kind, centers, *rest) = rb.__reduce__()
+        centers = centers.copy()
+        centers[0, 0] = 7.0
+        with pytest.raises(ValueError, match=r"^centers must be finite and in \[0, 1\]"):
+            build(kind, centers, *rest)
 
 
 class TestRuleBaseCoerced:

@@ -306,10 +306,13 @@ class TestTrainConfig:
             ({"d_target": True}, "d_target must be float, got True"),
         ],
     )
-    def test_bad_value_rejected_by_train(self, knobs, shown):
-        cfg = TrainConfig(**{"mode": Mode.X_ANFIS, "max_epochs": 3, **knobs})
+    def test_bad_value_rejected_where_built(self, knobs, shown):
         with pytest.raises(ValueError, match=re.escape(shown)):
-            train(*small_problem(), cfg)
+            TrainConfig(**{"mode": Mode.X_ANFIS, "max_epochs": 3, **knobs})
+
+    def test_replace_rechecks(self):
+        with pytest.raises(ValueError, match=re.escape("patience must be >= 1, got 0")):
+            replace(TrainConfig(), patience=0)
 
 
 class TestAdjacency:
