@@ -104,11 +104,9 @@ def weight_grid(count, lo, hi):
     lo, hi = check_value(lo, "float", "weights_lo"), check_value(hi, "float", "weights_hi")
     if not (0 < lo <= hi):
         raise ValueError(f"weight range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
-    if count == 1:
-        return np.array([lo])
     grid = np.logspace(np.log10(lo), np.log10(hi), count)
-    grid[0] = lo
     grid[-1] = hi
+    grid[0] = lo  # last, so a one-weight grid is [lo]
     return grid
 
 
@@ -121,28 +119,21 @@ class Run:
     cfg: ExperimentConfig
     weight: float | None = None  # the scalarization weight of a sweep point
     init_scale: float | None = None  # the init-study override of every scale
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunRecord(Run):
-    """A run and its table cells."""
-
-    report: EvalReport
-    stop_reason: str  # a training.TrainResult stop reason
-    epochs_run: int
+    report: EvalReport | None = None  # this and the two below: set by run_experiment
+    stop_reason: str | None = None  # a training.TrainResult stop reason
+    epochs_run: int | None = None
 
     @property
     def diverged(self):
         return int(self.stop_reason in DIVERGED)
 
 
-def prepare_seed(run, data):
-    """(split, FCM fit) of run.seed on data, (X, y) or None if synthetic."""
-    cfg = run.cfg
+def prepare_seed(seed, cfg, data):
+    """(split, FCM fit) of seed under cfg on data, (X, y) or None if synthetic."""
     if data is None:
-        data = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=run.seed)
-    split = split_scale(*data, seed=run.seed)
-    return split, fcm_fit(split.X_train, cfg.fcm_config(run.seed))
+        data = synth_regression(cfg.synth, cfg.synth_n, cfg.synth_noise, seed=seed)
+    split = split_scale(*data, seed=seed)
+    return split, fcm_fit(split.X_train, cfg.fcm_config(seed))
 
 
 def run_experiment(run, prepared):
@@ -164,13 +155,11 @@ def run_experiment(run, prepared):
     traces_to_csv(traces, os.path.join(cfg.out, f"trace_{run.run_id}.csv"))
     if cfg.trajectory:
         trajectory_to_csv(traces, os.path.join(cfg.out, f"trajectory_{run.run_id}.csv"))
-    return RunRecord(
-        **vars(run), report=report, stop_reason=stop_reason, epochs_run=max(len(traces) - 1, 0)
-    )
+    return replace(run, report=report, stop_reason=stop_reason, epochs_run=max(len(traces) - 1, 0))
 
 
 def _run_all(runs, cfg):
-    """Run every run of a command; the records are in the order of runs.
+    """Run every run of a command; returns them, results filled in, in their order.
 
     The manifest and its CSV are read once and each distinct seed's split
     and FCM fit (centers and scales) are computed once, all before cfg.out is
@@ -180,9 +169,7 @@ def _run_all(runs, cfg):
     prepared in parallel too; each run writes its own files as it ends.
     """
     data = load_csv(load_manifest(cfg.manifest)) if cfg.manifest else None
-    first_run = {}
-    for run in runs:
-        first_run.setdefault(run.seed, run)
+    seeds = dict.fromkeys(run.seed for run in runs)
     workers = min(cfg.workers, len(runs))
     if workers > 1:
         import concurrent.futures  # loaded only when a pool is built
@@ -192,8 +179,8 @@ def _run_all(runs, cfg):
         pool = contextlib.nullcontext()
     with pool as executor:
         mapper = executor.map if executor else map
-        prepared = mapper(prepare_seed, first_run.values(), [data] * len(first_run))
-        prepared = dict(zip(first_run, prepared))
+        prepared = mapper(prepare_seed, seeds, [cfg] * len(seeds), [data] * len(seeds))
+        prepared = dict(zip(seeds, prepared))
         del data  # every seed is split: the raw rows are not kept through training
         _check_out_dir(cfg.out)
         return list(mapper(run_experiment, runs, [prepared[run.seed] for run in runs]))
@@ -333,16 +320,12 @@ def cmd_export_partition(model_path, samples_per_curve, out):
         ([j, k, rb.centers[j, k], rb.scales[j, k]] for j in range(r) for k in range(f)),
     )
     xs = np.linspace(0.0, 1.0, samples_per_curve)
-
-    def curve_rows():
-        for k in range(f):
-            for j in range(r):
-                mu = membership_values(rb.mf_kind, xs, rb.centers[j, k], rb.scales[j, k])
-                for x, m in zip(xs, mu):
-                    yield [k, j, x, m]
-
+    mu = membership_values(rb.mf_kind, xs, rb.centers.T[:, :, None], rb.scales.T[:, :, None])
     curves_path = os.path.join(out, "curves.csv")
-    write_csv(curves_path, ["feature", "rule", "x", "membership"], curve_rows())
+    write_csv(
+        curves_path, ["feature", "rule", "x", "membership"],
+        ([k, j, x, m] for k in range(f) for j in range(r) for x, m in zip(xs, mu[k, j])),
+    )
     return centers_path, curves_path
 
 

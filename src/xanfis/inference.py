@@ -66,6 +66,9 @@ class RuleBase:
                 continue
             if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
                     and not a.flags.writeable):
+                if not isinstance(a, np.ndarray):  # np.array reads "0.25" and True as numbers
+                    for value in np.asarray(a, dtype=object).flat:
+                        check_value(value, "float", name)
                 a = np.array(a, dtype=np.float64)
                 a.flags.writeable = False
                 object.__setattr__(self, name, a)
@@ -246,9 +249,6 @@ def load_model(path):
     if not has_type(doc.get("version"), "int") or doc["version"] != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     try:
-        for name in ("centers", "scales", "consequents"):  # np.asarray reads "0.25" and true
-            for value in np.asarray(doc[name] or [], dtype=object).flat:
-                check_value(value, "float", name)
         rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])
     except (KeyError, ValueError, TypeError) as err:
         raise ValueError(f"corrupt model file {path}: {err}") from err

@@ -54,8 +54,11 @@ def check_fields(obj):
 
 
 def as_array(a, ndim, name):
-    """Coerce to an ndim-D (1 or 2) float64 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.float64)
+    """Coerce to an ndim-D (1 or 2) float64 array of its int or float entries, all finite."""
+    m = np.asarray(a)
+    if m.dtype.kind not in "iuf":  # not read as numbers: str, bool, complex, object entries
+        raise ValueError(f"{name} must hold numbers, got {m.dtype} entries")
+    m = m.astype(np.float64, copy=False)
     if m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):

@@ -100,6 +100,22 @@ def tradeoff_runs():
     return runs
 
 
+class TestCCPPBranch:
+    """acceptance_dataset's CCPP branch, on a CSV of that schema made from friedman rows."""
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "bom"])
+    def test_reads_four_features(self, tmp_path, monkeypatch, encoding):
+        X, y = synth_regression("friedman", 50, 0.05, seed=0)
+        rows = np.column_stack([X[:, :4], y])
+        path = tmp_path / "ccpp.csv"
+        lines = ["AT,V,AP,RH,PE", *(",".join(map(repr, row)) for row in rows.tolist())]
+        path.write_text("\n".join(lines) + "\n", encoding=encoding)
+        monkeypatch.setenv("XANFIS_CCPP_CSV", str(path))
+        X4, y4 = acceptance_dataset(seed=0)
+        assert X4.shape == (50, 4)
+        np.testing.assert_array_equal(np.column_stack([X4, y4]), rows)
+
+
 class TestCriterion1GradientCorrectness:
     def test_analytic_gradients_match_finite_differences(self):
         started = time.time()

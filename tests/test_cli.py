@@ -74,6 +74,8 @@ class TestWeightGrid:
 
     def test_single_weight(self):
         np.testing.assert_array_equal(weight_grid(1, 0.5, 2.0), [0.5])
+        grid = weight_grid(1, 1, 2)  # float64 like every grid: an integer lo is written as 1.0
+        assert grid.dtype == np.float64 and grid.tolist() == [1.0]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -318,21 +320,22 @@ class TestParetoSweepCommand:
 
 class TestExportPartitionCommand:
     def test_counts_and_round_trip(self, tmp_path):
-        out = tmp_path / "runs"
-        cmd_train(fast_cfg(out, seeds=[0], rules=4))
-        model = out / "model_seed0000.json"
-        centers_csv, curves_csv = cmd_export_partition(model, 17, tmp_path / "export")
-        centers = read_rows(centers_csv)
-        assert len(centers) == 4 * 2  # rules x features
-        curves = read_rows(curves_csv)
-        assert len(curves) == 4 * 2 * 17
-        rb, _ = load_model(model)
-        for row in curves[:40]:
-            j, k = int(row["rule"]), int(row["feature"])
-            expect = float(
-                membership_values(rb.mf_kind, float(row["x"]), rb.centers[j, k], rb.scales[j, k])
-            )
-            assert float(row["membership"]) == expect
+        for mf in ("cauchy", "gaussian"):
+            out = tmp_path / mf
+            cmd_train(fast_cfg(out, seeds=[0], rules=4, mf=mf))
+            model = out / "model_seed0000.json"
+            centers_csv, curves_csv = cmd_export_partition(model, 17, out / "export")
+            centers = read_rows(centers_csv)
+            assert len(centers) == 4 * 2  # rules x features
+            curves = read_rows(curves_csv)
+            assert len(curves) == 4 * 2 * 17
+            rb, _ = load_model(model)
+            for row in curves:  # each point against the one-curve evaluation
+                j, k = int(row["rule"]), int(row["feature"])
+                expect = float(
+                    membership_values(rb.mf_kind, float(row["x"]), rb.centers[j, k], rb.scales[j, k])
+                )
+                assert float(row["membership"]) == expect
 
     def test_corrupt_model_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -980,9 +983,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", [cmd_train, cmd_init_study, cmd_pareto_sweep])
     def test_commands_validate_before_writing(self, tmp_path, command):
+        # a config that builds, but whose split is too small for its rules: the command rejects it
         out = tmp_path / "runs"
-        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
-            command(fast_cfg(out, seeds=[0], scales=[0.5], workers=0))
+        cfg = fast_cfg(out, seeds=[0], scales=[0.5], rules=250)
+        with pytest.raises(ValueError, match="210 samples cannot support 250 clusters"):
+            command(cfg)
         assert not out.exists()
 
 

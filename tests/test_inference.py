@@ -458,6 +458,20 @@ class TestRuleBaseChecked:
         with pytest.raises(ValueError, match=r"^centers must be finite and in \[0, 1\]"):
             RuleBase(MFKind.CAUCHY, [[2.0]], [[0.1]])
 
+    @pytest.mark.parametrize(
+        "centers, consequents, shown",
+        [
+            ([["0.25", 0.5], [0.75, 0.5]], None, "centers must be float, got '0.25'"),
+            ([[0.25, 0.5], [0.75, True]], None, "centers must be float, got True"),
+            ([[0.25, None], [0.75, 0.5]], None, "centers must be float, got None"),
+            ([[0.25, 0.5], [0.75, 0.5]], [0.1, "1"], "consequents must be float, got '1'"),
+        ],
+        ids=["str", "bool", "none", "str_consequent"],
+    )
+    def test_leaf_that_is_not_a_number_fails_where_built(self, centers, consequents, shown):
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            RuleBase(MFKind.CAUCHY, centers, [[0.3, 0.3], [0.3, 0.3]], consequents)
+
 
 class TestRuleBaseReadOnly:
     def test_caller_array_changed_later_leaves_rule_base_unchanged(self):

@@ -43,6 +43,9 @@ ROW_FAULTS = {
     "one_d_X": (_X[:, 0], _Y, "{x} must be 2-D, got ndim=1"),
     "two_d_y": (_X, _Y[:, None], "{y} must be 1-D, got ndim=2"),
     "non_finite_y": (_X, np.where(_Y > 0.5, np.nan, _Y), "{y} contains non-finite entries"),
+    "str_X": (_X.astype(str), _Y, "{x} must hold numbers, got <U32 entries"),
+    "bool_X": (_X > 0.5, _Y, "{x} must hold numbers, got bool entries"),
+    "complex_y": (_X, _Y + 1j, "{y} must hold numbers, got complex128 entries"),
 }
 
 
