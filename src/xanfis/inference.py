@@ -1,10 +1,10 @@
-"""Takagi-Sugeno forward pass: firing strengths, design matrix, LSE, predict.
+"""Takagi-Sugeno forward and backward passes: firing strengths, design matrix, LSE, gradients.
 
 A RuleBase is immutable, its arrays read-only; every operation returns a new one.
-The kernels work on a Rows object, the checked rows of X plus the buffers
-that a forward and backward on them write into, and on the state's
-arrays; the trainer builds its Rows once per run and carries the state
-as arrays.  fit_consequents and predict check their inputs once and build
+The kernels work on a Rows object, the checked rows of X with their rule
+base's kind and order and the buffers the kernels write into, and on the
+state's arrays; the trainer builds its Rows once per run and carries the
+state as arrays.  fit_consequents and predict check their inputs once and build
 fresh Rows per call, so they return arrays their caller owns.
 
 Gaussian memberships underflow to 0.0 at small scales by design, and the
@@ -24,8 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import read_json
-from .membership import SCALE_MAX, SCALE_MIN, MFKind, product_firing, project_bounds_arrays
-from .numerics import as_array, as_rows, check_value, has_type, ridge_solve
+from .membership import (
+    SCALE_MAX, SCALE_MIN, MFKind, log_grad_factor, product_firing, project_bounds_arrays,
+)
+from .numerics import as_array, as_numbers, as_rows, check_value, has_type, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -66,7 +68,9 @@ class RuleBase:
                 continue
             if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.owndata
                     and not a.flags.writeable):
-                if not isinstance(a, np.ndarray):  # np.array reads "0.25" and True as numbers
+                if isinstance(a, np.ndarray):
+                    as_numbers(a, name)
+                else:  # np.array reads "0.25" and True as numbers
                     for value in np.asarray(a, dtype=object).flat:
                         check_value(value, "float", name)
                 a = np.array(a, dtype=np.float64)
@@ -105,18 +109,22 @@ class RuleBase:
 
 
 class Rows(NamedTuple):
-    """N checked rows of X and the buffers a forward and backward on them write into.
+    """Checked rows of X, their rule base's kind and order, and the buffers they write into.
 
-    The sample axis is last.  aug is the (F+1, N) augmented transpose,
-    (x_1, ..., x_F, 1) per sample, whose first F rows the membership tensor
-    broadcasts as an (F, 1, N) view.  u (F, R, N), normalized (R, N)
-    and live (N,) hold the last forward: the standardized distances, the
-    normalized firing and the live-row mask.  scratch, a flat buffer of
-    R*(F+1)*N floats, holds the transients in turn through views that alias
-    it: work (F, R, N) at its front and b (R, N) behind it, for Cauchy's
-    memberships and the backward's terms, and design (R, F+1, N) over all of it.
+    The sample axis is last.  aug is the (F+1, N) augmented transpose, (x_1, ...,
+    x_F, 1) per sample, whose first F rows the membership tensor broadcasts as an
+    (F, 1, N) view.  A forward writes u (F, R, N), normalized (R, N) and live (N,),
+    the standardized distances, the normalized firing and the live-row mask, which
+    the backward reads.  scratch, a flat buffer of R*(F+1)*N floats, holds the
+    transients in turn through views that alias it: work (F, R, N) at its front
+    and b (R, N) behind it, for Cauchy's memberships and the backward's terms, and
+    design (R, F+1, N) over all of it, which refit's solve consumes.  So Rows built
+    over another's scratch (buf=rows.scratch) may run a forward between that one's
+    refit and its next backward.
     """
 
+    kind: MFKind
+    order: Order
     aug: np.ndarray
     u: np.ndarray
     normalized: np.ndarray
@@ -128,7 +136,7 @@ class Rows(NamedTuple):
 
     @classmethod
     def of(cls, X, rb, name="X", buf=None):
-        """Rows of X, a checked (N, F) array, for rb's rule count and feature count.
+        """Rows of X, a checked (N, F) array, for the rule base rb.
 
         The float buffers are views of the flat float64 array buf when it
         holds them all, else three new arrays made before aug: one buffer
@@ -148,8 +156,9 @@ class Rows(NamedTuple):
         aug[:f] = X.T
         aug[f] = 1.0
         return cls(
-            aug, u.reshape(f, r, n), normalized.reshape(r, n), np.empty(n, dtype=bool), scratch,
-            scratch[:frn].reshape(f, r, n), scratch.reshape(r, f + 1, n), scratch[frn:].reshape(r, n),
+            rb.mf_kind, rb.order, aug, u.reshape(f, r, n), normalized.reshape(r, n),
+            np.empty(n, dtype=bool), scratch, scratch[:frn].reshape(f, r, n),
+            scratch.reshape(r, f + 1, n), scratch[frn:].reshape(r, n),
         )
 
 
@@ -160,20 +169,20 @@ def membership_tensor(rows, centers, scales):
     return u
 
 
-def design_matrix(rows, order):
+def design_matrix(rows):
     """Transposed LSE design matrix phi^T of rows' last forward.
 
     Zero-order: rows.normalized itself, (R, N).  First-order: per rule j
     the rows normalized[j] * (x_1, ..., x_F, 1), (R*(F+1), N), written to
     rows.design, whose reshape is a view.
     """
-    if order == Order.ZERO:
+    if rows.order == Order.ZERO:
         return rows.normalized
     np.multiply(rows.normalized[:, None, :], rows.aug, out=rows.design)
     return rows.design.reshape(-1, rows.aug.shape[1])
 
 
-def forward(rows, kind, order, centers, scales):
+def forward(rows, centers, scales):
     """A state's forward on rows, into its buffers; returns the design matrix phi^T.
 
     Product t-norm firing strengths, normalized per sample in place:
@@ -182,18 +191,51 @@ def forward(rows, kind, order, centers, scales):
     underflowed samples degrade to ~0 instead of dividing by zero.
     """
     u = membership_tensor(rows, centers, scales)
-    raw = product_firing(kind, u, out=rows.normalized, mu=rows.work)
+    raw = product_firing(rows.kind, u, out=rows.normalized, mu=rows.work)
     total = np.add.reduce(raw, axis=0)
     raw /= np.maximum(total, EPS_DENOM)
     np.greater(total, EPS_DENOM, out=rows.live)
-    return design_matrix(rows, order)
+    return design_matrix(rows)
 
 
-def refit(rows, y, lam, kind, order, centers, scales):
+def refit(rows, y, lam, centers, scales):
     """Regularized-LSE consequents of a state on rows, and its predictions there."""
-    phi_t = forward(rows, kind, order, centers, scales)
+    phi_t = forward(rows, centers, scales)
     w = ridge_solve(phi_t.T, y, lam)
     return w, w @ phi_t
+
+
+def mse_antecedent_gradients(rows, y, yhat, scales, consequents):
+    """d MSE / d centers and d MSE / d scales with consequents frozen.
+
+    rows holds the state's forward on the checked training rows and yhat
+    its predictions there, as refit leaves them.  Chain rule through the
+    normalized firing strengths, with the live-row mask:
+
+        d yhat_t / d theta_jf = normalized_jt * (f_j(x_t) - live_t * yhat_t)
+                                * d log mu_tjf / d theta,
+
+    where d log mu / d c = g / s and d log mu / d s = g u / s for the
+    kind's factor g at the standardized distances u; these stay finite
+    even when mu underflows.  The 1/s is applied after the sum over samples.
+    The (R, N) rule outputs f_j go to rows.work[0], b to rows.b, and the
+    (F, R, N) w to rows.work, over the consumed f.
+    """
+    u, normalized, f, b, w = rows.u, rows.normalized, rows.work[0], rows.b, rows.work
+    n_rules, n = normalized.shape
+    upstream = (2.0 / n) * (yhat - y)
+    np.multiply(upstream, normalized, out=b)
+    if rows.order == Order.ZERO:
+        fout = consequents[:, None]
+    else:
+        fout = np.matmul(consequents.reshape(n_rules, -1), rows.aug, out=f)
+    b *= np.subtract(fout, np.where(rows.live, yhat, 0.0), out=f)
+    # w = b * g; the Cauchy g is built in w itself, over the consumed f
+    np.multiply(b, log_grad_factor(rows.kind, u, out=w), out=w)  # (F, R, N)
+    # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
+    grad_c = np.add.reduce(w, axis=-1).T / scales
+    grad_s = np.einsum("frt,frt->fr", w, u).T / scales
+    return grad_c, grad_s
 
 
 def fit_consequents(rb, X, y, lam):
@@ -204,7 +246,7 @@ def fit_consequents(rb, X, y, lam):
     """
     X, y = as_rows(X, y)
     rows = Rows.of(X, rb)
-    w, yhat = refit(rows, y, lam, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
     return replace(rb, consequents=w), rows, yhat
 
 
@@ -212,8 +254,7 @@ def predict(rb, X):
     """Weighted-average model output for each row of X, a new array."""
     if rb.consequents is None:
         raise ValueError("rule base has no fitted consequents")
-    rows = Rows.of(as_array(X, 2, "X"), rb)
-    return rb.consequents @ forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    return rb.consequents @ forward(Rows.of(as_array(X, 2, "X"), rb), rb.centers, rb.scales)
 
 
 # --------------------------------------------------------------------

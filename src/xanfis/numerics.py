@@ -53,12 +53,17 @@ def check_fields(obj):
         check_value(getattr(obj, f.name), f.type, f.name)
 
 
-def as_array(a, ndim, name):
-    """Coerce to an ndim-D (1 or 2) float64 array of its int or float entries, all finite."""
+def as_numbers(a, name):
+    """np.asarray(a), if numpy reads its entries as int, uint or float; else ValueError."""
     m = np.asarray(a)
     if m.dtype.kind not in "iuf":  # not read as numbers: str, bool, complex, object entries
         raise ValueError(f"{name} must hold numbers, got {m.dtype} entries")
-    m = m.astype(np.float64, copy=False)
+    return m
+
+
+def as_array(a, ndim, name):
+    """Coerce to an ndim-D (1 or 2) float64 array of its int or float entries, all finite."""
+    m = as_numbers(a, name).astype(np.float64, copy=False)
     if m.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):

@@ -18,14 +18,14 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import write_csv
-from .inference import Order, RuleBase, Rows, forward, refit
-from .membership import log_grad_factor, project_bounds_arrays
+from .inference import RuleBase, Rows, forward, mse_antecedent_gradients, refit
+from .membership import project_bounds_arrays
 from .numerics import SingularMatrixError, as_rows, check_fields, check_value
 
 #: adjacent pairs closer than this get no explainability gradient; the
@@ -119,39 +119,6 @@ def mean_distinguishability(rb):
     return _mean(adjacency_pairs(rb.centers, rb.scales)[2])
 
 
-def mse_antecedent_gradients(rows, y, yhat, kind, order, scales, consequents):
-    """d MSE / d centers and d MSE / d scales with consequents frozen.
-
-    rows holds the state's forward on the checked training rows and yhat
-    its predictions there, as refit leaves them.  Chain rule through the
-    normalized firing strengths, with the live-row mask:
-
-        d yhat_t / d theta_jf = normalized_jt * (f_j(x_t) - live_t * yhat_t)
-                                * d log mu_tjf / d theta,
-
-    where d log mu / d c = g / s and d log mu / d s = g u / s for the
-    kind's factor g at the standardized distances u; these stay finite
-    even when mu underflows.  The 1/s is applied after the sum over samples.
-    The (R, N) rule outputs f_j go to rows.work[0], b to rows.b, and the
-    (F, R, N) w to rows.work, over the consumed f.
-    """
-    u, normalized, f, b, w = rows.u, rows.normalized, rows.work[0], rows.b, rows.work
-    n_rules, n = normalized.shape
-    upstream = (2.0 / n) * (yhat - y)
-    np.multiply(upstream, normalized, out=b)
-    if order == Order.ZERO:
-        fout = consequents[:, None]
-    else:
-        fout = np.matmul(consequents.reshape(n_rules, -1), rows.aug, out=f)
-    b *= np.subtract(fout, np.where(rows.live, yhat, 0.0), out=f)
-    # w = b * g; the Cauchy g is built in w itself, over the consumed f
-    np.multiply(b, log_grad_factor(kind, u, out=w), out=w)  # (F, R, N)
-    # sums over samples, the last axis; (F, R) transposed to the (R, F) parameters
-    grad_c = np.add.reduce(w, axis=-1).T / scales
-    grad_s = np.einsum("frt,frt->fr", w, u).T / scales
-    return grad_c, grad_s
-
-
 def pair_gradient(pairs, d_target):
     """Center gradients of sum over adjacent pairs of 0.5*(D - D_target)^2.
 
@@ -212,36 +179,30 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     and scales.
 
     The four arrays are checked once, here, and cfg and rb0 when they were
-    built; the epochs run the kernels on one Rows per row set and carry
-    the state as arrays.
-    The training Rows' buffers serve every epoch's refit and backward; the
-    validation Rows are views of its scratch when they fit (at most half as
-    many rows).
+    built; the epochs run the kernels on one Rows per row set, the
+    validation Rows over the training Rows' scratch, and carry the state
+    as arrays.
     """
     X_train, y_train = as_rows(X_train, y_train, "X_train", "y_train")
     X_val, y_val = as_rows(X_val, y_val, "X_val", "y_val")
     rows = Rows.of(X_train, rb0, "X_train")
-    # the validation forward uses the scratch between the refit's solve and the next backward
     val_rows = Rows.of(X_val, rb0, "X_val", buf=rows.scratch)
 
-    kind, order, centers, scales = rb0.mf_kind, rb0.order, rb0.centers, rb0.scales
+    centers, scales = rb0.centers, rb0.scales
     unread = cfg.unread_knobs().keys()  # what the CLI's ignored-knob warnings read too
     mo_weight = 0.0 if {"mo_weight", "d_target"} & unread else cfg.mo_weight
     xpass = not {"lr_xpass", "d_target"} & unread
     traces = []
-    last = best = None  # (centers, scales, consequents): the last finite and the best state
+    last = best = None  # the last finite and the best state, as RuleBase fields
     best_val = math.inf
     stall = 0
 
     def result(state, stop_reason):
-        rb = rb0 if state is None else RuleBase(kind, *state, order=order)
-        return TrainResult(rb, traces, stop_reason)
+        return TrainResult(rb0 if state is None else replace(rb0, **state), traces, stop_reason)
 
     for epoch in range(cfg.max_epochs + 1):
         if epoch:
-            grad_c, grad_s = mse_antecedent_gradients(
-                rows, y_train, yhat, kind, order, scales, consequents
-            )
+            grad_c, grad_s = mse_antecedent_gradients(rows, y_train, yhat, scales, consequents)
             if mo_weight:
                 grad_c += mo_weight * pair_gradient(pairs, cfg.d_target)
             centers, scales = project_bounds_arrays(
@@ -250,19 +211,17 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
             )
             if xpass:  # its own adjacency pass, on the stepped state
                 grad_c = pair_gradient(adjacency_pairs(centers, scales), cfg.d_target)
-                centers, scales = project_bounds_arrays(
-                    _clipped_step(centers, grad_c, cfg.lr_xpass), scales
-                )
-        # the refit overwrites rows' forward, which the backward above consumed
+                step = _clipped_step(centers, grad_c, cfg.lr_xpass)
+                centers, scales = project_bounds_arrays(step, scales)
         try:
-            consequents, yhat = refit(rows, y_train, cfg.lam, kind, order, centers, scales)
+            consequents, yhat = refit(rows, y_train, cfg.lam, centers, scales)
         except SingularMatrixError:
             return result(last, "singular")
         train_mse = _mse(yhat, y_train)
-        val_mse = _mse(consequents @ forward(val_rows, kind, order, centers, scales), y_val)
+        val_mse = _mse(consequents @ forward(val_rows, centers, scales), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
             return result(last, "non_finite")
-        last = (centers, scales, consequents)
+        last = {"centers": centers, "scales": scales, "consequents": consequents}
         pairs = adjacency_pairs(centers, scales)  # this state's one pass: mean D, next MO step
         mean_d = _mean(pairs[2])
         traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))

@@ -5,8 +5,10 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 Criteria 3 and 4 use the Combined Cycle Power Plant CSV when the
 XANFIS_CCPP_CSV environment variable points at it (header columns
 AT,V,AP,RH,PE); otherwise they fall back to the built-in sinc2d
-generator as specified.  Two clauses are expected to fail at desk scale
-on the 2-feature fallback; see notes in the assertions and README.
+generator as specified.  Two clauses, 3b and 4a, fail at desk scale on
+the 2-feature fallback and are left failing; whether 3b holds on the CSV
+is not measured here.  See the notes in the assertions and README
+"Desk-scale limits".
 """
 
 import math
@@ -29,6 +31,7 @@ from xanfis.inference import (
     fit_consequents,
     forward,
     membership_tensor,
+    mse_antecedent_gradients,
     predict,
 )
 from xanfis.membership import SCALE_MIN, MFKind, product_firing, project_bounds_arrays
@@ -38,7 +41,6 @@ from xanfis.training import (
     TrainConfig,
     _clipped_step,
     adjacency_pairs,
-    mse_antecedent_gradients,
     pair_gradient,
     train,
 )
@@ -134,9 +136,7 @@ class TestCriterion1GradientCorrectness:
             scales = rng.uniform(0.05, 0.8, size=(r, f))
             rb, fm, yhat = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
 
-            gc, gs = mse_antecedent_gradients(
-                fm, y, yhat, rb.mf_kind, rb.order, rb.scales, rb.consequents
-            )
+            gc, gs = mse_antecedent_gradients(fm, y, yhat, rb.scales, rb.consequents)
             fd_c = np.zeros_like(gc)
             fd_s = np.zeros_like(gs)
 
@@ -203,7 +203,7 @@ class TestCriterion2LSEOptimality:
         for t in traces:  # each epoch's state, refit as train refits it
             rb = RuleBase(rb0.mf_kind, t.centers_snapshot, t.scales_snapshot)
             rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
-            phi = design_matrix(fm, rb.order).T  # (N, columns)
+            phi = design_matrix(fm).T  # (N, columns)
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
             worst = max(worst, np.max(np.abs(resid)) / bound)
@@ -235,14 +235,15 @@ class TestCriterion3InitializationStability:
         report(
             "3b",
             ok,
-            f"Gaussian R2 drop vs scale 0.25: {drops} (gate: > 0.3; "
-            "2-feature fallback cannot underflow rule firings, so the "
-            "collapse needs the 4-feature CSV — see README)",
+            f"Gaussian R2 drop vs scale 0.25: {drops} (gate: > 0.3; sinc2d has "
+            "0% dead rows at epoch 0 at both scales; friedman, with 5 features "
+            "and 86.6% dead rows at 0.0625, still drops by only 0.10 there; the "
+            "CCPP outcome is not measured here — see README \"Desk-scale limits\")",
         )
 
 
 class TestCauchyStabilityOnFriedman:
-    """The Gaussian collapse that 3b's 2-feature fallback cannot show, on the built-in 5-feature set.
+    """The Gaussian collapse that 3b's 2-feature fallback does not show, on the built-in 5-feature set.
 
     Not a criterion: 3b keeps its gate and fixture.  At scale 0.03125 the
     Gaussian run ends with one rule holding the whole firing mass and a
@@ -430,7 +431,7 @@ class TestCriterion9Invariants:
                 rb = RuleBase(run["rb"].mf_kind, c, s)
                 fm = Rows.of(split.X_train, rb)
                 raw = product_firing(rb.mf_kind, membership_tensor(fm, c, s))
-                forward(fm, rb.mf_kind, rb.order, c, s)
+                forward(fm, c, s)
                 live = raw.max(axis=0) > EPS_DENOM
                 if np.any(live):
                     dev = np.max(np.abs(fm.normalized[:, live].sum(axis=0) - 1.0))

@@ -54,7 +54,7 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
 def firing(X, rb, buf=None):
     """Rows of X holding rb's forward: normalized firing, live mask and u."""
     rows = Rows.of(X, rb, buf=buf)
-    forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    forward(rows, rb.centers, rb.scales)
     return rows
 
 
@@ -151,13 +151,13 @@ class TestDesignMatrix:
         X = rng.uniform(0, 1, size=(6, 2))
         rb = random_rulebase(rng, n_rules=3, n_features=2)
         fm = firing(X, rb)
-        assert design_matrix(fm, Order.ZERO) is fm.normalized
+        assert design_matrix(fm) is fm.normalized
 
     def test_first_order_single_row(self):
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.3]]), np.array([[0.2]]), order=Order.FIRST)
         X = np.array([[0.3]])
         fm = firing(X, rb)  # single rule: normalized == 1
-        phi = design_matrix(fm, Order.FIRST)
+        phi = design_matrix(fm)
         np.testing.assert_allclose(phi, [[0.3], [1.0]], atol=1e-15)
 
     def test_first_order_prediction_matches_rulewise_oracle(self):
@@ -193,7 +193,7 @@ class TestSampleAxisLast:
             assert a.shape == (4, 40) and a.flags.c_contiguous
         den = np.maximum(raw.sum(axis=0), EPS_DENOM)
         assert den.shape == fm.live.shape == (40,)
-        phi = design_matrix(fm, Order.FIRST)
+        phi = design_matrix(fm)
         assert phi.shape == (16, 40) and phi.flags.c_contiguous
         assert np.shares_memory(phi, fm.scratch)  # the (R, F+1, N) blocks in the scratch
 
@@ -231,6 +231,23 @@ class TestRows:
 
     @pytest.mark.parametrize("order", list(Order))
     @pytest.mark.parametrize("kind", list(MFKind))
+    def test_carry_their_rule_base_kind_and_order(self, kind, order):
+        # the kernels read kind and order from the rows, validation rows over a training scratch too
+        rng = np.random.default_rng(13)
+        X, X_val = rng.uniform(0, 1, size=(40, 3)), rng.uniform(0, 1, size=(20, 3))
+        wide = wide_rulebase(rng, kind, order, n_rules=4, n_features=3)
+        rb = RuleBase(kind.value, wide.centers, wide.scales, order=order.value)  # named by strings
+        rb, rows, _ = fit_consequents(rb, X, X.sum(axis=1), 1e-4)
+        val_rows = Rows.of(X_val, rb, "X_val", buf=rows.scratch)
+        assert np.shares_memory(val_rows.u, rows.scratch)
+        for r in (rows, val_rows):
+            assert (r.kind, r.order) == (kind, order)
+            assert (type(r.kind), type(r.order)) == (MFKind, Order)
+        yhat = rb.consequents @ forward(val_rows, rb.centers, rb.scales)
+        np.testing.assert_array_equal(yhat, predict(rb, X_val), strict=True)
+
+    @pytest.mark.parametrize("order", list(Order))
+    @pytest.mark.parametrize("kind", list(MFKind))
     def test_stale_buffers_do_not_show(self, kind, order):
         # rows whose buffers are views of a NaN-filled array give the bits of fresh rows
         rng = np.random.default_rng(11)
@@ -242,13 +259,13 @@ class TestRows:
         for name in ("u", "normalized", "live"):
             np.testing.assert_array_equal(getattr(stale, name), getattr(fresh, name), strict=True)
             assert name == "live" or np.shares_memory(getattr(stale, name), buf)
-        phi = design_matrix(stale, order)
-        np.testing.assert_array_equal(phi, design_matrix(fresh, order), strict=True)
+        phi = design_matrix(stale)
+        np.testing.assert_array_equal(phi, design_matrix(fresh), strict=True)
         assert np.shares_memory(phi, stale.scratch if order == Order.FIRST else stale.normalized)
         g = log_grad_factor(kind, fresh.u, out=stale.work)
         np.testing.assert_array_equal(g, log_grad_factor(kind, fresh.u), strict=True)
         fitted, _, yhat = fit_consequents(rb, X, y, 1e-4)
-        w, yhat_stale = refit(stale, y, 1e-4, kind, order, rb.centers, rb.scales)
+        w, yhat_stale = refit(stale, y, 1e-4, rb.centers, rb.scales)
         np.testing.assert_array_equal(w, fitted.consequents, strict=True)
         np.testing.assert_array_equal(yhat_stale, yhat, strict=True)
 
@@ -308,7 +325,7 @@ class TestFitConsequents:
         rb = random_rulebase(rng, n_rules=5, n_features=3)
         lam = 1e-4
         rb, _, _ = fit_consequents(rb, X, y, lam)
-        phi = design_matrix(firing(X, rb), rb.order).T  # (N, columns)
+        phi = design_matrix(firing(X, rb)).T  # (N, columns)
         resid = phi.T @ (phi @ rb.consequents - y) + lam * rb.consequents
         assert np.max(np.abs(resid)) < 1e-8 * (1 + np.max(np.abs(phi.T @ y)))
 
@@ -369,7 +386,7 @@ class TestFitConsequents:
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=4, n_features=2)
         rb, _, _ = fit_consequents(rb, X, y, 0.0)
-        phi = design_matrix(firing(X, rb), rb.order).T  # (N, columns)
+        phi = design_matrix(firing(X, rb)).T  # (N, columns)
         best = np.mean((phi @ rb.consequents - y) ** 2)
         for _ in range(100):
             other = rng.normal(size=rb.consequents.shape)
@@ -465,8 +482,17 @@ class TestRuleBaseChecked:
             ([[0.25, 0.5], [0.75, True]], None, "centers must be float, got True"),
             ([[0.25, None], [0.75, 0.5]], None, "centers must be float, got None"),
             ([[0.25, 0.5], [0.75, 0.5]], [0.1, "1"], "consequents must be float, got '1'"),
+            # an array is checked by its dtype, with as_array's rule and text
+            (np.array([["0.25", "0.5"], ["0.75", "1"]]), None, "centers must hold numbers, got <U4 entries"),
+            (np.array([[True, True], [True, True]]), None, "centers must hold numbers, got bool entries"),
+            (np.full((2, 2), 0.5, dtype=object), None, "centers must hold numbers, got object entries"),
+            (
+                [[0.25, 0.5], [0.75, 0.5]], np.array(["0.1", "1"]),
+                "consequents must hold numbers, got <U3 entries",
+            ),
         ],
-        ids=["str", "bool", "none", "str_consequent"],
+        ids=["str", "bool", "none", "str_consequent", "str_array", "bool_array", "object_array",
+             "str_array_consequent"],
     )
     def test_leaf_that_is_not_a_number_fails_where_built(self, centers, consequents, shown):
         with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):

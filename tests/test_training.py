@@ -21,6 +21,7 @@ from xanfis.inference import (
     fit_consequents,
     forward,
     membership_tensor,
+    mse_antecedent_gradients,
     predict,
 )
 from xanfis.membership import (
@@ -38,7 +39,6 @@ from xanfis.training import (
     _clipped_step,
     adjacency_pairs,
     mean_distinguishability,
-    mse_antecedent_gradients,
     pair_gradient,
     train,
     traces_to_csv,
@@ -59,13 +59,13 @@ def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO)
 def firing(X, rb):
     """Rows of X holding rb's forward: normalized firing, live mask and u."""
     rows = Rows.of(X, rb)
-    forward(rows, rb.mf_kind, rb.order, rb.centers, rb.scales)
+    forward(rows, rb.centers, rb.scales)
     return rows
 
 
 def gradients(rb, fm, y, yhat):
     """mse_antecedent_gradients of fitted rb, with fm and yhat its forward and predictions."""
-    return mse_antecedent_gradients(fm, y, yhat, rb.mf_kind, rb.order, rb.scales, rb.consequents)
+    return mse_antecedent_gradients(fm, y, yhat, rb.scales, rb.consequents)
 
 
 def raw_firing(X, rb):
