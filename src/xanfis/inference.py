@@ -60,8 +60,8 @@ class RuleBase:
 
     def __post_init__(self):
         # a name such as "first" becomes its member here, and a bad name fails here
-        object.__setattr__(self, "mf_kind", MFKind(self.mf_kind))
-        object.__setattr__(self, "order", Order(self.order))
+        object.__setattr__(self, "mf_kind", MFKind(check_value(self.mf_kind, MFKind, "mf_kind")))
+        object.__setattr__(self, "order", Order(check_value(self.order, Order, "order")))
         for name in ("centers", "scales", "consequents"):
             a = getattr(self, name)
             if a is None and name == "consequents":  # not fitted yet

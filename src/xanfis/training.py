@@ -91,6 +91,7 @@ class EpochTrace:
     mean_D: float
     centers_snapshot: np.ndarray
     scales_snapshot: np.ndarray
+    consequents: np.ndarray | None = None
 
 
 def adjacency_pairs(centers, scales):
@@ -157,8 +158,8 @@ class TrainResult(NamedTuple):
     """A finished run: its model, one trace per recorded epoch, and why it stopped.
 
     stop_reason is "patience", "max_epochs", "non_finite" (a loss) or
-    "singular" (the LSE refit).  rb is the best-validation model, or after
-    a divergence the last finite one (rb0 when epoch 0 fails).  A diverged
+    "singular" (the LSE refit).  rb is the best trace's state, or after a
+    divergence the last trace's (rb0 when epoch 0 fails).  A diverged
     run failed at epoch len(traces); the best epoch is the first argmin of
     val_mse over traces.
     """
@@ -175,8 +176,8 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     later epoch applies the mode's antecedent passes and refits the
     consequents.  Every epoch ends with the patience check, so a run whose
     patience runs out on its last epoch stops for "patience", not
-    "max_epochs".  Every trace carries a snapshot of that epoch's centers
-    and scales.
+    "max_epochs".  Every trace holds the epoch's arrays, which no later
+    step writes into: its centers, scales and consequents.
 
     The four arrays are checked once, here, and cfg and rb0 when they were
     built; the epochs run the kernels on one Rows per row set, the
@@ -192,13 +193,14 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
     unread = cfg.unread_knobs().keys()  # what the CLI's ignored-knob warnings read too
     mo_weight = 0.0 if {"mo_weight", "d_target"} & unread else cfg.mo_weight
     xpass = not {"lr_xpass", "d_target"} & unread
-    traces = []
-    last = best = None  # the last finite and the best state, as RuleBase fields
-    best_val = math.inf
-    stall = 0
+    traces, best = [], None  # best is the first trace with the lowest val_mse
 
-    def result(state, stop_reason):
-        return TrainResult(rb0 if state is None else replace(rb0, **state), traces, stop_reason)
+    def result(stop_reason):  # best's state; after a divergence the last trace's, or rb0
+        t = traces[-1] if stop_reason in DIVERGED and traces else best
+        if t is None:
+            return TrainResult(rb0, traces, stop_reason)
+        rb = replace(rb0, centers=t.centers_snapshot, scales=t.scales_snapshot, consequents=t.consequents)
+        return TrainResult(rb, traces, stop_reason)
 
     for epoch in range(cfg.max_epochs + 1):
         if epoch:
@@ -216,22 +218,19 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         try:
             consequents, yhat = refit(rows, y_train, cfg.lam, centers, scales)
         except SingularMatrixError:
-            return result(last, "singular")
+            return result("singular")
         train_mse = _mse(yhat, y_train)
         val_mse = _mse(consequents @ forward(val_rows, centers, scales), y_val)
         if not (math.isfinite(train_mse) and math.isfinite(val_mse)):
-            return result(last, "non_finite")
-        last = {"centers": centers, "scales": scales, "consequents": consequents}
+            return result("non_finite")
         pairs = adjacency_pairs(centers, scales)  # this state's one pass: mean D, next MO step
         mean_d = _mean(pairs[2])
-        traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers.copy(), scales.copy()))
-        if val_mse < best_val:
-            best_val, best, stall = val_mse, last, 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                return result(best, "patience")
-    return result(best, "max_epochs")
+        traces.append(EpochTrace(epoch, train_mse, val_mse, mean_d, centers, scales, consequents))
+        if best is None or val_mse < best.val_mse:
+            best = traces[-1]
+        elif epoch - best.epoch >= cfg.patience:
+            return result("patience")
+    return result("max_epochs")
 
 
 # --------------------------------------------------------------------

@@ -24,7 +24,6 @@ from xanfis.data import DatasetManifest, load_csv, split_scale, synth_regression
 from xanfis.fcm_init import FCMConfig, fcm_fit
 from xanfis.inference import (
     EPS_DENOM,
-    Order,
     RuleBase,
     Rows,
     design_matrix,

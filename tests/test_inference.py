@@ -629,8 +629,8 @@ class TestModelArtifact:
 
     @pytest.mark.parametrize(
         "fields, shown",
-        [({"order": "bogus"}, "'bogus' is not a valid Order"),
-         ({"kind": "triangle"}, "'triangle' is not a valid MFKind")],
+        [({"order": "bogus"}, "order must be one of ['zero', 'first'], got 'bogus'"),
+         ({"kind": "triangle"}, "mf_kind must be one of ['gaussian', 'cauchy'], got 'triangle'")],
     )
     def test_bad_name_rejected(self, fields, shown):
         with pytest.raises(ValueError, match=re.escape(shown)):
@@ -690,7 +690,7 @@ class TestModelArtifact:
         "fields, shown",
         [
             ({"version": 2}, "unsupported model version 2"),
-            ({"mf_kind": "triangle"}, "'triangle' is not a valid MFKind"),
+            ({"mf_kind": "triangle"}, "mf_kind must be one of ['gaussian', 'cauchy'], got 'triangle'"),
             ({"centers": "x"}, "model.json: centers must be float, got 'x'"),
             ({"centers": [[0.2, 0.4]]}, "center/scale shape mismatch"),
             ({"centers": [0.2, 0.4], "scales": [0.3, 0.3]}, "center/scale shape mismatch"),

@@ -743,6 +743,7 @@ class TestTrainLoop:
         assert not np.array_equal(traces[0].centers_snapshot, traces[1].centers_snapshot)
         np.testing.assert_array_equal(rb.centers, traces[1].centers_snapshot)
         np.testing.assert_array_equal(rb.scales, traces[1].scales_snapshot)
+        np.testing.assert_array_equal(rb.consequents, traces[-1].consequents)
 
 
 def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
@@ -797,6 +798,8 @@ class TestTrainMatchesPublicKernels:
             assert (t.epoch, t.train_mse, t.val_mse, t.mean_D) == (epoch, train_mse, val_mse, mean_d)
             np.testing.assert_array_equal(t.centers_snapshot, centers, strict=True)
             np.testing.assert_array_equal(t.scales_snapshot, scales, strict=True)
+        for t, model in zip(traces, models):
+            np.testing.assert_array_equal(t.consequents, model.consequents, strict=True)
         best = models[min(range(6), key=lambda k: records[k][2])]
         for name in ("centers", "scales", "consequents"):
             np.testing.assert_array_equal(getattr(rb, name), getattr(best, name), strict=True)
