@@ -15,7 +15,7 @@ from .data import (
     synth_regression,
 )
 from .fcm_init import FCMConfig, FCMResult, fcm_fit
-from .inference import Order, RuleBase, fit_consequents, load_model, predict, save_model
+from .inference import Order, RuleBase, load_model, predict, save_model
 from .membership import SCALE_MIN, MFKind
 from .metrics import (
     EvalReport,
@@ -49,7 +49,6 @@ __all__ = [
     "TrainResult",
     "evaluate_model",
     "fcm_fit",
-    "fit_consequents",
     "load_csv",
     "load_manifest",
     "load_model",

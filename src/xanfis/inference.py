@@ -4,8 +4,8 @@ A RuleBase is immutable, its arrays read-only; every operation returns a new one
 The kernels work on a Rows object, the checked rows of X with their rule
 base's kind and order and the buffers the kernels write into, and on the
 state's arrays; the trainer builds its Rows once per run and carries the
-state as arrays.  fit_consequents and predict check their inputs once and build
-fresh Rows per call, so they return arrays their caller owns.
+state as arrays.  Only predict builds fresh Rows per call, checking X once,
+so it returns an array its caller owns.
 
 Gaussian memberships underflow to 0.0 at small scales by design, and the
 forward tolerates it (EPS_DENOM).  The kernels, and the trainer that
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .data import read_json
 from .membership import (
     SCALE_MAX, SCALE_MIN, MFKind, log_grad_factor, product_firing, project_bounds_arrays,
 )
-from .numerics import as_array, as_numbers, as_rows, check_value, has_type, ridge_solve
+from .numerics import as_array, as_numbers, check_value, has_type, ridge_solve
 
 #: raw firing sums below this floor are treated as a dead row rather than
 #: dividing by ~0; keeps the forward pass total when Gaussian memberships
@@ -236,18 +236,6 @@ def mse_antecedent_gradients(rows, y, yhat, scales, consequents):
     grad_c = np.add.reduce(w, axis=-1).T / scales
     grad_s = np.einsum("frt,frt->fr", w, u).T / scales
     return grad_c, grad_s
-
-
-def fit_consequents(rb, X, y, lam):
-    """Refit consequents by regularized LSE; antecedents untouched.
-
-    Returns (fitted rb, the Rows of X holding rb's forward, predictions on
-    X); the predictions equal predict(fitted rb, X) bit for bit.
-    """
-    X, y = as_rows(X, y)
-    rows = Rows.of(X, rb)
-    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
-    return replace(rb, consequents=w), rows, yhat
 
 
 def predict(rb, X):

@@ -89,8 +89,8 @@ class EpochTrace:
     train_mse: float
     val_mse: float
     mean_D: float
-    centers_snapshot: np.ndarray
-    scales_snapshot: np.ndarray
+    centers: np.ndarray
+    scales: np.ndarray
     consequents: np.ndarray | None = None
 
 
@@ -199,7 +199,7 @@ def train(X_train, y_train, X_val, y_val, rb0, cfg):
         t = traces[-1] if stop_reason in DIVERGED and traces else best
         if t is None:
             return TrainResult(rb0, traces, stop_reason)
-        rb = replace(rb0, centers=t.centers_snapshot, scales=t.scales_snapshot, consequents=t.consequents)
+        rb = replace(rb0, centers=t.centers, scales=t.scales, consequents=t.consequents)
         return TrainResult(rb, traces, stop_reason)
 
     for epoch in range(cfg.max_epochs + 1):
@@ -251,7 +251,7 @@ def trajectory_to_csv(traces, path):
 
     def rows():
         for t in traces:
-            centers, scales = t.centers_snapshot.tolist(), t.scales_snapshot.tolist()
+            centers, scales = t.centers.tolist(), t.scales.tolist()
             for j, (cs, ss) in enumerate(zip(centers, scales)):
                 for k, (c, s) in enumerate(zip(cs, ss)):
                     yield [t.epoch, j, k, c, s]

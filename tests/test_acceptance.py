@@ -27,11 +27,11 @@ from xanfis.inference import (
     RuleBase,
     Rows,
     design_matrix,
-    fit_consequents,
     forward,
     membership_tensor,
     mse_antecedent_gradients,
     predict,
+    refit,
 )
 from xanfis.membership import SCALE_MIN, MFKind, product_firing, project_bounds_arrays
 from xanfis.metrics import mean_distinguishability, pareto_front, regression_metrics
@@ -43,6 +43,14 @@ from xanfis.training import (
     pair_gradient,
     train,
 )
+
+
+def lse_fit(rb, X, y, lam):
+    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
+    rows = Rows.of(X, rb)
+    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
+    return RuleBase(rb.mf_kind, rb.centers, rb.scales, w, rb.order), rows, yhat
+
 
 SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 
@@ -133,7 +141,7 @@ class TestCriterion1GradientCorrectness:
             y = rng.uniform(0, 1, size=n)
             centers = rng.uniform(0.05, 0.95, size=(r, f))
             scales = rng.uniform(0.05, 0.8, size=(r, f))
-            rb, fm, yhat = fit_consequents(RuleBase(kind, centers, scales), X, y, 1e-4)
+            rb, fm, yhat = lse_fit(RuleBase(kind, centers, scales), X, y, 1e-4)
 
             gc, gs = mse_antecedent_gradients(fm, y, yhat, rb.scales, rb.consequents)
             fd_c = np.zeros_like(gc)
@@ -200,8 +208,8 @@ class TestCriterion2LSEOptimality:
         traces = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg).traces
         worst = 0.0
         for t in traces:  # each epoch's state, refit as train refits it
-            rb = RuleBase(rb0.mf_kind, t.centers_snapshot, t.scales_snapshot)
-            rb, fm, _ = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)
+            rb = RuleBase(rb0.mf_kind, t.centers, t.scales)
+            rb, fm, _ = lse_fit(rb, split.X_train, split.y_train, cfg.lam)
             phi = design_matrix(fm).T  # (N, columns)
             resid = phi.T @ (phi @ rb.consequents - split.y_train) + cfg.lam * rb.consequents
             bound = 1e-8 * (1.0 + np.max(np.abs(phi.T @ split.y_train)))
@@ -258,7 +266,7 @@ class TestCauchyStabilityOnFriedman:
             rb0 = RuleBase(mf, centers, np.full(centers.shape, 0.03125))
             rb = train(split.X_train, split.y_train, split.X_val, split.y_val, rb0, cfg).rb
             r2[mf] = regression_metrics(split.y_test, predict(rb, split.X_test))[3]
-            normalized = fit_consequents(rb, split.X_train, split.y_train, cfg.lam)[1].normalized
+            normalized = lse_fit(rb, split.X_train, split.y_train, cfg.lam)[1].normalized
             share[mf] = float(np.max(normalized.sum(axis=1))) / normalized.shape[1]
         detail = f"r2 {r2}, top-rule share {share}"
         assert r2[MFKind.GAUSSIAN] < 0.1 and share[MFKind.GAUSSIAN] > 0.99, detail
@@ -424,7 +432,7 @@ class TestCriterion9Invariants:
         for run in all_runs:
             split = run["split"]
             for t in run["traces"]:
-                c, s = t.centers_snapshot, t.scales_snapshot
+                c, s = t.centers, t.scales
                 ok &= bool(np.all(c >= 0.0) and np.all(c <= 1.0))
                 ok &= bool(np.all(s >= SCALE_MIN) and np.all(s <= 1.0))
                 rb = RuleBase(run["rb"].mf_kind, c, s)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import xanfis.fcm_init
-from xanfis.data import split_scale
+from xanfis.data import split_scale, synth_regression
 from xanfis.fcm_init import (
     FUZZINESS,
     FCMConfig,
@@ -328,3 +328,20 @@ class TestScales:
         finally:
             tracemalloc.stop()
         assert peak < 5000 * 10 * 8 * 8  # 3.2 MB of float64
+
+
+class TestFriedmanStart:
+    """Characterization of the built-in friedman set's FCM start, which its README tables rest on.
+
+    At the library's FUZZINESS 2 every rule's center lands on one point; at
+    m = 1.5 the centers spread.  A change to the initialization fails here
+    instead of quietly moving the friedman tables.
+    """
+
+    @pytest.mark.parametrize("n_clusters", [5, 10])
+    def test_rules_start_at_one_point_at_fuzziness_two(self, monkeypatch, n_clusters):
+        X = split_scale(*synth_regression("friedman", 2000, 0.05, seed=0), seed=0).X_train
+        cfg = FCMConfig(n_clusters=n_clusters, seed=0)
+        assert np.ptp(fcm_fit(X, cfg).centers, axis=0).max() < 1e-3
+        monkeypatch.setattr(xanfis.fcm_init, "FUZZINESS", 1.5)
+        assert np.ptp(fcm_fit(X, cfg).centers, axis=0).min() > 0.1

@@ -20,7 +20,6 @@ from xanfis.inference import (
     RuleBase,
     Rows,
     design_matrix,
-    fit_consequents,
     forward,
     load_model,
     membership_tensor,
@@ -35,6 +34,7 @@ from xanfis.membership import (
     membership_values,
     product_firing,
 )
+from xanfis.training import TrainConfig, train
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -49,6 +49,13 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
     scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
     scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
     return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
+
+
+def lse_fit(rb, X, y, lam):
+    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
+    rows = Rows.of(X, rb)
+    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
+    return replace(rb, consequents=w), rows, yhat
 
 
 def firing(X, rb, buf=None):
@@ -165,7 +172,7 @@ class TestDesignMatrix:
         X = rng.uniform(0, 1, size=(12, 2))
         y = rng.uniform(0, 1, size=12)
         rb = random_rulebase(rng, n_rules=3, n_features=2, order=Order.FIRST)
-        rb, _, _ = fit_consequents(rb, X, y, 1e-4)
+        rb, _, _ = lse_fit(rb, X, y, 1e-4)
         yhat = predict(rb, X)
         # oracle: weighted average of per-rule affine outputs
         coeffs = rb.consequents.reshape(3, 3)  # per rule: w1, w2, bias
@@ -237,7 +244,7 @@ class TestRows:
         X, X_val = rng.uniform(0, 1, size=(40, 3)), rng.uniform(0, 1, size=(20, 3))
         wide = wide_rulebase(rng, kind, order, n_rules=4, n_features=3)
         rb = RuleBase(kind.value, wide.centers, wide.scales, order=order.value)  # named by strings
-        rb, rows, _ = fit_consequents(rb, X, X.sum(axis=1), 1e-4)
+        rb, rows, _ = lse_fit(rb, X, X.sum(axis=1), 1e-4)
         val_rows = Rows.of(X_val, rb, "X_val", buf=rows.scratch)
         assert np.shares_memory(val_rows.u, rows.scratch)
         for r in (rows, val_rows):
@@ -264,7 +271,7 @@ class TestRows:
         assert np.shares_memory(phi, stale.scratch if order == Order.FIRST else stale.normalized)
         g = log_grad_factor(kind, fresh.u, out=stale.work)
         np.testing.assert_array_equal(g, log_grad_factor(kind, fresh.u), strict=True)
-        fitted, _, yhat = fit_consequents(rb, X, y, 1e-4)
+        fitted, _, yhat = lse_fit(rb, X, y, 1e-4)
         w, yhat_stale = refit(stale, y, 1e-4, rb.centers, rb.scales)
         np.testing.assert_array_equal(w, fitted.consequents, strict=True)
         np.testing.assert_array_equal(yhat_stale, yhat, strict=True)
@@ -292,22 +299,16 @@ class TestRows:
         X = rng.uniform(0, 1, size=(30, 2))
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=3, n_features=2, order=order)
-        first, second = fit_consequents(rb, X, y, 1e-4), fit_consequents(rb, X, y, 1e-4)
-        arrays = [
-            [fitted.consequents, fm.normalized, fm.live, fm.u, yhat]
-            for fitted, fm, yhat in (first, second)
-        ]
-        for a in arrays[0]:
-            for b in arrays[1]:
-                assert not np.shares_memory(a, b)
-        assert not np.shares_memory(predict(first[0], X), predict(first[0], X))
+        first, second = (train(X, y, X, y, rb, TrainConfig(max_epochs=0)).rb for _ in range(2))
+        assert not np.shares_memory(first.consequents, second.consequents)
+        assert not np.shares_memory(predict(first, X), predict(first, X))
 
 
 class TestFitConsequents:
     def test_zero_target_zero_consequents(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(15, 3))
-        rb, _, _ = fit_consequents(random_rulebase(rng), X, np.zeros(15), 1e-3)
+        rb, _, _ = lse_fit(random_rulebase(rng), X, np.zeros(15), 1e-3)
         np.testing.assert_allclose(rb.consequents, 0.0, atol=1e-14)
 
     def test_single_rule_fits_mean(self):
@@ -315,7 +316,7 @@ class TestFitConsequents:
         X = rng.uniform(0, 1, size=(20, 2))
         y = rng.uniform(0, 1, size=20)
         rb = random_rulebase(rng, n_rules=1, n_features=2)
-        rb, _, _ = fit_consequents(rb, X, y, 0.0)
+        rb, _, _ = lse_fit(rb, X, y, 0.0)
         assert rb.consequents[0] == pytest.approx(y.mean())
 
     def test_normal_equation_residual(self):
@@ -324,7 +325,7 @@ class TestFitConsequents:
         y = rng.uniform(0, 1, size=40)
         rb = random_rulebase(rng, n_rules=5, n_features=3)
         lam = 1e-4
-        rb, _, _ = fit_consequents(rb, X, y, lam)
+        rb, _, _ = lse_fit(rb, X, y, lam)
         phi = design_matrix(firing(X, rb)).T  # (N, columns)
         resid = phi.T @ (phi @ rb.consequents - y) + lam * rb.consequents
         assert np.max(np.abs(resid)) < 1e-8 * (1 + np.max(np.abs(phi.T @ y)))
@@ -333,9 +334,12 @@ class TestFitConsequents:
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(10, 2))
         rb0 = random_rulebase(rng, n_rules=2, n_features=2)
-        rb1, _, _ = fit_consequents(rb0, X, np.linspace(0, 1, 10), 1e-4)
+        y = np.linspace(0, 1, 10)
+        # train with no epochs is the public way to fit consequents alone: the kernel's bits
+        rb1 = train(X, y, X, y, rb0, TrainConfig(max_epochs=0, lam=1e-4)).rb
         assert rb1.centers is rb0.centers
         assert rb1.scales is rb0.scales
+        np.testing.assert_array_equal(rb1.consequents, lse_fit(rb0, X, y, 1e-4)[0].consequents, strict=True)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -355,7 +359,7 @@ class TestFitConsequents:
         X = rng.uniform(-0.2, 1.2, size=(n_samples, n_features))
         y = rng.uniform(0, 1, size=n_samples)
         rb = wide_rulebase(rng, kind, order, n_rules, n_features)
-        fitted, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+        fitted, fm, yhat = lse_fit(rb, X, y, 1e-4)
         np.testing.assert_array_equal(yhat, predict(fitted, X))
         ref = firing(X, rb)
         raw = raw_firing(X, rb)
@@ -363,29 +367,12 @@ class TestFitConsequents:
         np.testing.assert_array_equal(fm.live, raw.sum(axis=0) > EPS_DENOM)
         np.testing.assert_array_equal(fm.normalized, ref.normalized)
 
-    @pytest.mark.parametrize(
-        "X, y, n_rules, shown",
-        [
-            (np.ones(3), np.ones(3), 2, "X must be 2-D, got ndim=1"),
-            (np.array([[np.nan, 0.5], [0.5, 0.5]]), np.ones(2), 2, "X contains non-finite"),
-            (np.eye(2), np.ones((2, 1)), 2, "y must be 1-D, got ndim=2"),
-            (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
-            (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
-            (np.zeros((0, 2)), np.zeros(0), 2, "X has 0 rows"),
-            (np.eye(2), np.ones(2), 0, "a rule base needs at least one rule"),
-        ],
-    )
-    def test_malformed_input_named(self, X, y, n_rules, shown):
-        with pytest.raises(ValueError, match=shown):  # a rule base with no rule fails where built
-            rb = random_rulebase(np.random.default_rng(0), n_rules=n_rules, n_features=2)
-            fit_consequents(rb, X, y, 0.1)
-
     def test_lse_beats_random_consequents(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(30, 2))
         y = rng.uniform(0, 1, size=30)
         rb = random_rulebase(rng, n_rules=4, n_features=2)
-        rb, _, _ = fit_consequents(rb, X, y, 0.0)
+        rb, _, _ = lse_fit(rb, X, y, 0.0)
         phi = design_matrix(firing(X, rb)).T  # (N, columns)
         best = np.mean((phi @ rb.consequents - y) ** 2)
         for _ in range(100):
@@ -412,7 +399,7 @@ class TestPredict:
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(10, 3))
         y = rng.uniform(0, 1, size=10)
-        rb, _, _ = fit_consequents(random_rulebase(rng), X, y, 1e-4)
+        rb, _, _ = lse_fit(random_rulebase(rng), X, y, 1e-4)
         yhat = predict(rb, X)
         _, norm = scalar_firing_oracle(X, rb)
         ref = rb.consequents @ norm
@@ -422,7 +409,7 @@ class TestPredict:
         rng = np.random.default_rng(10)
         X = rng.uniform(0, 1, size=(18, 2))
         y = rng.uniform(0, 1, size=18)
-        rb, _, _ = fit_consequents(random_rulebase(rng, n_rules=4, n_features=2), X, y, 1e-4)
+        rb, _, _ = lse_fit(random_rulebase(rng, n_rules=4, n_features=2), X, y, 1e-4)
         perm = np.array([2, 0, 3, 1])
         rb_p = RuleBase(
             rb.mf_kind, rb.centers[perm], rb.scales[perm], rb.consequents[perm], rb.order
@@ -433,7 +420,7 @@ class TestPredict:
         # a 1-column X must not broadcast against a 2-feature model
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, size=(8, 2))
-        rb, _, _ = fit_consequents(
+        rb, _, _ = lse_fit(
             random_rulebase(rng, n_rules=3, n_features=2), X, X[:, 0], 1e-4
         )
         with pytest.raises(ValueError, match="X has 1 feature columns but the rule base has 2"):
@@ -469,7 +456,11 @@ class TestRuleBaseChecked:
                 if call == "predict":
                     predict(rb, X)
                 else:
-                    fit_consequents(rb, X, X[:, 0], 0.1)
+                    lse_fit(rb, X, X[:, 0], 0.1)
+
+    def test_no_rule_fails_where_built(self):
+        with pytest.raises(ValueError, match="^a rule base needs at least one rule$"):
+            RuleBase(MFKind.CAUCHY, np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_out_of_range_center_fails_where_built(self):
         with pytest.raises(ValueError, match=r"^centers must be finite and in \[0, 1\]"):
@@ -510,7 +501,7 @@ class TestRuleBaseReadOnly:
     def test_arrays_cannot_be_written(self, name):
         rng = np.random.default_rng(1)
         X = rng.uniform(size=(10, 3))
-        rb, _, _ = fit_consequents(random_rulebase(rng), X, X.sum(axis=1), 1e-4)
+        rb, _, _ = lse_fit(random_rulebase(rng), X, X.sum(axis=1), 1e-4)
         with pytest.raises(ValueError, match="read-only"):
             getattr(rb, name)[0] = 0.5
 
@@ -521,7 +512,7 @@ class TestRuleBaseReadOnly:
     def test_copies_rebuilt_read_only(self, clone):
         rng = np.random.default_rng(2)
         X = rng.uniform(size=(10, 3))
-        rb, _, _ = fit_consequents(random_rulebase(rng, order=Order.FIRST), X, X.sum(axis=1), 1e-4)
+        rb, _, _ = lse_fit(random_rulebase(rng, order=Order.FIRST), X, X.sum(axis=1), 1e-4)
         again = clone(rb)
         assert (again.mf_kind, again.order) == (rb.mf_kind, rb.order)
         for name in ("centers", "scales", "consequents"):
@@ -551,8 +542,8 @@ class TestRuleBaseCoerced:
         assert rb.centers.dtype == rb.scales.dtype == rb.consequents.dtype == np.float64
         ref = RuleBase(MFKind.CAUCHY, centers, scales, consequents)
         np.testing.assert_array_equal(predict(rb, X), predict(ref, X))
-        fitted, _, yhat = fit_consequents(replace(rb, consequents=None), X, y, 1e-4)
-        np.testing.assert_array_equal(yhat, fit_consequents(ref, X, y, 1e-4)[2])
+        fitted, _, yhat = lse_fit(replace(rb, consequents=None), X, y, 1e-4)
+        np.testing.assert_array_equal(yhat, lse_fit(ref, X, y, 1e-4)[2])
         assert fitted.centers.dtype == np.float64
 
     def test_float64_arrays_kept_not_copied(self):
@@ -564,7 +555,7 @@ class TestRuleBaseCoerced:
 class TestModelArtifact:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        rb, _, _ = fit_consequents(
+        rb, _, _ = lse_fit(
             random_rulebase(rng, order=Order.FIRST),
             rng.uniform(0, 1, size=(20, 3)),
             rng.uniform(0, 1, size=20),
@@ -631,6 +622,7 @@ class TestModelArtifact:
         "fields, shown",
         [({"order": "bogus"}, "order must be one of ['zero', 'first'], got 'bogus'"),
          ({"kind": "triangle"}, "mf_kind must be one of ['gaussian', 'cauchy'], got 'triangle'")],
+        ids=["order-bogus", "kind-triangle"],
     )
     def test_bad_name_rejected(self, fields, shown):
         with pytest.raises(ValueError, match=re.escape(shown)):
@@ -706,6 +698,9 @@ class TestModelArtifact:
             ({"order": "zero", "consequents": [0.5, False]},
              "model.json: consequents must be float, got False"),
         ],
+        ids=["version-2", "mf_kind-triangle", "centers-str", "centers-one_row", "centers-flat",
+             "centers-ragged", "consequents-dict", "scales-none", "version-bool", "version-float",
+             "centers-bool", "scales-str", "consequents-str", "consequents-bool"],
     )
     def test_malformed_artifact_named(self, tmp_path, fields, shown):
         with pytest.raises(ValueError, match=re.escape(shown)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xanfis.data import split_scale
-from xanfis.inference import RuleBase, fit_consequents
+from xanfis.inference import RuleBase
 from xanfis.membership import MFKind
 from xanfis.metrics import evaluate_model
 from xanfis.numerics import (
@@ -23,14 +23,13 @@ from xanfis.training import TrainConfig, train
 _RNG = np.random.default_rng(0)
 _X, _Y = _RNG.uniform(size=(20, 2)), _RNG.uniform(size=20)
 _RB0 = RuleBase(MFKind.CAUCHY, [[0.2, 0.3], [0.5, 0.8], [0.9, 0.4]], np.full((3, 2), 0.3))
-_RB, _, _ = fit_consequents(_RB0, _X, _Y, 1e-4)
+_RB = train(_X, _Y, _X, _Y, _RB0, TrainConfig(max_epochs=0)).rb
 _CFG = TrainConfig(max_epochs=1)
 
 #: every entry point that takes rows and targets: (call on X and y, X's name, y's name)
 ROW_ENTRIES = {
     "as_rows": (as_rows, "X", "y"),
     "split_scale": (split_scale, "X", "y"),
-    "fit_consequents": (lambda X, y: fit_consequents(_RB, X, y, 1e-4), "X", "y"),
     "train": (lambda X, y: train(X, y, _X, _Y, _RB0, _CFG), "X_train", "y_train"),
     "train_val": (lambda X, y: train(_X, _Y, X, y, _RB0, _CFG), "X_val", "y_val"),
     "evaluate_model": (lambda X, y: evaluate_model(_RB, X, y), "X", "y"),
@@ -42,6 +41,7 @@ ROW_FAULTS = {
     "zero_rows": (_X[:0], _Y[:0], "{x} has 0 rows"),
     "one_d_X": (_X[:, 0], _Y, "{x} must be 2-D, got ndim=1"),
     "two_d_y": (_X, _Y[:, None], "{y} must be 1-D, got ndim=2"),
+    "non_finite_X": (np.where(_X > 0.5, np.inf, _X), _Y, "{x} contains non-finite entries"),
     "non_finite_y": (_X, np.where(_Y > 0.5, np.nan, _Y), "{y} contains non-finite entries"),
     "str_X": (_X.astype(str), _Y, "{x} must hold numbers, got <U32 entries"),
     "bool_X": (_X > 0.5, _Y, "{x} must hold numbers, got bool entries"),

@@ -18,11 +18,11 @@ from xanfis.inference import (
     Order,
     RuleBase,
     Rows,
-    fit_consequents,
     forward,
     membership_tensor,
     mse_antecedent_gradients,
     predict,
+    refit,
 )
 from xanfis.membership import (
     SCALE_MIN,
@@ -46,13 +46,20 @@ from xanfis.training import (
 )
 
 
+def lse_fit(rb, X, y, lam):
+    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
+    rows = Rows.of(X, rb)
+    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
+    return replace(rb, consequents=w), rows, yhat
+
+
 def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO):
     X = rng.uniform(0, 1, size=(n_samples, n_features))
     y = rng.uniform(0, 1, size=n_samples)
     centers = rng.uniform(0.05, 0.95, size=(n_rules, n_features))
     scales = rng.uniform(0.05, 0.8, size=(n_rules, n_features))
     rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
-    rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+    rb, fm, yhat = lse_fit(rb, X, y, 1e-4)
     return X, y, rb, fm, yhat
 
 
@@ -107,7 +114,7 @@ def dead_row_problem(rng, kind, order, n_rules=3, n_features=3):
     X = np.concatenate([near, far])[rng.permutation(40)]
     y = rng.uniform(0, 1, size=40)
     rb = RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
-    rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+    rb, fm, yhat = lse_fit(rb, X, y, 1e-4)
     return X, y, rb, fm, yhat
 
 
@@ -159,7 +166,7 @@ class TestMSEGradients:
         X = rng.uniform(0, 1, size=(20, 2))
         y = np.full(20, 0.4)
         rb = RuleBase(MFKind.CAUCHY, np.array([[0.5, 0.5]]), np.array([[0.3, 0.3]]))
-        rb, fm, yhat = fit_consequents(rb, X, y, 0.0)
+        rb, fm, yhat = lse_fit(rb, X, y, 0.0)
         gc, gs = gradients(rb, fm, y, yhat)
         np.testing.assert_allclose(gc, 0.0, atol=1e-12)
         np.testing.assert_allclose(gs, 0.0, atol=1e-12)
@@ -223,7 +230,7 @@ class TestMSEGradients:
         far = rng.uniform(0.5, 1.0, size=(8, 1))
         X = np.concatenate([near, far])[rng.permutation(20)]
         y = rng.uniform(0, 1, size=20)
-        rb, fm, yhat = fit_consequents(rb, X, y, 1e-4)
+        rb, fm, yhat = lse_fit(rb, X, y, 1e-4)
         live = fm.live
         assert live.sum() == 12 and np.all(raw_firing(X, rb)[:, ~live] == 0.0)
         gc, gs = gradients(rb, fm, y, yhat)
@@ -258,15 +265,15 @@ class TestMSEGradients:
         # a NaN step or a singular refit would end the run early with fewer snapshots
         assert result.stop_reason == "max_epochs" and len(result.traces) == cfg.max_epochs + 1
         for t in result.traces:
-            assert np.all((t.centers_snapshot >= 0.0) & (t.centers_snapshot <= 1.0))
-            assert np.all((t.scales_snapshot >= SCALE_MIN) & (t.scales_snapshot <= 1.0))
+            assert np.all((t.centers >= 0.0) & (t.centers <= 1.0))
+            assert np.all((t.scales >= SCALE_MIN) & (t.scales <= 1.0))
 
 
 def one_epoch(rb0, X, y, cfg):
     """The (centers, scales) that train's epoch 1 steps to from rb0, on X for training and validation."""
     cfg = replace(cfg, max_epochs=1, patience=2)
     t = train(X, y, X, y, rb0, cfg).traces[1]
-    return t.centers_snapshot, t.scales_snapshot
+    return t.centers, t.scales
 
 
 def xpass_step(rb, cfg):
@@ -606,7 +613,7 @@ class TestTrainLoop:
         _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         epochs = [t.epoch for t in traces]
         assert epochs == list(range(len(traces)))
-        assert all(t.centers_snapshot is not None for t in traces)
+        assert all(t.centers is not None for t in traces)
 
     @pytest.mark.parametrize("order", list(Order))
     def test_epochs_reuse_one_workspace(self, monkeypatch, order):
@@ -740,9 +747,9 @@ class TestTrainLoop:
         assert len(traces) == 2  # epochs 0 and 1 recorded, epoch 2 failed
         # the last finite model, epoch 1's fitted state, not the best (epoch 0's)
         assert rb.consequents is not None
-        assert not np.array_equal(traces[0].centers_snapshot, traces[1].centers_snapshot)
-        np.testing.assert_array_equal(rb.centers, traces[1].centers_snapshot)
-        np.testing.assert_array_equal(rb.scales, traces[1].scales_snapshot)
+        assert not np.array_equal(traces[0].centers, traces[1].centers)
+        np.testing.assert_array_equal(rb.centers, traces[1].centers)
+        np.testing.assert_array_equal(rb.scales, traces[1].scales)
         np.testing.assert_array_equal(rb.consequents, traces[-1].consequents)
 
 
@@ -767,7 +774,7 @@ def reference_train(X_tr, y_tr, X_val, y_val, rb0, cfg):
                 gx = np.clip(gx, -clip, clip)
                 centers = np.clip(centers - cfg.lr_xpass * gx, 0.0, 1.0)
             rb = RuleBase(rb.mf_kind, centers, scales, order=rb.order)
-        rb, fm, yhat = fit_consequents(rb, X_tr, y_tr, cfg.lam)
+        rb, fm, yhat = lse_fit(rb, X_tr, y_tr, cfg.lam)
         _, _, d = adjacency_pairs(rb.centers, rb.scales)
         records.append((
             epoch,
@@ -796,8 +803,8 @@ class TestTrainMatchesPublicKernels:
         assert stop_reason == "max_epochs" and len(traces) == len(records) == 6
         for t, (epoch, train_mse, val_mse, mean_d, centers, scales) in zip(traces, records):
             assert (t.epoch, t.train_mse, t.val_mse, t.mean_D) == (epoch, train_mse, val_mse, mean_d)
-            np.testing.assert_array_equal(t.centers_snapshot, centers, strict=True)
-            np.testing.assert_array_equal(t.scales_snapshot, scales, strict=True)
+            np.testing.assert_array_equal(t.centers, centers, strict=True)
+            np.testing.assert_array_equal(t.scales, scales, strict=True)
         for t, model in zip(traces, models):
             np.testing.assert_array_equal(t.consequents, model.consequents, strict=True)
         best = models[min(range(6), key=lambda k: records[k][2])]
@@ -890,7 +897,7 @@ class TestTrainRejectsBadInput:
 def trace_bits(traces):
     return [
         (t.epoch, t.train_mse, t.val_mse, t.mean_D,
-         t.centers_snapshot.tobytes(), t.scales_snapshot.tobytes())
+         t.centers.tobytes(), t.scales.tobytes())
         for t in traces
     ]
 
@@ -953,8 +960,8 @@ class TestModeDegeneracy:
         cfg = TrainConfig(mode=Mode.X_ANFIS, max_epochs=25, patience=25)
         _, traces, _ = train(X_tr, y_tr, X_val, y_val, rb0, cfg)
         for t in traces:
-            assert np.all(t.centers_snapshot >= 0.0) and np.all(t.centers_snapshot <= 1.0)
-            assert np.all(t.scales_snapshot >= SCALE_MIN) and np.all(t.scales_snapshot <= 1.0)
+            assert np.all(t.centers >= 0.0) and np.all(t.centers <= 1.0)
+            assert np.all(t.scales >= SCALE_MIN) and np.all(t.scales <= 1.0)
 
 
 class TestTraceExport:
@@ -962,9 +969,9 @@ class TestTraceExport:
         snap = np.array([[0.5]])
         traces = [
             EpochTrace(epoch=0, train_mse=0.5, val_mse=0.6, mean_D=0.1,
-                       centers_snapshot=snap, scales_snapshot=snap),
+                       centers=snap, scales=snap),
             EpochTrace(epoch=1, train_mse=0.25, val_mse=0.3, mean_D=0.2,
-                       centers_snapshot=snap, scales_snapshot=snap),
+                       centers=snap, scales=snap),
         ]
         path = tmp_path / "trace.csv"
         traces_to_csv(traces, path)
@@ -977,7 +984,7 @@ class TestTraceExport:
         snap_c = np.array([[0.1, 0.2], [0.3, 0.4]])
         snap_s = np.array([[0.5, 0.6], [0.7, 0.8]])
         traces = [
-            EpochTrace(0, 0.1, 0.1, 0.0, centers_snapshot=snap_c, scales_snapshot=snap_s)
+            EpochTrace(0, 0.1, 0.1, 0.0, centers=snap_c, scales=snap_s)
         ]
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traces, path)
