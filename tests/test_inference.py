@@ -367,6 +367,25 @@ class TestFitConsequents:
         np.testing.assert_array_equal(fm.live, raw.sum(axis=0) > EPS_DENOM)
         np.testing.assert_array_equal(fm.normalized, ref.normalized)
 
+    @pytest.mark.parametrize(
+        "X, y, n_rules, shown",
+        [
+            (np.ones(3), np.ones(3), 2, "X must be 2-D, got ndim=1"),
+            (np.array([[np.nan, 0.5], [0.5, 0.5]]), np.ones(2), 2, "X contains non-finite"),
+            (np.eye(2), np.ones((2, 1)), 2, "y must be 1-D, got ndim=2"),
+            (np.eye(2), np.array([1.0, np.inf]), 2, "y contains non-finite entries"),
+            (np.eye(3, 2), np.ones(4), 2, "X has 3 rows but y has 4 entries"),
+            (np.zeros((0, 2)), np.zeros(0), 2, "X has 0 rows"),
+            (np.eye(2), np.ones(2), 0, "a rule base needs at least one rule"),
+        ],
+    )
+    def test_malformed_input_named(self, X, y, n_rules, shown):
+        # train with no epochs is the public way to fit consequents; it names its rows X_train, y_train
+        shown = re.sub(r"\b([Xy])\b", r"\1_train", shown)
+        with pytest.raises(ValueError, match=re.escape(shown)):  # a rule base with no rule fails where built
+            rb = random_rulebase(np.random.default_rng(0), n_rules=n_rules, n_features=2)
+            train(X, y, X, y, rb, TrainConfig(max_epochs=0, lam=0.1))
+
     def test_lse_beats_random_consequents(self):
         rng = np.random.default_rng(6)
         X = rng.uniform(0, 1, size=(30, 2))
