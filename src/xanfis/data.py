@@ -25,10 +25,6 @@ class CSVFormatError(ValueError):
     """Input CSV violates the manifest contract (missing/unparseable cells)."""
 
 
-class ScalerError(ValueError):
-    """A selected column cannot be min-max scaled (constant on train rows)."""
-
-
 def read_json(path, what):
     """The JSON object in the file at path; what names the document in each error."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -232,11 +228,11 @@ class Scaler:
         x_min = X.min(axis=0)
         x_max = X.max(axis=0)
         for col in np.nonzero(x_max == x_min)[0]:
-            raise ScalerError(f"feature column {col} is constant on the training rows")
+            raise ValueError(f"feature column {col} is constant on the training rows")
         y_min = float(y.min())
         y_max = float(y.max())
         if y_max == y_min:
-            raise ScalerError("target column is constant on the training rows")
+            raise ValueError("target column is constant on the training rows")
         return cls(x_min=x_min, x_max=x_max, y_min=y_min, y_max=y_max)
 
     def transform_X(self, X):

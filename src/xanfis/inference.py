@@ -276,7 +276,7 @@ def load_model(path):
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} artifact")
     if not has_type(doc.get("version"), "int") or doc["version"] != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+        raise ValueError(f"{path}: unsupported model version {doc.get('version')!r}")
     try:
         rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])
     except (KeyError, ValueError, TypeError) as err:

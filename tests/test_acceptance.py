@@ -31,7 +31,6 @@ from xanfis.inference import (
     membership_tensor,
     mse_antecedent_gradients,
     predict,
-    refit,
 )
 from xanfis.membership import SCALE_MIN, MFKind, product_firing, project_bounds_arrays
 from xanfis.metrics import mean_distinguishability, pareto_front, regression_metrics
@@ -44,12 +43,7 @@ from xanfis.training import (
     train,
 )
 
-
-def lse_fit(rb, X, y, lam):
-    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
-    rows = Rows.of(X, rb)
-    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
-    return RuleBase(rb.mf_kind, rb.centers, rb.scales, w, rb.order), rows, yhat
+from oracles import lse_fit
 
 
 SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)

@@ -33,7 +33,7 @@ from xanfis.data import DatasetManifest, synth_regression
 from xanfis.fcm_init import FCMConfig
 from xanfis.inference import Order, load_model
 from xanfis.membership import SCALE_MAX, SCALE_MIN, MFKind, membership_values
-from xanfis.metrics import mean_distinguishability
+from xanfis.metrics import evaluate_model, mean_distinguishability
 from xanfis.numerics import RandomStream
 from xanfis.training import Mode, TrainConfig
 
@@ -116,10 +116,19 @@ class TestTrainCommand:
 
     def test_model_artifact_readable(self, tmp_path):
         out = tmp_path / "runs"
-        cmd_train(fast_cfg(out, seeds=[0]))
+        cfg = fast_cfg(out, seeds=[0])
+        cmd_train(cfg)
         rb, scaler_meta = load_model(out / "model_seed0000.json")
         assert rb.centers.shape == (3, 2)
-        assert scaler_meta is not None and "x_min" in scaler_meta
+        # the scaler block holds the training ranges; the metrics are on the scaled target
+        split, _ = xanfis.cli.prepare_seed(0, cfg, None)
+        assert scaler_meta == split.scaler.to_dict()
+        (row,) = read_rows(out / "metrics.csv")
+        assert float(row["mse"]) == evaluate_model(rb, split.X_test, split.y_test).mse
+        # one run: a mean without a CI
+        agg = {r["metric"]: r for r in read_rows(out / "aggregate.csv")}
+        assert float(agg["r2"]["mean"]) == float(row["r2"])
+        assert (agg["r2"]["ci_lo"], agg["r2"]["ci_hi"], agg["r2"]["n"]) == ("", "", "1")
 
     def test_trajectory_flag_writes_files(self, tmp_path):
         out = tmp_path / "runs"
@@ -168,6 +177,7 @@ class TestTrainCommand:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cmd_train(fast_cfg(tmp_path / "one", seeds=[0], workers=8))
         cmd_train(fast_cfg(tmp_path / "three", seeds=[0, 1, 2], workers=8))
+        cmd_train(fast_cfg(tmp_path / "serial", seeds=[0, 1], workers=1))
         assert sizes == [3]
         assert mapped == [xanfis.cli.prepare_seed, xanfis.cli.run_experiment]
 
@@ -601,6 +611,14 @@ class TestMainEntry:
         assert f"{command} runs one seed, got seeds [5, 7]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra", [("init-study", ["--scales", "0.5"]), ("pareto-sweep", [])]
+    )
+    def test_one_seed_commands_run_seed_zero_by_default(self, command, extra):
+        args = build_parser().parse_args([command, "--synth", "sinc2d", *extra, "--out", "o"])
+        cfg, _ = build_config(args)
+        assert {run.seed for run in COMMANDS[command][1](cfg)} == {0}
+
     def test_one_seed_commands_reject_seed_lists_from_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synth": "sinc2d", "seeds": [0, 1]}))
@@ -637,6 +655,8 @@ class TestMainEntry:
         rows = read_rows(out / "summary.csv")
         assert len(rows) == 6
         assert any(r["diverged"] == "1" for r in rows)
+        # a diverged run keeps the metrics of its last finite model
+        assert all(np.isfinite(float(r["r2"])) for r in rows if r["diverged"] == "1")
         for kind in ("gaussian", "cauchy"):
             for scale in ("0.03125", "0.0625", "0.125"):
                 assert (out / f"trace_{kind}_{scale}.csv").exists()
@@ -720,6 +740,7 @@ MANIFESTS = {
     "target_feature.json": json.dumps(
         {"csv_path": "d.csv", "target_column": "y", "feature_columns": ["a", "y"]}
     ),
+    "list.json": "[]",
 }
 
 
@@ -771,6 +792,8 @@ class TestConfigValidation:
             (["--lambda", "-1"], {}, "lambda must be nonnegative, got -1.0"),
             (["--epochs", "-1"], {}, "max_epochs must be nonnegative, got -1"),
             (["--mo-weight", "-1"], {}, "mo_weight must be nonnegative, got -1.0"),
+            (["--manifest", "list.json"], {"synth": None},
+             "manifest list.json must be a JSON object, got []"),
         ],
     )
     def test_bad_value_rejected_before_out_dir(
@@ -1006,6 +1029,15 @@ class TestConfigValue:
         for f in fields(value):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
+
+    def test_config_file_read_as_written(self, tmp_path):
+        # a leading byte-order mark is skipped; a JSON integer in a float field stays an int
+        cfg_path = tmp_path / "cfg.json"
+        doc = {"synth": "sinc2d", "lam": 0, "d_target": 1}
+        cfg_path.write_text("\ufeff" + json.dumps(doc), encoding="utf-8")
+        cfg, _ = build_config(build_parser().parse_args(["train", "--config", str(cfg_path)]))
+        assert (cfg.lam, cfg.d_target) == (0, 1)
+        assert type(cfg.lam) is type(cfg.d_target) is int
 
     def test_names_become_members(self):
         cfg = ExperimentConfig(synth="sinc2d", mode="x_anfis", mf="gaussian", order="first")

@@ -15,7 +15,6 @@ from xanfis.cli import main
 from xanfis.data import (
     CSVFormatError,
     DatasetManifest,
-    ScalerError,
     friedman_target,
     load_csv,
     load_manifest,
@@ -416,7 +415,7 @@ class TestSplitScale:
         X = np.ones((20, 2))
         X[:, 1] = np.arange(20)
         y = np.arange(20, dtype=float)
-        with pytest.raises(ScalerError, match="column 0"):
+        with pytest.raises(ValueError, match="^feature column 0 is constant on the training rows$"):
             split_scale(X, y, seed=0)
 
     @pytest.mark.parametrize(

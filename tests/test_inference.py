@@ -22,7 +22,6 @@ from xanfis.inference import (
     design_matrix,
     forward,
     load_model,
-    membership_tensor,
     predict,
     refit,
     save_model,
@@ -32,9 +31,10 @@ from xanfis.membership import (
     MFKind,
     log_grad_factor,
     membership_values,
-    product_firing,
 )
 from xanfis.training import TrainConfig, train
+
+from oracles import firing, lse_fit, raw_firing
 
 
 def random_rulebase(rng, n_rules=4, n_features=3, kind=MFKind.CAUCHY, order=Order.ZERO):
@@ -49,25 +49,6 @@ def wide_rulebase(rng, kind, order, n_rules, n_features):
     scales = 10.0 ** rng.uniform(np.log10(SCALE_MIN), 0, size=(n_rules, n_features))
     scales[rng.uniform(size=scales.shape) < 0.2] = SCALE_MIN
     return RuleBase(mf_kind=kind, centers=centers, scales=scales, order=order)
-
-
-def lse_fit(rb, X, y, lam):
-    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
-    rows = Rows.of(X, rb)
-    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
-    return replace(rb, consequents=w), rows, yhat
-
-
-def firing(X, rb, buf=None):
-    """Rows of X holding rb's forward: normalized firing, live mask and u."""
-    rows = Rows.of(X, rb, buf=buf)
-    forward(rows, rb.centers, rb.scales)
-    return rows
-
-
-def raw_firing(X, rb):
-    """Unnormalized product firing strengths, (R, N), derived apart from the forward's normalization."""
-    return product_firing(rb.mf_kind, membership_tensor(Rows.of(X, rb), rb.centers, rb.scales))
 
 
 def scalar_firing_oracle(X, rb):
@@ -414,6 +395,14 @@ class TestPredict:
         yhat = predict(rb, np.array([[0.9, 0.9]]))
         assert yhat[0] == pytest.approx(0.8, abs=1e-6)
 
+    def test_underflow_raises_only_where_the_caller_makes_it(self):
+        # 0.9 lies 400 scales from both centers: each Gaussian firing underflows to 0.0
+        rb = RuleBase(MFKind.GAUSSIAN, [[0.0], [0.5]], [[1e-3], [1e-3]], [1.0, 2.0])
+        X = np.array([[0.0], [0.9]])
+        assert np.isfinite(predict(rb, X)).all()
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            predict(rb, X)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(10, 3))
@@ -453,29 +442,24 @@ class TestPredict:
 
 class TestRuleBaseChecked:
     @pytest.mark.parametrize(
-        "call, changes, shown",
+        "changes, shown",
         [
-            ("predict", {"consequents": np.ones((1, 2))}, "consequents must be 2 finite values"),
-            ("predict", {"consequents": np.ones(3)}, "consequents must be 2 finite values"),
-            ("predict", {"scales": np.array([[0.0], [0.3]])}, "scales must be finite"),
-            ("predict", {"centers": np.array([[np.nan], [0.75]])}, "centers must be finite"),
-            ("fit", {"centers": np.array([[np.nan], [0.75]])}, "centers must be finite"),
-            ("fit", {"scales": np.array([[5.0], [0.3]])}, "scales must be finite"),
+            ({"consequents": np.ones((1, 2))}, "consequents must be 2 finite values"),
+            ({"consequents": np.ones(3)}, "consequents must be 2 finite values"),
+            ({"scales": np.array([[0.0], [0.3]])}, "scales must be finite"),
+            ({"scales": np.array([[5.0], [0.3]])}, "scales must be finite"),
+            ({"centers": np.array([[np.nan], [0.75]])}, "centers must be finite"),
         ],
+        ids=["consequents-2d", "consequents-3", "scale-0", "scale-5", "center-nan"],
     )
-    def test_malformed_rule_base_rejected(self, call, changes, shown):
-        X = np.linspace(0.0, 1.0, 20)[:, None]
+    def test_malformed_rule_base_rejected(self, changes, shown):
         rb = RuleBase(
             MFKind.CAUCHY, np.array([[0.25], [0.75]]), np.full((2, 1), 0.3), np.array([0.0, 1.0])
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"^{shown}"):  # raised by replace, before the call
-                rb = replace(rb, **changes)
-                if call == "predict":
-                    predict(rb, X)
-                else:
-                    lse_fit(rb, X, X[:, 0], 0.1)
+            with pytest.raises(ValueError, match=f"^{shown}"):
+                replace(rb, **changes)
 
     def test_no_rule_fails_where_built(self):
         with pytest.raises(ValueError, match="^a rule base needs at least one rule$"):
@@ -700,7 +684,7 @@ class TestModelArtifact:
     @pytest.mark.parametrize(
         "fields, shown",
         [
-            ({"version": 2}, "unsupported model version 2"),
+            ({"version": 2}, "model.json: unsupported model version 2"),
             ({"mf_kind": "triangle"}, "mf_kind must be one of ['gaussian', 'cauchy'], got 'triangle'"),
             ({"centers": "x"}, "model.json: centers must be float, got 'x'"),
             ({"centers": [[0.2, 0.4]]}, "center/scale shape mismatch"),
@@ -708,8 +692,8 @@ class TestModelArtifact:
             ({"centers": [[0.2], [0.4, 0.5]]}, "corrupt model file"),
             ({"consequents": {"w": 1.0}}, "corrupt model file"),
             ({"scales": None}, "corrupt model file"),
-            ({"version": True}, "unsupported model version True"),
-            ({"version": 1.0}, "unsupported model version 1.0"),
+            ({"version": True}, "model.json: unsupported model version True"),
+            ({"version": 1.0}, "model.json: unsupported model version 1.0"),
             ({"centers": [[0.2, 0.4], [True, 0.6]]}, "model.json: centers must be float, got True"),
             ({"scales": [[0.3, "0.3"], [0.2, 0.5]]}, "model.json: scales must be float, got '0.3'"),
             ({"consequents": [0.1, 0.2, "1", 0.4, 0.5, 0.6]},
@@ -728,5 +712,5 @@ class TestModelArtifact:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{path} is not a ts-rulebase artifact")):
             load_model(path)

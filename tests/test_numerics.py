@@ -54,6 +54,9 @@ class TestAsRows:
         X, y = as_rows([[1, 2], [3, 4]], [5, 6])
         assert X.dtype == y.dtype == np.float64
         assert X.shape == (2, 2) and y.tolist() == [5.0, 6.0]
+        # numpy converts a list before the check: a bool among floats becomes a float
+        X, _ = as_rows([[0.2, True]], [1])
+        assert X.dtype == np.float64 and X.tolist() == [[0.2, 1.0]]
 
     @pytest.mark.parametrize("fault", ROW_FAULTS)
     @pytest.mark.parametrize("entry", ROW_ENTRIES)

@@ -18,11 +18,9 @@ from xanfis.inference import (
     Order,
     RuleBase,
     Rows,
-    forward,
     membership_tensor,
     mse_antecedent_gradients,
     predict,
-    refit,
 )
 from xanfis.membership import (
     SCALE_MIN,
@@ -45,12 +43,7 @@ from xanfis.training import (
     trajectory_to_csv,
 )
 
-
-def lse_fit(rb, X, y, lam):
-    """rb with its LSE consequents on X, the Rows of X holding its forward, and its predictions there."""
-    rows = Rows.of(X, rb)
-    w, yhat = refit(rows, y, lam, rb.centers, rb.scales)
-    return replace(rb, consequents=w), rows, yhat
+from oracles import firing, lse_fit, raw_firing
 
 
 def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO):
@@ -63,21 +56,9 @@ def make_problem(rng, n_rules, n_features, kind, n_samples=40, order=Order.ZERO)
     return X, y, rb, fm, yhat
 
 
-def firing(X, rb):
-    """Rows of X holding rb's forward: normalized firing, live mask and u."""
-    rows = Rows.of(X, rb)
-    forward(rows, rb.centers, rb.scales)
-    return rows
-
-
 def gradients(rb, fm, y, yhat):
     """mse_antecedent_gradients of fitted rb, with fm and yhat its forward and predictions."""
     return mse_antecedent_gradients(fm, y, yhat, rb.scales, rb.consequents)
-
-
-def raw_firing(X, rb):
-    """Unnormalized product firing strengths, (R, N), derived apart from the forward's normalization."""
-    return product_firing(rb.mf_kind, membership_tensor(Rows.of(X, rb), rb.centers, rb.scales))
 
 
 def reference_chain_rule(rb, X, y):
