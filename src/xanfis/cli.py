@@ -45,9 +45,9 @@ class ExperimentConfig(TrainConfig):
     synth_n: int = 2000
     synth_noise: float = 0.05
     # model
-    mf: str = "cauchy"
+    mf: MFKind = MFKind.CAUCHY
     rules: int = 5
-    order: str = "zero"
+    order: Order = Order.ZERO
     # clustering
     fcm_tol: float = FCMConfig.tol
     fcm_max_iter: int = FCMConfig.max_iter
@@ -72,8 +72,6 @@ class ExperimentConfig(TrainConfig):
     def __post_init__(self):
         """Reject, naming it, any value a run would fail on or silently misuse; opens no file."""
         super().__post_init__()
-        object.__setattr__(self, "mf", MFKind(check_value(self.mf, MFKind, "mf")))
-        object.__setattr__(self, "order", Order(check_value(self.order, Order, "order")))
         if bool(self.manifest) == bool(self.synth):
             raise ValueError("config must name exactly one data source (manifest or synth)")
         if self.synth:
@@ -87,21 +85,21 @@ class ExperimentConfig(TrainConfig):
         weight_grid(self.weights_count, self.weights_lo, self.weights_hi)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not self.seeds or not all(has_type(seed, "int") for seed in self.seeds):
+        if not self.seeds or not all(has_type(seed, int) for seed in self.seeds):
             raise ValueError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(
                 f"duplicate seeds in {self.seeds}: each seed names its own output files"
             )
-        if not all(has_type(scale, "float") for scale in self.scales):
+        if not all(has_type(scale, float) for scale in self.scales):
             raise ValueError(f"scales must be numbers, got {self.scales!r}")
 
 
 def weight_grid(count, lo, hi):
     """count log-spaced scalarization weights from lo to hi, endpoints exact."""
-    if check_value(count, "int", "weight count") < 1:
+    if check_value(count, int, "weight count") < 1:
         raise ValueError(f"weight count must be >= 1, got {count}")
-    lo, hi = check_value(lo, "float", "weights_lo"), check_value(hi, "float", "weights_hi")
+    lo, hi = check_value(lo, float, "weights_lo"), check_value(hi, float, "weights_hi")
     if not (0 < lo <= hi):
         raise ValueError(f"weight range must satisfy 0 < lo <= hi, got [{lo}, {hi}]")
     grid = np.logspace(np.log10(lo), np.log10(hi), count)
@@ -309,7 +307,7 @@ def cmd_pareto_sweep(cfg):
 def cmd_export_partition(model_path, samples_per_curve, out):
     """Dump a saved model's centers and sampled membership curves."""
     rb, _scaler = load_model(model_path)
-    if check_value(samples_per_curve, "int", "samples") < 1:
+    if check_value(samples_per_curve, int, "samples") < 1:
         raise ValueError(f"samples must be >= 1, got {samples_per_curve}")
     _check_out_dir(out)
     r, f = rb.centers.shape

@@ -21,10 +21,6 @@ import numpy as np
 from .numerics import RandomStream, as_array, as_rows, check_fields, check_value, has_type
 
 
-class CSVFormatError(ValueError):
-    """Input CSV violates the manifest contract (missing/unparseable cells)."""
-
-
 def read_json(path, what):
     """The JSON object in the file at path; what names the document in each error."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -50,7 +46,7 @@ class DatasetManifest:
         if not self.feature_columns:
             raise ValueError("manifest needs at least one feature column")
         for col in (self.target_column, *self.feature_columns):
-            if not (has_type(col, "str | int") and (isinstance(col, str) or col >= 0)):
+            if not (has_type(col, str | int) and (isinstance(col, str) or col >= 0)):
                 raise ValueError(f"column {col!r} is neither a name nor a non-negative index")
         if self.target_column in self.feature_columns:
             raise ValueError(
@@ -73,14 +69,14 @@ def _resolve_column(col, header, path):
     if isinstance(col, int):
         return col
     if header is None:
-        raise CSVFormatError(
+        raise ValueError(
             f"{path}: column {col!r} referenced by name but the file has no header"
         )
     hits = [i for i, name in enumerate(header) if name == col]
     if not hits:
-        raise CSVFormatError(f"{path}: no column named {col!r}")
+        raise ValueError(f"{path}: no column named {col!r}")
     if len(hits) > 1:
-        raise CSVFormatError(f"{path}: column name {col!r} is ambiguous (appears {len(hits)} times)")
+        raise ValueError(f"{path}: column name {col!r} is ambiguous (appears {len(hits)} times)")
     return hits[0]
 
 
@@ -90,7 +86,7 @@ def _resolve_columns(manifest, header, path):
     resolved = [_resolve_column(c, header, path) for c in columns]
     for k, idx in enumerate(resolved):
         if (first := resolved.index(idx)) < k:  # a name and an index may spell one column
-            raise CSVFormatError(
+            raise ValueError(
                 f"{path}: {'target' if first == 0 else 'feature'} column {columns[first]!r} "
                 f"and feature column {columns[k]!r} are both column {idx}"
             )
@@ -117,7 +113,7 @@ def _c_table(fh, manifest):
         if manifest.has_header:
             header = next((row for row in csv.reader(fh, delimiter=manifest.delimiter) if row), None)
         cols = _resolve_columns(manifest, header, manifest.csv_path)
-    except (csv.Error, CSVFormatError):
+    except (csv.Error, ValueError):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -146,32 +142,32 @@ def _read_rows(fh, manifest):
             if row:
                 rows.append(row)
     except csv.Error as err:
-        raise CSVFormatError(f"{path}: row {len(rows) + 1}: {err}") from None
+        raise ValueError(f"{path}: row {len(rows) + 1}: {err}") from None
     header = None
     if manifest.has_header:
         if not rows:
-            raise CSVFormatError(f"{path}: empty file")
+            raise ValueError(f"{path}: empty file")
         header = rows[0]
         rows = rows[1:]
     if not rows:
-        raise CSVFormatError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     cols = _resolve_columns(manifest, header, path)
     first_data_row = 2 if manifest.has_header else 1
     table = np.empty((len(rows), len(cols)))
     for i, row in enumerate(rows):  # the first short row or bad cell, in row-major order
         for k, col in enumerate(cols):
             if col >= len(row):
-                raise CSVFormatError(f"{path}: row {first_data_row + i} has no column {col}")
+                raise ValueError(f"{path}: row {first_data_row + i} has no column {col}")
             try:
                 table[i, k] = float(row[col])
             except ValueError:
-                raise CSVFormatError(
+                raise ValueError(
                     f"{path}: cannot parse {_FLOAT_SEEN.fullmatch(row[col])[1]!r} "
                     f"at row {first_data_row + i}, column {col}"
                 ) from None
     if not np.isfinite(table).all():
         i, k = np.argwhere(~np.isfinite(table))[0]
-        raise CSVFormatError(
+        raise ValueError(
             f"{path}: non-finite value {float(table[i, k])!r} at row {first_data_row + i}, "
             f"column {cols[k]}"
         )
@@ -188,7 +184,7 @@ def load_csv(manifest):
     try:
         fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as err:
-        raise CSVFormatError(f"cannot open {path}: {err}") from err
+        raise ValueError(f"cannot open {path}: {err}") from err
     with fh:
         try:
             table = _c_table(fh, manifest)
@@ -196,7 +192,7 @@ def load_csv(manifest):
                 fh.seek(0)
                 table = _read_rows(fh, manifest)
         except UnicodeDecodeError as err:
-            raise CSVFormatError(
+            raise ValueError(
                 f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x}: {err.reason})"
             ) from None
     return np.ascontiguousarray(table[:, :-1]), np.ascontiguousarray(table[:, -1])
@@ -327,7 +323,7 @@ def friedman_target(X):
 
 def check_synth(name, n):
     """Reject a synthetic dataset of fewer than 50 rows or not in SYNTH_DATASETS."""
-    if check_value(n, "int", "n") < 50:
+    if check_value(n, int, "n") < 50:
         raise ValueError(f"need n >= 50, got {n}")
     if name not in SYNTH_DATASETS:
         raise ValueError(f"unknown synthetic dataset {name!r}")
@@ -336,7 +332,7 @@ def check_synth(name, n):
 def synth_regression(name, n, noise, seed):
     """Deterministic synthetic datasets: sinc2d or friedman."""
     check_synth(name, n)
-    check_value(noise, "float", "noise")
+    check_value(noise, float, "noise")
     stream = RandomStream(seed)
     if name == "sinc2d":
         lo, hi = SINC2D_RANGE

@@ -60,8 +60,8 @@ class RuleBase:
 
     def __post_init__(self):
         # a name such as "first" becomes its member here, and a bad name fails here
-        object.__setattr__(self, "mf_kind", MFKind(check_value(self.mf_kind, MFKind, "mf_kind")))
-        object.__setattr__(self, "order", Order(check_value(self.order, Order, "order")))
+        object.__setattr__(self, "mf_kind", check_value(self.mf_kind, MFKind, "mf_kind"))
+        object.__setattr__(self, "order", check_value(self.order, Order, "order"))
         for name in ("centers", "scales", "consequents"):
             a = getattr(self, name)
             if a is None and name == "consequents":  # not fitted yet
@@ -72,7 +72,7 @@ class RuleBase:
                     as_numbers(a, name)
                 else:  # np.array reads "0.25" and True as numbers
                     for value in np.asarray(a, dtype=object).flat:
-                        check_value(value, "float", name)
+                        check_value(value, float, name)
                 a = np.array(a, dtype=np.float64)
                 a.flags.writeable = False
                 object.__setattr__(self, name, a)
@@ -275,7 +275,7 @@ def load_model(path):
     doc = read_json(path, "model")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path} is not a {MODEL_FORMAT} artifact")
-    if not has_type(doc.get("version"), "int") or doc["version"] != MODEL_VERSION:
+    if not has_type(doc.get("version"), int) or doc["version"] != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')!r}")
     try:
         rb = RuleBase(doc["mf_kind"], doc["centers"], doc["scales"], doc["consequents"], doc["order"])

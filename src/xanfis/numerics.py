@@ -7,7 +7,10 @@ the kernels below them can assume clean inputs.
 
 from __future__ import annotations
 
+import enum
+import functools
 import math
+import typing
 from dataclasses import fields
 
 import numpy as np
@@ -21,36 +24,35 @@ class InsufficientDataError(ValueError):
     """Too few samples for the requested statistic or fit."""
 
 
-#: accepted types of each field annotation of a JSON-read dataclass; a JSON
-#: integer is a valid float and is kept as given, so every output cell is unchanged
-_FIELD_TYPES = {
-    "Mode": str, "str": str, "str | None": (str, type(None)), "str | int": (str, int),
-    "int": int, "float": (int, float), "bool": bool, "list": list,
-}
-
-
 def has_type(value, kind):
-    """isinstance against _FIELD_TYPES[kind], except that a bool is only a bool."""
-    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+    """isinstance against a type or | union; a bare float takes an int; a bool is only a bool."""
+    kinds = (int, float) if kind is float else kind
+    return isinstance(value, kinds) and (kind is bool) == isinstance(value, bool)
 
 
 def check_value(value, kind, name):
-    """value, if of kind (a _FIELD_TYPES key, or an enum it names) and finite; else ValueError."""
-    if not isinstance(kind, str):
+    """value, if of kind (a has_type kind) and finite; for an enum kind, the member it names."""
+    if isinstance(kind, enum.EnumMeta):
         names = [member.value for member in kind]
         if value not in names:
             raise ValueError(f"{name} must be one of {names}, got {value!r}")
-    elif not has_type(value, kind):
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    elif kind == "float" and not math.isfinite(value):
+        return kind(value)
+    if not has_type(value, kind):
+        raise ValueError(f"{name} must be {getattr(kind, '__name__', kind)}, got {value!r}")
+    if kind is float and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
+#: a class's annotations, resolved; once per class, as resolving costs more than a config's checks
+_annotations = functools.cache(typing.get_type_hints)
+
+
 def check_fields(obj):
-    """check_value on every field of the dataclass obj, against its declared type."""
+    """check_value on each field of frozen dataclass obj against its annotation; stores the result."""
+    kinds = _annotations(type(obj))
     for f in fields(obj):
-        check_value(getattr(obj, f.name), f.type, f.name)
+        object.__setattr__(obj, f.name, check_value(getattr(obj, f.name), kinds[f.name], f.name))
 
 
 def as_numbers(a, name):
@@ -93,7 +95,7 @@ def ridge_solve(phi, y, lam):
     SingularMatrixError.  phi and y are trusted: finite, 2-D and 1-D, with
     matching nonzero row counts (as_rows checks them for every caller).
     """
-    lam = float(check_value(lam, "float", "lambda"))
+    lam = float(check_value(lam, float, "lambda"))
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
 
@@ -156,11 +158,11 @@ class RandomStream:
     """
 
     def __init__(self, seed):
-        self.seed = check_value(seed, "int", "seed") & _MASK64
+        self.seed = check_value(seed, int, "seed") & _MASK64
         self._count = 0
 
     def uint64s(self, n):
-        if check_value(n, "int", "n") < 0:  # every draw passes here
+        if check_value(n, int, "n") < 0:  # every draw passes here
             raise ValueError(f"n must be >= 0, got {n}")
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
@@ -177,7 +179,7 @@ class RandomStream:
 
     def permutation(self, n):
         """Fisher-Yates shuffle of range(n)."""
-        perm = list(range(check_value(n, "int", "n")))
+        perm = list(range(check_value(n, int, "n")))
         # n - 1 raw draws, none at n = 0; draw k swaps i = n-1-k (exact 128-bit Python ints)
         for i, raw in zip(range(n - 1, 0, -1), self.uint64s(n - (n > 0)).tolist()):
             j = (raw * (i + 1)) >> 64

@@ -26,7 +26,7 @@ import numpy as np
 from .data import write_csv
 from .inference import RuleBase, Rows, forward, mse_antecedent_gradients, refit
 from .membership import project_bounds_arrays
-from .numerics import SingularMatrixError, as_rows, check_fields, check_value
+from .numerics import SingularMatrixError, as_rows, check_fields
 
 #: adjacent pairs closer than this get no explainability gradient; the
 #: pair distance divides the update, so coincident sets must be skipped
@@ -55,7 +55,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        object.__setattr__(self, "mode", Mode(check_value(self.mode, Mode, "mode")))
         if not 0.0 < self.d_target <= 1.0:
             raise ValueError(f"d_target must be in (0, 1], got {self.d_target}")
         if self.patience < 1:

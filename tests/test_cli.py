@@ -657,6 +657,11 @@ class TestMainEntry:
         assert any(r["diverged"] == "1" for r in rows)
         # a diverged run keeps the metrics of its last finite model
         assert all(np.isfinite(float(r["r2"])) for r in rows if r["diverged"] == "1")
+        # epochs_run is the last completed epoch: this run's epoch 1 refit is singular
+        (row,) = [r for r in rows if r["run_id"] == "gaussian_0.03125"]
+        assert (row["diverged"], row["epochs_run"]) == ("1", "0")
+        assert float(row["r2"]) == pytest.approx(-6.43, abs=0.005)
+        assert [r["epoch"] for r in read_rows(out / "trace_gaussian_0.03125.csv")] == ["0"]
         for kind in ("gaussian", "cauchy"):
             for scale in ("0.03125", "0.0625", "0.125"):
                 assert (out / f"trace_{kind}_{scale}.csv").exists()
@@ -756,6 +761,7 @@ class TestConfigValidation:
             (["--workers", "-2"], {}, "workers must be >= 1, got -2"),
             ([], {"mode": "foo"}, "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'foo'"),
             ([], {"order": "second"}, "order must be one of ['zero', 'first'], got 'second'"),
+            ([], {"mf": 3}, "mf must be one of ['gaussian', 'cauchy'], got 3"),
             ([], {"rules": 4.0}, "rules must be int, got 4.0"),
             ([], {"lr_backward": "0.1"}, "lr_backward must be float, got '0.1'"),
             ([], {"seeds": "0"}, "seeds must be list, got '0'"),

@@ -1,12 +1,17 @@
-"""Row checks, ridge solver, CI statistics and the seeded stream."""
+"""Row and field checks, ridge solver, CI statistics and the seeded stream."""
 
+import enum
 import math
 import re
+import types
+import typing
 
 import numpy as np
 import pytest
 
-from xanfis.data import split_scale
+from xanfis.cli import ExperimentConfig
+from xanfis.data import DatasetManifest, split_scale
+from xanfis.fcm_init import FCMConfig
 from xanfis.inference import RuleBase
 from xanfis.membership import MFKind
 from xanfis.metrics import evaluate_model
@@ -15,6 +20,7 @@ from xanfis.numerics import (
     RandomStream,
     SingularMatrixError,
     as_rows,
+    check_value,
     mean_ci95,
     ridge_solve,
 )
@@ -65,6 +71,28 @@ class TestAsRows:
         X, y, shown = ROW_FAULTS[fault]
         with pytest.raises(ValueError, match=re.escape(shown.format(x=x_name, y=y_name))):
             call(X, y)
+
+
+class TestFieldAnnotations:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            TrainConfig(),
+            ExperimentConfig(synth="sinc2d"),
+            FCMConfig(n_clusters=3),
+            DatasetManifest(csv_path="d.csv", target_column="t", feature_columns=["a"]),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_every_annotation_is_a_check_value_kind(self, value):
+        # only a bare float takes a JSON integer: a float | None field would reject 1
+        plain = {int, bool, str, list}
+        for name, kind in typing.get_type_hints(type(value)).items():
+            if isinstance(kind, types.UnionType):
+                assert set(kind.__args__) <= plain | {type(None)}, name
+            else:
+                assert kind in plain | {float} or isinstance(kind, enum.EnumMeta), name
+            assert check_value(getattr(value, name), kind, name) is getattr(value, name)
 
 
 class TestRidgeSolve:

@@ -286,6 +286,7 @@ class TestTrainConfig:
         "knobs, shown",
         [
             ({"mode": "xanfis"}, "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 'xanfis'"),
+            ({"mode": 3}, "mode must be one of ['anfis', 'mo_anfis', 'x_anfis'], got 3"),
             ({"lr_backward": math.nan}, "lr_backward must be finite, got nan"),
             ({"lam": math.nan}, "lam must be finite, got nan"),
             ({"max_epochs": 3.0}, "max_epochs must be int, got 3.0"),
